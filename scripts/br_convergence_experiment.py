@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""How often do random-start best-response dynamics reach a grid NE?
+"""How often do random-start best-response dynamics reach a verified NE?
 
 The game comes with no convergence guarantee for any adjustment process, so
 this is an empirical census, not an assertion: run K seeded random starts,
-count trajectories that converge, that end at a verified NE, and that end at
-a unanimity profile, and histogram the fixed points.
+count trajectories that converge, that end at a verified NE (checked exactly
+over the whole message space), and that end at a unanimity profile, and
+histogram the fixed points.  Starts are drawn from the scenario's message grid.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def main() -> None:
             Message(rng.choice(grid.n_values), rng.choice(grid.pi_values))
             for _ in range(config.num_users)
         )
-        result = br_dynamics(start, grid, config, max_rounds=args.max_rounds)
+        result = br_dynamics(start, config, max_rounds=args.max_rounds)
         if not result.converged:
             continue
         converged += 1
@@ -60,7 +61,7 @@ def main() -> None:
 
     print(f"scenario={args.scenario} seed={seed} starts={args.starts}")
     print(f"converged: {converged}/{args.starts}")
-    print(f"verified grid NE: {verified_ne}/{args.starts}")
+    print(f"verified NE: {verified_ne}/{args.starts}")
     print(f"unanimity fixed points: {unanimity}/{args.starts}")
     if rounds:
         print(f"rounds to converge: min={min(rounds)} mean={sum(rounds)/len(rounds):.1f} "

@@ -4,10 +4,10 @@ Strategic users split quantized power budgets across frequency bands.  Each
 submits a (proposal, price) message; the outcome rule picks the catalog
 profile nearest the average proposal and charges cyclic taxes that balance
 to zero exactly, on and off equilibrium.  The package enumerates the profile
-catalog, applies the game form in exact rational arithmetic, searches and
-certifies grid Nash equilibria, bridges them to Lindahl allocations with
-personalized prices, and simulates the pilot-based gain measurement with its
-exclusion rule.
+catalog, applies the game form in exact rational arithmetic, searches for
+Nash equilibria and certifies them exactly over the whole message space,
+bridges them to Lindahl allocations with personalized prices, and simulates
+the pilot-based gain measurement with its exclusion rule.
 """
 
 from .equilibrium import (

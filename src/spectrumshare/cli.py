@@ -48,15 +48,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _standard_grid(scenario: Scenario) -> MessageGrid:
-    return MessageGrid.standard(
-        scenario.config.catalog.size,
-        scenario.config.num_users,
-        pi_step=scenario.pi_step,
-        pi_max=scenario.pi_max,
-    )
-
-
 def _parse_messages(spec: str, num_users: int) -> tuple[Message, ...]:
     text = spec
     if spec.startswith("@"):
@@ -95,7 +86,7 @@ def _report_json(report: EquilibriumReport) -> dict:
         "candidate": [_message_json(m) for m in report.candidate],
         "allocation": report.allocation,
         "taxes": [rational_to_json(t) for t in report.taxes],
-        "is_ne_on_grid": report.is_ne_on_grid,
+        "is_ne": report.is_ne,
         "mismatch_penalties_vanish": report.mismatch_penalties_vanish,
         "feasible": report.feasible,
         "individual_rationality": list(report.individual_rationality),
@@ -118,7 +109,7 @@ _REPORT_CSV_COLUMNS = (
     "proposal",
     "price",
     "allocation",
-    "is_ne_on_grid",
+    "is_ne",
     "mismatch_penalties_vanish",
     "feasible",
     "individual_rationality",
@@ -136,7 +127,7 @@ def _report_csv_row(report: EquilibriumReport) -> list:
         report.candidate[0].proposal,
         _fmt(report.candidate[0].price),
         report.allocation,
-        report.is_ne_on_grid,
+        report.is_ne,
         report.mismatch_penalties_vanish,
         report.feasible,
         all(report.individual_rationality),
@@ -152,7 +143,7 @@ def _print_report_table(report: EquilibriumReport) -> None:
     print(f"candidate: {', '.join(f'({m.proposal}, {_fmt(m.price)})' for m in report.candidate)}")
     print(f"allocation: {report.allocation}")
     print(f"taxes: {', '.join(_fmt(t) for t in report.taxes)} (sum={_fmt(sum(report.taxes))})")
-    print(f"grid NE: {report.is_ne_on_grid}")
+    print(f"NE: {report.is_ne}")
     print(f"mismatch penalties vanish: {report.mismatch_penalties_vanish}")
     print(f"feasible allocation: {report.feasible}")
     print(f"individual rationality: {list(report.individual_rationality)}")
@@ -233,23 +224,20 @@ def cmd_outcome(args) -> int:
     return 0
 
 
-def _run_unanimity(scenario: Scenario, grid: MessageGrid, price, jobs: int):
-    started = time.perf_counter()
-    reports = unanimity_scan(price, grid, scenario.config, jobs=jobs)
-    elapsed = time.perf_counter() - started
-    return reports, elapsed
-
-
-def _run_br(scenario: Scenario, grid: MessageGrid, starts: int, seed: int, max_rounds: int):
+def _run_br(scenario: Scenario, starts: int, seed: int, max_rounds: int):
+    config = scenario.config
+    grid = MessageGrid.standard(
+        config.catalog.size, config.num_users, pi_step=scenario.pi_step, pi_max=scenario.pi_max
+    )
     rng = random.Random(seed)
     started = time.perf_counter()
     results = []
     for _ in range(starts):
         profile = tuple(
             Message(rng.choice(grid.n_values), rng.choice(grid.pi_values))
-            for _ in range(scenario.config.num_users)
+            for _ in range(config.num_users)
         )
-        results.append(br_dynamics(profile, grid, scenario.config, max_rounds=max_rounds))
+        results.append(br_dynamics(profile, config, max_rounds=max_rounds))
     elapsed = time.perf_counter() - started
     return results, elapsed
 
@@ -257,7 +245,6 @@ def _run_br(scenario: Scenario, grid: MessageGrid, starts: int, seed: int, max_r
 def cmd_find_ne(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    grid = _standard_grid(scenario)
     catalog = scenario.config.catalog
     measurement = run_measurement(
         scenario.config.gains, scenario.behaviors, scenario.pilot_power, scenario.config
@@ -278,8 +265,12 @@ def cmd_find_ne(args) -> int:
 
     if args.method in ("unanimity", "both"):
         price = as_fraction(args.price)
-        reports, elapsed = _run_unanimity(scenario, grid, price, args.jobs)
-        found = [r for r in reports if r.is_ne_on_grid]
+        if price < 0:
+            raise ConfigError("--price must be non-negative")
+        started = time.perf_counter()
+        reports = unanimity_scan(price, scenario.config)
+        elapsed = time.perf_counter() - started
+        found = [r for r in reports if r.is_ne]
         equilibria.extend(found)
         for report in found:
             contract_broken.extend(report.soundness_violations())
@@ -291,7 +282,7 @@ def cmd_find_ne(args) -> int:
         document["timing_seconds"]["unanimity"] = round(elapsed, 4)
 
     if args.method in ("br", "both"):
-        results, elapsed = _run_br(scenario, grid, args.starts, seed, args.max_rounds)
+        results, elapsed = _run_br(scenario, args.starts, seed, args.max_rounds)
         converged = [r for r in results if r.converged]
         fixed_points = []
         seen = set()
@@ -299,11 +290,9 @@ def cmd_find_ne(args) -> int:
             if result.profile in seen:
                 continue
             seen.add(result.profile)
-            report = build_report(
-                result.profile, grid, scenario.config, verification=result.verification
-            )
+            report = build_report(result.profile, scenario.config, verification=result.verification)
             fixed_points.append(report)
-            if report.is_ne_on_grid:
+            if report.is_ne:
                 contract_broken.extend(report.soundness_violations())
                 if report.candidate not in {r.candidate for r in equilibria}:
                     equilibria.append(report)
@@ -316,7 +305,7 @@ def cmd_find_ne(args) -> int:
                     "rounds": r.rounds,
                     "converged": r.converged,
                     "final": [_message_json(m) for m in r.profile],
-                    "is_ne_on_grid": None if r.verification is None else r.verification.is_ne,
+                    "is_ne": None if r.verification is None else r.verification.is_ne,
                 }
                 for r in results
             ],
@@ -335,7 +324,7 @@ def cmd_find_ne(args) -> int:
         for report in equilibria:
             writer.writerow(_report_csv_row(report))
     else:
-        print(f"seed={seed} profiles={catalog.size} grid_ne_found={len(equilibria)}")
+        print(f"seed={seed} profiles={catalog.size} ne_found={len(equilibria)}")
         for report in equilibria:
             print("-" * 40)
             _print_report_table(report)
@@ -345,11 +334,10 @@ def cmd_find_ne(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    grid = _standard_grid(scenario)
     messages = _parse_messages(args.messages, scenario.config.num_users)
-    verification = verify_ne(messages, grid, scenario.config)
+    verification = verify_ne(messages, scenario.config)
     report = build_report(
-        messages, grid, scenario.config, verification=verification, include_lindahl=True
+        messages, scenario.config, verification=verification, include_lindahl=True
     )
     document = {
         "command": "verify",
@@ -406,8 +394,7 @@ def cmd_lindahl_roundtrip(args) -> int:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
     except (PriceSystemError, PriceScaleError) as exc:
         raise ConfigError(str(exc)) from None
-    grid = _standard_grid(scenario).with_prices(m.price for m in messages)
-    verification = verify_ne(messages, grid, scenario.config)
+    verification = verify_ne(messages, scenario.config)
     result = outcome(messages, catalog)
     prices = tuple(lindahl_price(messages, u) for u in range(len(messages)))
     roundtrip = {
@@ -419,7 +406,7 @@ def cmd_lindahl_roundtrip(args) -> int:
         "command": "lindahl-roundtrip",
         "scenario_digest": scenario.digest,
         "messages": [_message_json(m) for m in messages],
-        "is_ne_on_grid": verification.is_ne,
+        "is_ne": verification.is_ne,
         "allocation": result.allocation,
         "taxes": [rational_to_json(t) for t in result.taxes],
         "personal_prices": [rational_to_json(p) for p in prices],
@@ -429,7 +416,7 @@ def cmd_lindahl_roundtrip(args) -> int:
         print(json.dumps(document, indent=2))
     else:
         print(f"solved prices: {', '.join(_fmt(m.price) for m in messages)}")
-        print(f"grid NE: {verification.is_ne}")
+        print(f"NE: {verification.is_ne}")
         print(
             "roundtrip: allocation={allocation_match} taxes={taxes_match} "
             "prices={prices_match}".format(**roundtrip)
@@ -480,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", required=True, help="scenario JSON file")
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     common.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers")
     common.add_argument("--out", default=None, help="also write the JSON document here")
 
     parser = argparse.ArgumentParser(
@@ -497,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
     p.set_defaults(func=cmd_outcome)
 
-    p = sub.add_parser("find-ne", parents=[common], help="search for grid equilibria")
+    p = sub.add_parser("find-ne", parents=[common], help="search for equilibria")
     p.add_argument("--method", choices=("unanimity", "br", "both"), default="both")
     p.add_argument("--price", default="1", help="common price for the unanimity scan")
     p.add_argument("--starts", type=int, default=20, help="random starts for best response")

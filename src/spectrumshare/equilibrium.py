@@ -1,32 +1,34 @@
-"""Equilibrium machinery: grid Nash checks, best-response dynamics, and the
+"""Equilibrium machinery: exact Nash checks, best-response dynamics, and the
 two-way bridge between Nash equilibria of the game and Lindahl allocations.
 
-Messages live in an infinite space (any integer proposal, any non-negative
-price), so Nash certification at desk scale runs over a finite grid.  A
-"grid NE" is a profile no user can improve by any unilateral grid deviation;
-it is a necessary-condition certificate for a true NE, in the spirit of
-treating stationarity under message exchange as the solution concept.
+Every question here reduces to one price-line kernel, `price_line_optimum`:
+user i's best catalog index k when its tax is k * p - c.  It rests on one
+premise: every utility variant is non-increasing in tax.  Against fixed
+others (S the sum of their proposals, p_i = (pi_{i+1} - pi_{i+2}) / N the
+personal price, c_i = (n_{i+1} - n_{i+2})^2 * pi_{i+1} the next user's
+mismatch penalty, rebated to user i), any message of user i either makes the
+rounded average leave the catalog (the opt-out, worth V_i(0, 0)) or lands on
+some index k with a tax of at least k * p_i - c_i, which price 0 attains.  So
+user i's best reply over the whole message space is either the opt-out
+(-S, 0) or (N * k - S, 0) for the best k on the line, and a profile is a
+Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0 the
+same kernel is the Lindahl check "best on the personal price line".
 
-The standard grid always contains prices down to 0 and one proposal large
-enough to force the rounded average out of the catalog no matter what the
-others propose, because the classical deviations (drop your price to zero /
-opt out into the null allocation) must be available to the checker.
+`MessageGrid` is not used for certification; it is the finite space that
+random best-response starts are drawn from.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .errors import ContractError, PriceScaleError, PriceSystemError
 from .mechanism import (
     Message,
     MessageProfile,
     lindahl_price,
-    nearest_integer,
     outcome,
     proposal_feasible,
     rounded_average,
@@ -37,7 +39,7 @@ from .model import ProfileCatalog, ScenarioConfig, as_fraction, utility_eval, ut
 
 @dataclass(frozen=True)
 class MessageGrid:
-    """Finite slice of the message space used for search and certification."""
+    """Finite slice of the message space that random search starts draw from."""
 
     n_values: tuple[int, ...]
     pi_values: tuple[Fraction, ...]
@@ -60,13 +62,12 @@ class MessageGrid:
         pi_step=Fraction(1, 4),
         pi_max=Fraction(3),
     ) -> "MessageGrid":
-        """Canonical certification grid.
+        """Canonical grid.
 
         Proposals: -1, 0, every catalog index, and an escape value
-        num_users * (catalog_size + 2).  The escape value makes the rounded
-        average exceed the catalog against every grid choice of the others,
-        so the opt-out deviation always exists.  Prices: 0 to pi_max in
-        pi_step increments.
+        num_users * (catalog_size + 2), which makes the rounded average exceed
+        the catalog against every grid choice of the others.  Prices: 0 to
+        pi_max in pi_step increments.
         """
         step = as_fraction(pi_step)
         top = as_fraction(pi_max)
@@ -79,53 +80,44 @@ class MessageGrid:
         pi_values = tuple(k * step for k in range(int(top / step) + 1))
         return cls(n_values, pi_values)
 
-    def with_prices(self, prices: Iterable) -> "MessageGrid":
-        """Same grid with extra price points (for externally solved prices)."""
-        return MessageGrid(self.n_values, self.pi_values + tuple(as_fraction(p) for p in prices))
 
-    def contains(self, message: Message) -> bool:
-        return message.proposal in self.n_values and message.price in self.pi_values
+def price_line_optimum(
+    user: int, price: Fraction, credit: Fraction, config: ScenarioConfig
+) -> tuple[int, Fraction | float]:
+    """User's best catalog index k >= 1 when its tax is k * price - credit.
 
-
-def _require_on_grid(profile: MessageProfile, grid: MessageGrid) -> None:
-    for user, message in enumerate(profile):
-        if not grid.contains(message):
-            raise ValueError(f"message of user {user} ({message}) is off the grid")
-
-
-def _deviation_outcomes(
-    user: int, profile: MessageProfile, grid: MessageGrid, config: ScenarioConfig
-) -> Iterator[tuple[Message, Fraction | float]]:
-    """Yield (message, utility) over user's grid messages, others held fixed.
-
-    When the price cannot influence the outcome (infeasible average, or no
-    proposal mismatch with the next user) the message is yielded once with
-    the smallest grid price; any other price gives the identical outcome.
+    Returns (k, V_user(k, k * price - credit)); ties resolve to the smallest k.
     """
-    catalog = config.catalog
-    size = catalog.size
+    values = config.value_vectors[user]
+    cost = config.utilities[user].tax_cost
+    best_index, best_value = 1, values[1] - cost(price - credit)
+    for index in range(2, len(values)):
+        value = values[index] - cost(index * price - credit)
+        if value > best_value:
+            best_index, best_value = index, value
+    return best_index, best_value
+
+
+def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
+    """User's best message over the whole message space, and its utility.
+
+    The opt-out (-S, 0) is chosen only when strictly better than every
+    catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
+    """
     n_users = len(profile)
-    spec = config.utilities[user]
+    others_sum = sum(m.proposal for m in profile) - profile[user].proposal
     after = profile[(user + 1) % n_users]
     after2 = profile[(user + 2) % n_users]
-    others_sum = sum(m.proposal for m in profile) - profile[user].proposal
-    unit_price = Fraction(after.price - after2.price, n_users)
     credit = (after.proposal - after2.proposal) ** 2 * after.price
-    pi_low = grid.pi_values[0]
-    opt_out_utility = utility_eval(spec, 0, Fraction(0), config)
-    for proposal in grid.n_values:
-        average = nearest_integer(others_sum + proposal, n_users)
-        if not 1 <= average <= size:
-            yield Message(proposal, pi_low), opt_out_utility
-            continue
-        mismatch = (proposal - after.proposal) ** 2
-        base_tax = average * unit_price - credit
-        if mismatch == 0:
-            yield Message(proposal, pi_low), utility_eval(spec, average, base_tax, config)
-            continue
-        for price in grid.pi_values:
-            value = utility_eval(spec, average, base_tax + mismatch * price, config)
-            yield Message(proposal, price), value
+    index, value = price_line_optimum(user, lindahl_price(profile, user), credit, config)
+    opt_out = utility_eval(config.utilities[user], 0, Fraction(0), config)
+    if opt_out > value:
+        return Message(-others_sum, Fraction(0)), opt_out
+    return Message(n_users * index - others_sum, Fraction(0)), value
+
+
+def _held_utility(user: int, result, config: ScenarioConfig):
+    return utility_eval(config.utilities[user], result.allocation, result.taxes[user], config)
 
 
 @dataclass(frozen=True)
@@ -143,55 +135,33 @@ class NEVerification:
     best_deviation: Optional[Deviation]
 
 
-def verify_ne(
-    candidate: MessageProfile,
-    grid: MessageGrid,
-    config: ScenarioConfig,
-    stop_at_first: bool = False,
-) -> NEVerification:
-    """Check that no user has a strictly improving unilateral grid deviation.
+def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerification:
+    """Check that no user has a strictly improving unilateral deviation.
 
-    Returns the most profitable violating deviation when the check fails
-    (the first one found in scan order when `stop_at_first` is set).
-    Improvement is exact for rational utilities and uses a 1e-12 slack for
-    float-valued ones.
+    The check is exact over the whole message space (any integer proposal,
+    any non-negative price).  Returns the most profitable deviation when it
+    fails.  Improvement is exact for rational utilities and uses a 1e-12
+    slack for float-valued ones.
     """
-    _require_on_grid(candidate, grid)
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
-        spec = config.utilities[user]
-        slack = utility_tolerance(spec)
-        held = utility_eval(spec, base.allocation, base.taxes[user], config)
-        for message, value in _deviation_outcomes(user, candidate, grid, config):
-            gain = value - held
-            if gain > slack and (best is None or gain > best.gain):
-                best = Deviation(user, message, gain)
-                if stop_at_first:
-                    return NEVerification(False, best)
+        slack = utility_tolerance(config.utilities[user])
+        message, value = _reply(user, candidate, config)
+        gain = value - _held_utility(user, base, config)
+        if gain > slack and (best is None or gain > best.gain):
+            best = Deviation(user, message, gain)
     return NEVerification(best is None, best)
 
 
-def _best_reply(
-    user: int, profile: MessageProfile, grid: MessageGrid, config: ScenarioConfig
-) -> tuple[Message, Fraction | float]:
-    best_message = None
-    best_value = None
-    for message, value in _deviation_outcomes(user, profile, grid, config):
-        if best_message is None or value > best_value:
-            best_message, best_value = message, value
-    return best_message, best_value
+def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) -> Message:
+    """Message maximizing user's utility against the rest of `profile`.
 
-
-def best_response(
-    user: int, profile: MessageProfile, grid: MessageGrid, config: ScenarioConfig
-) -> Message:
-    """Grid message maximizing user's utility against the rest of `profile`.
-
-    `profile[user]` is ignored.  Ties resolve to the smallest (proposal,
-    price) in grid order, so the result is deterministic.
+    `profile[user]` is ignored.  The reply has price 0 and a proposal that
+    puts the rounded average exactly on the best catalog index (the smallest
+    one on ties), or the opt-out proposal when that is strictly better.
     """
-    return _best_reply(user, profile, grid, config)[0]
+    return _reply(user, profile, config)[0]
 
 
 @dataclass(frozen=True)
@@ -212,18 +182,15 @@ class BRResult:
 
 def br_dynamics(
     start: MessageProfile,
-    grid: MessageGrid,
     config: ScenarioConfig,
     max_rounds: int = 50,
 ) -> BRResult:
     """Round-robin best responses from `start` until a fixed point or cutoff.
 
     A user only moves when the best reply strictly improves on keeping the
-    current message (with the usual float slack); when it moves it adopts
-    the smallest best reply in grid order.  The inertia makes every verified
+    current message (with the usual float slack).  The inertia makes every
     NE an immediate fixed point instead of drifting along utility ties.
     """
-    _require_on_grid(start, grid)
     catalog = config.catalog
     profile = tuple(start)
     history = [profile]
@@ -234,11 +201,9 @@ def br_dynamics(
         current = list(profile)
         changed = False
         for user in range(config.num_users):
-            spec = config.utilities[user]
-            slack = utility_tolerance(spec)
-            held_outcome = outcome(tuple(current), catalog)
-            held = utility_eval(spec, held_outcome.allocation, held_outcome.taxes[user], config)
-            message, value = _best_reply(user, tuple(current), grid, config)
+            slack = utility_tolerance(config.utilities[user])
+            held = _held_utility(user, outcome(tuple(current), catalog), config)
+            message, value = _reply(user, tuple(current), config)
             if value > held + slack:
                 current[user] = message
                 changed = True
@@ -247,7 +212,7 @@ def br_dynamics(
             break
         profile = tuple(current)
         history.append(profile)
-    verification = verify_ne(profile, grid, config) if converged else None
+    verification = verify_ne(profile, config) if converged else None
     return BRResult(converged, rounds, profile, verification, tuple(history))
 
 
@@ -322,8 +287,9 @@ class LindahlCertificate:
     user_best: per user, (allocation, tax) maximizes utility over every
         catalog profile priced at its personal price line.
     user_best_nonneg_tax: same check with alternatives restricted to
-        non-negative taxes; recorded separately because equilibrium
-        subsidies make negative taxes legitimate.
+        non-negative taxes, which is `user_best` with a non-negative
+        personal price; recorded separately because equilibrium subsidies
+        make negative taxes legitimate.
     """
 
     allocation: LindahlAllocation
@@ -345,34 +311,22 @@ def ne_to_lindahl(candidate: MessageProfile, config: ScenarioConfig) -> LindahlC
     """Read a Lindahl allocation off a message profile and check it.
 
     The price-line optimality check is exhaustive over the whole catalog, so
-    at desk scale its verdict is ground truth, not a sample.
+    its verdict is ground truth, not a sample.
     """
-    catalog = config.catalog
-    result = outcome(candidate, catalog)
+    result = outcome(candidate, config.catalog)
     prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
     allocation = LindahlAllocation(result.allocation, result.taxes, prices)
     prices_balance = sum(prices, Fraction(0)) == 0
     taxes_balance = sum(result.taxes, Fraction(0)) == 0
     user_best = []
-    user_best_nonneg = []
-    for user, spec in enumerate(config.utilities):
-        slack = utility_tolerance(spec)
-        price = prices[user]
-        charged = result.taxes[user]
-        on_line = result.allocation != 0 and charged == result.allocation * price
-        ok = on_line
-        ok_nonneg = on_line and charged >= 0
-        held = utility_eval(spec, result.allocation, charged, config)
-        for alternative in range(1, catalog.size + 1):
-            value = utility_eval(spec, alternative, alternative * price, config)
-            if value > held + slack:
-                ok = False
-                if alternative * price >= 0:
-                    ok_nonneg = False
-        user_best.append(ok)
-        user_best_nonneg.append(ok_nonneg)
+    for user, price in enumerate(prices):
+        on_line = result.allocation != 0 and result.taxes[user] == result.allocation * price
+        _, best = price_line_optimum(user, price, Fraction(0), config)
+        slack = utility_tolerance(config.utilities[user])
+        user_best.append(on_line and not best > _held_utility(user, result, config) + slack)
+    user_best_nonneg = tuple(ok and price >= 0 for ok, price in zip(user_best, prices))
     return LindahlCertificate(
-        allocation, prices_balance, taxes_balance, tuple(user_best), tuple(user_best_nonneg)
+        allocation, prices_balance, taxes_balance, tuple(user_best), user_best_nonneg
     )
 
 
@@ -414,16 +368,17 @@ def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -
 class EquilibriumReport:
     """All per-candidate verdicts in one place.
 
-    When `is_ne_on_grid` holds, every structural flag below must hold too;
-    `soundness_violations` lists any that do not (there must never be any).
-    The price-line optimality verdicts live in `lindahl` and may fail for a
-    too-coarse grid; they are reported, not enforced.
+    When `is_ne` holds, every structural flag below must hold too, and so
+    must every user's best-on-price-line verdict in `lindahl`: at an NE the
+    mismatch penalties vanish, so c_i = 0 and the NE check and the Lindahl
+    check scan the same line.  `soundness_violations` lists any that do not
+    (there must never be any).
     """
 
     candidate: MessageProfile
     allocation: int
     taxes: tuple[Fraction, ...]
-    is_ne_on_grid: bool
+    is_ne: bool
     mismatch_penalties_vanish: bool
     feasible: bool
     individual_rationality: tuple[bool, ...]
@@ -431,7 +386,7 @@ class EquilibriumReport:
     lindahl: Optional[LindahlCertificate]
 
     def soundness_violations(self) -> tuple[str, ...]:
-        if not self.is_ne_on_grid:
+        if not self.is_ne:
             return ()
         problems = []
         if not self.mismatch_penalties_vanish:
@@ -449,12 +404,13 @@ class EquilibriumReport:
                 problems.append("NE whose personal prices do not sum to zero")
             if not self.lindahl.taxes_balance:
                 problems.append("NE whose taxes do not sum to zero")
+            if not self.lindahl.best_on_price_line:
+                problems.append("NE off a user's personal price line optimum")
         return tuple(problems)
 
 
 def build_report(
     candidate: MessageProfile,
-    grid: MessageGrid,
     config: ScenarioConfig,
     verification: Optional[NEVerification] = None,
     include_lindahl: Optional[bool] = None,
@@ -462,7 +418,7 @@ def build_report(
     """Assemble the full per-candidate report (NE check + property checks)."""
     catalog = config.catalog
     if verification is None:
-        verification = verify_ne(candidate, grid, config)
+        verification = verify_ne(candidate, config)
     result = outcome(candidate, catalog)
     vanish = mismatch_penalties_vanish(candidate)
     matches = False
@@ -475,7 +431,7 @@ def build_report(
         candidate=tuple(candidate),
         allocation=result.allocation,
         taxes=result.taxes,
-        is_ne_on_grid=verification.is_ne,
+        is_ne=verification.is_ne,
         mismatch_penalties_vanish=vanish,
         feasible=result.allocation != 0,
         individual_rationality=individual_rationality(candidate, config),
@@ -484,37 +440,15 @@ def build_report(
     )
 
 
-def _scan_candidate(index: int, price: Fraction, grid: MessageGrid, config: ScenarioConfig):
-    candidate = tuple(Message(index, price) for _ in range(config.num_users))
-    verification = verify_ne(candidate, grid, config, stop_at_first=True)
-    return build_report(candidate, grid, config, verification=verification)
-
-
-def unanimity_scan(
-    price, grid: MessageGrid, config: ScenarioConfig, jobs: int = 1
-) -> list[EquilibriumReport]:
+def unanimity_scan(price, config: ScenarioConfig) -> list[EquilibriumReport]:
     """Test every unanimity candidate (k, price, ..., price), k over the catalog.
 
     Unanimity is where the mismatch penalties point, so this scan is the
-    systematic way to harvest grid equilibria.  Returns one report per
-    catalog index, NE or not.
+    systematic way to harvest equilibria.  Returns one report per catalog
+    index, NE or not.
     """
     price = as_fraction(price)
-    if price not in grid.pi_values:
-        raise ValueError(f"scan price {price} is off the grid")
-    size = config.catalog.size
-    indices = range(1, size + 1)
-    if jobs <= 1:
-        return [_scan_candidate(k, price, grid, config) for k in indices]
-    chunk = max(1, size // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(
-                _scan_candidate,
-                indices,
-                repeat(price),
-                repeat(grid),
-                repeat(config),
-                chunksize=chunk,
-            )
-        )
+    return [
+        build_report(tuple(Message(k, price) for _ in range(config.num_users)), config)
+        for k in range(1, config.catalog.size + 1)
+    ]

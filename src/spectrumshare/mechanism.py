@@ -95,27 +95,53 @@ def tax_components(profile: MessageProfile, user: int, catalog_size: int) -> Tax
     n = len(profile)
     if not 0 <= user < n:
         raise ValueError(f"user {user} outside 0..{n - 1}")
-    if not proposal_feasible([m.proposal for m in profile], catalog_size):
+    average = rounded_average([m.proposal for m in profile])
+    if not 1 <= average <= catalog_size:
         zero = Fraction(0)
         return TaxComponents(zero, zero, zero)
-    average = rounded_average([m.proposal for m in profile])
     own = profile[user]
     after = profile[(user + 1) % n]
     after2 = profile[(user + 2) % n]
-    charge = average * Fraction(after.price - after2.price, n)
+    charge = average * (after.price - after2.price) / n
     penalty = (own.proposal - after.proposal) ** 2 * own.price
     credit = -((after.proposal - after2.proposal) ** 2) * after.price
     return TaxComponents(charge, penalty, credit)
 
 
+def _taxes(profile: MessageProfile, average: int, catalog_size: int) -> tuple[Fraction, ...]:
+    """Every user's tax at the profile's rounded average, computed once.
+
+    User i pays the allocation charge, plus its own mismatch penalty, minus
+    the penalty of user i+1; all zero when the average names no profile.
+    """
+    n = len(profile)
+    if not 1 <= average <= catalog_size:
+        return (Fraction(0),) * n
+    penalties = [
+        (message.proposal - profile[(i + 1) % n].proposal) ** 2 * message.price
+        for i, message in enumerate(profile)
+    ]
+    return tuple(
+        average * (profile[(i + 1) % n].price - profile[(i + 2) % n].price) / n
+        + penalties[i]
+        - penalties[(i + 1) % n]
+        for i in range(n)
+    )
+
+
 def tax(profile: MessageProfile, user: int, catalog_size: int) -> Fraction:
     """Exact tax (positive) or subsidy (negative) charged to `user`."""
-    return tax_components(profile, user, catalog_size).total
+    n = len(profile)
+    if not 0 <= user < n:
+        raise ValueError(f"user {user} outside 0..{n - 1}")
+    average = rounded_average([m.proposal for m in profile])
+    return _taxes(profile, average, catalog_size)[user]
 
 
 def budget_sum(profile: MessageProfile, catalog_size: int) -> Fraction:
     """Sum of all taxes.  Identically zero; computed, never assumed."""
-    return sum((tax(profile, user, catalog_size) for user in range(len(profile))), Fraction(0))
+    average = rounded_average([m.proposal for m in profile])
+    return sum(_taxes(profile, average, catalog_size), Fraction(0))
 
 
 def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
@@ -123,9 +149,7 @@ def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
     n = len(profile)
     if not 0 <= user < n:
         raise ValueError(f"user {user} outside 0..{n - 1}")
-    after = profile[(user + 1) % n]
-    after2 = profile[(user + 2) % n]
-    return Fraction(after.price - after2.price, n)
+    return (profile[(user + 1) % n].price - profile[(user + 2) % n].price) / n
 
 
 @dataclass(frozen=True)
@@ -148,7 +172,5 @@ def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:
         raise ValueError(
             f"profile has {len(profile)} messages, catalog expects {catalog.num_users}"
         )
-    size = catalog.size
-    allocation = clip_allocation(rounded_average([m.proposal for m in profile]), size)
-    taxes = tuple(tax(profile, user, size) for user in range(len(profile)))
-    return Outcome(allocation, taxes)
+    average = rounded_average([m.proposal for m in profile])
+    return Outcome(clip_allocation(average, catalog.size), _taxes(profile, average, catalog.size))

@@ -36,7 +36,9 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, bool):
         raise ConfigError(f"expected a rational number, got {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -171,6 +173,13 @@ class TableUtility:
         if any(v < 0 for v in self.values):
             raise ConfigError("utility table values must be non-negative")
 
+    def value_vector(self, config: "ScenarioConfig") -> tuple[Fraction, ...]:
+        return self.values
+
+    @staticmethod
+    def tax_cost(tax: Fraction) -> Fraction:
+        return tax
+
 
 @dataclass(frozen=True)
 class SirLogUtility:
@@ -187,6 +196,20 @@ class SirLogUtility:
         object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
         if any(w < 0 for w in self.weights):
             raise ConfigError("SIR utility weights must be non-negative")
+
+    def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
+        weights = [float(w) for w in self.weights]
+        values = [0.0]
+        for index in range(1, config.catalog.size + 1):
+            total = 0.0
+            for band, weight in enumerate(weights):
+                total += weight * math.log1p(float(sir(index, self.user, band, config)))
+            values.append(total)
+        return tuple(values)
+
+    @staticmethod
+    def tax_cost(tax: Fraction) -> float:
+        return float(tax)
 
 
 @dataclass(frozen=True)
@@ -205,6 +228,12 @@ class CubicTaxUtility:
             raise ConfigError("utility table values must be non-negative")
         if self.beta <= 0:
             raise ConfigError("beta must be strictly positive")
+
+    def value_vector(self, config: "ScenarioConfig") -> tuple[Fraction, ...]:
+        return self.values
+
+    def tax_cost(self, tax: Fraction) -> Fraction:
+        return self.beta * tax**3
 
 
 UtilitySpec = Union[TableUtility, SirLogUtility, CubicTaxUtility]
@@ -288,6 +317,15 @@ class ScenarioConfig:
     def catalog(self) -> ProfileCatalog:
         return build_catalog(self.num_users, self.bundles)
 
+    @cached_property
+    def value_vectors(self) -> tuple[tuple, ...]:
+        """Per user, the value V_i(k) of every catalog index k = 0..size before taxes.
+
+        Built on first use, so commands that never evaluate a utility never
+        pay for it; entry 0 is the null allocation, worth 0.
+        """
+        return tuple(spec.value_vector(self) for spec in self.utilities)
+
 
 def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:
     """Signal-to-interference ratio of `user` on `band` under a profile.
@@ -315,26 +353,24 @@ def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fra
 
 
 def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig):
-    """Evaluate a utility spec at (allocation index, tax).
+    """Evaluate a utility spec at (allocation index, tax): V(k) - g(t).
 
-    Table-based variants return exact rationals; the SIR variant returns a
-    float.  Allocation 0 always means "no allocation", worth 0 before taxes.
+    V is the spec's value vector (read from `config.value_vectors` when the
+    spec is one of the config's own) and g its tax cost: t for the tables,
+    beta * t**3 for the cubic variant, float(t) for the SIR variant, which
+    returns a float.  Every g is non-decreasing, so every utility is
+    non-increasing in tax.  Allocation 0 always means "no allocation", worth
+    0 before taxes.
     """
     size = config.catalog.size
     if not 0 <= allocation <= size:
         raise ValueError(f"allocation index {allocation} outside 0..{size}")
-    tax = as_fraction(tax)
-    if isinstance(spec, TableUtility):
-        return spec.values[allocation] - tax
-    if isinstance(spec, CubicTaxUtility):
-        return spec.values[allocation] - spec.beta * tax**3
-    if isinstance(spec, SirLogUtility):
-        total = 0.0
-        if allocation != 0:
-            for band, weight in enumerate(spec.weights):
-                total += float(weight) * math.log1p(float(sir(allocation, spec.user, band, config)))
-        return total - float(tax)
-    raise ConfigError(f"unknown utility spec {spec!r}")
+    for own, values in zip(config.utilities, config.value_vectors):
+        if own is spec:
+            break
+    else:
+        values = spec.value_vector(config)
+    return values[allocation] - spec.tax_cost(as_fraction(tax))
 
 
 def utility_tolerance(spec: UtilitySpec):

@@ -68,22 +68,20 @@ def grid(desk):
 
 @pytest.fixture(scope="module")
 def found_equilibria(desk, grid):
-    """Grid NE harvested by both methods; shared by criteria 3 and 4."""
+    """NE harvested by both methods; shared by criteria 3 and 4."""
     started = time.perf_counter()
-    reports = unanimity_scan(1, grid, desk, jobs=4)
+    reports = unanimity_scan(1, desk)
     scan_seconds = time.perf_counter() - started
-    equilibria = [r for r in reports if r.is_ne_on_grid]
+    equilibria = [r for r in reports if r.is_ne]
 
     rng = random.Random(20260810)
     for _ in range(8):
         start = tuple(
             Message(rng.choice(grid.n_values), rng.choice(grid.pi_values)) for _ in range(3)
         )
-        result = br_dynamics(start, grid, desk, max_rounds=40)
+        result = br_dynamics(start, desk, max_rounds=40)
         if result.converged and result.verification.is_ne:
-            report = build_report(
-                result.profile, grid, desk, verification=result.verification
-            )
+            report = build_report(result.profile, desk, verification=result.verification)
             if report.candidate not in {r.candidate for r in equilibria}:
                 equilibria.append(report)
     return equilibria, scan_seconds
@@ -110,11 +108,11 @@ def test_derived_tax_vector(desk):
     assert sum(taxes) == 0
 
 
-@criterion("3 equilibrium property chain on every found grid NE, exact")
+@criterion("3 equilibrium property chain on every found NE, exact")
 def test_equilibrium_property_chain(found_equilibria):
     equilibria, scan_seconds = found_equilibria
     assert scan_seconds < 60.0, f"unanimity scan took {scan_seconds:.2f}s"
-    assert equilibria, "the desk scenario must yield at least one grid NE"
+    assert equilibria, "the desk scenario must yield at least one NE"
     assert any(r.allocation == DESK_PEAK_INDEX for r in equilibria)
     for report in equilibria:
         assert report.mismatch_penalties_vanish
@@ -124,7 +122,7 @@ def test_equilibrium_property_chain(found_equilibria):
         assert report.soundness_violations() == ()
 
 
-@criterion("4 every grid NE induces a Lindahl allocation (exhaustive check)")
+@criterion("4 every NE induces a Lindahl allocation (exhaustive check)")
 def test_ne_induces_lindahl_allocation(found_equilibria):
     equilibria, _ = found_equilibria
     assert equilibria
@@ -139,12 +137,12 @@ def test_ne_induces_lindahl_allocation(found_equilibria):
         assert all(isinstance(flag, bool) for flag in certificate.user_best_nonneg_tax)
 
 
-@criterion("5 Lindahl allocation rebuilds to a grid NE and back, exact")
-def test_lindahl_roundtrip_at_common_peak(desk, grid):
+@criterion("5 Lindahl allocation rebuilds to an NE and back, exact")
+def test_lindahl_roundtrip_at_common_peak(desk):
     zero = Fraction(0)
     psi = LindahlAllocation(DESK_PEAK_INDEX, (zero,) * 3, (zero,) * 3)
     messages = lindahl_to_ne(psi, 1, desk.catalog)
-    assert verify_ne(messages, grid, desk).is_ne
+    assert verify_ne(messages, desk).is_ne
     result = outcome(messages, desk.catalog)
     assert result.allocation == psi.allocation
     assert result.taxes == psi.taxes
@@ -202,6 +200,6 @@ def test_degenerate_guards():
         utilities=tuple(peak_table(1, 1, s) for s in (1, 2, 3)),
     )
     assert lone.catalog.size == 1
-    reports = unanimity_scan(1, MessageGrid.standard(1, 3), lone)
-    assert [r.is_ne_on_grid for r in reports] == [True]
+    reports = unanimity_scan(1, lone)
+    assert [r.is_ne for r in reports] == [True]
     assert reports[0].soundness_violations() == ()

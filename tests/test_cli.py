@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from spectrumshare.presets import desk_scenario
 
 from spectrumshare import ScenarioConfig
 from conftest import peak_table, small_config, small_scenario, uniform_gains
+
+COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +157,7 @@ class TestFindNe:
             capsys, "find-ne", "--scenario", small_path, "--method", "unanimity"
         )
         assert code == 0
-        assert "grid_ne_found=1" in out
+        assert " ne_found=1" in out
 
     def test_json_document(self, capsys, small_path, tmp_path):
         out_path = tmp_path / "report.json"
@@ -202,7 +205,7 @@ class TestFindNe:
             capsys, "find-ne", "--scenario", str(path), "--method", "unanimity"
         )
         assert code == 0
-        assert "grid_ne_found=0" in out
+        assert " ne_found=0" in out
 
     def test_csv_format(self, capsys, small_path):
         code, out, _ = run(
@@ -217,8 +220,40 @@ class TestFindNe:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("proposal,price,allocation")
+        assert lines[0].startswith("proposal,price,allocation,is_ne,")
         assert len(lines) == 2
+
+    def test_off_grid_price_scans(self, capsys, desk_path):
+        code, out, err = run(
+            capsys, "find-ne", "--scenario", desk_path, "--method", "unanimity",
+            "--price", "1/3", "--format", "json",
+        )
+        assert code == 0, err
+        found = json.loads(out)["unanimity"]["equilibria"]
+        assert [e["allocation"] for e in found] == [108]
+
+    def test_negative_price_exits_2(self, capsys, small_path):
+        code, _, err = run(
+            capsys, "find-ne", "--scenario", small_path, "--method", "unanimity",
+            "--price", "-1",
+        )
+        assert code == 2
+        assert "--price" in err
+
+    def test_search_never_reports_a_null_allocation(self, capsys):
+        # this search seed once led best response to a null-allocation
+        # profile that the check passed as an equilibrium
+        code, out, err = run(
+            capsys, "find-ne", "--scenario", str(COMMITTED_DESK),
+            "--seed", "1785467774", "--format", "json",
+        )
+        assert code == 0, err
+        document = json.loads(out)
+        reported = document["unanimity"]["equilibria"] + [
+            r for r in document["best_response"]["unique_fixed_points"] if r["is_ne"]
+        ]
+        assert reported
+        assert {r["allocation"] for r in reported} == {108}
 
 
 class TestVerify:
@@ -227,7 +262,7 @@ class TestVerify:
             capsys, "verify", "--scenario", small_path, "--messages", "[[4,1],[4,1],[4,1]]"
         )
         assert code == 0
-        assert "grid NE: True" in out
+        assert "\nNE: True" in out
 
     def test_non_ne_reports_deviation(self, capsys, small_path):
         code, out, _ = run(
@@ -242,8 +277,20 @@ class TestVerify:
         )
         assert code == 0
         document = json.loads(out)
-        assert document["report"]["is_ne_on_grid"] is False
+        assert document["report"]["is_ne"] is False
         assert document["best_deviation"]["gain"]
+
+    @pytest.mark.parametrize(
+        "messages, is_ne",
+        [('[[108,"1/3"],[108,"1/3"],[108,"1/3"]]', True), ("[[500,1],[108,1],[108,1]]", False)],
+        ids=["off-grid-price", "off-grid-proposal"],
+    )
+    def test_off_grid_messages_are_verified(self, capsys, desk_path, messages, is_ne):
+        code, out, err = run(
+            capsys, "verify", "--scenario", desk_path, "--messages", messages, "--format", "json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["report"]["is_ne"] is is_ne
 
 
 class TestLindahlRoundtrip:
@@ -264,7 +311,7 @@ class TestLindahlRoundtrip:
         )
         assert code == 0
         document = json.loads(out)
-        assert document["is_ne_on_grid"] is True
+        assert document["is_ne"] is True
         assert document["roundtrip"] == {
             "allocation_match": True,
             "taxes_match": True,

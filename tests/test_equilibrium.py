@@ -1,6 +1,7 @@
-"""Grid NE certification, best-response dynamics, and the Lindahl bridge."""
+"""Exact NE certification, best-response dynamics, and the Lindahl bridge."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from spectrumshare import (
 from spectrumshare.mechanism import nearest_integer
 
 from conftest import peak_table, small_config, uniform_gains
+from grid_oracle import grid_deviations, grid_verify, user_best_nonneg_tax
 
 prices = st.fractions(min_value=0, max_value=3, max_denominator=4)
 proposals = st.integers(min_value=-20, max_value=60)
@@ -65,32 +67,27 @@ class TestMessageGrid:
         average = nearest_integer(total, 3)
         assert not 1 <= average <= small.catalog.size
 
-    def test_with_prices_extends(self, small_grid):
-        extended = small_grid.with_prices([Fraction(7, 3)])
-        assert Fraction(7, 3) in extended.pi_values
-        assert set(small_grid.pi_values) <= set(extended.pi_values)
-
     def test_single_point_grid_allowed(self):
         grid = MessageGrid((5,), (Fraction(1),))
         assert grid.n_values == (5,)
 
 
 class TestVerifyNe:
-    def test_common_peak_unanimity_is_ne(self, small, small_grid):
-        result = verify_ne(unanimity(4, 1), small_grid, small)
+    def test_common_peak_unanimity_is_ne(self, small):
+        result = verify_ne(unanimity(4, 1), small)
         assert result.is_ne
         assert result.best_deviation is None
 
     @pytest.mark.parametrize("index", [1, 2, 3, 5, 6, 7, 8])
-    def test_off_peak_unanimity_is_refuted(self, index, small, small_grid):
-        result = verify_ne(unanimity(index, 1), small_grid, small)
+    def test_off_peak_unanimity_is_refuted(self, index, small):
+        result = verify_ne(unanimity(index, 1), small)
         assert not result.is_ne
         deviation = result.best_deviation
         assert deviation is not None and deviation.gain > 0
 
-    def test_reported_deviation_achieves_its_gain(self, small, small_grid):
+    def test_reported_deviation_achieves_its_gain(self, small):
         candidate = unanimity(2, 1)
-        result = verify_ne(candidate, small_grid, small)
+        result = verify_ne(candidate, small)
         deviation = result.best_deviation
         perturbed = list(candidate)
         perturbed[deviation.user] = deviation.message
@@ -102,57 +99,79 @@ class TestVerifyNe:
         moved = utility_eval(spec, after.allocation, after.taxes[deviation.user], small)
         assert moved - held == deviation.gain
 
-    def test_priced_mismatch_is_never_ne(self, small, small_grid):
+    def test_priced_mismatch_is_never_ne(self, small):
         candidate = (
             Message(1, Fraction(1)),
             Message(2, Fraction(0)),
             Message(3, Fraction(0)),
         )
-        result = verify_ne(candidate, small_grid, small)
+        result = verify_ne(candidate, small)
         assert not result.is_ne
 
-    def test_off_grid_candidate_rejected(self, small, small_grid):
-        with pytest.raises(ValueError):
-            verify_ne(unanimity(4, Fraction(1, 3)), small_grid, small)
+    def test_off_grid_candidate_certified(self, small):
+        assert verify_ne(unanimity(4, Fraction(1, 3)), small).is_ne
+        far = (Message(500, Fraction(1)), Message(4, Fraction(1)), Message(4, Fraction(1)))
+        result = verify_ne(far, small)
+        assert not result.is_ne
+        assert result.best_deviation.message.price == 0
+
+    def test_null_allocation_is_never_ne(self, small, small_grid):
+        # Two users on the escape proposal: no grid deviation reaches the
+        # catalog, so the grid check passes a null allocation; the exact check
+        # lets a user pull the average back.
+        escape = Message(small_grid.n_values[-1], Fraction(0))
+        candidate = (escape, escape, Message(4, Fraction(0)))
+        assert grid_verify(candidate, small_grid, small).is_ne
+        result = verify_ne(candidate, small)
+        assert not result.is_ne
+        moved = outcome(
+            candidate[: result.best_deviation.user]
+            + (result.best_deviation.message,)
+            + candidate[result.best_deviation.user + 1 :],
+            small.catalog,
+        )
+        assert moved.allocation != 0
 
 
 class TestBestResponse:
-    def test_against_common_peak_unanimity(self, small, small_grid):
-        # proposal 3 still averages to the peak profile 4 and is scanned first;
-        # price 0 keeps the mismatch penalty at zero
-        reply = best_response(0, unanimity(4, 1), small_grid, small)
-        assert reply == Message(3, Fraction(0))
+    def test_against_common_peak_unanimity(self, small):
+        # proposal N*k - S = 3*4 - 8 puts the average exactly on the peak 4;
+        # the reply always carries price 0
+        reply = best_response(0, unanimity(4, 1), small)
+        assert reply == Message(4, Fraction(0))
 
-    def test_reply_attains_the_maximum(self, small, small_grid):
+    def test_reply_attains_the_maximum(self, small):
         profile = unanimity(4, 1)
-        reply = best_response(0, profile, small_grid, small)
+        reply = best_response(0, profile, small)
         moved = outcome((reply,) + profile[1:], small.catalog)
         value = utility_eval(small.utilities[0], moved.allocation, moved.taxes[0], small)
         assert value == small.utilities[0].values[4]
 
-    def test_price_zero_chosen_on_mismatch(self, small, small_grid):
+    def test_price_zero_chosen_on_mismatch(self, small):
         profile = (Message(0, Fraction(1)), Message(8, Fraction(2)), Message(5, Fraction(1)))
-        reply = best_response(0, profile, small_grid, small)
-        if reply.proposal != profile[1].proposal:
-            assert reply.price == 0
+        assert best_response(0, profile, small).price == 0
 
-    def test_single_point_grid(self, small):
-        grid = MessageGrid((2,), (Fraction(1),))
-        assert best_response(0, unanimity(2, 1), grid, small) == Message(2, Fraction(1))
+    def test_opt_out_when_every_index_costs_too_much(self):
+        # user 0's personal price (pi_1 - pi_2)/3 = 100 outweighs any value
+        config = small_config()
+        profile = (Message(4, Fraction(0)), Message(4, Fraction(300)), Message(4, Fraction(0)))
+        reply = best_response(0, profile, config)
+        assert reply == Message(-8, Fraction(0))
+        assert outcome((reply,) + profile[1:], config.catalog).allocation == 0
 
 
 class TestBrDynamics:
-    def test_verified_ne_is_immediate_fixed_point(self, small, small_grid):
+    def test_verified_ne_is_immediate_fixed_point(self, small):
         start = unanimity(4, 1)
-        result = br_dynamics(start, small_grid, small)
+        result = br_dynamics(start, small)
         assert result.converged
         assert result.rounds == 1
         assert result.profile == start
         assert result.verification.is_ne
 
-    def test_bounded_termination_reports_non_convergence(self, small, small_grid):
+    def test_bounded_termination_reports_non_convergence(self, small):
         start = unanimity(8, 0)
-        result = br_dynamics(start, small_grid, small, max_rounds=1)
+        result = br_dynamics(start, small, max_rounds=1)
         if not result.converged:
             assert result.verification is None
             assert result.rounds == 1
@@ -166,21 +185,21 @@ class TestBrDynamics:
                 Message(rng.choice(small_grid.n_values), rng.choice(small_grid.pi_values))
                 for _ in range(3)
             )
-            result = br_dynamics(start, small_grid, small, max_rounds=30)
+            result = br_dynamics(start, small, max_rounds=30)
             if result.converged:
                 assert result.verification.is_ne
 
 
 class TestUnanimityScan:
-    def test_common_peak_finds_exactly_the_peak(self, small, small_grid):
-        reports = unanimity_scan(1, small_grid, small)
-        ne_indices = [r.candidate[0].proposal for r in reports if r.is_ne_on_grid]
+    def test_common_peak_finds_exactly_the_peak(self, small):
+        reports = unanimity_scan(1, small)
+        ne_indices = [r.candidate[0].proposal for r in reports if r.is_ne]
         assert ne_indices == [4]
 
-    def test_conflicting_peaks_find_nothing(self, small_grid):
+    def test_conflicting_peaks_find_nothing(self):
         config = small_config(peaks=(1, 8, 4))
-        reports = unanimity_scan(1, small_grid, config)
-        assert not any(r.is_ne_on_grid for r in reports)
+        reports = unanimity_scan(1, config)
+        assert not any(r.is_ne for r in reports)
 
     def test_single_profile_catalog_is_ne(self):
         config = ScenarioConfig(
@@ -193,43 +212,36 @@ class TestUnanimityScan:
             utilities=tuple(peak_table(1, 1, s) for s in (1, 2, 3)),
         )
         assert config.catalog.size == 1
-        grid = MessageGrid.standard(1, 3)
-        reports = unanimity_scan(1, grid, config)
+        reports = unanimity_scan(1, config)
         assert len(reports) == 1
-        assert reports[0].is_ne_on_grid
+        assert reports[0].is_ne
         assert reports[0].soundness_violations() == ()
 
-    def test_off_grid_price_rejected(self, small, small_grid):
-        with pytest.raises(ValueError):
-            unanimity_scan(Fraction(1, 3), small_grid, small)
+    def test_off_grid_price_scanned(self, small):
+        reports = unanimity_scan(Fraction(1, 3), small)
+        assert [r.candidate[0].proposal for r in reports if r.is_ne] == [4]
 
-    def test_parallel_matches_serial(self, small, small_grid):
-        serial = unanimity_scan(1, small_grid, small)
-        parallel = unanimity_scan(1, small_grid, small, jobs=2)
-        assert [r.is_ne_on_grid for r in serial] == [r.is_ne_on_grid for r in parallel]
-        assert [r.taxes for r in serial] == [r.taxes for r in parallel]
-
-    def test_soundness_chain_over_scan(self, small, small_grid):
+    def test_soundness_chain_over_scan(self, small):
         for config in (small, small_config(peaks=(1, 8, 4))):
-            for report in unanimity_scan(1, small_grid, config):
+            for report in unanimity_scan(1, config):
                 assert report.soundness_violations() == ()
 
-    def test_soundness_chain_with_sir_utilities(self, small_grid):
+    def test_soundness_chain_with_sir_utilities(self):
         config = small_config(
             utilities=tuple(SirLogUtility(user=u, weights=(Fraction(1),)) for u in range(3))
         )
-        for report in unanimity_scan(1, small_grid, config):
+        for report in unanimity_scan(1, config):
             assert report.soundness_violations() == ()
 
-    def test_cubic_tax_utilities_share_the_peak(self, small_grid):
+    def test_cubic_tax_utilities_share_the_peak(self):
         config = small_config(
             utilities=tuple(
                 CubicTaxUtility(peak_table(8, 4, s).values, beta=Fraction(1, 2))
                 for s in (1, 2, 3)
             )
         )
-        reports = unanimity_scan(1, small_grid, config)
-        ne = [r for r in reports if r.is_ne_on_grid]
+        reports = unanimity_scan(1, config)
+        ne = [r for r in reports if r.is_ne]
         assert [r.allocation for r in ne] == [4]
         assert ne[0].soundness_violations() == ()
         assert ne[0].lindahl.all_conditions_hold
@@ -290,7 +302,7 @@ class TestIndividualRationality:
     def test_unanimity_ne_is_rational_for_all(self, small):
         assert individual_rationality(unanimity(4, 1), small) == (True, True, True)
 
-    def test_flat_low_value_with_heavy_tax_fails(self, small_grid):
+    def test_flat_low_value_with_heavy_tax_fails(self):
         flat = tuple([Fraction(0)] + [Fraction(1)] * 8)
         config = small_config(utilities=tuple(TableUtility(flat) for _ in range(3)))
         profile = tuple(Message(n, Fraction(p)) for n, p in ((1, 1), (2, 2), (3, 3)))
@@ -358,16 +370,15 @@ class TestLindahlToNe:
         assert err.value.min_seed_price == 2
         lindahl_to_ne(psi, err.value.min_seed_price, small.catalog)
 
-    def test_roundtrip_from_found_ne(self, small, small_grid):
-        reports = [r for r in unanimity_scan(1, small_grid, small) if r.is_ne_on_grid]
+    def test_roundtrip_from_found_ne(self, small):
+        reports = [r for r in unanimity_scan(1, small) if r.is_ne]
         assert reports
         for report in reports:
             certificate = report.lindahl
             assert certificate.all_conditions_hold
             psi = certificate.allocation
             rebuilt = lindahl_to_ne(psi, 1, small.catalog)
-            grid = small_grid.with_prices(m.price for m in rebuilt)
-            assert verify_ne(rebuilt, grid, small).is_ne
+            assert verify_ne(rebuilt, small).is_ne
             result = outcome(rebuilt, small.catalog)
             assert result.allocation == psi.allocation
             assert result.taxes == psi.taxes
@@ -375,9 +386,9 @@ class TestLindahlToNe:
 
 
 class TestReports:
-    def test_report_fields_for_ne(self, small, small_grid):
-        report = build_report(unanimity(4, 1), small_grid, small)
-        assert report.is_ne_on_grid
+    def test_report_fields_for_ne(self, small):
+        report = build_report(unanimity(4, 1), small)
+        assert report.is_ne
         assert report.allocation == 4
         assert report.feasible
         assert report.mismatch_penalties_vanish
@@ -386,9 +397,107 @@ class TestReports:
         assert report.lindahl is not None
         assert report.soundness_violations() == ()
 
-    def test_lindahl_skipped_for_non_ne_by_default(self, small, small_grid):
-        report = build_report(unanimity(2, 1), small_grid, small)
-        assert not report.is_ne_on_grid
+    def test_lindahl_skipped_for_non_ne_by_default(self, small):
+        report = build_report(unanimity(2, 1), small)
+        assert not report.is_ne
         assert report.lindahl is None
-        forced = build_report(unanimity(2, 1), small_grid, small, include_lindahl=True)
+        forced = build_report(unanimity(2, 1), small, include_lindahl=True)
         assert forced.lindahl is not None
+
+    def test_ne_off_the_price_line_is_a_violation(self, small):
+        report = build_report(unanimity(4, 1), small)
+        off_line = replace(report.lindahl, user_best=(True, False, True))
+        assert report.soundness_violations() == ()
+        assert replace(report, lindahl=off_line).soundness_violations() == (
+            "NE off a user's personal price line optimum",
+        )
+
+    def test_exact_ne_is_best_on_price_line(self, small):
+        for price in (0, Fraction(1, 3), 1):
+            for report in unanimity_scan(price, small):
+                forced = build_report(report.candidate, small, include_lindahl=True)
+                if forced.is_ne:
+                    assert forced.lindahl.user_best == (True, True, True)
+
+
+ORACLE_CONFIGS = {
+    "table": small_config(),
+    "sir_log": small_config(
+        utilities=tuple(SirLogUtility(user=u, weights=(Fraction(u + 1),)) for u in range(3))
+    ),
+    "cubic_tax": small_config(
+        utilities=tuple(
+            CubicTaxUtility(peak_table(8, p, s).values, beta=Fraction(1, 2))
+            for p, s in ((4, 1), (3, 2), (5, 3))
+        )
+    ),
+}
+ORACLE_GRID = MessageGrid.standard(8, 3)
+grid_messages = st.builds(
+    Message, st.sampled_from(ORACLE_GRID.n_values), st.sampled_from(ORACLE_GRID.pi_values)
+)
+candidates = st.one_of(
+    st.tuples(grid_messages, grid_messages, grid_messages),
+    st.builds(unanimity, st.integers(min_value=1, max_value=8), prices),
+    st.lists(st.tuples(proposals, prices), min_size=3, max_size=3).map(
+        lambda pairs: tuple(Message(n, p) for n, p in pairs)
+    ),
+)
+
+
+def best_gain(verification):
+    deviation = verification.best_deviation
+    return 0 if deviation is None else deviation.gain
+
+
+def realized_gain(candidate, user, message, config):
+    moved = candidate[:user] + (message,) + candidate[user + 1 :]
+    spec = config.utilities[user]
+    before = outcome(candidate, config.catalog)
+    after = outcome(moved, config.catalog)
+    held = utility_eval(spec, before.allocation, before.taxes[user], config)
+    return utility_eval(spec, after.allocation, after.taxes[user], config) - held
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
+class TestExactAgainstGridOracle:
+    """The price-line kernel against the grid scan it replaced."""
+
+    @given(candidate=candidates)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_ne_implies_grid_ne(self, variant, candidate):
+        config = ORACLE_CONFIGS[variant]
+        if verify_ne(candidate, config).is_ne:
+            assert grid_verify(candidate, ORACLE_GRID, config).is_ne
+
+    @given(candidate=candidates)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_gain_dominates_grid_gain(self, variant, candidate):
+        config = ORACLE_CONFIGS[variant]
+        exact = best_gain(verify_ne(candidate, config))
+        assert exact >= best_gain(grid_verify(candidate, ORACLE_GRID, config))
+
+    @given(candidate=candidates)
+    @settings(max_examples=80, deadline=None)
+    def test_reported_deviation_achieves_its_gain(self, variant, candidate):
+        config = ORACLE_CONFIGS[variant]
+        deviation = verify_ne(candidate, config).best_deviation
+        if deviation is not None:
+            gain = realized_gain(candidate, deviation.user, deviation.message, config)
+            assert gain == deviation.gain
+
+    @given(candidate=candidates, user=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=80, deadline=None)
+    def test_best_response_dominates_every_grid_reply(self, variant, candidate, user):
+        config = ORACLE_CONFIGS[variant]
+        reply = best_response(user, candidate, config)
+        value = realized_gain(candidate, user, reply, config)
+        for message, _ in grid_deviations(user, candidate, ORACLE_GRID, config):
+            assert value >= realized_gain(candidate, user, message, config)
+
+    @given(candidate=candidates)
+    @settings(max_examples=80, deadline=None)
+    def test_nonneg_tax_verdict_matches_loop(self, variant, candidate):
+        config = ORACLE_CONFIGS[variant]
+        certificate = ne_to_lindahl(candidate, config)
+        assert certificate.user_best_nonneg_tax == user_best_nonneg_tax(candidate, config)
