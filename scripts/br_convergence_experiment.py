@@ -6,6 +6,8 @@ this is an empirical census, not an assertion: run K seeded random starts,
 count trajectories that converge, that end at a verified NE (checked exactly
 over the whole message space), and that end at a unanimity profile, and
 histogram the fixed points.  Starts are drawn from the scenario's message grid.
+Best response is not how equilibria are found (`spectrumshare find-ne` lists
+them all); this script studies the dynamics.
 """
 
 import argparse
@@ -17,13 +19,13 @@ from spectrumshare import Message, MessageGrid, br_dynamics, outcome
 from spectrumshare.scenario import load_scenario
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="scenarios/desk.json")
     parser.add_argument("--starts", type=int, default=100)
     parser.add_argument("--max-rounds", type=int, default=50)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     scenario = load_scenario(args.scenario)
     config = scenario.config

@@ -4,29 +4,34 @@ Strategic users split quantized power budgets across frequency bands.  Each
 submits a (proposal, price) message; the outcome rule picks the catalog
 profile nearest the average proposal and charges cyclic taxes that balance
 to zero exactly, on and off equilibrium.  The package enumerates the profile
-catalog, applies the game form in exact rational arithmetic, searches for
-Nash equilibria and certifies them exactly over the whole message space,
-bridges them to Lindahl allocations with personalized prices, and simulates
-the pilot-based gain measurement with its exclusion rule.
+catalog, applies the game form in exact rational arithmetic, finds every
+Nash equilibrium allocation from per-user price intervals, certifies each
+exactly over the whole message space, bridges equilibria and Lindahl
+allocations with personalized prices in both directions, and simulates the
+pilot-based gain measurement with its exclusion rule.
 """
 
 from .equilibrium import (
     BRResult,
+    CensusEntry,
     Deviation,
     EquilibriumReport,
     LindahlAllocation,
+    LindahlCensus,
     LindahlCertificate,
     MessageGrid,
     NEVerification,
+    balanced_prices,
     best_response,
     br_dynamics,
     build_report,
     equilibrium_tax_form,
     individual_rationality,
+    lindahl_census,
     lindahl_to_ne,
     mismatch_penalties_vanish,
     ne_to_lindahl,
-    unanimity_scan,
+    price_intervals,
     verify_ne,
 )
 from .errors import (

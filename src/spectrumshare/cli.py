@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -25,18 +24,16 @@ from pathlib import Path
 from .equilibrium import (
     EquilibriumReport,
     LindahlAllocation,
-    MessageGrid,
-    br_dynamics,
     build_report,
+    lindahl_census,
     lindahl_to_ne,
-    unanimity_scan,
     verify_ne,
 )
 from .errors import ConfigError, ContractError, PriceScaleError, PriceSystemError
 from .measurement import run_measurement
 from .mechanism import Message, lindahl_price, outcome
 from .model import as_fraction
-from .scenario import Scenario, load_scenario, rational_to_json
+from .scenario import load_scenario, rational_to_json
 
 
 def _fmt(value) -> str:
@@ -224,97 +221,37 @@ def cmd_outcome(args) -> int:
     return 0
 
 
-def _run_br(scenario: Scenario, starts: int, seed: int, max_rounds: int):
-    config = scenario.config
-    grid = MessageGrid.standard(
-        config.catalog.size, config.num_users, pi_step=scenario.pi_step, pi_max=scenario.pi_max
-    )
-    rng = random.Random(seed)
-    started = time.perf_counter()
-    results = []
-    for _ in range(starts):
-        profile = tuple(
-            Message(rng.choice(grid.n_values), rng.choice(grid.pi_values))
-            for _ in range(config.num_users)
-        )
-        results.append(br_dynamics(profile, config, max_rounds=max_rounds))
-    elapsed = time.perf_counter() - started
-    return results, elapsed
+def _interval_json(interval) -> list:
+    lower, upper = interval
+    return [None if lower is None else rational_to_json(lower), rational_to_json(upper)]
 
 
 def cmd_find_ne(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     catalog = scenario.config.catalog
-    measurement = run_measurement(
-        scenario.config.gains, scenario.behaviors, scenario.pilot_power, scenario.config
-    )
+    started = time.perf_counter()
+    census = lindahl_census(scenario.config)
+    elapsed = time.perf_counter() - started
+    equilibria = [entry.report for entry in census.equilibria]
     document = {
         "command": "find-ne",
         "scenario_digest": scenario.digest,
         "seed": seed,
         "catalog": {"bundle_count": len(catalog.bundles), "profile_count": catalog.size},
-        "measurement": {
-            "excluded_users": sorted(measurement.excluded),
-            "mismatched_pairs": [list(pair) for pair in measurement.mismatched_pairs],
-        },
-        "timing_seconds": {},
-    }
-    contract_broken = []
-    equilibria = []
-
-    if args.method in ("unanimity", "both"):
-        price = as_fraction(args.price)
-        if price < 0:
-            raise ConfigError("--price must be non-negative")
-        started = time.perf_counter()
-        reports = unanimity_scan(price, scenario.config)
-        elapsed = time.perf_counter() - started
-        found = [r for r in reports if r.is_ne]
-        equilibria.extend(found)
-        for report in found:
-            contract_broken.extend(report.soundness_violations())
-        document["unanimity"] = {
-            "price": rational_to_json(price),
-            "candidates_tested": len(reports),
-            "equilibria": [_report_json(r) for r in found],
-        }
-        document["timing_seconds"]["unanimity"] = round(elapsed, 4)
-
-    if args.method in ("br", "both"):
-        results, elapsed = _run_br(scenario, args.starts, seed, args.max_rounds)
-        converged = [r for r in results if r.converged]
-        fixed_points = []
-        seen = set()
-        for result in converged:
-            if result.profile in seen:
-                continue
-            seen.add(result.profile)
-            report = build_report(result.profile, scenario.config, verification=result.verification)
-            fixed_points.append(report)
-            if report.is_ne:
-                contract_broken.extend(report.soundness_violations())
-                if report.candidate not in {r.candidate for r in equilibria}:
-                    equilibria.append(report)
-        document["best_response"] = {
-            "starts": args.starts,
-            "max_rounds": args.max_rounds,
-            "converged": len(converged),
-            "trajectories": [
+        "census": {
+            "complete": census.complete,
+            "allocations_tested": census.allocations_tested,
+            "equilibria": [
                 {
-                    "rounds": r.rounds,
-                    "converged": r.converged,
-                    "final": [_message_json(m) for m in r.profile],
-                    "is_ne": None if r.verification is None else r.verification.is_ne,
+                    **_report_json(entry.report),
+                    "price_intervals": [_interval_json(iv) for iv in entry.price_intervals],
                 }
-                for r in results
+                for entry in census.equilibria
             ],
-            "unique_fixed_points": [_report_json(r) for r in fixed_points],
-        }
-        document["timing_seconds"]["best_response"] = round(elapsed, 4)
-
-    if contract_broken:
-        raise ContractError("; ".join(sorted(set(contract_broken))))
+        },
+        "timing_seconds": {"census": round(elapsed, 4)},
+    }
 
     if args.format == "json":
         print(json.dumps(document, indent=2))
@@ -324,10 +261,18 @@ def cmd_find_ne(args) -> int:
         for report in equilibria:
             writer.writerow(_report_csv_row(report))
     else:
-        print(f"seed={seed} profiles={catalog.size} ne_found={len(equilibria)}")
-        for report in equilibria:
+        print(
+            f"seed={seed} profiles={catalog.size} ne_found={len(equilibria)} "
+            f"complete={census.complete}"
+        )
+        for entry in census.equilibria:
             print("-" * 40)
-            _print_report_table(report)
+            _print_report_table(entry.report)
+            intervals = ", ".join(
+                f"[{'-inf' if lower is None else _fmt(lower)}, {_fmt(upper)}]"
+                for lower, upper in entry.price_intervals
+            )
+            print(f"personal price intervals: {intervals}")
     _emit(args, document)
     return 0
 
@@ -483,11 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
     p.set_defaults(func=cmd_outcome)
 
-    p = sub.add_parser("find-ne", parents=[common], help="search for equilibria")
-    p.add_argument("--method", choices=("unanimity", "br", "both"), default="both")
-    p.add_argument("--price", default="1", help="common price for the unanimity scan")
-    p.add_argument("--starts", type=int, default=20, help="random starts for best response")
-    p.add_argument("--max-rounds", type=int, default=50)
+    p = sub.add_parser("find-ne", parents=[common], help="list every equilibrium allocation")
     p.set_defaults(func=cmd_find_ne)
 
     p = sub.add_parser("verify", parents=[common], help="full report for one candidate")

@@ -1,5 +1,6 @@
-"""Equilibrium machinery: exact Nash checks, best-response dynamics, and the
-two-way bridge between Nash equilibria of the game and Lindahl allocations.
+"""Equilibrium machinery: exact Nash checks, the census of every equilibrium
+allocation, best-response dynamics, and the two-way bridge between Nash
+equilibria of the game and Lindahl allocations.
 
 Every question here reduces to one price-line kernel, `price_line_optimum`:
 user i's best catalog index k when its tax is k * p - c.  It rests on one
@@ -14,6 +15,12 @@ user i's best reply over the whole message space is either the opt-out
 Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0 the
 same kernel is the Lindahl check "best on the personal price line".
 
+Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
+every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
+equilibrium allocations off per-user intervals of personal prices and
+certifies each with the kernel.  Best-response dynamics stay as an object of
+study, not as an equilibrium finder.
+
 `MessageGrid` is not used for certification; it is the finite space that
 random best-response starts are drawn from.
 """
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
 from .errors import ContractError, PriceScaleError, PriceSystemError
 from .mechanism import (
@@ -440,15 +448,167 @@ def build_report(
     )
 
 
-def unanimity_scan(price, config: ScenarioConfig) -> list[EquilibriumReport]:
-    """Test every unanimity candidate (k, price, ..., price), k over the catalog.
+# Personal prices [lower, upper] at which one allocation is a user's best
+# point on its price line; lower None stands for minus infinity.
+PriceInterval = tuple[Optional[Fraction], Fraction]
 
-    Unanimity is where the mismatch penalties point, so this scan is the
-    systematic way to harvest equilibria.  Returns one report per catalog
-    index, NE or not.
+
+def _steepest_rise(heights: Sequence[int]) -> list[Optional[tuple[int, int]]]:
+    """Per index k, the largest slope (h[j] - h[k]) / (j - k) over j > k.
+
+    Each slope is returned as (rise, run), None for the last index.  A
+    right-to-left sweep keeps the upper hull of the points already passed
+    (leftmost vertex last, collinear points dropped); along that concave
+    chain the slope from (k, h[k]) rises to the tangent vertex and falls
+    after it, so a binary search finds it.
     """
-    price = as_fraction(price)
-    return [
-        build_report(tuple(Message(k, price) for _ in range(config.num_users)), config)
-        for k in range(1, config.catalog.size + 1)
-    ]
+    last = len(heights) - 1
+    steepest: list[Optional[tuple[int, int]]] = [None] * (last + 1)
+    hull = [last]
+    for k in range(last - 1, -1, -1):
+        height = heights[k]
+        # The tangent vertex is the leftmost one whose rightward edge is no
+        # steeper than the ray from k to it; the rightmost vertex (position
+        # 0) qualifies vacuously, and positions count from the right.
+        lo, hi = 0, len(hull) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            vertex, right = hull[mid], hull[mid - 1]
+            edge = (heights[right] - heights[vertex]) * (vertex - k)
+            if edge <= (heights[vertex] - height) * (right - vertex):
+                lo = mid
+            else:
+                hi = mid - 1
+        tangent = hull[lo]
+        steepest[k] = (heights[tangent] - height, tangent - k)
+        while len(hull) >= 2:
+            left, right = hull[-1], hull[-2]
+            rise = (heights[left] - height) * (right - left)
+            if rise <= (heights[right] - heights[left]) * (left - k):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    return steepest
+
+
+def price_intervals(values: Sequence) -> tuple[PriceInterval, ...]:
+    """Per catalog index k = 1..size (entry k - 1), the personal prices p at
+    which k maximizes V(j) - j * p over j = 0..size.
+
+    lower = max over j > k of (V(j) - V(k)) / (j - k), minus infinity at
+    k = size; upper = min over j < k of the same slope, where j = 0 carries
+    individual rationality.  k is best exactly when lower <= p <= upper, so
+    an interval with lower > upper means k is never best.  Float values are
+    converted exactly (`Fraction(float)`), and the whole scan runs on
+    integers over one common denominator in O(size log size).
+    """
+    exact = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    heights = [v.numerator * (scale // v.denominator) for v in exact]
+    lower = _steepest_rise(heights)
+    # Mirroring the indices turns the smallest slope over j < k into minus
+    # the largest slope over j > k.
+    upper = _steepest_rise(heights[::-1])[::-1]
+    intervals = []
+    for k in range(1, len(heights)):
+        low = None if lower[k] is None else Fraction(lower[k][0], lower[k][1] * scale)
+        rise, run = upper[k]
+        intervals.append((low, Fraction(-rise, run * scale)))
+    return tuple(intervals)
+
+
+def balanced_prices(
+    intervals: Sequence[Optional[PriceInterval]],
+) -> Optional[tuple[Fraction, ...]]:
+    """A personal price vector summing to zero inside every interval, or None.
+
+    None when some interval is missing or empty, or when no such vector
+    exists (sum of lowers > 0 or sum of uppers < 0).  The rule picks one
+    vector deterministically: every user starts at its upper bound, then
+    users in index order are lowered, each as far as its lower bound allows,
+    until the prices sum to zero.
+    """
+    if any(iv is None or (iv[0] is not None and iv[0] > iv[1]) for iv in intervals):
+        return None
+    excess = sum((upper for _, upper in intervals), Fraction(0))
+    if excess < 0:
+        return None
+    prices = []
+    for lower, upper in intervals:
+        cut = excess if lower is None else min(excess, upper - lower)
+        prices.append(upper - cut)
+        excess -= cut
+    return tuple(prices) if excess == 0 else None
+
+
+@dataclass(frozen=True)
+class CensusEntry:
+    """One equilibrium allocation of the census.
+
+    `price_intervals` holds each user's interval at this allocation;
+    `report` certifies the messages rebuilt from one balanced price vector.
+    """
+
+    price_intervals: tuple[PriceInterval, ...]
+    report: EquilibriumReport
+
+
+@dataclass(frozen=True)
+class LindahlCensus:
+    """Every allocation tested, and the equilibria found among them.
+
+    `complete` holds when every utility is quasi-linear: the entries are
+    then exactly the NE allocations of the game.  Otherwise the entries are
+    the zero-price equilibria only (see `lindahl_census`).
+    """
+
+    complete: bool
+    allocations_tested: int
+    equilibria: tuple[CensusEntry, ...]
+
+
+def _certified_equilibrium(allocation: int, prices, config: ScenarioConfig) -> EquilibriumReport:
+    psi = LindahlAllocation(allocation, tuple(allocation * p for p in prices), prices)
+    try:
+        candidate = lindahl_to_ne(psi, 0, config.catalog)
+    except PriceScaleError as exc:
+        candidate = lindahl_to_ne(psi, exc.min_seed_price, config.catalog)
+    report = build_report(candidate, config)
+    problems = report.soundness_violations() if report.is_ne else ("messages are not an NE",)
+    if problems:
+        raise ContractError(f"census allocation {allocation}: {'; '.join(problems)}")
+    return report
+
+
+def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
+    """Find every equilibrium allocation from per-user price intervals.
+
+    Every NE gives a Lindahl allocation and every Lindahl allocation rebuilds
+    into an NE, so with quasi-linear utilities allocation k is an NE
+    allocation exactly when the users' `price_intervals` at k admit personal
+    prices summing to zero.  A user whose utility is not quasi-linear
+    contributes the interval [0, 0] where k is its weak top choice and rules
+    k out elsewhere; the census is then incomplete: it lists the zero-price
+    equilibria and misses any that need that user to face a non-zero price.
+
+    Each entry's messages come from `balanced_prices` and `lindahl_to_ne` at
+    the smallest feasible seed price, and are certified by `build_report`.
+    An entry that fails certification raises `ContractError`.
+    """
+    zero = (Fraction(0), Fraction(0))
+    per_user = []
+    for spec, values in zip(config.utilities, config.value_vectors):
+        if spec.quasi_linear:
+            per_user.append(price_intervals(values))
+        else:
+            top = max(values)
+            per_user.append(tuple(zero if value == top else None for value in values[1:]))
+    entries = []
+    for allocation, intervals in enumerate(zip(*per_user), start=1):
+        prices = balanced_prices(intervals)
+        if prices is not None:
+            report = _certified_equilibrium(allocation, prices, config)
+            entries.append(CensusEntry(tuple(intervals), report))
+    complete = all(spec.quasi_linear for spec in config.utilities)
+    return LindahlCensus(complete, config.catalog.size, tuple(entries))

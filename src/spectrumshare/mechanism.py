@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import ContractError
@@ -108,25 +109,37 @@ def tax_components(profile: MessageProfile, user: int, catalog_size: int) -> Tax
     return TaxComponents(charge, penalty, credit)
 
 
-def _taxes(profile: MessageProfile, average: int, catalog_size: int) -> tuple[Fraction, ...]:
-    """Every user's tax at the profile's rounded average, computed once.
+def _tax_numerators(
+    profile: MessageProfile, average: int, catalog_size: int
+) -> tuple[list[int], int]:
+    """Every user's tax at the profile's rounded average, as integer numerators
+    over one shared denominator n * lcm(price denominators).
 
     User i pays the allocation charge, plus its own mismatch penalty, minus
     the penalty of user i+1; all zero when the average names no profile.
     """
     n = len(profile)
     if not 1 <= average <= catalog_size:
-        return (Fraction(0),) * n
+        return [0] * n, 1
+    scale = lcm(*(m.price.denominator for m in profile))
+    scaled = [m.price.numerator * (scale // m.price.denominator) for m in profile]
     penalties = [
-        (message.proposal - profile[(i + 1) % n].proposal) ** 2 * message.price
+        n * (message.proposal - profile[(i + 1) % n].proposal) ** 2 * scaled[i]
         for i, message in enumerate(profile)
     ]
-    return tuple(
-        average * (profile[(i + 1) % n].price - profile[(i + 2) % n].price) / n
+    numerators = [
+        average * (scaled[(i + 1) % n] - scaled[(i + 2) % n])
         + penalties[i]
         - penalties[(i + 1) % n]
         for i in range(n)
-    )
+    ]
+    return numerators, n * scale
+
+
+def _taxes(profile: MessageProfile, average: int, catalog_size: int) -> tuple[Fraction, ...]:
+    """Every user's exact tax at the profile's rounded average."""
+    numerators, denominator = _tax_numerators(profile, average, catalog_size)
+    return tuple(Fraction(numerator, denominator) for numerator in numerators)
 
 
 def tax(profile: MessageProfile, user: int, catalog_size: int) -> Fraction:
@@ -141,7 +154,8 @@ def tax(profile: MessageProfile, user: int, catalog_size: int) -> Fraction:
 def budget_sum(profile: MessageProfile, catalog_size: int) -> Fraction:
     """Sum of all taxes.  Identically zero; computed, never assumed."""
     average = rounded_average([m.proposal for m in profile])
-    return sum(_taxes(profile, average, catalog_size), Fraction(0))
+    numerators, denominator = _tax_numerators(profile, average, catalog_size)
+    return Fraction(sum(numerators), denominator)
 
 
 def lindahl_price(profile: MessageProfile, user: int) -> Fraction:

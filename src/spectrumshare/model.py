@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import ConfigError
 
@@ -165,6 +165,7 @@ class TableUtility:
     """
 
     values: tuple[Fraction, ...]
+    quasi_linear: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
@@ -191,6 +192,7 @@ class SirLogUtility:
 
     user: int
     weights: tuple[Fraction, ...]
+    quasi_linear: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
@@ -218,6 +220,7 @@ class CubicTaxUtility:
 
     values: tuple[Fraction, ...]
     beta: Fraction
+    quasi_linear: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
@@ -359,8 +362,9 @@ def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig
     spec is one of the config's own) and g its tax cost: t for the tables,
     beta * t**3 for the cubic variant, float(t) for the SIR variant, which
     returns a float.  Every g is non-decreasing, so every utility is
-    non-increasing in tax.  Allocation 0 always means "no allocation", worth
-    0 before taxes.
+    non-increasing in tax.  A spec's `quasi_linear` flag says whether g is
+    the tax itself (the tables and the SIR variant).  Allocation 0 always
+    means "no allocation", worth 0 before taxes.
     """
     size = config.catalog.size
     if not 0 <= allocation <= size:

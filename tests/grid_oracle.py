@@ -1,18 +1,29 @@
-"""Reference implementation: Nash checks by scanning a finite message grid.
+"""Reference implementations of the slow paths the library replaced.
 
-This is the slow path that the exact price-line kernel in
-`spectrumshare.equilibrium` replaced.  It tries every grid message of one
-user against the others held fixed, evaluating the utility point by point,
-so it can only see deviations that land on the grid.  The differential
-tests compare the kernel against it.
+- Nash checks by scanning a finite message grid, which the exact price-line
+  kernel in `spectrumshare.equilibrium` replaced.  They try every grid
+  message of one user against the others held fixed, evaluating the utility
+  point by point, so they only see deviations that land on the grid.
+- The unanimity scan and the O(N * size^2) price-interval scan, which the
+  Lindahl census replaced as the way to find equilibria.
+
+The differential tests compare the library against them.
 """
 
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from spectrumshare import Deviation, Message, MessageGrid, NEVerification, outcome
+from spectrumshare import (
+    Deviation,
+    EquilibriumReport,
+    Message,
+    MessageGrid,
+    NEVerification,
+    build_report,
+    outcome,
+)
 from spectrumshare.mechanism import MessageProfile, lindahl_price, nearest_integer
-from spectrumshare.model import ScenarioConfig, utility_eval, utility_tolerance
+from spectrumshare.model import ScenarioConfig, as_fraction, utility_eval, utility_tolerance
 
 
 def grid_deviations(
@@ -85,3 +96,52 @@ def user_best_nonneg_tax(candidate: MessageProfile, config: ScenarioConfig) -> t
                 ok = False
         flags.append(ok)
     return tuple(flags)
+
+
+def unanimity_scan(price, config: ScenarioConfig) -> list[EquilibriumReport]:
+    """Report on every unanimity candidate (k, price, ..., price), k over the catalog.
+
+    Equal prices make every personal price zero, so this finds exactly the
+    allocations that are every user's top choice.
+    """
+    price = as_fraction(price)
+    return [
+        build_report(tuple(Message(k, price) for _ in range(config.num_users)), config)
+        for k in range(1, config.catalog.size + 1)
+    ]
+
+
+def interval_oracle(values) -> tuple[tuple[Optional[Fraction], Fraction], ...]:
+    """`price_intervals` by scanning every pair of catalog indices."""
+    exact = [Fraction(v) for v in values]
+    intervals = []
+    for k in range(1, len(exact)):
+        slopes = [(exact[j] - exact[k]) / (j - k) for j in range(len(exact)) if j != k]
+        right = slopes[k:]
+        intervals.append((max(right) if right else None, min(slopes[:k])))
+    return tuple(intervals)
+
+
+def census_oracle(config: ScenarioConfig) -> dict[int, tuple]:
+    """Allocation -> per-user price intervals, for every allocation at which
+    the intervals admit personal prices summing to zero.
+
+    A user whose utility is not quasi-linear is held to price 0, so it
+    admits only its weak top choices.
+    """
+    per_user = []
+    for spec, values in zip(config.utilities, config.value_vectors):
+        if spec.quasi_linear:
+            per_user.append(interval_oracle(values))
+        else:
+            zero = (Fraction(0), Fraction(0))
+            per_user.append(tuple(zero if v == max(values) else None for v in values[1:]))
+    found = {}
+    for allocation, intervals in enumerate(zip(*per_user), start=1):
+        if any(iv is None or (iv[0] is not None and iv[0] > iv[1]) for iv in intervals):
+            continue
+        lowers = [lower for lower, _ in intervals]
+        below = None in lowers or sum(lowers) <= 0
+        if below and sum(upper for _, upper in intervals) >= 0:
+            found[allocation] = intervals
+    return found

@@ -25,12 +25,12 @@ from spectrumshare import (
     br_dynamics,
     budget_sum,
     build_report,
+    lindahl_census,
     lindahl_price,
     lindahl_to_ne,
     outcome,
     run_measurement,
     tax,
-    unanimity_scan,
     verify_ne,
 )
 from spectrumshare.presets import DESK_PEAK_INDEX, desk_config
@@ -68,11 +68,14 @@ def grid(desk):
 
 @pytest.fixture(scope="module")
 def found_equilibria(desk, grid):
-    """NE harvested by both methods; shared by criteria 3 and 4."""
+    """The census's equilibria plus the NE that best response reaches from
+    random starts; shared by criteria 3 and 4."""
     started = time.perf_counter()
-    reports = unanimity_scan(1, desk)
-    scan_seconds = time.perf_counter() - started
-    equilibria = [r for r in reports if r.is_ne]
+    census = lindahl_census(desk)
+    census_seconds = time.perf_counter() - started
+    assert census.complete
+    equilibria = [entry.report for entry in census.equilibria]
+    census_allocations = {r.allocation for r in equilibria}
 
     rng = random.Random(20260810)
     for _ in range(8):
@@ -82,9 +85,11 @@ def found_equilibria(desk, grid):
         result = br_dynamics(start, desk, max_rounds=40)
         if result.converged and result.verification.is_ne:
             report = build_report(result.profile, desk, verification=result.verification)
+            # the census is complete: best response cannot find another allocation
+            assert report.allocation in census_allocations
             if report.candidate not in {r.candidate for r in equilibria}:
                 equilibria.append(report)
-    return equilibria, scan_seconds
+    return equilibria, census_seconds
 
 
 @criterion("1 budget balance, 100000 random grid profiles, exact")
@@ -110,8 +115,8 @@ def test_derived_tax_vector(desk):
 
 @criterion("3 equilibrium property chain on every found NE, exact")
 def test_equilibrium_property_chain(found_equilibria):
-    equilibria, scan_seconds = found_equilibria
-    assert scan_seconds < 60.0, f"unanimity scan took {scan_seconds:.2f}s"
+    equilibria, census_seconds = found_equilibria
+    assert census_seconds < 60.0, f"equilibrium census took {census_seconds:.2f}s"
     assert equilibria, "the desk scenario must yield at least one NE"
     assert any(r.allocation == DESK_PEAK_INDEX for r in equilibria)
     for report in equilibria:
@@ -200,6 +205,7 @@ def test_degenerate_guards():
         utilities=tuple(peak_table(1, 1, s) for s in (1, 2, 3)),
     )
     assert lone.catalog.size == 1
-    reports = unanimity_scan(1, lone)
-    assert [r.is_ne for r in reports] == [True]
-    assert reports[0].soundness_violations() == ()
+    census = lindahl_census(lone)
+    assert census.complete
+    assert [e.report.allocation for e in census.equilibria] == [1]
+    assert census.equilibria[0].report.soundness_violations() == ()

@@ -11,7 +11,7 @@ from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.scenario import write_scenario
 from spectrumshare.presets import desk_scenario
 
-from spectrumshare import ScenarioConfig
+from spectrumshare import CubicTaxUtility, NEVerification, ScenarioConfig, TableUtility
 from conftest import peak_table, small_config, small_scenario, uniform_gains
 
 COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
@@ -151,13 +151,16 @@ class TestOutcome:
         assert code == 2
 
 
+def census_of(out):
+    return json.loads(out)["census"]
+
+
 class TestFindNe:
-    def test_unanimity_method(self, capsys, small_path):
-        code, out, _ = run(
-            capsys, "find-ne", "--scenario", small_path, "--method", "unanimity"
-        )
+    def test_table_output(self, capsys, small_path):
+        code, out, _ = run(capsys, "find-ne", "--scenario", small_path)
         assert code == 0
-        assert " ne_found=1" in out
+        assert " ne_found=1 complete=True" in out
+        assert "personal price intervals: [-1, 1], [-2, 2], [-3, 3]" in out
 
     def test_json_document(self, capsys, small_path, tmp_path):
         out_path = tmp_path / "report.json"
@@ -166,10 +169,6 @@ class TestFindNe:
             "find-ne",
             "--scenario",
             small_path,
-            "--method",
-            "both",
-            "--starts",
-            "5",
             "--format",
             "json",
             "--out",
@@ -178,82 +177,85 @@ class TestFindNe:
         assert code == 0
         document = json.loads(out)
         assert document["catalog"] == {"bundle_count": 2, "profile_count": 8}
-        found = document["unanimity"]["equilibria"]
+        assert "measurement" not in document
+        census = document["census"]
+        assert census["complete"] is True
+        assert census["allocations_tested"] == 8
+        found = census["equilibria"]
         assert [e["allocation"] for e in found] == [4]
+        assert found[0]["is_ne"] is True
         assert found[0]["lindahl"]["prices_balance"] is True
-        assert document["best_response"]["starts"] == 5
+        assert found[0]["price_intervals"] == [[-1, 1], [-2, 2], [-3, 3]]
         assert json.loads(out_path.read_text()) == document
 
     def test_seed_determinism(self, capsys, small_path):
         _, first, _ = run(
-            capsys, "find-ne", "--scenario", small_path, "--method", "br",
-            "--starts", "4", "--seed", "3", "--format", "json",
+            capsys, "find-ne", "--scenario", small_path, "--seed", "3", "--format", "json",
         )
         _, second, _ = run(
-            capsys, "find-ne", "--scenario", small_path, "--method", "br",
-            "--starts", "4", "--seed", "3", "--format", "json",
+            capsys, "find-ne", "--scenario", small_path, "--seed", "3", "--format", "json",
         )
         first, second = json.loads(first), json.loads(second)
+        assert first["seed"] == 3
         del first["timing_seconds"], second["timing_seconds"]
         assert first == second
 
     def test_no_ne_is_still_success(self, capsys, tmp_path):
-        scenario = small_scenario(small_config(peaks=(1, 8, 4)))
-        path = tmp_path / "conflict.json"
-        write_scenario(scenario, path)
-        code, out, _ = run(
-            capsys, "find-ne", "--scenario", str(path), "--method", "unanimity"
-        )
+        # user 0's convex values make the last index its only possible best
+        # point, where users 1 and 2 both want subsidies it cannot fund
+        convex = TableUtility(tuple(Fraction(k * k) for k in range(9)))
+        config = small_config(utilities=(convex, peak_table(8, 1, 10), peak_table(8, 1, 1)))
+        path = tmp_path / "no-ne.json"
+        write_scenario(small_scenario(config), path)
+        code, out, _ = run(capsys, "find-ne", "--scenario", str(path))
         assert code == 0
-        assert " ne_found=0" in out
+        assert " ne_found=0 complete=True" in out
 
     def test_csv_format(self, capsys, small_path):
-        code, out, _ = run(
-            capsys,
-            "find-ne",
-            "--scenario",
-            small_path,
-            "--method",
-            "unanimity",
-            "--format",
-            "csv",
-        )
+        code, out, _ = run(capsys, "find-ne", "--scenario", small_path, "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("proposal,price,allocation,is_ne,")
         assert len(lines) == 2
 
-    def test_off_grid_price_scans(self, capsys, desk_path):
-        code, out, err = run(
-            capsys, "find-ne", "--scenario", desk_path, "--method", "unanimity",
-            "--price", "1/3", "--format", "json",
-        )
-        assert code == 0, err
-        found = json.loads(out)["unanimity"]["equilibria"]
-        assert [e["allocation"] for e in found] == [108]
-
-    def test_negative_price_exits_2(self, capsys, small_path):
-        code, _, err = run(
-            capsys, "find-ne", "--scenario", small_path, "--method", "unanimity",
-            "--price", "-1",
-        )
-        assert code == 2
-        assert "--price" in err
-
     def test_search_never_reports_a_null_allocation(self, capsys):
-        # this search seed once led best response to a null-allocation
+        # this seed once led the best-response search to a null-allocation
         # profile that the check passed as an equilibrium
-        code, out, err = run(
-            capsys, "find-ne", "--scenario", str(COMMITTED_DESK),
-            "--seed", "1785467774", "--format", "json",
+        for extra in ([], ["--seed", "1785467774"]):
+            code, out, err = run(
+                capsys, "find-ne", "--scenario", str(COMMITTED_DESK), "--format", "json", *extra
+            )
+            assert code == 0, err
+            census = census_of(out)
+            assert census["complete"] is True
+            assert [e["allocation"] for e in census["equilibria"]] == [108]
+            assert census["equilibria"][0]["lindahl"]["prices"] == [-1, -1, 2]
+
+    def test_cubic_tax_census_is_incomplete(self, capsys, tmp_path):
+        config = small_config(
+            utilities=tuple(
+                CubicTaxUtility(peak_table(8, 4, s).values, beta=Fraction(1, 2))
+                for s in (1, 2, 3)
+            )
         )
+        path = tmp_path / "cubic.json"
+        write_scenario(small_scenario(config), path)
+        code, out, err = run(capsys, "find-ne", "--scenario", str(path), "--format", "json")
         assert code == 0, err
-        document = json.loads(out)
-        reported = document["unanimity"]["equilibria"] + [
-            r for r in document["best_response"]["unique_fixed_points"] if r["is_ne"]
-        ]
-        assert reported
-        assert {r["allocation"] for r in reported} == {108}
+        census = census_of(out)
+        assert census["complete"] is False
+        assert [e["allocation"] for e in census["equilibria"]] == [4]
+        assert census["equilibria"][0]["price_intervals"] == [[0, 0]] * 3
+
+    def test_uncertified_census_entry_exits_3(self, capsys, small_path, monkeypatch):
+        from spectrumshare import equilibrium
+
+        monkeypatch.setattr(
+            equilibrium, "verify_ne", lambda candidate, config: NEVerification(False, None)
+        )
+        code, _, err = run(capsys, "find-ne", "--scenario", small_path)
+        assert code == 3
+        assert "census allocation 4" in err
 
 
 class TestVerify:

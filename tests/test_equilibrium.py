@@ -1,4 +1,5 @@
-"""Exact NE certification, best-response dynamics, and the Lindahl bridge."""
+"""Exact NE certification, the Lindahl census, best-response dynamics, and the
+Lindahl bridge."""
 
 import random
 from dataclasses import replace
@@ -14,30 +15,40 @@ from spectrumshare import (
     LindahlAllocation,
     Message,
     MessageGrid,
+    NEVerification,
     PriceScaleError,
     PriceSystemError,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
+    balanced_prices,
     best_response,
     br_dynamics,
     build_report,
     equilibrium_tax_form,
     individual_rationality,
+    lindahl_census,
     lindahl_price,
     lindahl_to_ne,
     mismatch_penalties_vanish,
     ne_to_lindahl,
     outcome,
+    price_intervals,
     tax,
-    unanimity_scan,
     utility_eval,
     verify_ne,
 )
 from spectrumshare.mechanism import nearest_integer
 
 from conftest import peak_table, small_config, uniform_gains
-from grid_oracle import grid_deviations, grid_verify, user_best_nonneg_tax
+from grid_oracle import (
+    census_oracle,
+    grid_deviations,
+    grid_verify,
+    interval_oracle,
+    unanimity_scan,
+    user_best_nonneg_tax,
+)
 
 prices = st.fractions(min_value=0, max_value=3, max_denominator=4)
 proposals = st.integers(min_value=-20, max_value=60)
@@ -190,16 +201,34 @@ class TestBrDynamics:
                 assert result.verification.is_ne
 
 
+def census_allocations(config):
+    return [entry.report.allocation for entry in lindahl_census(config).equilibria]
+
+
+def scan_allocations(price, config):
+    return [r.allocation for r in unanimity_scan(price, config) if r.is_ne]
+
+
 class TestUnanimityScan:
+    """The census against the zero-price unanimity scan it replaced."""
+
     def test_common_peak_finds_exactly_the_peak(self, small):
-        reports = unanimity_scan(1, small)
-        ne_indices = [r.candidate[0].proposal for r in reports if r.is_ne]
-        assert ne_indices == [4]
+        assert scan_allocations(1, small) == [4]
+        census = lindahl_census(small)
+        assert census.complete
+        assert census.allocations_tested == 8
+        assert [e.report.allocation for e in census.equilibria] == [4]
 
     def test_conflicting_peaks_find_nothing(self):
+        # no allocation is everyone's top choice, so the zero-price scan finds
+        # nothing; the census finds the peak of the middle user, with user 2
+        # paying for the move user 1 wants and user 0 subsidized against it
         config = small_config(peaks=(1, 8, 4))
-        reports = unanimity_scan(1, config)
-        assert not any(r.is_ne for r in reports)
+        assert scan_allocations(1, config) == []
+        (entry,) = lindahl_census(config).equilibria
+        assert entry.report.allocation == 4
+        assert entry.price_intervals == ((-1, -1), (2, 2), (-3, 3))
+        assert entry.report.lindahl.allocation.prices == (-1, 2, -1)
 
     def test_single_profile_catalog_is_ne(self):
         config = ScenarioConfig(
@@ -212,26 +241,30 @@ class TestUnanimityScan:
             utilities=tuple(peak_table(1, 1, s) for s in (1, 2, 3)),
         )
         assert config.catalog.size == 1
-        reports = unanimity_scan(1, config)
-        assert len(reports) == 1
-        assert reports[0].is_ne
-        assert reports[0].soundness_violations() == ()
+        (entry,) = lindahl_census(config).equilibria
+        assert entry.report.allocation == 1
+        assert entry.price_intervals == ((None, 25), (None, 50), (None, 75))
+        assert entry.report.soundness_violations() == ()
+        assert scan_allocations(1, config) == [1]
 
     def test_off_grid_price_scanned(self, small):
-        reports = unanimity_scan(Fraction(1, 3), small)
-        assert [r.candidate[0].proposal for r in reports if r.is_ne] == [4]
+        assert scan_allocations(Fraction(1, 3), small) == census_allocations(small)
 
     def test_soundness_chain_over_scan(self, small):
         for config in (small, small_config(peaks=(1, 8, 4))):
-            for report in unanimity_scan(1, config):
-                assert report.soundness_violations() == ()
+            for entry in lindahl_census(config).equilibria:
+                assert entry.report.is_ne
+                assert entry.report.soundness_violations() == ()
 
     def test_soundness_chain_with_sir_utilities(self):
         config = small_config(
             utilities=tuple(SirLogUtility(user=u, weights=(Fraction(1),)) for u in range(3))
         )
-        for report in unanimity_scan(1, config):
-            assert report.soundness_violations() == ()
+        census = lindahl_census(config)
+        assert census.complete
+        assert set(scan_allocations(1, config)) <= set(census_allocations(config))
+        for entry in census.equilibria:
+            assert entry.report.soundness_violations() == ()
 
     def test_cubic_tax_utilities_share_the_peak(self):
         config = small_config(
@@ -240,11 +273,66 @@ class TestUnanimityScan:
                 for s in (1, 2, 3)
             )
         )
-        reports = unanimity_scan(1, config)
-        ne = [r for r in reports if r.is_ne]
-        assert [r.allocation for r in ne] == [4]
-        assert ne[0].soundness_violations() == ()
-        assert ne[0].lindahl.all_conditions_hold
+        census = lindahl_census(config)
+        assert not census.complete
+        (entry,) = census.equilibria
+        assert entry.report.allocation == 4
+        assert entry.price_intervals == ((0, 0),) * 3
+        assert entry.report.lindahl.all_conditions_hold
+        assert scan_allocations(1, config) == [4]
+
+
+class TestLindahlCensus:
+    def test_desk_finds_only_the_peak(self, desk):
+        census = lindahl_census(desk)
+        assert census.complete
+        assert census.allocations_tested == 216
+        (entry,) = census.equilibria
+        assert entry.report.allocation == 108
+        assert entry.report.lindahl.allocation.prices == (-1, -1, 2)
+
+    def test_entry_rebuilt_at_smallest_seed_price(self):
+        (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
+        prices = [m.price for m in entry.report.candidate]
+        assert min(prices) == 0
+        assert {m.proposal for m in entry.report.candidate} == {4}
+
+    def test_no_equilibrium_when_prices_cannot_balance(self):
+        # user 0's values are convex, so only the last index can be its best
+        # point; there users 1 and 2 both want a subsidy it cannot fund
+        convex = TableUtility(tuple(Fraction(k * k) for k in range(9)))
+        config = small_config(
+            utilities=(convex, peak_table(8, 1, 10), peak_table(8, 1, 1))
+        )
+        census = lindahl_census(config)
+        assert census.complete
+        assert census.equilibria == ()
+        assert census_oracle(config) == {}
+
+    def test_uncertified_entry_is_a_contract_violation(self, small, monkeypatch):
+        from spectrumshare import equilibrium
+
+        monkeypatch.setattr(
+            equilibrium, "verify_ne", lambda candidate, config: NEVerification(False, None)
+        )
+        with pytest.raises(ContractError, match="census allocation 4"):
+            lindahl_census(small)
+
+    def test_balanced_prices_rule(self):
+        intervals = ((Fraction(-1), Fraction(1)), (Fraction(-2), Fraction(2)), (None, Fraction(3)))
+        assert balanced_prices(intervals) == (-1, -2, 3)
+        assert balanced_prices(intervals[:2]) == (-1, 1)
+        assert balanced_prices(((None, Fraction(3)), (Fraction(-1), Fraction(1)))) == (-1, 1)
+        assert balanced_prices(((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))) is None
+        assert balanced_prices(((Fraction(-2), Fraction(-1)), (Fraction(0), Fraction(0)))) is None
+        assert balanced_prices(((Fraction(1), Fraction(0)), (Fraction(-5), Fraction(5)))) is None
+        assert balanced_prices(((Fraction(0), Fraction(0)), None)) is None
+
+    def test_price_intervals_by_hand(self):
+        # points (0,0) (1,3) (2,4) (3,4): concave, so every index has an interval
+        assert price_intervals((0, 3, 4, 4)) == ((1, 3), (0, 1), (None, 0))
+        # (1,1) lies below the chord from (0,0) to (2,4): its interval is empty
+        assert price_intervals((0, 1, 4)) == ((3, 1), (None, 2))
 
 
 class TestMismatchPenalties:
@@ -370,16 +458,18 @@ class TestLindahlToNe:
         assert err.value.min_seed_price == 2
         lindahl_to_ne(psi, err.value.min_seed_price, small.catalog)
 
-    def test_roundtrip_from_found_ne(self, small):
-        reports = [r for r in unanimity_scan(1, small) if r.is_ne]
+    def test_roundtrip_from_found_ne(self):
+        # the priced equilibrium of conflicting peaks, rebuilt at another seed price
+        config = small_config(peaks=(1, 8, 4))
+        reports = [entry.report for entry in lindahl_census(config).equilibria]
         assert reports
         for report in reports:
             certificate = report.lindahl
             assert certificate.all_conditions_hold
             psi = certificate.allocation
-            rebuilt = lindahl_to_ne(psi, 1, small.catalog)
-            assert verify_ne(rebuilt, small).is_ne
-            result = outcome(rebuilt, small.catalog)
+            rebuilt = lindahl_to_ne(psi, 10, config.catalog)
+            assert verify_ne(rebuilt, config).is_ne
+            result = outcome(rebuilt, config.catalog)
             assert result.allocation == psi.allocation
             assert result.taxes == psi.taxes
             assert tuple(lindahl_price(rebuilt, u) for u in range(3)) == psi.prices
@@ -501,3 +591,98 @@ class TestExactAgainstGridOracle:
         config = ORACLE_CONFIGS[variant]
         certificate = ne_to_lindahl(candidate, config)
         assert certificate.user_best_nonneg_tax == user_best_nonneg_tax(candidate, config)
+
+
+# Arbitrary tables rarely share an equilibrium; single-peaked ones with
+# nearby peaks often do.
+values_tables = st.one_of(
+    st.lists(st.fractions(min_value=0, max_value=12, max_denominator=3), min_size=8, max_size=8),
+    st.builds(
+        lambda peak, scale: list(peak_table(8, peak, scale).values[1:]),
+        st.integers(min_value=3, max_value=5),
+        st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+    ),
+).map(lambda values: (Fraction(0), *values))
+
+
+def user_utilities(user):
+    return st.one_of(
+        values_tables.map(TableUtility),
+        st.builds(
+            lambda weights: SirLogUtility(user=user, weights=(weights,)),
+            st.fractions(min_value=0, max_value=3, max_denominator=4),
+        ),
+        st.builds(
+            CubicTaxUtility,
+            values_tables,
+            st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4),
+        ),
+    )
+
+
+census_configs = st.tuples(user_utilities(0), user_utilities(1), user_utilities(2)).map(
+    lambda utilities: small_config(utilities=utilities)
+)
+grid_prices = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestCensusAgainstOracles:
+    """The hull census against the O(N * size^2) interval scan, the exact NE
+    check, the Lindahl rebuild, and the unanimity scan."""
+
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40),
+            st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=40),
+            st.lists(st.fractions(min_value=0, max_value=50, max_denominator=7), max_size=40),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hull_intervals_match_oracle(self, values):
+        values = [0, *values]
+        assert price_intervals(values) == interval_oracle(values)
+
+    @given(config=census_configs)
+    @settings(max_examples=100, deadline=None)
+    def test_census_matches_oracle(self, config):
+        census = lindahl_census(config)
+        assert census.complete == all(spec.quasi_linear for spec in config.utilities)
+        found = {e.report.allocation: e.price_intervals for e in census.equilibria}
+        assert found == census_oracle(config)
+        for spec, values in zip(config.utilities, config.value_vectors):
+            if spec.quasi_linear:
+                assert price_intervals(values) == interval_oracle(values)
+
+    @given(config=census_configs)
+    @settings(max_examples=100, deadline=None)
+    def test_every_entry_passes_verify_ne(self, config):
+        for entry in lindahl_census(config).equilibria:
+            report = entry.report
+            assert verify_ne(report.candidate, config).is_ne
+            prices = report.lindahl.allocation.prices
+            assert sum(prices) == 0
+            for price, (lower, upper) in zip(prices, entry.price_intervals):
+                assert (lower is None or lower <= price) and price <= upper
+
+    @given(config=census_configs, prices=st.tuples(grid_prices, grid_prices))
+    @settings(max_examples=100, deadline=None)
+    def test_rebuilt_lindahl_ne_is_in_census(self, config, prices):
+        prices = (*prices, -sum(prices))
+        found = census_allocations(config)
+        # an incomplete census lists only equilibria where the users without
+        # quasi-linear utility face price 0
+        if any(p != 0 and not spec.quasi_linear for p, spec in zip(prices, config.utilities)):
+            return
+        for allocation in range(1, config.catalog.size + 1):
+            psi = LindahlAllocation(allocation, tuple(allocation * p for p in prices), prices)
+            try:
+                candidate = lindahl_to_ne(psi, 0, config.catalog)
+            except PriceScaleError as exc:
+                candidate = lindahl_to_ne(psi, exc.min_seed_price, config.catalog)
+            if verify_ne(candidate, config).is_ne:
+                assert allocation in found
+
+    @given(config=census_configs, price=prices)
+    @settings(max_examples=100, deadline=None)
+    def test_census_contains_unanimity_scan(self, config, price):
+        assert set(scan_allocations(price, config)) <= set(census_allocations(config))

@@ -112,9 +112,12 @@ class TestTax:
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_components_sum_to_tax(self, profile):
+        totals = []
         for user in range(3):
             parts = tax_components(profile, user, 216)
             assert parts.total == tax(profile, user, 216)
+            totals.append(parts.total)
+        assert budget_sum(profile, 216) == sum(totals)
 
     @given(profiles(), prices)
     @settings(max_examples=150, deadline=None)
