@@ -76,9 +76,10 @@ from .model import (
     as_fraction,
     build_catalog,
     enumerate_bundles,
+    improves,
+    integer_scaling,
     sir,
     utility_eval,
-    utility_tolerance,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_to_jsonable, write_scenario
 

@@ -42,7 +42,14 @@ from .mechanism import (
     rounded_average,
     tax,
 )
-from .model import ProfileCatalog, ScenarioConfig, as_fraction, utility_eval, utility_tolerance
+from .model import (
+    IntegerScaling,
+    ProfileCatalog,
+    ScenarioConfig,
+    as_fraction,
+    improves,
+    utility_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -95,15 +102,18 @@ def price_line_optimum(
     """User's best catalog index k >= 1 when its tax is k * price - credit.
 
     Returns (k, V_user(k, k * price - credit)); ties resolve to the smallest k.
+    Every tax on the line is the integer numerator k * A - C over one
+    denominator D.  The spec's `line_heights` ranks the indices from those
+    integers: exactly for the rational variants, and for the SIR variant
+    with the same floats that `utility_eval` computes.
     """
-    values = config.value_vectors[user]
-    cost = config.utilities[user].tax_cost
-    best_index, best_value = 1, values[1] - cost(price - credit)
-    for index in range(2, len(values)):
-        value = values[index] - cost(index * price - credit)
-        if value > best_value:
-            best_index, best_value = index, value
-    return best_index, best_value
+    spec = config.utilities[user]
+    denominator = lcm(price.denominator, credit.denominator)
+    slope = price.numerator * (denominator // price.denominator)
+    offset = credit.numerator * (denominator // credit.denominator)
+    heights = spec.line_heights(config, user, slope, offset, denominator)
+    best = heights.index(max(heights[1:]), 1)
+    return best, config.value_vectors[user][best] - spec.tax_cost(best * price - credit)
 
 
 def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
@@ -148,16 +158,16 @@ def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerificati
 
     The check is exact over the whole message space (any integer proposal,
     any non-negative price).  Returns the most profitable deviation when it
-    fails.  Improvement is exact for rational utilities and uses a 1e-12
-    slack for float-valued ones.
+    fails.  Improvement is judged by `improves`: exact for rational
+    utilities, with a relative-and-absolute tolerance for float-valued ones.
     """
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
-        slack = utility_tolerance(config.utilities[user])
         message, value = _reply(user, candidate, config)
-        gain = value - _held_utility(user, base, config)
-        if gain > slack and (best is None or gain > best.gain):
+        held = _held_utility(user, base, config)
+        gain = value - held
+        if improves(config.utilities[user], value, held) and (best is None or gain > best.gain):
             best = Deviation(user, message, gain)
     return NEVerification(best is None, best)
 
@@ -196,7 +206,7 @@ def br_dynamics(
     """Round-robin best responses from `start` until a fixed point or cutoff.
 
     A user only moves when the best reply strictly improves on keeping the
-    current message (with the usual float slack).  The inertia makes every
+    current message (by `improves`).  The inertia makes every
     NE an immediate fixed point instead of drifting along utility ties.
     """
     catalog = config.catalog
@@ -209,10 +219,9 @@ def br_dynamics(
         current = list(profile)
         changed = False
         for user in range(config.num_users):
-            slack = utility_tolerance(config.utilities[user])
             held = _held_utility(user, outcome(tuple(current), catalog), config)
             message, value = _reply(user, tuple(current), config)
-            if value > held + slack:
+            if improves(config.utilities[user], value, held):
                 current[user] = message
                 changed = True
         if not changed:
@@ -264,10 +273,9 @@ def individual_rationality(profile: MessageProfile, config: ScenarioConfig) -> t
     result = outcome(profile, config.catalog)
     flags = []
     for user, spec in enumerate(config.utilities):
-        slack = utility_tolerance(spec)
         value = utility_eval(spec, result.allocation, result.taxes[user], config)
         endowment = utility_eval(spec, 0, Fraction(0), config)
-        flags.append(value >= endowment - slack)
+        flags.append(not improves(spec, endowment, value))
     return tuple(flags)
 
 
@@ -330,8 +338,10 @@ def ne_to_lindahl(candidate: MessageProfile, config: ScenarioConfig) -> LindahlC
     for user, price in enumerate(prices):
         on_line = result.allocation != 0 and result.taxes[user] == result.allocation * price
         _, best = price_line_optimum(user, price, Fraction(0), config)
-        slack = utility_tolerance(config.utilities[user])
-        user_best.append(on_line and not best > _held_utility(user, result, config) + slack)
+        user_best.append(
+            on_line
+            and not improves(config.utilities[user], best, _held_utility(user, result, config))
+        )
     user_best_nonneg = tuple(ok and price >= 0 for ok, price in zip(user_best, prices))
     return LindahlCertificate(
         allocation, prices_balance, taxes_balance, tuple(user_best), user_best_nonneg
@@ -492,20 +502,17 @@ def _steepest_rise(heights: Sequence[int]) -> list[Optional[tuple[int, int]]]:
     return steepest
 
 
-def price_intervals(values: Sequence) -> tuple[PriceInterval, ...]:
+def price_intervals(scaling: IntegerScaling) -> tuple[PriceInterval, ...]:
     """Per catalog index k = 1..size (entry k - 1), the personal prices p at
-    which k maximizes V(j) - j * p over j = 0..size.
+    which k maximizes V(j) - j * p over j = 0..size, V = heights / scale.
 
     lower = max over j > k of (V(j) - V(k)) / (j - k), minus infinity at
     k = size; upper = min over j < k of the same slope, where j = 0 carries
     individual rationality.  k is best exactly when lower <= p <= upper, so
-    an interval with lower > upper means k is never best.  Float values are
-    converted exactly (`Fraction(float)`), and the whole scan runs on
-    integers over one common denominator in O(size log size).
+    an interval with lower > upper means k is never best.  The scan runs on
+    the integer heights in O(size log size).
     """
-    exact = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in exact))
-    heights = [v.numerator * (scale // v.denominator) for v in exact]
+    heights, scale = scaling.heights, scaling.scale
     lower = _steepest_rise(heights)
     # Mirroring the indices turns the smallest slope over j < k into minus
     # the largest slope over j > k.
@@ -598,9 +605,11 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     """
     zero = (Fraction(0), Fraction(0))
     per_user = []
-    for spec, values in zip(config.utilities, config.value_vectors):
+    for spec, values, scaling in zip(
+        config.utilities, config.value_vectors, config.integer_scalings
+    ):
         if spec.quasi_linear:
-            per_user.append(price_intervals(values))
+            per_user.append(price_intervals(scaling))
         else:
             top = max(values)
             per_user.append(tuple(zero if value == top else None for value in values[1:]))

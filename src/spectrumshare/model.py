@@ -27,6 +27,16 @@ PowerBundle = tuple[Fraction, ...]
 # larger is out of desk scale and almost certainly a misconfiguration.
 MAX_CATALOG_SIZE = 2**63 - 1
 
+# Evaluating utilities builds one value per user and profile up front, so
+# catalogs beyond this many profiles are refused there; commands that never
+# evaluate a utility (enumerate, outcome) still accept them.
+MAX_VALUED_PROFILES = 10**6
+
+# Float utilities count as strictly better only beyond this combined
+# tolerance: relative to the larger magnitude compared, floored near zero.
+FLOAT_REL_TOL = 1e-12
+FLOAT_ABS_TOL = 1e-18
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, decimal or "p/q" strings to an exact rational.
@@ -181,6 +191,17 @@ class TableUtility:
     def tax_cost(tax: Fraction) -> Fraction:
         return tax
 
+    @staticmethod
+    def line_heights(
+        config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
+    ) -> list[int]:
+        """Per index k, V(k, (k * slope - offset) / denominator) times
+        scale * denominator, less the constant scale * offset: integers in
+        the same order."""
+        scaling = config.integer_scalings[user]
+        step = scaling.scale * slope
+        return [height * denominator - k * step for k, height in enumerate(scaling.heights)]
+
 
 @dataclass(frozen=True)
 class SirLogUtility:
@@ -200,18 +221,42 @@ class SirLogUtility:
             raise ConfigError("SIR utility weights must be non-negative")
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
+        """Catalog walk in index order; each band term is computed once per
+        column of per-user power levels and summed in band order."""
         weights = [float(w) for w in self.weights]
+        levels = config.quant_levels
+        level_of = {level: i for i, level in enumerate(levels)}
+        bundle_levels = [tuple(level_of[p] for p in bundle) for bundle in config.bundles]
+        terms: list[dict[tuple[int, ...], float]] = [{} for _ in weights]
         values = [0.0]
-        for index in range(1, config.catalog.size + 1):
+        for profile in product(bundle_levels, repeat=config.num_users):
             total = 0.0
             for band, weight in enumerate(weights):
-                total += weight * math.log1p(float(sir(index, self.user, band, config)))
+                column = tuple(bundle[band] for bundle in profile)
+                term = terms[band].get(column)
+                if term is None:
+                    powers = [levels[i] for i in column]
+                    ratio = _band_sir(config, self.user, band, powers)
+                    term = terms[band][column] = weight * math.log1p(float(ratio))
+                total += term
             values.append(total)
         return tuple(values)
 
     @staticmethod
     def tax_cost(tax: Fraction) -> float:
         return float(tax)
+
+    @staticmethod
+    def line_heights(
+        config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
+    ) -> list[float]:
+        """Per index k, V(k, (k * slope - offset) / denominator) as a float.
+
+        Integer true division rounds correctly, so each tax is the same float
+        as `float(Fraction(k * slope - offset, denominator))`.
+        """
+        values = config.value_vectors[user]
+        return [value - (k * slope - offset) / denominator for k, value in enumerate(values)]
 
 
 @dataclass(frozen=True)
@@ -238,8 +283,36 @@ class CubicTaxUtility:
     def tax_cost(self, tax: Fraction) -> Fraction:
         return self.beta * tax**3
 
+    def line_heights(
+        self, config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
+    ) -> list[int]:
+        """Per index k, V(k, (k * slope - offset) / denominator) times
+        scale * denominator**3 * beta.denominator: integers in the same order."""
+        scaling = config.integer_scalings[user]
+        cube = denominator**3 * self.beta.denominator
+        coefficient = scaling.scale * self.beta.numerator
+        return [
+            height * cube - coefficient * (k * slope - offset) ** 3
+            for k, height in enumerate(scaling.heights)
+        ]
+
 
 UtilitySpec = Union[TableUtility, SirLogUtility, CubicTaxUtility]
+
+
+@dataclass(frozen=True)
+class IntegerScaling:
+    """Exact values as integers over one positive scale: V(k) = heights[k] / scale."""
+
+    scale: int
+    heights: tuple[int, ...]
+
+
+def integer_scaling(values: Sequence) -> IntegerScaling:
+    """Scale exact values (floats converted exactly) by their common denominator."""
+    exact = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return IntegerScaling(scale, tuple(v.numerator * (scale // v.denominator) for v in exact))
 
 
 @dataclass(frozen=True)
@@ -325,9 +398,23 @@ class ScenarioConfig:
         """Per user, the value V_i(k) of every catalog index k = 0..size before taxes.
 
         Built on first use, so commands that never evaluate a utility never
-        pay for it; entry 0 is the null allocation, worth 0.
+        pay for it; entry 0 is the null allocation, worth 0.  Catalogs over
+        `MAX_VALUED_PROFILES` raise `ConfigError`.
         """
+        size = self.catalog.size
+        if size > MAX_VALUED_PROFILES:
+            raise ConfigError(
+                f"scenario.num_users: {self.num_users} users over {len(self.bundles)} "
+                f"bundles give {size} profiles; evaluating utilities is limited to "
+                f"{MAX_VALUED_PROFILES} profiles (lower num_users, num_bands, "
+                "quant_levels or power_budget)"
+            )
         return tuple(spec.value_vector(self) for spec in self.utilities)
+
+    @cached_property
+    def integer_scalings(self) -> tuple[IntegerScaling, ...]:
+        """Per user, the value vector as integers over one scale."""
+        return tuple(integer_scaling(values) for values in self.value_vectors)
 
 
 def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:
@@ -347,11 +434,18 @@ def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fra
     if not 0 <= band < config.num_bands:
         raise ValueError(f"band {band} outside 0..{config.num_bands - 1}")
     profile = catalog.profile_of(catalog_index)
-    signal = config.gains[user][user][band] * profile[user][band]
+    return _band_sir(config, user, band, [bundle[band] for bundle in profile])
+
+
+def _band_sir(
+    config: ScenarioConfig, user: int, band: int, powers: Sequence[Fraction]
+) -> Fraction:
+    """SIR of `user` on `band` given every user's power on that band."""
+    signal = config.gains[user][user][band] * powers[user]
     interference = config.noise_half_density
-    for j in range(config.num_users):
+    for j, power in enumerate(powers):
         if j != user:
-            interference += config.gains[j][user][band] * profile[j][band]
+            interference += config.gains[j][user][band] * power
     return signal / interference
 
 
@@ -377,6 +471,15 @@ def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig
     return values[allocation] - spec.tax_cost(as_fraction(tax))
 
 
-def utility_tolerance(spec: UtilitySpec):
-    """Comparison slack for utilities: exact for rational variants, 1e-12 for float."""
-    return 1e-12 if isinstance(spec, SirLogUtility) else Fraction(0)
+def improves(spec: UtilitySpec, candidate, incumbent) -> bool:
+    """Whether utility `candidate` is strictly better than `incumbent`.
+
+    Exact for the rational variants.  The float-valued SIR variant needs a
+    gain above max(FLOAT_REL_TOL * max(|candidate|, |incumbent|),
+    FLOAT_ABS_TOL), so rounding noise is no gain and the verdict does not
+    depend on the units of utility.
+    """
+    if not isinstance(spec, SirLogUtility):
+        return candidate > incumbent
+    magnitude = max(abs(candidate), abs(incumbent))
+    return candidate - incumbent > max(FLOAT_REL_TOL * magnitude, FLOAT_ABS_TOL)

@@ -3,8 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from spectrumshare import MessageGrid, ScenarioConfig, TableUtility
+from spectrumshare import (
+    MessageGrid,
+    ScenarioConfig,
+    SirLogUtility,
+    TableUtility,
+    enumerate_bundles,
+)
 from spectrumshare.measurement import Honest
 from spectrumshare.presets import desk_config, desk_scenario
 from spectrumshare.scenario import Scenario
@@ -40,6 +47,49 @@ def small_config(peaks=(4, 4, 4), scales=(1, 2, 3), utilities=None) -> ScenarioC
         noise_half_density=Fraction(1),
         gains=uniform_gains(3, 1),
         utilities=utilities,
+    )
+
+
+# (bands, levels, budget) of the generated SIR configs, with bundle counts
+# from 2 to 8; three bands with budget 2 or 3 let several bands carry power
+# at once, so a profile's value sums more than one non-zero term.
+SIR_SHAPES = (
+    (1, (0, 1), 1),
+    (1, (0, 1, 2), 2),
+    (1, (0, Fraction(1, 2), Fraction(3, 2)), Fraction(3, 2)),
+    (2, (0, 1), 2),
+    (2, (0, 1, 2), 2),
+    (2, (0, Fraction(1, 2), Fraction(3, 2)), 2),
+    (3, (0, 1), 2),
+    (3, (0, 1), 3),
+)
+
+
+@st.composite
+def sir_configs(draw, user_counts=(3, 4), shapes=SIR_SHAPES):
+    """`sir_log` configs of one of `shapes` with random gains, noise and
+    weights (zero included) and at most 600 profiles."""
+    fitting = [
+        (users, shape)
+        for shape in shapes
+        for users in user_counts
+        if len(enumerate_bundles(shape[1], shape[0], shape[2])) ** users <= 600
+    ]
+    users, (bands, levels, budget) = draw(st.sampled_from(fitting))
+    rationals = st.fractions(min_value=0, max_value=3, max_denominator=5)
+    row = st.lists(rationals, min_size=bands, max_size=bands)
+    plane = st.lists(row, min_size=users, max_size=users)
+    weights = st.lists(
+        st.fractions(min_value=0, max_value=3, max_denominator=4), min_size=bands, max_size=bands
+    )
+    return ScenarioConfig(
+        num_users=users,
+        num_bands=bands,
+        quant_levels=levels,
+        power_budget=budget,
+        noise_half_density=draw(st.fractions(min_value="1/10", max_value=2, max_denominator=10)),
+        gains=draw(st.lists(plane, min_size=users, max_size=users)),
+        utilities=tuple(SirLogUtility(user=u, weights=tuple(draw(weights))) for u in range(users)),
     )
 
 

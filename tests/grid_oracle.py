@@ -6,10 +6,14 @@
   point by point, so they only see deviations that land on the grid.
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
+- The price-line loop over `Fraction` taxes, which the integer kernel
+  `price_line_optimum` replaced, and the per-index SIR loop that built the
+  `sir_log` value vectors before the per-band term tables.
 
 The differential tests compare the library against them.
 """
 
+import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -23,7 +27,14 @@ from spectrumshare import (
     outcome,
 )
 from spectrumshare.mechanism import MessageProfile, lindahl_price, nearest_integer
-from spectrumshare.model import ScenarioConfig, as_fraction, utility_eval, utility_tolerance
+from spectrumshare.model import (
+    ScenarioConfig,
+    SirLogUtility,
+    as_fraction,
+    improves,
+    sir,
+    utility_eval,
+)
 
 
 def grid_deviations(
@@ -68,11 +79,10 @@ def grid_verify(
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
         spec = config.utilities[user]
-        slack = utility_tolerance(spec)
         held = utility_eval(spec, base.allocation, base.taxes[user], config)
         for message, value in grid_deviations(user, candidate, grid, config):
             gain = value - held
-            if gain > slack and (best is None or gain > best.gain):
+            if improves(spec, value, held) and (best is None or gain > best.gain):
                 best = Deviation(user, message, gain)
     return NEVerification(best is None, best)
 
@@ -85,14 +95,13 @@ def user_best_nonneg_tax(candidate: MessageProfile, config: ScenarioConfig) -> t
     result = outcome(candidate, config.catalog)
     flags = []
     for user, spec in enumerate(config.utilities):
-        slack = utility_tolerance(spec)
         price = lindahl_price(candidate, user)
         charged = result.taxes[user]
         ok = result.allocation != 0 and charged == result.allocation * price and charged >= 0
         held = utility_eval(spec, result.allocation, charged, config)
         for alternative in range(1, config.catalog.size + 1):
             value = utility_eval(spec, alternative, alternative * price, config)
-            if value > held + slack and alternative * price >= 0:
+            if improves(spec, value, held) and alternative * price >= 0:
                 ok = False
         flags.append(ok)
     return tuple(flags)
@@ -145,3 +154,27 @@ def census_oracle(config: ScenarioConfig) -> dict[int, tuple]:
         if below and sum(upper for _, upper in intervals) >= 0:
             found[allocation] = intervals
     return found
+
+
+def price_line_oracle(user: int, price, credit, config: ScenarioConfig):
+    """`price_line_optimum` by evaluating every index's utility with `Fraction` taxes."""
+    values = config.value_vectors[user]
+    cost = config.utilities[user].tax_cost
+    best_index, best_value = 1, values[1] - cost(price - credit)
+    for index in range(2, len(values)):
+        value = values[index] - cost(index * price - credit)
+        if value > best_value:
+            best_index, best_value = index, value
+    return best_index, best_value
+
+
+def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float, ...]:
+    """`SirLogUtility.value_vector` by calling `sir` on every index and band."""
+    weights = [float(w) for w in spec.weights]
+    values = [0.0]
+    for index in range(1, config.catalog.size + 1):
+        total = 0.0
+        for band, weight in enumerate(weights):
+            total += weight * math.log1p(float(sir(index, spec.user, band, config)))
+        values.append(total)
+    return tuple(values)

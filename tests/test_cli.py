@@ -11,7 +11,14 @@ from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.scenario import write_scenario
 from spectrumshare.presets import desk_scenario
 
-from spectrumshare import CubicTaxUtility, NEVerification, ScenarioConfig, TableUtility
+from spectrumshare import (
+    CubicTaxUtility,
+    NEVerification,
+    ScenarioConfig,
+    SirLogUtility,
+    TableUtility,
+)
+from spectrumshare.model import MAX_VALUED_PROFILES
 from conftest import peak_table, small_config, small_scenario, uniform_gains
 
 COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
@@ -91,6 +98,48 @@ class TestEnumerate:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "--scenario", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+class TestValueBudget:
+    """A catalog over the value budget: no command builds it, and every
+    command that would evaluate utilities exits 2 naming the field."""
+
+    USERS = MAX_VALUED_PROFILES.bit_length()
+
+    @pytest.fixture(scope="class")
+    def big_path(self, tmp_path_factory):
+        users = self.USERS
+        config = ScenarioConfig(
+            num_users=users,
+            num_bands=1,
+            quant_levels=(0, 1),
+            power_budget=1,
+            noise_half_density=1,
+            gains=uniform_gains(users, 1),
+            utilities=tuple(SirLogUtility(user=u, weights=(1,)) for u in range(users)),
+        )
+        path = tmp_path_factory.mktemp("scenarios") / "big.json"
+        write_scenario(small_scenario(config), path)
+        return str(path)
+
+    def test_enumerate_and_outcome_still_work(self, capsys, big_path):
+        code, out, _ = run(capsys, "enumerate", "--scenario", big_path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["profile_count"] == 2**self.USERS > MAX_VALUED_PROFILES
+        messages = json.dumps([[2**self.USERS, 0]] * self.USERS)
+        code, out, _ = run(capsys, "outcome", "--scenario", big_path, "--messages", messages)
+        assert code == 0
+        assert f"allocation: {2**self.USERS}" in out
+
+    @pytest.mark.parametrize("command", ["verify", "find-ne"])
+    def test_evaluation_exits_2(self, capsys, big_path, command):
+        argv = [command, "--scenario", big_path]
+        if command == "verify":
+            argv += ["--messages", json.dumps([[1, 0]] * self.USERS)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "scenario.num_users" in err
+        assert str(MAX_VALUED_PROFILES) in err
 
 
 class TestOutcome:

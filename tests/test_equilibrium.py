@@ -2,11 +2,12 @@
 Lindahl bridge."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectrumshare import (
@@ -27,6 +28,7 @@ from spectrumshare import (
     build_report,
     equilibrium_tax_form,
     individual_rationality,
+    integer_scaling,
     lindahl_census,
     lindahl_price,
     lindahl_to_ne,
@@ -38,14 +40,16 @@ from spectrumshare import (
     utility_eval,
     verify_ne,
 )
+from spectrumshare.equilibrium import price_line_optimum
 from spectrumshare.mechanism import nearest_integer
 
-from conftest import peak_table, small_config, uniform_gains
+from conftest import peak_table, sir_configs, small_config, uniform_gains
 from grid_oracle import (
     census_oracle,
     grid_deviations,
     grid_verify,
     interval_oracle,
+    price_line_oracle,
     unanimity_scan,
     user_best_nonneg_tax,
 )
@@ -318,6 +322,24 @@ class TestLindahlCensus:
         with pytest.raises(ContractError, match="census allocation 4"):
             lindahl_census(small)
 
+    def test_flat_tables_list_every_allocation(self):
+        # Every allocation of flat tables is an equilibrium at zero prices, so
+        # all 1000 entries are certified, each with six full price-line scans.
+        config = ScenarioConfig(
+            num_users=3,
+            num_bands=3,
+            quant_levels=(0, 1, 2),
+            power_budget=2,
+            noise_half_density=1,
+            gains=uniform_gains(3, 3),
+            utilities=tuple(TableUtility((0,) + (scale,) * 1000) for scale in (1, 2, 3)),
+        )
+        started = time.perf_counter()
+        census = lindahl_census(config)
+        elapsed = time.perf_counter() - started
+        assert [e.report.allocation for e in census.equilibria] == list(range(1, 1001))
+        assert elapsed < 10, f"census of 1000 equilibria took {elapsed:.1f} s"
+
     def test_balanced_prices_rule(self):
         intervals = ((Fraction(-1), Fraction(1)), (Fraction(-2), Fraction(2)), (None, Fraction(3)))
         assert balanced_prices(intervals) == (-1, -2, 3)
@@ -330,9 +352,9 @@ class TestLindahlCensus:
 
     def test_price_intervals_by_hand(self):
         # points (0,0) (1,3) (2,4) (3,4): concave, so every index has an interval
-        assert price_intervals((0, 3, 4, 4)) == ((1, 3), (0, 1), (None, 0))
+        assert price_intervals(integer_scaling((0, 3, 4, 4))) == ((1, 3), (0, 1), (None, 0))
         # (1,1) lies below the chord from (0,0) to (2,4): its interval is empty
-        assert price_intervals((0, 1, 4)) == ((3, 1), (None, 2))
+        assert price_intervals(integer_scaling((0, 1, 4))) == ((3, 1), (None, 2))
 
 
 class TestMismatchPenalties:
@@ -640,7 +662,7 @@ class TestCensusAgainstOracles:
     @settings(max_examples=200, deadline=None)
     def test_hull_intervals_match_oracle(self, values):
         values = [0, *values]
-        assert price_intervals(values) == interval_oracle(values)
+        assert price_intervals(integer_scaling(values)) == interval_oracle(values)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
@@ -649,9 +671,11 @@ class TestCensusAgainstOracles:
         assert census.complete == all(spec.quasi_linear for spec in config.utilities)
         found = {e.report.allocation: e.price_intervals for e in census.equilibria}
         assert found == census_oracle(config)
-        for spec, values in zip(config.utilities, config.value_vectors):
+        for spec, values, scaling in zip(
+            config.utilities, config.value_vectors, config.integer_scalings
+        ):
             if spec.quasi_linear:
-                assert price_intervals(values) == interval_oracle(values)
+                assert price_intervals(scaling) == interval_oracle(values)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
@@ -686,3 +710,76 @@ class TestCensusAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_census_contains_unanimity_scan(self, config, price):
         assert set(scan_allocations(price, config)) <= set(census_allocations(config))
+
+
+signed_prices = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+# A credit near k * price for some index k keeps the taxes around k small,
+# where the values and the cost trade off; the wide credits reach the rest.
+lines = st.one_of(
+    st.tuples(signed_prices, st.fractions(min_value=-40, max_value=40, max_denominator=12)),
+    st.tuples(
+        signed_prices,
+        st.integers(min_value=0, max_value=9),
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    ).map(lambda t: (t[0], t[1] * t[0] + t[2])),
+)
+
+
+class TestKernelAgainstOracle:
+    """The integer price-line kernel against the `Fraction` loop it replaced."""
+
+    @given(config=census_configs, user=st.integers(min_value=0, max_value=2), line=lines)
+    @example(config=ORACLE_CONFIGS["cubic_tax"], user=1, line=(Fraction(1, 6), Fraction(1, 4)))
+    @example(config=ORACLE_CONFIGS["sir_log"], user=2, line=(Fraction(-5, 4), Fraction(7, 6)))
+    @example(config=ORACLE_CONFIGS["table"], user=0, line=(Fraction(0), Fraction(0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_loop(self, config, user, line):
+        price, credit = line
+        got = price_line_optimum(user, price, credit, config)
+        expected = price_line_oracle(user, price, credit, config)
+        assert got == expected
+        assert type(got[1]) is type(expected[1])
+
+    @given(config=sir_configs(), line=lines, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_loop_on_multiband_sir(self, config, line, data):
+        price, credit = line
+        user = data.draw(st.integers(min_value=0, max_value=config.num_users - 1))
+        got = price_line_optimum(user, price, credit, config)
+        expected = price_line_oracle(user, price, credit, config)
+        assert got == expected
+        assert type(got[1]) is type(expected[1]) is float
+
+
+def scaled_sir(config, factor):
+    """The config with every `sir_log` weight multiplied by `factor`."""
+    utilities = tuple(
+        SirLogUtility(user=spec.user, weights=tuple(w * factor for w in spec.weights))
+        for spec in config.utilities
+    )
+    return replace(config, utilities=utilities)
+
+
+def verdicts(candidate, config):
+    verification = verify_ne(candidate, config)
+    report = build_report(candidate, config, verification, include_lindahl=True)
+    deviation = verification.best_deviation
+    return (
+        verification.is_ne,
+        None if deviation is None else (deviation.user, deviation.message.proposal),
+        report.individual_rationality,
+        report.lindahl.user_best,
+        report.lindahl.user_best_nonneg_tax,
+    )
+
+
+class TestFloatTolerance:
+    @given(config=sir_configs(user_counts=(3,)), candidate=candidates)
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_do_not_depend_on_units(self, config, candidate):
+        # A power of two scales every float utility and gain exactly.
+        expected = verdicts(candidate, config)
+        for exponent in (-40, -20, 20, 40):
+            factor = Fraction(2) ** exponent
+            scaled = tuple(Message(m.proposal, m.price * factor) for m in candidate)
+            assert verdicts(scaled, scaled_sir(config, factor)) == expected, exponent

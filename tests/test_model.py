@@ -19,9 +19,10 @@ from spectrumshare import (
     sir,
     utility_eval,
 )
-from spectrumshare.model import MAX_CATALOG_SIZE
+from spectrumshare.model import MAX_CATALOG_SIZE, MAX_VALUED_PROFILES
 
-from conftest import peak_table, small_config, uniform_gains
+from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
+from grid_oracle import sir_value_oracle
 
 
 def oracle_bundles(levels, bands, budget):
@@ -214,6 +215,15 @@ class TestSir:
         assert difference == 0
         assert abs(float(difference)) < 1e-12
 
+    @pytest.mark.parametrize("shape", SIR_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_value_vector_matches_per_index_loop(self, shape, data):
+        config = data.draw(sir_configs(shapes=(shape,)))
+        for spec, values in zip(config.utilities, config.value_vectors):
+            expected = sir_value_oracle(spec, config)
+            assert [v.hex() for v in values] == [v.hex() for v in expected]
+
 
 class TestUtilityEval:
     def test_table_subtracts_tax(self):
@@ -240,6 +250,25 @@ class TestUtilityEval:
         assert utility_eval(spec, index, Fraction(1, 2), config) == pytest.approx(
             2 * math.log(2) - 0.5, abs=1e-12
         )
+
+    def test_value_budget_names_the_field(self):
+        users = 1
+        while 2**users <= MAX_VALUED_PROFILES:
+            users += 1
+        config = ScenarioConfig(
+            num_users=users,
+            num_bands=1,
+            quant_levels=(0, 1),
+            power_budget=1,
+            noise_half_density=1,
+            gains=uniform_gains(users, 1),
+            utilities=tuple(SirLogUtility(user=u, weights=(1,)) for u in range(users)),
+        )
+        assert config.catalog.size == 2**users
+        with pytest.raises(ConfigError, match=r"scenario\.num_users"):
+            config.value_vectors
+        with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
+            utility_eval(config.utilities[0], 1, 0, config)
 
     def test_rejects_out_of_range_allocation(self):
         config = small_config()
