@@ -27,7 +27,7 @@ random best-response starts are drawn from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -117,7 +117,8 @@ def price_line_optimum(
 
 
 def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
-    """User's best message over the whole message space, and its utility.
+    """User's best message over the whole message space, its utility, and
+    the credit and best utility of the price line scanned.
 
     The opt-out (-S, 0) is chosen only when strictly better than every
     catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
@@ -130,8 +131,8 @@ def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
     index, value = price_line_optimum(user, lindahl_price(profile, user), credit, config)
     opt_out = utility_eval(config.utilities[user], 0, Fraction(0), config)
     if opt_out > value:
-        return Message(-others_sum, Fraction(0)), opt_out
-    return Message(n_users * index - others_sum, Fraction(0)), value
+        return Message(-others_sum, Fraction(0)), opt_out, (credit, value)
+    return Message(n_users * index - others_sum, Fraction(0)), value, (credit, value)
 
 
 def _held_utility(user: int, result, config: ScenarioConfig):
@@ -149,8 +150,15 @@ class Deviation:
 
 @dataclass(frozen=True)
 class NEVerification:
+    """`line_optima` holds, per user, the credit c_i of the price line that
+    was scanned and the best utility on it; `ne_to_lindahl` reuses the
+    scans with c_i = 0 instead of repeating them."""
+
     is_ne: bool
     best_deviation: Optional[Deviation]
+    line_optima: tuple[tuple[Fraction, Fraction | float], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerification:
@@ -163,13 +171,15 @@ def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerificati
     """
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
+    optima = []
     for user in range(len(candidate)):
-        message, value = _reply(user, candidate, config)
+        message, value, line = _reply(user, candidate, config)
+        optima.append(line)
         held = _held_utility(user, base, config)
         gain = value - held
         if improves(config.utilities[user], value, held) and (best is None or gain > best.gain):
             best = Deviation(user, message, gain)
-    return NEVerification(best is None, best)
+    return NEVerification(best is None, best, tuple(optima))
 
 
 def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) -> Message:
@@ -220,7 +230,7 @@ def br_dynamics(
         changed = False
         for user in range(config.num_users):
             held = _held_utility(user, outcome(tuple(current), catalog), config)
-            message, value = _reply(user, tuple(current), config)
+            message, value, _ = _reply(user, tuple(current), config)
             if improves(config.utilities[user], value, held):
                 current[user] = message
                 changed = True
@@ -323,25 +333,34 @@ class LindahlCertificate:
         return self.prices_balance and self.taxes_balance and self.best_on_price_line
 
 
-def ne_to_lindahl(candidate: MessageProfile, config: ScenarioConfig) -> LindahlCertificate:
+def ne_to_lindahl(
+    candidate: MessageProfile,
+    config: ScenarioConfig,
+    verification: Optional[NEVerification] = None,
+) -> LindahlCertificate:
     """Read a Lindahl allocation off a message profile and check it.
 
     The price-line optimality check is exhaustive over the whole catalog, so
-    its verdict is ground truth, not a sample.
+    its verdict is ground truth, not a sample.  Only users whose tax lies on
+    their personal price line are scanned, and a `verification` of the same
+    candidate lends its scans of lines with zero credit.
     """
     result = outcome(candidate, config.catalog)
     prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
     allocation = LindahlAllocation(result.allocation, result.taxes, prices)
     prices_balance = sum(prices, Fraction(0)) == 0
     taxes_balance = sum(result.taxes, Fraction(0)) == 0
+    scanned = verification.line_optima if verification is not None else ()
     user_best = []
     for user, price in enumerate(prices):
-        on_line = result.allocation != 0 and result.taxes[user] == result.allocation * price
-        _, best = price_line_optimum(user, price, Fraction(0), config)
-        user_best.append(
-            on_line
-            and not improves(config.utilities[user], best, _held_utility(user, result, config))
-        )
+        ok = result.allocation != 0 and result.taxes[user] == result.allocation * price
+        if ok:
+            if scanned and scanned[user][0] == 0:
+                best = scanned[user][1]
+            else:
+                _, best = price_line_optimum(user, price, Fraction(0), config)
+            ok = not improves(config.utilities[user], best, _held_utility(user, result, config))
+        user_best.append(ok)
     user_best_nonneg = tuple(ok and price >= 0 for ok, price in zip(user_best, prices))
     return LindahlCertificate(
         allocation, prices_balance, taxes_balance, tuple(user_best), user_best_nonneg
@@ -444,7 +463,7 @@ def build_report(
         matches = equilibrium_tax_form(candidate, catalog.size) == result.taxes
     if include_lindahl is None:
         include_lindahl = verification.is_ne
-    certificate = ne_to_lindahl(candidate, config) if include_lindahl else None
+    certificate = ne_to_lindahl(candidate, config, verification) if include_lindahl else None
     return EquilibriumReport(
         candidate=tuple(candidate),
         allocation=result.allocation,

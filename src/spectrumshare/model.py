@@ -13,6 +13,7 @@ floating point enters only when a logarithmic utility is evaluated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,10 +45,10 @@ def as_fraction(value) -> Fraction:
     Floats are converted through their shortest decimal representation, so a
     literal 0.1 means 1/10 rather than the underlying binary float.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a rational number, got {value!r}")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a rational number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -181,7 +182,7 @@ class TableUtility:
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
         if not self.values or self.values[0] != 0:
             raise ConfigError("utility table must start with value 0 for the null allocation")
-        if any(v < 0 for v in self.values):
+        if any(v.numerator < 0 for v in self.values):
             raise ConfigError("utility table values must be non-negative")
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[Fraction, ...]:
@@ -221,26 +222,25 @@ class SirLogUtility:
             raise ConfigError("SIR utility weights must be non-negative")
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
-        """Catalog walk in index order; each band term is computed once per
-        column of per-user power levels and summed in band order."""
-        weights = [float(w) for w in self.weights]
-        levels = config.quant_levels
-        level_of = {level: i for i, level in enumerate(levels)}
-        bundle_levels = [tuple(level_of[p] for p in bundle) for bundle in config.bundles]
-        terms: list[dict[tuple[int, ...], float]] = [{} for _ in weights]
-        values = [0.0]
-        for profile in product(bundle_levels, repeat=config.num_users):
-            total = 0.0
-            for band, weight in enumerate(weights):
-                column = tuple(bundle[band] for bundle in profile)
-                term = terms[band].get(column)
-                if term is None:
-                    powers = [levels[i] for i in column]
-                    ratio = _band_sir(config, self.user, band, powers)
-                    term = terms[band][column] = weight * math.log1p(float(ratio))
-                total += term
-            values.append(total)
-        return tuple(values)
+        """Catalog walk in index order without decoding a profile.
+
+        Per band, the term weight * log1p(SIR) is computed once per column
+        code (`ScenarioConfig.band_columns`) from the integer SIR ratio and
+        read off by each profile's code; terms are summed in band order.
+        """
+        values = None
+        for band, (used, codes) in enumerate(config.band_columns):
+            weight = float(self.weights[band])
+            terms = [
+                weight * math.log1p(signal / interference)
+                for signal, interference in (
+                    _sir_ratio(config, self.user, band, column)
+                    for column in product(used, repeat=config.num_users)
+                )
+            ]
+            band_terms = map(terms.__getitem__, codes)
+            values = list(band_terms if values is None else map(operator.add, values, band_terms))
+        return (0.0, *values)
 
     @staticmethod
     def tax_cost(tax: Fraction) -> float:
@@ -272,7 +272,7 @@ class CubicTaxUtility:
         object.__setattr__(self, "beta", as_fraction(self.beta))
         if not self.values or self.values[0] != 0:
             raise ConfigError("utility table must start with value 0 for the null allocation")
-        if any(v < 0 for v in self.values):
+        if any(v.numerator < 0 for v in self.values):
             raise ConfigError("utility table values must be non-negative")
         if self.beta <= 0:
             raise ConfigError("beta must be strictly positive")
@@ -310,7 +310,7 @@ class IntegerScaling:
 
 def integer_scaling(values: Sequence) -> IntegerScaling:
     """Scale exact values (floats converted exactly) by their common denominator."""
-    exact = [Fraction(v) for v in values]
+    exact = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in exact))
     return IntegerScaling(scale, tuple(v.numerator * (scale // v.denominator) for v in exact))
 
@@ -412,6 +412,44 @@ class ScenarioConfig:
         return tuple(spec.value_vector(self) for spec in self.utilities)
 
     @cached_property
+    def band_columns(self) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
+        """Per band, the level indices some bundle uses there, and every
+        profile's column code in catalog order.
+
+        A column code reads the users' positions in that tuple of level
+        indices as a mixed-radix number, user 0 most significant, so
+        `product(used, repeat=num_users)` lists the columns in code order.
+        """
+        level_of = {level: i for i, level in enumerate(self.quant_levels)}
+        columns = []
+        for band in range(self.num_bands):
+            used = sorted({level_of[bundle[band]] for bundle in self.bundles})
+            position = {level: i for i, level in enumerate(used)}
+            digits = [position[level_of[bundle[band]]] for bundle in self.bundles]
+            codes = [0]
+            for _ in range(self.num_users):
+                codes = [code * len(used) + digit for code in codes for digit in digits]
+            columns.append((tuple(used), codes))
+        return tuple(columns)
+
+    @cached_property
+    def integer_channels(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+        """The SIR inputs as integers: the quantization levels over their
+        common denominator, and per receiver and band (noise, gain from user
+        0, ..., gain from user N - 1) over another, the noise also times the
+        levels' denominator."""
+        levels = integer_scaling(self.quant_levels)
+        noise = self.noise_half_density * levels.scale
+        channels = tuple(
+            tuple(
+                integer_scaling((noise, *(plane[rx][band] for plane in self.gains))).heights
+                for band in range(self.num_bands)
+            )
+            for rx in range(self.num_users)
+        )
+        return levels.heights, channels
+
+    @cached_property
     def integer_scalings(self) -> tuple[IntegerScaling, ...]:
         """Per user, the value vector as integers over one scale."""
         return tuple(integer_scaling(values) for values in self.value_vectors)
@@ -434,19 +472,21 @@ def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fra
     if not 0 <= band < config.num_bands:
         raise ValueError(f"band {band} outside 0..{config.num_bands - 1}")
     profile = catalog.profile_of(catalog_index)
-    return _band_sir(config, user, band, [bundle[band] for bundle in profile])
+    column = [config.quant_levels.index(bundle[band]) for bundle in profile]
+    return Fraction(*_sir_ratio(config, user, band, column))
 
 
-def _band_sir(
-    config: ScenarioConfig, user: int, band: int, powers: Sequence[Fraction]
-) -> Fraction:
-    """SIR of `user` on `band` given every user's power on that band."""
-    signal = config.gains[user][user][band] * powers[user]
-    interference = config.noise_half_density
-    for j, power in enumerate(powers):
-        if j != user:
-            interference += config.gains[j][user][band] * power
-    return signal / interference
+def _sir_ratio(
+    config: ScenarioConfig, user: int, band: int, column: Sequence[int]
+) -> tuple[int, int]:
+    """Integers (signal, interference) whose quotient is the SIR of `user` on
+    `band` when every user j transmits at level index column[j]: both sides
+    of the ratio in `sir`, times one positive integer."""
+    levels, channels = config.integer_channels
+    noise, *gains = channels[user][band]
+    received = [gain * levels[level] for gain, level in zip(gains, column)]
+    signal = received[user]
+    return signal, noise + sum(received) - signal
 
 
 def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig):

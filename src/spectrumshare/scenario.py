@@ -27,6 +27,10 @@ from .model import (
     as_fraction,
 )
 
+# The price grid is materialized (random best-response starts, the budget
+# sweep), so its size is capped: floor(pi_max / pi_step) + 1 prices.
+MAX_GRID_PRICES = 10**6
+
 _TOP_KEYS = (
     "num_users",
     "num_bands",
@@ -76,6 +80,11 @@ def _rational(value, path: str) -> Fraction:
         _fail(path, str(exc))
 
 
+def _rationals(values, path: str) -> tuple[Fraction, ...]:
+    """`_rational` over a list; JSON integers become `Fraction`s directly."""
+    return tuple(Fraction(v) if type(v) is int else _rational(v, path) for v in values)
+
+
 def _integer(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(path, f"expected an integer, got {value!r}")
@@ -89,17 +98,17 @@ def _parse_utility(entry, user: int, num_bands: int, path: str) -> UtilitySpec:
     try:
         if variant == "table":
             _require_keys(entry, ("variant", "values"), path)
-            return TableUtility(tuple(_rational(v, f"{path}.values") for v in entry["values"]))
+            return TableUtility(_rationals(entry["values"], f"{path}.values"))
         if variant == "sir_log":
             _require_keys(entry, ("variant", "weights"), path)
-            weights = tuple(_rational(w, f"{path}.weights") for w in entry["weights"])
+            weights = _rationals(entry["weights"], f"{path}.weights")
             if len(weights) != num_bands:
                 _fail(path, f"need {num_bands} band weights, got {len(weights)}")
             return SirLogUtility(user=user, weights=weights)
         if variant == "cubic_tax":
             _require_keys(entry, ("variant", "values", "beta"), path)
             return CubicTaxUtility(
-                tuple(_rational(v, f"{path}.values") for v in entry["values"]),
+                _rationals(entry["values"], f"{path}.values"),
                 _rational(entry["beta"], f"{path}.beta"),
             )
     except ConfigError as exc:
@@ -181,6 +190,12 @@ def parse_scenario(data: dict, digest: str = "") -> Scenario:
         _fail("scenario.grid.pi_step", "must be strictly positive")
     if pi_max < pi_step:
         _fail("scenario.grid.pi_max", "must be at least pi_step")
+    prices = int(pi_max / pi_step) + 1
+    if prices > MAX_GRID_PRICES:
+        _fail(
+            "scenario.grid.pi_step",
+            f"pi_max / pi_step gives {prices} grid prices; the limit is {MAX_GRID_PRICES}",
+        )
 
     measurement = data["measurement"]
     _require_keys(measurement, ("pilot_power", "behaviors"), "scenario.measurement")

@@ -7,8 +7,9 @@
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
 - The price-line loop over `Fraction` taxes, which the integer kernel
-  `price_line_optimum` replaced, and the per-index SIR loop that built the
-  `sir_log` value vectors before the per-band term tables.
+  `price_line_optimum` replaced; the per-index `Fraction` SIR loop that
+  built the `sir_log` value vectors before the column codes and integer SIR
+  ratios; and `Fraction(v)` for every value in `integer_scaling`.
 
 The differential tests compare the library against them.
 """
@@ -32,7 +33,6 @@ from spectrumshare.model import (
     SirLogUtility,
     as_fraction,
     improves,
-    sir,
     utility_eval,
 )
 
@@ -168,13 +168,31 @@ def price_line_oracle(user: int, price, credit, config: ScenarioConfig):
     return best_index, best_value
 
 
+def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:
+    """`sir` in `Fraction` arithmetic on the decoded profile's powers."""
+    powers = [bundle[band] for bundle in config.catalog.profile_of(index)]
+    signal = config.gains[user][user][band] * powers[user]
+    interference = config.noise_half_density
+    for j, power in enumerate(powers):
+        if j != user:
+            interference += config.gains[j][user][band] * power
+    return signal / interference
+
+
 def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float, ...]:
-    """`SirLogUtility.value_vector` by calling `sir` on every index and band."""
+    """`SirLogUtility.value_vector` by a `Fraction` SIR on every index and band."""
     weights = [float(w) for w in spec.weights]
     values = [0.0]
     for index in range(1, config.catalog.size + 1):
         total = 0.0
         for band, weight in enumerate(weights):
-            total += weight * math.log1p(float(sir(index, spec.user, band, config)))
+            total += weight * math.log1p(float(fraction_sir(index, spec.user, band, config)))
         values.append(total)
     return tuple(values)
+
+
+def integer_scaling_oracle(values) -> tuple[int, tuple[int, ...]]:
+    """`integer_scaling` through `Fraction(v)` for every value: (scale, heights)."""
+    exact = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in exact)

@@ -8,7 +8,7 @@ import pytest
 
 from spectrumshare.cli import main
 from spectrumshare.measurement import Honest, ReportCheat
-from spectrumshare.scenario import write_scenario
+from spectrumshare.scenario import scenario_to_jsonable, write_scenario
 from spectrumshare.presets import desk_scenario
 
 from spectrumshare import (
@@ -98,6 +98,15 @@ class TestEnumerate:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "--scenario", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_oversized_grid_exits_2(self, capsys, tmp_path):
+        document = scenario_to_jsonable(small_scenario())
+        document["grid"]["pi_step"] = "1/1000000000"
+        path = tmp_path / "fine-grid.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "enumerate", "--scenario", str(path))
+        assert code == 2
+        assert "scenario.grid.pi_step" in err
 
 
 class TestValueBudget:
@@ -330,6 +339,25 @@ class TestVerify:
         document = json.loads(out)
         assert document["report"]["is_ne"] is False
         assert document["best_deviation"]["gain"]
+
+    @pytest.mark.parametrize("index", [4, 2])
+    def test_unanimity_scans_each_price_line_once(self, capsys, small_path, monkeypatch, index):
+        from spectrumshare import equilibrium
+
+        scans = []
+        kernel = equilibrium.price_line_optimum
+
+        def counted(user, price, credit, config):
+            scans.append((user, price, credit))
+            return kernel(user, price, credit, config)
+
+        monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
+        messages = json.dumps([[index, 1]] * 3)
+        code, out, _ = run(capsys, "verify", "--scenario", small_path, "--messages", messages)
+        assert code == 0
+        assert f"\nNE: {index == 4}" in out
+        assert len(scans) == 3
+        assert sorted(user for user, _, _ in scans) == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "messages, is_ne",

@@ -524,6 +524,22 @@ class TestReports:
             "NE off a user's personal price line optimum",
         )
 
+    def test_off_line_users_are_not_scanned(self, small, monkeypatch):
+        import spectrumshare.equilibrium as equilibrium
+
+        scans = []
+        kernel = equilibrium.price_line_optimum
+
+        def counted(user, price, credit, config):
+            scans.append(user)
+            return kernel(user, price, credit, config)
+
+        monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
+        # Infeasible average: every user's tax is 0, off its price line.
+        certificate = ne_to_lindahl((Message(-50, 1), Message(0, 2), Message(0, 0)), small)
+        assert certificate.user_best == (False, False, False)
+        assert scans == []
+
     def test_exact_ne_is_best_on_price_line(self, small):
         for price in (0, Fraction(1, 3), 1):
             for report in unanimity_scan(price, small):
@@ -613,6 +629,13 @@ class TestExactAgainstGridOracle:
         config = ORACLE_CONFIGS[variant]
         certificate = ne_to_lindahl(candidate, config)
         assert certificate.user_best_nonneg_tax == user_best_nonneg_tax(candidate, config)
+
+    @given(candidate=candidates)
+    @settings(max_examples=60, deadline=None)
+    def test_lent_scans_give_the_same_certificate(self, variant, candidate):
+        config = ORACLE_CONFIGS[variant]
+        lent = ne_to_lindahl(candidate, config, verify_ne(candidate, config))
+        assert lent == ne_to_lindahl(candidate, config)
 
 
 # Arbitrary tables rarely share an equilibrium; single-peaked ones with

@@ -16,13 +16,14 @@ from spectrumshare import (
     as_fraction,
     build_catalog,
     enumerate_bundles,
+    integer_scaling,
     sir,
     utility_eval,
 )
 from spectrumshare.model import MAX_CATALOG_SIZE, MAX_VALUED_PROFILES
 
 from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
-from grid_oracle import sir_value_oracle
+from grid_oracle import fraction_sir, integer_scaling_oracle, sir_value_oracle
 
 
 def oracle_bundles(levels, bands, budget):
@@ -220,9 +221,86 @@ class TestSir:
     @settings(max_examples=10, deadline=None)
     def test_value_vector_matches_per_index_loop(self, shape, data):
         config = data.draw(sir_configs(shapes=(shape,)))
-        for spec, values in zip(config.utilities, config.value_vectors):
-            expected = sir_value_oracle(spec, config)
-            assert [v.hex() for v in values] == [v.hex() for v in expected]
+        assert_matches_oracle(config)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fraction_formula(self, data):
+        config = data.draw(sir_configs())
+        index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
+        for user in range(config.num_users):
+            for band in range(config.num_bands):
+                assert sir(index, user, band, config) == fraction_sir(index, user, band, config)
+
+    def test_benchmark_shape(self):
+        # 4 users, 2 bands, Q = {0, 1, 2}, budget 2: 6 bundles, 1296 profiles.
+        gains = tuple(
+            tuple(
+                tuple(Fraction(3 + tx + band, 2) if tx == rx else Fraction(1, 2 + rx + band)
+                      for band in range(2))
+                for rx in range(4)
+            )
+            for tx in range(4)
+        )
+        config = sir_config(gains, (0, 1, 2), 2, noise=Fraction(7, 10))
+        assert config.catalog.size == 1296
+        assert_matches_oracle(config)
+
+    def test_unreachable_level_columns(self):
+        # Levels 2 and 7/2 exceed the budget and level 3/2 fits one band at
+        # a time, so each band uses only some of the quantization levels.
+        levels = (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 2))
+        config = sir_config(uniform_gains(3, 2, cross=Fraction(2, 3)), levels, Fraction(3, 2))
+        used, codes = config.band_columns[0]
+        assert used == (0, 1, 2, 3)
+        assert len(codes) == config.catalog.size and max(codes) == 4**3 - 1
+        assert_matches_oracle(config)
+
+    def test_zero_interferer_gains(self):
+        gains = uniform_gains(3, 2, direct=Fraction(5, 3), cross=Fraction(0))
+        config = sir_config(gains, (0, 1, 2), 2, noise=Fraction(1, 3))
+        assert_matches_oracle(config)
+        index = config.catalog.index_of(((Fraction(2), Fraction(0)),) * 3)
+        assert sir(index, 1, 0, config) == 10
+
+
+def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
+    users, bands = len(gains), len(gains[0][0])
+    weights = [tuple(Fraction(u + b + 1, 2) for b in range(bands)) for u in range(users)]
+    return ScenarioConfig(
+        num_users=users,
+        num_bands=bands,
+        quant_levels=levels,
+        power_budget=budget,
+        noise_half_density=noise,
+        gains=gains,
+        utilities=tuple(SirLogUtility(user=u, weights=weights[u]) for u in range(users)),
+    )
+
+
+def assert_matches_oracle(config: ScenarioConfig) -> None:
+    """Every `sir_log` value equals the `Fraction` SIR loop's, float for float."""
+    for spec, values in zip(config.utilities, config.value_vectors):
+        expected = sir_value_oracle(spec, config)
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+
+class TestIntegerScaling:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**70), max_value=2**70),
+                st.fractions(max_denominator=10**6),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_of_every_value(self, values):
+        scaling = integer_scaling(values)
+        assert (scaling.scale, scaling.heights) == integer_scaling_oracle(values)
 
 
 class TestUtilityEval:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from spectrumshare import ConfigError, Honest, PilotCheat, ReportCheat
+from spectrumshare import ConfigError, Honest, MessageGrid, PilotCheat, ReportCheat
 from spectrumshare.scenario import (
+    MAX_GRID_PRICES,
     load_scenario,
     parse_scenario,
     rational_to_json,
@@ -136,6 +137,29 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match="seed"):
             load_document(tmp_path, document)
 
+    def test_oversized_grid_names_pi_step(self, tmp_path, document, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(MessageGrid, "standard", never)
+        document["grid"]["pi_step"] = "1/1000000000"
+        with pytest.raises(ConfigError, match=r"scenario\.grid\.pi_step") as excinfo:
+            load_document(tmp_path, document)
+        assert str(MAX_GRID_PRICES) in str(excinfo.value)
+
+    def test_grid_at_the_cap_accepted(self, tmp_path, document):
+        document["grid"] = {"pi_step": 1, "pi_max": MAX_GRID_PRICES - 1}
+        assert load_document(tmp_path, document).pi_max == MAX_GRID_PRICES - 1
+        document["grid"]["pi_max"] = MAX_GRID_PRICES
+        with pytest.raises(ConfigError, match=r"scenario\.grid\.pi_step"):
+            load_document(tmp_path, document)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_table_value_named(self, tmp_path, document, flag):
+        document["utilities"][0]["values"][3] = flag
+        with pytest.raises(ConfigError, match=r"scenario\.utilities\[0\]\.values"):
+            load_document(tmp_path, document)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -154,6 +178,12 @@ class TestRationalParsing:
         document["grid"]["pi_step"] = "1/3"
         loaded = load_document(tmp_path, document)
         assert loaded.pi_step == Fraction(1, 3)
+
+    def test_table_ints_parse_exactly(self, tmp_path, document):
+        document["utilities"][0]["values"] = [0, 7, "5/2", 0.5, 2**70, 1, 1, 1, 1]
+        values = load_document(tmp_path, document).config.utilities[0].values
+        assert values == (0, 7, Fraction(5, 2), Fraction(1, 2), 2**70, 1, 1, 1, 1)
+        assert all(type(v) is Fraction for v in values)
 
     def test_rational_to_json_lossless(self):
         assert rational_to_json(Fraction(5)) == 5
