@@ -540,6 +540,16 @@ class TestReports:
         assert certificate.user_best == (False, False, False)
         assert scans == []
 
+    def test_lent_scan_with_credit_is_not_reused(self, small):
+        # User 0 pays exactly allocation * personal price, but verify_ne
+        # scanned its line with the credit c_0 = 9 * 4 rebated.
+        candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
+        verification = verify_ne(candidate, small)
+        assert verification.line_optima[0][0] == 36
+        certificate = ne_to_lindahl(candidate, small, verification)
+        assert certificate == ne_to_lindahl(candidate, small)
+        assert certificate.user_best == (True, False, False)
+
     def test_exact_ne_is_best_on_price_line(self, small):
         for price in (0, Fraction(1, 3), 1):
             for report in unanimity_scan(price, small):
