@@ -525,7 +525,7 @@ class TestReports:
         )
 
     def test_off_line_users_are_not_scanned(self, small, monkeypatch):
-        import spectrumshare.equilibrium as equilibrium
+        from spectrumshare import equilibrium
 
         scans = []
         kernel = equilibrium.price_line_optimum
