@@ -37,7 +37,6 @@ from .equilibrium import (
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateScenarioError,
     PriceScaleError,
     PriceSystemError,
 )
@@ -48,7 +47,6 @@ from .measurement import (
     MeasurementResult,
     PilotCheat,
     ReportCheat,
-    exclusion_consequence,
     run_measurement,
 )
 from .mechanism import (

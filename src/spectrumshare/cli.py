@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -170,6 +171,7 @@ def cmd_enumerate(args) -> int:
     }
     rows = None
     if args.table:
+        scenario.config.check_profile_cap("listing the profile table")
         rows = [
             [index] + [" ".join(_fmt(p) for p in bundle) for bundle in catalog.profile_of(index)]
             for index in range(1, catalog.size + 1)
@@ -407,6 +409,7 @@ def cmd_measure(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON file")

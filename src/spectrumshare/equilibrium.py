@@ -482,66 +482,36 @@ def build_report(
 PriceInterval = tuple[Optional[Fraction], Fraction]
 
 
-def _steepest_rise(heights: Sequence[int]) -> list[Optional[tuple[int, int]]]:
-    """Per index k, the largest slope (h[j] - h[k]) / (j - k) over j > k.
+def price_intervals(scaling: IntegerScaling) -> dict[int, PriceInterval]:
+    """The personal prices p at which catalog index k >= 1 maximizes
+    V(j) - j * p over j = 0..size, V = heights / scale, for every k that is
+    best at some price.
 
-    Each slope is returned as (rise, run), None for the last index.  A
-    right-to-left sweep keeps the upper hull of the points already passed
-    (leftmost vertex last, collinear points dropped); along that concave
-    chain the slope from (k, h[k]) rises to the tangent vertex and falls
-    after it, so a binary search finds it.
-    """
-    last = len(heights) - 1
-    steepest: list[Optional[tuple[int, int]]] = [None] * (last + 1)
-    hull = [last]
-    for k in range(last - 1, -1, -1):
-        height = heights[k]
-        # The tangent vertex is the leftmost one whose rightward edge is no
-        # steeper than the ray from k to it; the rightmost vertex (position
-        # 0) qualifies vacuously, and positions count from the right.
-        lo, hi = 0, len(hull) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            vertex, right = hull[mid], hull[mid - 1]
-            edge = (heights[right] - heights[vertex]) * (vertex - k)
-            if edge <= (heights[vertex] - height) * (right - vertex):
-                lo = mid
-            else:
-                hi = mid - 1
-        tangent = hull[lo]
-        steepest[k] = (heights[tangent] - height, tangent - k)
-        while len(hull) >= 2:
-            left, right = hull[-1], hull[-2]
-            rise = (heights[left] - height) * (right - left)
-            if rise <= (heights[right] - heights[left]) * (left - k):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return steepest
-
-
-def price_intervals(scaling: IntegerScaling) -> tuple[PriceInterval, ...]:
-    """Per catalog index k = 1..size (entry k - 1), the personal prices p at
-    which k maximizes V(j) - j * p over j = 0..size, V = heights / scale.
-
-    lower = max over j > k of (V(j) - V(k)) / (j - k), minus infinity at
-    k = size; upper = min over j < k of the same slope, where j = 0 carries
-    individual rationality.  k is best exactly when lower <= p <= upper, so
-    an interval with lower > upper means k is never best.  The scan runs on
-    the integer heights in O(size log size).
+    Those k are the points of the upper concave hull of (j, V(j)), collinear
+    points included; every other index lies strictly below a chord and is
+    never best.  k's interval runs from the slope of the hull edge on its
+    right (minus infinity at the last index) to the slope of the edge on its
+    left, whose left end may be j = 0, which carries individual rationality.
+    One left-to-right pass over the integer heights builds the hull.
     """
     heights, scale = scaling.heights, scaling.scale
-    lower = _steepest_rise(heights)
-    # Mirroring the indices turns the smallest slope over j < k into minus
-    # the largest slope over j > k.
-    upper = _steepest_rise(heights[::-1])[::-1]
-    intervals = []
-    for k in range(1, len(heights)):
-        low = None if lower[k] is None else Fraction(lower[k][0], lower[k][1] * scale)
-        rise, run = upper[k]
-        intervals.append((low, Fraction(-rise, run * scale)))
-    return tuple(intervals)
+    hull = [0]
+    for k, height in enumerate(heights[1:], start=1):
+        # Pop the last vertex only while it lies strictly below the chord
+        # from the vertex before it to k, so collinear vertices stay.
+        while len(hull) >= 2:
+            left, middle = hull[-2], hull[-1]
+            rise = (heights[middle] - heights[left]) * (k - left)
+            if rise >= (height - heights[left]) * (middle - left):
+                break
+            hull.pop()
+        hull.append(k)
+    slopes = [
+        Fraction(heights[right] - heights[left], (right - left) * scale)
+        for left, right in zip(hull, hull[1:])
+    ]
+    slopes.append(None)
+    return {k: (slopes[i], slopes[i - 1]) for i, k in enumerate(hull) if i}
 
 
 def balanced_prices(
@@ -612,11 +582,13 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
 
     Every NE gives a Lindahl allocation and every Lindahl allocation rebuilds
     into an NE, so with quasi-linear utilities allocation k is an NE
-    allocation exactly when the users' `price_intervals` at k admit personal
-    prices summing to zero.  A user whose utility is not quasi-linear
-    contributes the interval [0, 0] where k is its weak top choice and rules
-    k out elsewhere; the census is then incomplete: it lists the zero-price
-    equilibria and misses any that need that user to face a non-zero price.
+    allocation exactly when every user's `price_intervals` has k and those
+    intervals admit personal prices summing to zero.  A user whose utility is
+    not quasi-linear contributes the interval [0, 0] where k is its weak top
+    choice and rules k out elsewhere; the census is then incomplete: it lists
+    the zero-price equilibria and misses any that need that user to face a
+    non-zero price.  Only allocations that every user admits are tested
+    against `balanced_prices`, in ascending order.
 
     Each entry's messages come from `balanced_prices` and `lindahl_to_ne` at
     the smallest feasible seed price, and are certified by `build_report`.
@@ -631,12 +603,13 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
             per_user.append(price_intervals(scaling))
         else:
             top = max(values)
-            per_user.append(tuple(zero if value == top else None for value in values[1:]))
+            per_user.append({k: zero for k in range(1, len(values)) if values[k] == top})
     entries = []
-    for allocation, intervals in enumerate(zip(*per_user), start=1):
+    for allocation in sorted(set(per_user[0]).intersection(*per_user[1:])):
+        intervals = tuple(user_intervals[allocation] for user_intervals in per_user)
         prices = balanced_prices(intervals)
         if prices is not None:
             report = _certified_equilibrium(allocation, prices, config)
-            entries.append(CensusEntry(tuple(intervals), report))
+            entries.append(CensusEntry(intervals, report))
     complete = all(spec.quasi_linear for spec in config.utilities)
     return LindahlCensus(complete, config.catalog.size, tuple(entries))

@@ -9,10 +9,6 @@ class ContractError(Exception):
     """An internal identity that must always hold was violated."""
 
 
-class DegenerateScenarioError(ConfigError):
-    """Too few users remain for the cyclic pricing structure to work."""
-
-
 class PriceSystemError(ValueError):
     """The personalized prices are inconsistent (they must sum to zero)."""
 

@@ -5,9 +5,10 @@ pilot signals at an agreed power, both sides report the power they received,
 and the accountant cross-checks the two reports.  Physical reciprocity makes
 the two directions of one pair see the same gain, so honest reports always
 match; if the reports of a pair differ on any band, both members of the pair
-are barred from the game.  The cross-check catches any one-sided deviation
-but is intentionally blind to a pair distorting symmetrically; that limit is
-part of the protocol, not a bug here.
+are marked for exclusion.  The marks are reported, not applied: the game is
+still played by every user on the scenario's true gains.  The cross-check
+catches any one-sided deviation but is intentionally blind to a pair
+distorting symmetrically; that limit is part of the protocol, not a bug here.
 
 The simulation is sequential and deterministic: pairs in lexicographic
 order, bands inner-most, exactly one report record per (pair, band).
@@ -15,12 +16,12 @@ order, bands inner-most, exactly one report record per (pair, band).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ConfigError, DegenerateScenarioError
-from .model import ScenarioConfig, SirLogUtility, as_fraction, build_catalog
+from .errors import ConfigError
+from .model import ScenarioConfig, as_fraction
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def run_measurement(
     config: ScenarioConfig,
     tolerance=Fraction(0),
 ) -> MeasurementResult:
-    """Simulate the pilot/report protocol and apply the exclusion rule.
+    """Simulate the pilot/report protocol and mark the users it excludes.
 
     `true_gains[tx][rx][band]` is the ground-truth gain; by reciprocity the
     reverse pilot of a pair travels through the same gain.  Estimated cross
@@ -154,62 +155,3 @@ def run_measurement(
 
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in estimated)
     return MeasurementResult(frozen, frozenset(excluded), tuple(mismatched), tuple(reports))
-
-
-def exclusion_consequence(excluded, config: ScenarioConfig) -> ScenarioConfig:
-    """Restrict a scenario to the users that survived the cross-check.
-
-    Gains are sliced, SIR utilities are renumbered, and value tables are
-    re-indexed through the reduced catalog by pinning every excluded user to
-    the all-zero bundle (a barred user transmits nothing).  Budget, levels
-    and noise stay as they were.
-    """
-    excluded = frozenset(excluded)
-    unknown = excluded - set(range(config.num_users))
-    if unknown:
-        raise ValueError(f"excluded users {sorted(unknown)} are not in the scenario")
-    if not excluded:
-        return config
-    remaining = [u for u in range(config.num_users) if u not in excluded]
-    if len(remaining) < 3:
-        raise DegenerateScenarioError(
-            f"only {len(remaining)} users remain after exclusion; at least 3 are needed"
-        )
-
-    gains = tuple(
-        tuple(config.gains[tx][rx] for rx in remaining) for tx in remaining
-    )
-    old_catalog = config.catalog
-    zero_bundle = tuple(Fraction(0) for _ in range(config.num_bands))
-    reduced_catalog = None
-    utilities = []
-    for new_user, old_user in enumerate(remaining):
-        spec = config.utilities[old_user]
-        if isinstance(spec, SirLogUtility):
-            utilities.append(replace(spec, user=new_user))
-            continue
-        if reduced_catalog is None:
-            reduced_catalog = build_catalog(len(remaining), old_catalog.bundles)
-        values = [spec.values[0]]
-        for index in range(1, reduced_catalog.size + 1):
-            reduced_profile = reduced_catalog.profile_of(index)
-            embedded = []
-            position = 0
-            for user in range(config.num_users):
-                if user in excluded:
-                    embedded.append(zero_bundle)
-                else:
-                    embedded.append(reduced_profile[position])
-                    position += 1
-            values.append(spec.values[old_catalog.index_of(tuple(embedded))])
-        utilities.append(replace(spec, values=tuple(values)))
-
-    return ScenarioConfig(
-        num_users=len(remaining),
-        num_bands=config.num_bands,
-        quant_levels=config.quant_levels,
-        power_budget=config.power_budget,
-        noise_half_density=config.noise_half_density,
-        gains=gains,
-        utilities=tuple(utilities),
-    )

@@ -28,9 +28,10 @@ PowerBundle = tuple[Fraction, ...]
 # larger is out of desk scale and almost certainly a misconfiguration.
 MAX_CATALOG_SIZE = 2**63 - 1
 
-# Evaluating utilities builds one value per user and profile up front, so
-# catalogs beyond this many profiles are refused there; commands that never
-# evaluate a utility (enumerate, outcome) still accept them.
+# Evaluating utilities builds one value per user and profile up front, and
+# `enumerate --table` lists every profile, so catalogs beyond this many
+# profiles are refused there; `outcome` and a bare `enumerate` still accept
+# them.
 MAX_VALUED_PROFILES = 10**6
 
 # Float utilities count as strictly better only beyond this combined
@@ -310,9 +311,11 @@ class IntegerScaling:
 
 def integer_scaling(values: Sequence) -> IntegerScaling:
     """Scale exact values (floats converted exactly) by their common denominator."""
-    exact = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in exact))
-    return IntegerScaling(scale, tuple(v.numerator * (scale // v.denominator) for v in exact))
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(denominator for _, denominator in ratios))
+    return IntegerScaling(
+        scale, tuple(numerator * (scale // denominator) for numerator, denominator in ratios)
+    )
 
 
 @dataclass(frozen=True)
@@ -401,15 +404,20 @@ class ScenarioConfig:
         pay for it; entry 0 is the null allocation, worth 0.  Catalogs over
         `MAX_VALUED_PROFILES` raise `ConfigError`.
         """
+        self.check_profile_cap("evaluating utilities")
+        return tuple(spec.value_vector(self) for spec in self.utilities)
+
+    def check_profile_cap(self, work: str) -> None:
+        """Raise `ConfigError` naming `scenario.num_users` when the catalog
+        has more than `MAX_VALUED_PROFILES` profiles for `work` to visit."""
         size = self.catalog.size
         if size > MAX_VALUED_PROFILES:
             raise ConfigError(
                 f"scenario.num_users: {self.num_users} users over {len(self.bundles)} "
-                f"bundles give {size} profiles; evaluating utilities is limited to "
+                f"bundles give {size} profiles; {work} is limited to "
                 f"{MAX_VALUED_PROFILES} profiles (lower num_users, num_bands, "
                 "quant_levels or power_budget)"
             )
-        return tuple(spec.value_vector(self) for spec in self.utilities)
 
     @cached_property
     def band_columns(self) -> tuple[tuple[tuple[int, ...], list[int]], ...]:

@@ -121,7 +121,8 @@ def unanimity_scan(price, config: ScenarioConfig) -> list[EquilibriumReport]:
 
 
 def interval_oracle(values) -> tuple[tuple[Optional[Fraction], Fraction], ...]:
-    """`price_intervals` by scanning every pair of catalog indices."""
+    """Every index's price interval, empty ones included, by scanning every
+    pair of catalog indices; `price_intervals` keeps the non-empty ones."""
     exact = [Fraction(v) for v in values]
     intervals = []
     for k in range(1, len(exact)):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spectrumshare.cli import main
+from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.scenario import scenario_to_jsonable, write_scenario
 from spectrumshare.presets import desk_scenario
@@ -14,6 +14,7 @@ from spectrumshare.presets import desk_scenario
 from spectrumshare import (
     CubicTaxUtility,
     NEVerification,
+    ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
@@ -42,6 +43,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestEnumerate:
@@ -111,7 +116,8 @@ class TestEnumerate:
 
 class TestValueBudget:
     """A catalog over the value budget: no command builds it, and every
-    command that would evaluate utilities exits 2 naming the field."""
+    command that would evaluate utilities or list every profile exits 2
+    naming the field."""
 
     USERS = MAX_VALUED_PROFILES.bit_length()
 
@@ -139,6 +145,17 @@ class TestValueBudget:
         code, out, _ = run(capsys, "outcome", "--scenario", big_path, "--messages", messages)
         assert code == 0
         assert f"allocation: {2**self.USERS}" in out
+
+    def test_enumerate_table_exits_2(self, capsys, big_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no profile may be decoded")
+
+        monkeypatch.setattr(ProfileCatalog, "profile_of", never)
+        code, out, err = run(capsys, "enumerate", "--scenario", big_path, "--table")
+        assert code == 2
+        assert out == ""
+        assert "scenario.num_users" in err
+        assert str(MAX_VALUED_PROFILES) in err
 
     @pytest.mark.parametrize("command", ["verify", "find-ne"])
     def test_evaluation_exits_2(self, capsys, big_path, command):

@@ -1,4 +1,4 @@
-"""Pilot exchange, report cross-check, exclusion rule, scenario reduction."""
+"""Pilot exchange, report cross-check, exclusion rule."""
 
 from fractions import Fraction
 
@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from spectrumshare import (
     ConfigError,
-    DegenerateScenarioError,
     Honest,
     PilotCheat,
     ReportCheat,
     ScenarioConfig,
-    SirLogUtility,
-    exclusion_consequence,
     run_measurement,
-    utility_eval,
 )
 
 from conftest import peak_table, uniform_gains
@@ -124,58 +120,3 @@ class TestRunMeasurement:
         else:
             assert result.mismatched_pairs == ()
 
-
-class TestExclusionConsequence:
-    def test_empty_exclusion_is_identity(self, small):
-        assert exclusion_consequence(frozenset(), small) is small
-
-    def test_remove_one_of_four(self):
-        config = four_user_config()
-        reduced = exclusion_consequence({1}, config)
-        assert reduced.num_users == 3
-        remaining = [0, 2, 3]
-        for i, old_i in enumerate(remaining):
-            for j, old_j in enumerate(remaining):
-                assert reduced.gains[i][j] == config.gains[old_i][old_j]
-        assert reduced.quant_levels == config.quant_levels
-        assert reduced.power_budget == config.power_budget
-
-    def test_reduced_tables_pin_excluded_users_to_zero_power(self):
-        config = four_user_config()
-        reduced = exclusion_consequence({1}, config)
-        old_catalog, new_catalog = config.catalog, reduced.catalog
-        assert new_catalog.size == 8
-        zero = (Fraction(0),)
-        for index in range(1, new_catalog.size + 1):
-            bundles = new_catalog.profile_of(index)
-            embedded = (bundles[0], zero, bundles[1], bundles[2])
-            old_index = old_catalog.index_of(embedded)
-            for new_user, old_user in enumerate([0, 2, 3]):
-                assert (
-                    reduced.utilities[new_user].values[index]
-                    == config.utilities[old_user].values[old_index]
-                )
-
-    def test_sir_utilities_renumbered(self):
-        config = ScenarioConfig(
-            num_users=4,
-            num_bands=1,
-            quant_levels=(0, 1),
-            power_budget=1,
-            noise_half_density=1,
-            gains=uniform_gains(4, 1),
-            utilities=tuple(SirLogUtility(user=u, weights=(Fraction(1),)) for u in range(4)),
-        )
-        reduced = exclusion_consequence({0}, config)
-        assert [spec.user for spec in reduced.utilities] == [0, 1, 2]
-        index = reduced.catalog.index_of(((Fraction(1),), (Fraction(0),), (Fraction(0),)))
-        assert utility_eval(reduced.utilities[0], index, 0, reduced) > 0
-
-    def test_too_few_remaining_rejected(self):
-        config = four_user_config()
-        with pytest.raises(DegenerateScenarioError):
-            exclusion_consequence({0, 1}, config)
-
-    def test_unknown_user_rejected(self, small):
-        with pytest.raises(ValueError):
-            exclusion_consequence({7}, small)
