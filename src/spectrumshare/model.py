@@ -43,8 +43,10 @@ FLOAT_ABS_TOL = 1e-18
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, decimal or "p/q" strings to an exact rational.
 
-    Floats are converted through their shortest decimal representation, so a
-    literal 0.1 means 1/10 rather than the underlying binary float.
+    A string of ASCII digits, "/", ASCII digits is split into two integers;
+    every other string goes through `Fraction(str)`.  Floats are converted
+    through their shortest decimal representation, so a literal 0.1 means
+    1/10 rather than the underlying binary float.
     """
     if isinstance(value, Fraction):
         return value
@@ -54,6 +56,9 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            numerator, slash, denominator = value.partition("/")
+            if slash and value.isascii() and numerator.isdigit() and denominator.isdigit():
+                return Fraction(int(numerator), int(denominator))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse rational from {value!r}") from exc
@@ -168,6 +173,21 @@ def build_catalog(num_users: int, bundles: Sequence[PowerBundle]) -> ProfileCata
     return ProfileCatalog(tuple(tuple(b) for b in bundles), num_users)
 
 
+_EXACT_TYPES = (int, Fraction)
+
+
+def _table_values(values) -> tuple[int | Fraction, ...]:
+    """A value table kept exact, with ints and Fractions as they are and
+    anything else through `as_fraction`, after checking its null entry and
+    its signs."""
+    values = tuple(v if type(v) in _EXACT_TYPES else as_fraction(v) for v in values)
+    if not values or values[0] != 0:
+        raise ConfigError("utility table must start with value 0 for the null allocation")
+    if any(v < 0 for v in values):
+        raise ConfigError("utility table values must be non-negative")
+    return values
+
+
 @dataclass(frozen=True)
 class TableUtility:
     """Quasi-linear utility from a value table: V(k, t) = values[k] - t.
@@ -176,17 +196,13 @@ class TableUtility:
     is the no-allocation value and is normalized to zero.
     """
 
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
     quasi_linear: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-        if not self.values or self.values[0] != 0:
-            raise ConfigError("utility table must start with value 0 for the null allocation")
-        if any(v.numerator < 0 for v in self.values):
-            raise ConfigError("utility table values must be non-negative")
+        object.__setattr__(self, "values", _table_values(self.values))
 
-    def value_vector(self, config: "ScenarioConfig") -> tuple[Fraction, ...]:
+    def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
         return self.values
 
     @staticmethod
@@ -264,21 +280,17 @@ class SirLogUtility:
 class CubicTaxUtility:
     """Non-quasi-linear utility: V(k, t) = values[k] - beta * t**3, beta > 0."""
 
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
     beta: Fraction
     quasi_linear: ClassVar[bool] = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", _table_values(self.values))
         object.__setattr__(self, "beta", as_fraction(self.beta))
-        if not self.values or self.values[0] != 0:
-            raise ConfigError("utility table must start with value 0 for the null allocation")
-        if any(v.numerator < 0 for v in self.values):
-            raise ConfigError("utility table values must be non-negative")
         if self.beta <= 0:
             raise ConfigError("beta must be strictly positive")
 
-    def value_vector(self, config: "ScenarioConfig") -> tuple[Fraction, ...]:
+    def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
         return self.values
 
     def tax_cost(self, tax: Fraction) -> Fraction:

@@ -80,9 +80,9 @@ def _rational(value, path: str) -> Fraction:
         _fail(path, str(exc))
 
 
-def _rationals(values, path: str) -> tuple[Fraction, ...]:
-    """`_rational` over a list; JSON integers become `Fraction`s directly."""
-    return tuple(Fraction(v) if type(v) is int else _rational(v, path) for v in values)
+def _rationals(values, path: str) -> tuple[int | Fraction, ...]:
+    """`_rational` over a list, except that JSON integers stay exact `int`s."""
+    return tuple(v if type(v) is int else _rational(v, path) for v in values)
 
 
 def _integer(value, path: str) -> int:

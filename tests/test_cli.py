@@ -8,7 +8,7 @@ import pytest
 
 from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
-from spectrumshare.scenario import scenario_to_jsonable, write_scenario
+from spectrumshare.scenario import load_scenario, scenario_to_jsonable, write_scenario
 from spectrumshare.presets import desk_scenario
 
 from spectrumshare import (
@@ -464,3 +464,54 @@ class TestMeasure:
         assert sorted(document["excluded_users"]) == [0, 1, 2]
         assert ["0", "2"] not in document["mismatched_pairs"]
         assert [0, 2] in document["mismatched_pairs"]
+
+
+class TestValueSpellings:
+    """A table's values written as JSON ints, as unreduced "2k/2" strings or
+    as JSON decimals load to the same game and give the same answers."""
+
+    SPELLINGS = {"ints": int, "halves": lambda v: f"{2 * v}/2", "decimals": float}
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("spellings")
+        paths = {}
+        for name, spell in self.SPELLINGS.items():
+            document = scenario_to_jsonable(small_scenario())
+            for utility in document["utilities"]:
+                assert all(type(v) is int for v in utility["values"])
+                utility["values"] = [spell(v) for v in utility["values"]]
+            paths[name] = directory / f"{name}.json"
+            paths[name].write_text(json.dumps(document))
+        assert '"values": ["0/2", "' in paths["halves"].read_text()
+        assert '"values": [0.0, ' in paths["decimals"].read_text()
+        return paths
+
+    def test_same_integer_scalings(self, paths):
+        scalings = [load_scenario(p).config.integer_scalings for p in paths.values()]
+        assert scalings[0] == scalings[1] == scalings[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-ne"],
+            ["verify", "--messages", "[[4,1],[4,1],[4,1]]"],
+            ["verify", "--messages", '[[2,1],[4,"1/2"],[6,1]]'],
+            ["lindahl-roundtrip", "--pi1", "1"],
+        ],
+        ids=["find-ne", "verify-ne", "verify-deviation", "lindahl-roundtrip"],
+    )
+    def test_same_json(self, capsys, paths, tmp_path, argv):
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
+        if argv[0] == "lindahl-roundtrip":
+            argv = [*argv, "--psi", str(psi)]
+        documents = []
+        for path in paths.values():
+            code, out, err = run(capsys, *argv, "--scenario", str(path), "--format", "json")
+            assert code == 0, err
+            document = json.loads(out)
+            document.pop("scenario_digest")
+            document.pop("timing_seconds", None)
+            documents.append(document)
+        assert documents[0] == documents[1] == documents[2]

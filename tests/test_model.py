@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectrumshare import (
@@ -443,7 +443,59 @@ def small_config_with_gains(gains):
     )
 
 
+def fraction_or_none(text: str) -> Fraction | None:
+    """The reference parse: `Fraction(str)`, or None where it raises."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# Digit runs with the spellings around them that `Fraction(str)` treats
+# specially: signs, spaces, underscores, non-ASCII digits, leading zeros.
+RATIO_PARTS = st.one_of(
+    st.integers(0, 10**40).map(str),
+    st.text(alphabet="0123456789", min_size=0, max_size=8),
+    st.text(alphabet="0123456789_ +-.e\u00b2\u0663\u0664\uff15", max_size=6),
+)
+RATIO_STRINGS = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", RATIO_PARTS, RATIO_PARTS),
+    st.builds(lambda *parts: "/".join(parts), RATIO_PARTS, RATIO_PARTS, RATIO_PARTS),
+    RATIO_PARTS,
+    st.text(max_size=12),
+)
+
+
 class TestAsFraction:
+    @settings(max_examples=400, deadline=None)
+    @given(RATIO_STRINGS)
+    @example("6/4")
+    @example("007/010")
+    @example("5/0")
+    @example("0/0")
+    @example(" 5/2")
+    @example("+5/2")
+    @example("-5/2")
+    @example("5/2/3")
+    @example("1_0/2")
+    @example("\u00b2/3")
+    @example("\u0663/\u0664")
+    @example("5/-2")
+    @example("5/ 2")
+    @example("7" * 5000 + "/3")
+    def test_string_parse_matches_fraction(self, text):
+        expected = fraction_or_none(text)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                as_fraction(text)
+        else:
+            parsed = as_fraction(text)
+            assert type(parsed) is Fraction
+            assert (parsed.numerator, parsed.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+
     def test_accepts_ratio_and_decimal_strings(self):
         assert as_fraction("1/3") == Fraction(1, 3)
         assert as_fraction("0.1") == Fraction(1, 10)
