@@ -183,7 +183,7 @@ def _table_values(values) -> tuple[int | Fraction, ...]:
     values = tuple(v if type(v) in _EXACT_TYPES else as_fraction(v) for v in values)
     if not values or values[0] != 0:
         raise ConfigError("utility table must start with value 0 for the null allocation")
-    if any(v < 0 for v in values):
+    if any(v.numerator < 0 for v in values):
         raise ConfigError("utility table values must be non-negative")
     return values
 

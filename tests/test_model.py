@@ -429,6 +429,11 @@ class TestScenarioConfig:
             TableUtility((Fraction(1),) + (Fraction(1),) * 8)
         with pytest.raises(ConfigError):
             TableUtility((Fraction(0), Fraction(-1)))
+        for values in [(0, -1), (0, "-1/2"), (0, -0.5), (0, 2**70, -(2**70))]:
+            with pytest.raises(ConfigError, match="non-negative"):
+                TableUtility(values)
+            with pytest.raises(ConfigError, match="non-negative"):
+                CubicTaxUtility(values, 1)
 
 
 def small_config_with_gains(gains):
