@@ -502,9 +502,9 @@ class TestValueSpellings:
         ids=["find-ne", "verify-ne", "verify-deviation", "lindahl-roundtrip"],
     )
     def test_same_json(self, capsys, paths, tmp_path, argv):
-        psi = tmp_path / "psi.json"
-        psi.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
         if argv[0] == "lindahl-roundtrip":
+            psi = tmp_path / "psi.json"
+            psi.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
             argv = [*argv, "--psi", str(psi)]
         documents = []
         for path in paths.values():
