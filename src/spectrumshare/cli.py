@@ -324,13 +324,18 @@ def _parse_psi(path, num_users: int) -> LindahlAllocation:
         raise ConfigError(f"psi: not valid JSON ({exc})") from None
     if not isinstance(data, dict) or set(data) != {"allocation", "taxes", "prices"}:
         raise ConfigError("psi: expected keys allocation, taxes, prices")
-    if not isinstance(data["allocation"], int):
+    allocation = data["allocation"]
+    if not isinstance(allocation, int) or isinstance(allocation, bool):
         raise ConfigError("psi.allocation: expected an integer")
-    taxes = [as_fraction(t) for t in data["taxes"]]
-    prices = [as_fraction(p) for p in data["prices"]]
-    if len(taxes) != num_users or len(prices) != num_users:
-        raise ConfigError(f"psi: need {num_users} taxes and {num_users} prices")
-    return LindahlAllocation(data["allocation"], tuple(taxes), tuple(prices))
+    vectors = []
+    for key in ("taxes", "prices"):
+        if not isinstance(data[key], list) or len(data[key]) != num_users:
+            raise ConfigError(f"psi.{key}: expected a list of {num_users} rationals")
+        try:
+            vectors.append(tuple(as_fraction(v) for v in data[key]))
+        except ConfigError as exc:
+            raise ConfigError(f"psi.{key}: {exc}") from None
+    return LindahlAllocation(allocation, *vectors)
 
 
 def cmd_lindahl_roundtrip(args) -> int:

@@ -27,10 +27,10 @@ random best-response starts are drawn from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
 
 from .errors import ContractError, PriceScaleError, PriceSystemError
 from .mechanism import (
@@ -52,22 +52,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class MessageGrid:
+class MessageGrid(namedtuple("MessageGrid", "n_values pi_values")):
     """Finite slice of the message space that random search starts draw from."""
 
-    n_values: tuple[int, ...]
-    pi_values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n_values = tuple(sorted(set(int(v) for v in self.n_values)))
-        pi_values = tuple(sorted(set(as_fraction(v) for v in self.pi_values)))
+    def __new__(cls, n_values: tuple[int, ...], pi_values: tuple[Fraction, ...]):
+        n_values = tuple(sorted(set(int(v) for v in n_values)))
+        pi_values = tuple(sorted(set(as_fraction(v) for v in pi_values)))
         if not n_values or not pi_values:
             raise ValueError("grid needs at least one proposal and one price")
         if pi_values[0] < 0:
             raise ValueError("grid prices must be non-negative")
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "pi_values", pi_values)
+        return super().__new__(cls, n_values, pi_values)
 
     @classmethod
     def standard(
@@ -139,26 +136,27 @@ def _held_utility(user: int, result, config: ScenarioConfig):
     return utility_eval(config.utilities[user], result.allocation, result.taxes[user], config)
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(namedtuple("Deviation", "user message gain")):
     """A unilateral move and the utility it would gain over the candidate."""
 
-    user: int
-    message: Message
-    gain: Fraction | float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NEVerification:
-    """`line_optima` holds, per user, the credit c_i of the price line that
+class NEVerification(namedtuple("NEVerification", "is_ne best_deviation")):
+    """The NE verdict and the most profitable `Deviation` (None at an NE).
+
+    `line_optima` holds, per user, the credit c_i of the price line that
     was scanned and the best utility on it; `ne_to_lindahl` reuses the
-    scans with c_i = 0 instead of repeating them."""
+    scans with c_i = 0 instead of repeating them.  It is a read-only
+    attribute, not a field, so equality, hashing and the repr ignore it.
+    """
 
-    is_ne: bool
-    best_deviation: Optional[Deviation]
-    line_optima: tuple[tuple[Fraction, Fraction | float], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    def __new__(cls, is_ne: bool, best_deviation: Deviation | None, line_optima=()):
+        self = super().__new__(cls, is_ne, best_deviation)
+        vars(self)["line_optima"] = line_optima
+        return self
+
+    line_optima = property(lambda self: vars(self)["line_optima"])
 
 
 def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerification:
@@ -170,7 +168,7 @@ def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerificati
     utilities, with a relative-and-absolute tolerance for float-valued ones.
     """
     base = outcome(candidate, config.catalog)
-    best: Optional[Deviation] = None
+    best: Deviation | None = None
     optima = []
     for user in range(len(candidate)):
         message, value, line = _reply(user, candidate, config)
@@ -192,20 +190,16 @@ def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) ->
     return _reply(user, profile, config)[0]
 
 
-@dataclass(frozen=True)
-class BRResult:
+class BRResult(namedtuple("BRResult", "converged rounds profile verification history")):
     """Outcome of round-robin best-response dynamics.
 
     `converged` means a full round changed nothing; the fixed point is then
-    re-checked with `verify_ne` and the verdict stored in `verification`.
+    re-checked with `verify_ne` and the verdict stored in `verification`
+    (None otherwise).  `history` lists the profile after every round.
     Non-convergence after `max_rounds` is a report, not an error.
     """
 
-    converged: bool
-    rounds: int
-    profile: MessageProfile
-    verification: Optional[NEVerification]
-    history: tuple[MessageProfile, ...]
+    __slots__ = ()
 
 
 def br_dynamics(
@@ -289,24 +283,26 @@ def individual_rationality(profile: MessageProfile, config: ScenarioConfig) -> t
     return tuple(flags)
 
 
-@dataclass(frozen=True)
-class LindahlAllocation:
+class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices")):
     """Allocation index, tax vector, and personalized price vector."""
 
-    allocation: int
-    taxes: tuple[Fraction, ...]
-    prices: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "taxes", tuple(as_fraction(t) for t in self.taxes))
-        object.__setattr__(self, "prices", tuple(as_fraction(p) for p in self.prices))
-        if len(self.taxes) != len(self.prices):
+    def __new__(cls, allocation: int, taxes: tuple[Fraction, ...], prices: tuple[Fraction, ...]):
+        taxes = tuple(as_fraction(t) for t in taxes)
+        prices = tuple(as_fraction(p) for p in prices)
+        if len(taxes) != len(prices):
             raise ValueError("taxes and prices must have one entry per user")
+        return super().__new__(cls, allocation, taxes, prices)
 
 
-@dataclass(frozen=True)
-class LindahlCertificate:
-    """A candidate Lindahl allocation with its three condition verdicts.
+class LindahlCertificate(
+    namedtuple(
+        "LindahlCertificate",
+        "allocation prices_balance taxes_balance user_best user_best_nonneg_tax",
+    )
+):
+    """A candidate `LindahlAllocation` with its three condition verdicts.
 
     prices_balance: the personalized prices sum to zero (exact).
     taxes_balance: the taxes sum to zero (exact).
@@ -318,11 +314,7 @@ class LindahlCertificate:
         make negative taxes legitimate.
     """
 
-    allocation: LindahlAllocation
-    prices_balance: bool
-    taxes_balance: bool
-    user_best: tuple[bool, ...]
-    user_best_nonneg_tax: tuple[bool, ...]
+    __slots__ = ()
 
     @property
     def best_on_price_line(self) -> bool:
@@ -336,7 +328,7 @@ class LindahlCertificate:
 def ne_to_lindahl(
     candidate: MessageProfile,
     config: ScenarioConfig,
-    verification: Optional[NEVerification] = None,
+    verification: NEVerification | None = None,
 ) -> LindahlCertificate:
     """Read a Lindahl allocation off a message profile and check it.
 
@@ -401,26 +393,24 @@ def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -
     return tuple(Message(psi.allocation, price) for price in solved)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(
+    namedtuple(
+        "EquilibriumReport",
+        "candidate allocation taxes is_ne mismatch_penalties_vanish feasible"
+        " individual_rationality tax_form_matches lindahl",
+    )
+):
     """All per-candidate verdicts in one place.
 
     When `is_ne` holds, every structural flag below must hold too, and so
     must every user's best-on-price-line verdict in `lindahl`: at an NE the
     mismatch penalties vanish, so c_i = 0 and the NE check and the Lindahl
     check scan the same line.  `soundness_violations` lists any that do not
-    (there must never be any).
+    (there must never be any).  `lindahl` is None when the certificate was
+    not asked for.
     """
 
-    candidate: MessageProfile
-    allocation: int
-    taxes: tuple[Fraction, ...]
-    is_ne: bool
-    mismatch_penalties_vanish: bool
-    feasible: bool
-    individual_rationality: tuple[bool, ...]
-    tax_form_matches: bool
-    lindahl: Optional[LindahlCertificate]
+    __slots__ = ()
 
     def soundness_violations(self) -> tuple[str, ...]:
         if not self.is_ne:
@@ -449,8 +439,8 @@ class EquilibriumReport:
 def build_report(
     candidate: MessageProfile,
     config: ScenarioConfig,
-    verification: Optional[NEVerification] = None,
-    include_lindahl: Optional[bool] = None,
+    verification: NEVerification | None = None,
+    include_lindahl: bool | None = None,
 ) -> EquilibriumReport:
     """Assemble the full per-candidate report (NE check + property checks)."""
     catalog = config.catalog
@@ -479,7 +469,7 @@ def build_report(
 
 # Personal prices [lower, upper] at which one allocation is a user's best
 # point on its price line; lower None stands for minus infinity.
-PriceInterval = tuple[Optional[Fraction], Fraction]
+PriceInterval = tuple[Fraction | None, Fraction]
 
 
 def price_intervals(scaling: IntegerScaling) -> dict[int, PriceInterval]:
@@ -515,8 +505,8 @@ def price_intervals(scaling: IntegerScaling) -> dict[int, PriceInterval]:
 
 
 def balanced_prices(
-    intervals: Sequence[Optional[PriceInterval]],
-) -> Optional[tuple[Fraction, ...]]:
+    intervals: Sequence[PriceInterval | None],
+) -> tuple[Fraction, ...] | None:
     """A personal price vector summing to zero inside every interval, or None.
 
     None when some interval is missing or empty, or when no such vector
@@ -538,20 +528,17 @@ def balanced_prices(
     return tuple(prices) if excess == 0 else None
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(namedtuple("CensusEntry", "price_intervals report")):
     """One equilibrium allocation of the census.
 
     `price_intervals` holds each user's interval at this allocation;
     `report` certifies the messages rebuilt from one balanced price vector.
     """
 
-    price_intervals: tuple[PriceInterval, ...]
-    report: EquilibriumReport
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LindahlCensus:
+class LindahlCensus(namedtuple("LindahlCensus", "complete allocations_tested equilibria")):
     """Every allocation tested, and the equilibria found among them.
 
     `complete` holds when every utility is quasi-linear: the entries are
@@ -559,9 +546,7 @@ class LindahlCensus:
     the zero-price equilibria only (see `lindahl_census`).
     """
 
-    complete: bool
-    allocations_tested: int
-    equilibria: tuple[CensusEntry, ...]
+    __slots__ = ()
 
 
 def _certified_equilibrium(allocation: int, prices, config: ScenarioConfig) -> EquilibriumReport:

@@ -16,72 +16,80 @@ order, bands inner-most, exactly one report record per (pair, band).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import ConfigError
 from .model import ScenarioConfig, as_fraction
 
 
-@dataclass(frozen=True)
-class Honest:
+class Honest(namedtuple("Honest", "")):
     """Sends the agreed pilot and reports measurements unchanged."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PilotCheat:
+
+class PilotCheat(namedtuple("PilotCheat", "scale")):
     """Scales the transmitted pilot per band; reports honestly."""
 
-    scale: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", tuple(as_fraction(s) for s in self.scale))
-        if any(s < 0 for s in self.scale):
+    def __new__(cls, scale: tuple[Fraction, ...]):
+        scale = tuple(as_fraction(s) for s in scale)
+        if any(s < 0 for s in scale):
             raise ConfigError("pilot scale factors must be non-negative")
+        return super().__new__(cls, scale)
 
 
-@dataclass(frozen=True)
-class ReportCheat:
-    """Distorts the reported received power per band; pilots are honest."""
+class ReportCheat(namedtuple("ReportCheat", "mode amount")):
+    """Distorts the reported received power per band; pilots are honest.
 
-    mode: str  # "additive" or "multiplicative"
-    amount: tuple[Fraction, ...]
+    `mode` is "additive" or "multiplicative".
+    """
 
-    def __post_init__(self):
-        if self.mode not in ("additive", "multiplicative"):
-            raise ConfigError(f"report cheat mode must be additive|multiplicative, got {self.mode!r}")
-        object.__setattr__(self, "amount", tuple(as_fraction(a) for a in self.amount))
+    __slots__ = ()
 
-
-AgentBehavior = Union[Honest, PilotCheat, ReportCheat]
+    def __new__(cls, mode: str, amount: tuple[Fraction, ...]):
+        if mode not in ("additive", "multiplicative"):
+            raise ConfigError(f"report cheat mode must be additive|multiplicative, got {mode!r}")
+        return super().__new__(cls, mode, tuple(as_fraction(a) for a in amount))
 
 
-@dataclass(frozen=True)
-class GainReport:
+AgentBehavior = Honest | PilotCheat | ReportCheat
+
+
+class GainReport(
+    namedtuple("GainReport", "transmitter receiver band reported_by_tx reported_by_rx")
+):
     """Both sides' received-power reports for one pair and band."""
 
-    transmitter: int
-    receiver: int
-    band: int
-    reported_by_tx: Fraction
-    reported_by_rx: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.transmitter == self.receiver:
+    def __new__(
+        cls,
+        transmitter: int,
+        receiver: int,
+        band: int,
+        reported_by_tx: Fraction,
+        reported_by_rx: Fraction,
+    ):
+        if transmitter == receiver:
             raise ValueError("a pair needs two distinct users")
+        return super().__new__(cls, transmitter, receiver, band, reported_by_tx, reported_by_rx)
 
     @property
     def consistent(self) -> bool:
         return self.reported_by_tx == self.reported_by_rx
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
-    estimated_gains: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    excluded: frozenset[int]
-    mismatched_pairs: tuple[tuple[int, int], ...]
-    reports: tuple[GainReport, ...]
+class MeasurementResult(
+    namedtuple("MeasurementResult", "estimated_gains excluded mismatched_pairs reports")
+):
+    """Estimated gains[tx][rx][band], the excluded users, the mismatched
+    (tx, rx) pairs, and every `GainReport` in protocol order."""
+
+    __slots__ = ()
 
 
 def _pilot_scale(behavior: AgentBehavior, band: int) -> Fraction:

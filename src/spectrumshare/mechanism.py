@@ -13,28 +13,27 @@ Everything here is exact rational arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .errors import ContractError
 from .model import ProfileCatalog, as_fraction
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(namedtuple("Message", "proposal price")):
     """One user's message: a proposed catalog index and a unit price."""
 
-    proposal: int
-    price: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.proposal, int) or isinstance(self.proposal, bool):
-            raise ValueError(f"proposal must be an integer, got {self.proposal!r}")
-        object.__setattr__(self, "price", as_fraction(self.price))
-        if self.price < 0:
-            raise ValueError(f"price must be non-negative, got {self.price}")
+    def __new__(cls, proposal: int, price: Fraction):
+        if not isinstance(proposal, int) or isinstance(proposal, bool):
+            raise ValueError(f"proposal must be an integer, got {proposal!r}")
+        price = as_fraction(price)
+        if price < 0:
+            raise ValueError(f"price must be non-negative, got {price}")
+        return super().__new__(cls, proposal, price)
 
 
 MessageProfile = tuple[Message, ...]
@@ -70,8 +69,9 @@ def proposal_feasible(proposals: Sequence[int], catalog_size: int) -> bool:
     return 1 <= rounded_average(proposals) <= catalog_size
 
 
-@dataclass(frozen=True)
-class TaxComponents:
+class TaxComponents(
+    namedtuple("TaxComponents", "allocation_charge mismatch_penalty balancing_credit")
+):
     """The three pieces of one user's tax.
 
     allocation_charge: what the user pays for the allocated profile, at a
@@ -82,9 +82,7 @@ class TaxComponents:
         by this user, it is what makes the taxes sum to zero.
     """
 
-    allocation_charge: Fraction
-    mismatch_penalty: Fraction
-    balancing_credit: Fraction
+    __slots__ = ()
 
     @property
     def total(self) -> Fraction:
@@ -166,18 +164,17 @@ def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
     return (profile[(user + 1) % n].price - profile[(user + 2) % n].price) / n
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(namedtuple("Outcome", "allocation taxes")):
     """Allocation index (0 = none) plus the exact tax vector."""
 
-    allocation: int
-    taxes: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.taxes, Fraction(0)) != 0:
-            raise ContractError(f"taxes must sum to zero, got {self.taxes}")
-        if self.allocation == 0 and any(t != 0 for t in self.taxes):
+    def __new__(cls, allocation: int, taxes: tuple[Fraction, ...]):
+        if sum(taxes, Fraction(0)) != 0:
+            raise ContractError(f"taxes must sum to zero, got {taxes}")
+        if allocation == 0 and any(t != 0 for t in taxes):
             raise ContractError("a null allocation must carry zero taxes")
+        return super().__new__(cls, allocation, taxes)
 
 
 def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:

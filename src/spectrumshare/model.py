@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import ConfigError
 
@@ -101,30 +101,28 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
     return tuple(b for b in product(levels, repeat=num_bands) if sum(b) <= budget)
 
 
-@dataclass(frozen=True)
-class ProfileCatalog:
+class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):
     """Bijection between indices {1..size} and joint power profiles.
 
     A profile assigns one bundle to each user.  Profiles are ordered
     lexicographically by per-user bundle position (user 0 most significant),
     so decoding and encoding are O(num_users) mixed-radix arithmetic.  Index
-    0 never decodes: it denotes "no feasible allocation".
+    0 never decodes: it denotes "no feasible allocation".  No `__slots__`:
+    the cached properties live in the instance `__dict__`.
     """
 
-    bundles: tuple[PowerBundle, ...]
-    num_users: int
-
-    def __post_init__(self):
-        if not self.bundles:
+    def __new__(cls, bundles: tuple[PowerBundle, ...], num_users: int):
+        if not bundles:
             raise ConfigError("catalog needs at least one bundle")
-        if self.num_users < 1:
+        if num_users < 1:
             raise ConfigError("catalog needs at least one user")
-        size = len(self.bundles) ** self.num_users
+        size = len(bundles) ** num_users
         if size > MAX_CATALOG_SIZE:
             raise ConfigError(
-                f"catalog would hold {len(self.bundles)}^{self.num_users} = {size} "
+                f"catalog would hold {len(bundles)}^{num_users} = {size} "
                 f"profiles; indices are limited to {MAX_CATALOG_SIZE}"
             )
+        return super().__new__(cls, bundles, num_users)
 
     @property
     def size(self) -> int:
@@ -188,19 +186,18 @@ def _table_values(values) -> tuple[int | Fraction, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class TableUtility:
+class TableUtility(namedtuple("TableUtility", "values")):
     """Quasi-linear utility from a value table: V(k, t) = values[k] - t.
 
     `values` has one entry per catalog index, 0 through catalog size; entry 0
     is the no-allocation value and is normalized to zero.
     """
 
-    values: tuple[int | Fraction, ...]
-    quasi_linear: ClassVar[bool] = True
+    __slots__ = ()
+    quasi_linear = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _table_values(self.values))
+    def __new__(cls, values: tuple[int | Fraction, ...]):
+        return super().__new__(cls, _table_values(values))
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
         return self.values
@@ -221,22 +218,21 @@ class TableUtility:
         return [height * denominator - k * step for k, height in enumerate(scaling.heights)]
 
 
-@dataclass(frozen=True)
-class SirLogUtility:
+class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t.
 
     The signal-to-interference ratios depend on which user is evaluating, so
     the spec carries its owner's index.
     """
 
-    user: int
-    weights: tuple[Fraction, ...]
-    quasi_linear: ClassVar[bool] = True
+    __slots__ = ()
+    quasi_linear = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
-        if any(w < 0 for w in self.weights):
+    def __new__(cls, user: int, weights: tuple[Fraction, ...]):
+        weights = tuple(as_fraction(w) for w in weights)
+        if any(w < 0 for w in weights):
             raise ConfigError("SIR utility weights must be non-negative")
+        return super().__new__(cls, user, weights)
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
         """Catalog walk in index order without decoding a profile.
@@ -276,19 +272,18 @@ class SirLogUtility:
         return [value - (k * slope - offset) / denominator for k, value in enumerate(values)]
 
 
-@dataclass(frozen=True)
-class CubicTaxUtility:
+class CubicTaxUtility(namedtuple("CubicTaxUtility", "values beta")):
     """Non-quasi-linear utility: V(k, t) = values[k] - beta * t**3, beta > 0."""
 
-    values: tuple[int | Fraction, ...]
-    beta: Fraction
-    quasi_linear: ClassVar[bool] = False
+    __slots__ = ()
+    quasi_linear = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _table_values(self.values))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.beta <= 0:
+    def __new__(cls, values: tuple[int | Fraction, ...], beta: Fraction):
+        values = _table_values(values)
+        beta = as_fraction(beta)
+        if beta <= 0:
             raise ConfigError("beta must be strictly positive")
+        return super().__new__(cls, values, beta)
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
         return self.values
@@ -310,15 +305,13 @@ class CubicTaxUtility:
         ]
 
 
-UtilitySpec = Union[TableUtility, SirLogUtility, CubicTaxUtility]
+UtilitySpec = TableUtility | SirLogUtility | CubicTaxUtility
 
 
-@dataclass(frozen=True)
-class IntegerScaling:
+class IntegerScaling(namedtuple("IntegerScaling", "scale heights")):
     """Exact values as integers over one positive scale: V(k) = heights[k] / scale."""
 
-    scale: int
-    heights: tuple[int, ...]
+    __slots__ = ()
 
 
 def integer_scaling(values: Sequence) -> IntegerScaling:
@@ -330,55 +323,68 @@ def integer_scaling(values: Sequence) -> IntegerScaling:
     )
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(
+    namedtuple(
+        "ScenarioConfig",
+        "num_users num_bands quant_levels power_budget noise_half_density gains utilities",
+    )
+):
     """Immutable description of one allocation session.
 
     `gains[tx][rx][band]` is the channel gain from user tx's transmitter to
     user rx's receiver on that band.  At least three users are required: the
     price charged to a user is built from the two users after it in the
     cycle, and with fewer than three users a user would end up controlling
-    its own price.
+    its own price.  No `__slots__`: the cached properties live in the
+    instance `__dict__`.
     """
 
-    num_users: int
-    num_bands: int
-    quant_levels: tuple[Fraction, ...]
-    power_budget: Fraction
-    noise_half_density: Fraction
-    gains: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    utilities: tuple[UtilitySpec, ...]
-
-    def __post_init__(self):
-        if self.num_users < 3:
+    def __new__(
+        cls,
+        num_users: int,
+        num_bands: int,
+        quant_levels: tuple[Fraction, ...],
+        power_budget: Fraction,
+        noise_half_density: Fraction,
+        gains: tuple[tuple[tuple[Fraction, ...], ...], ...],
+        utilities: tuple[UtilitySpec, ...],
+    ):
+        if num_users < 3:
             raise ConfigError(
-                f"at least 3 users are required, got {self.num_users}: the cyclic "
+                f"at least 3 users are required, got {num_users}: the cyclic "
                 "price structure degenerates below that"
             )
-        object.__setattr__(self, "quant_levels", _validate_quant_levels(self.quant_levels))
-        object.__setattr__(self, "power_budget", as_fraction(self.power_budget))
-        object.__setattr__(self, "noise_half_density", as_fraction(self.noise_half_density))
-        if self.noise_half_density <= 0:
+        quant_levels = _validate_quant_levels(quant_levels)
+        power_budget = as_fraction(power_budget)
+        noise_half_density = as_fraction(noise_half_density)
+        if noise_half_density <= 0:
             raise ConfigError("noise_half_density must be strictly positive")
 
-        gains = tuple(
-            tuple(tuple(as_fraction(g) for g in row) for row in plane) for plane in self.gains
-        )
-        object.__setattr__(self, "gains", gains)
-        if len(gains) != self.num_users or any(len(plane) != self.num_users for plane in gains):
+        gains = tuple(tuple(tuple(as_fraction(g) for g in row) for row in plane) for plane in gains)
+        if len(gains) != num_users or any(len(plane) != num_users for plane in gains):
             raise ConfigError("gains tensor must be num_users x num_users x num_bands")
         for plane in gains:
             for row in plane:
-                if len(row) != self.num_bands:
+                if len(row) != num_bands:
                     raise ConfigError("gains tensor must be num_users x num_users x num_bands")
                 if any(g < 0 for g in row):
                     raise ConfigError("channel gains must be non-negative")
 
-        object.__setattr__(self, "utilities", tuple(self.utilities))
-        if len(self.utilities) != self.num_users:
+        utilities = tuple(utilities)
+        if len(utilities) != num_users:
             raise ConfigError(
-                f"expected one utility per user ({self.num_users}), got {len(self.utilities)}"
+                f"expected one utility per user ({num_users}), got {len(utilities)}"
             )
+        self = super().__new__(
+            cls,
+            num_users,
+            num_bands,
+            quant_levels,
+            power_budget,
+            noise_half_density,
+            gains,
+            utilities,
+        )
         size = self.catalog.size
         for user, spec in enumerate(self.utilities):
             if isinstance(spec, (TableUtility, CubicTaxUtility)):
@@ -399,6 +405,7 @@ class ScenarioConfig:
                     )
             else:
                 raise ConfigError(f"utilities[{user}]: unknown utility spec {spec!r}")
+        return self
 
     @cached_property
     def bundles(self) -> tuple[PowerBundle, ...]:

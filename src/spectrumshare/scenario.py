@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,17 +45,14 @@ _TOP_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A fully validated scenario plus its run parameters."""
+class Scenario(
+    namedtuple("Scenario", "config pi_step pi_max pilot_power behaviors seed digest")
+):
+    """A fully validated scenario plus its run parameters: the
+    `ScenarioConfig`, the price grid step and cap, the pilot power, one
+    behavior per user, the seed, and the SHA-256 digest of the document."""
 
-    config: ScenarioConfig
-    pi_step: Fraction
-    pi_max: Fraction
-    pilot_power: Fraction
-    behaviors: tuple[AgentBehavior, ...]
-    seed: int
-    digest: str
+    __slots__ = ()
 
 
 def _fail(path: str, message: str):

@@ -438,6 +438,26 @@ class TestLindahlRoundtrip:
         assert code == 2
         assert "smallest feasible seed price is 2" in err
 
+    @pytest.mark.parametrize(
+        "psi, field",
+        [
+            ({"allocation": True, "taxes": [0, 0, 0], "prices": [0, 0, 0]}, "psi.allocation"),
+            ({"allocation": 4, "taxes": 5, "prices": [0, 0, 0]}, "psi.taxes"),
+            ({"allocation": 4, "taxes": [0, 0, 0], "prices": None}, "psi.prices"),
+            ({"allocation": 4, "taxes": [0, "x", 0], "prices": [0, 0, 0]}, "psi.taxes"),
+        ],
+        ids=["bool-allocation", "scalar-taxes", "null-prices", "bad-tax-entry"],
+    )
+    def test_malformed_psi_names_the_field(self, capsys, small_path, tmp_path, psi, field):
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(psi))
+        code, out, err = run(
+            capsys, "lindahl-roundtrip", "--scenario", small_path, "--psi", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+
 
 class TestMeasure:
     def test_honest_run(self, capsys, desk_path):

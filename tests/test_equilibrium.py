@@ -3,7 +3,6 @@ Lindahl bridge."""
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -522,9 +521,9 @@ class TestReports:
 
     def test_ne_off_the_price_line_is_a_violation(self, small):
         report = build_report(unanimity(4, 1), small)
-        off_line = replace(report.lindahl, user_best=(True, False, True))
+        off_line = report.lindahl._replace(user_best=(True, False, True))
         assert report.soundness_violations() == ()
-        assert replace(report, lindahl=off_line).soundness_violations() == (
+        assert report._replace(lindahl=off_line).soundness_violations() == (
             "NE off a user's personal price line optimum",
         )
 
@@ -806,7 +805,7 @@ def scaled_sir(config, factor):
         SirLogUtility(user=spec.user, weights=tuple(w * factor for w in spec.weights))
         for spec in config.utilities
     )
-    return replace(config, utilities=utilities)
+    return ScenarioConfig(**{**config._asdict(), "utilities": utilities})
 
 
 def verdicts(candidate, config):

@@ -194,6 +194,8 @@ class TestOutcome:
         with pytest.raises(ContractError):
             Outcome(1, (Fraction(1), Fraction(0), Fraction(0)))
         with pytest.raises(ContractError):
+            Outcome(allocation=1, taxes=(Fraction(1), Fraction(0), Fraction(0)))
+        with pytest.raises(ContractError):
             Outcome(0, (Fraction(1), Fraction(-1), Fraction(0)))
 
 
@@ -205,3 +207,12 @@ class TestMessage:
     def test_rejects_non_integer_proposal(self):
         with pytest.raises(ValueError):
             Message(1.5, Fraction(1))
+        with pytest.raises(ValueError, match="True"):
+            Message(True, Fraction(1))
+        with pytest.raises(ValueError, match="True"):
+            Message(proposal=True, price=Fraction(1))
+
+    def test_price_normalized_to_fraction(self):
+        message = Message(price="3/6", proposal=2)
+        assert message == Message(2, Fraction(1, 2))
+        assert type(message.price) is Fraction

@@ -391,7 +391,7 @@ class TestUtilityEval:
 
 class TestScenarioConfig:
     def test_rejects_two_users(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at least 3 users"):
             ScenarioConfig(
                 num_users=2,
                 num_bands=1,
@@ -401,6 +401,8 @@ class TestScenarioConfig:
                 gains=uniform_gains(2, 1),
                 utilities=(peak_table(4, 1), peak_table(4, 1)),
             )
+        with pytest.raises(ConfigError, match="at least 3 users"):
+            ScenarioConfig(2, 1, (0, 1), 1, 1, uniform_gains(2, 1), (peak_table(4, 1),) * 2)
 
     def test_rejects_wrong_table_length(self):
         with pytest.raises(ConfigError):

@@ -126,6 +126,10 @@ class TestSchemaErrors:
         }
         with pytest.raises(ConfigError, match="sideways"):
             load_document(tmp_path, document)
+        with pytest.raises(ConfigError, match="sideways"):
+            ReportCheat("sideways", (Fraction(1),))
+        with pytest.raises(ConfigError, match="sideways"):
+            ReportCheat(mode="sideways", amount=(Fraction(1),))
 
     def test_negative_gain_rejected(self, tmp_path, document):
         document["gains"][0][1][0] = -1
