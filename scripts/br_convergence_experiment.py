@@ -6,6 +6,7 @@ this is an empirical census, not an assertion: run K seeded random starts,
 count trajectories that converge, that end at a verified NE (checked exactly
 over the whole message space), and that end at a unanimity profile, and
 histogram the fixed points.  Starts are drawn from the scenario's message grid.
+`br_dynamics` below runs the dynamics on the library's exact `best_response`.
 Best response is not how equilibria are found (`spectrumshare find-ne` lists
 them all); this script studies the dynamics.
 """
@@ -15,8 +16,34 @@ import collections
 import random
 import time
 
-from spectrumshare import Message, MessageGrid, br_dynamics, outcome
+from spectrumshare import Message, best_response, improves, outcome, utility_eval, verify_ne
 from spectrumshare.scenario import load_scenario
+
+
+def utility_at(user, profile, config):
+    result = outcome(profile, config.catalog)
+    return utility_eval(config.utilities[user], result.allocation, result.taxes[user], config)
+
+
+def br_dynamics(start, config, max_rounds=50):
+    """Round-robin best responses from `start`: (converged, rounds, profile).
+
+    `converged` means a full round changed nothing.  A user only moves when
+    its best reply strictly improves on keeping its message (by `improves`),
+    so every NE is an immediate fixed point instead of drifting along
+    utility ties.  Non-convergence after `max_rounds` is a result, not an
+    error.
+    """
+    profile = tuple(start)
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for user, spec in enumerate(config.utilities):
+            moved = profile[:user] + (best_response(user, profile, config),) + profile[user + 1 :]
+            if improves(spec, utility_at(user, moved, config), utility_at(user, profile, config)):
+                profile, changed = moved, True
+        if not changed:
+            return True, rounds, profile
+    return False, max_rounds, profile
 
 
 def main(argv=None) -> None:
@@ -29,8 +56,12 @@ def main(argv=None) -> None:
 
     scenario = load_scenario(args.scenario)
     config = scenario.config
-    grid = MessageGrid.standard(
-        config.catalog.size, config.num_users, pi_step=scenario.pi_step, pi_max=scenario.pi_max
+    size = config.catalog.size
+    # Proposals -1, 0, every catalog index, and an escape value that puts the
+    # rounded average past the catalog against any grid choice of the others.
+    proposals = (-1, *range(size + 1), config.num_users * (size + 2))
+    prices = tuple(
+        k * scenario.pi_step for k in range(int(scenario.pi_max / scenario.pi_step) + 1)
     )
     seed = scenario.seed if args.seed is None else args.seed
     rng = random.Random(seed)
@@ -44,21 +75,19 @@ def main(argv=None) -> None:
     started = time.perf_counter()
     for _ in range(args.starts):
         start = tuple(
-            Message(rng.choice(grid.n_values), rng.choice(grid.pi_values))
-            for _ in range(config.num_users)
+            Message(rng.choice(proposals), rng.choice(prices)) for _ in range(config.num_users)
         )
-        result = br_dynamics(start, config, max_rounds=args.max_rounds)
-        if not result.converged:
+        done, taken, profile = br_dynamics(start, config, max_rounds=args.max_rounds)
+        if not done:
             continue
         converged += 1
-        rounds.append(result.rounds)
-        if result.verification.is_ne:
+        rounds.append(taken)
+        if verify_ne(profile, config).is_ne:
             verified_ne += 1
-        proposals = {m.proposal for m in result.profile}
-        if len(proposals) == 1:
+        if len({m.proposal for m in profile}) == 1:
             unanimity += 1
-        fixed_points[tuple((m.proposal, str(m.price)) for m in result.profile)] += 1
-        allocations[outcome(result.profile, config.catalog).allocation] += 1
+        fixed_points[tuple((m.proposal, str(m.price)) for m in profile)] += 1
+        allocations[outcome(profile, config.catalog).allocation] += 1
     elapsed = time.perf_counter() - started
 
     print(f"scenario={args.scenario} seed={seed} starts={args.starts}")

@@ -7,11 +7,11 @@ from spectrumshare.presets import desk_scenario
 from spectrumshare.scenario import write_scenario
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="scenarios/desk.json")
     parser.add_argument("--seed", type=int, default=20260810)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     scenario = desk_scenario(seed=args.seed)
     write_scenario(scenario, args.out)
     print(f"wrote {args.out} (catalog size {scenario.config.catalog.size})")

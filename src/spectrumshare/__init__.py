@@ -12,18 +12,15 @@ pilot-based gain measurement with its exclusion rule.
 """
 
 from .equilibrium import (
-    BRResult,
     CensusEntry,
     Deviation,
     EquilibriumReport,
     LindahlAllocation,
     LindahlCensus,
     LindahlCertificate,
-    MessageGrid,
     NEVerification,
     balanced_prices,
     best_response,
-    br_dynamics,
     build_report,
     equilibrium_tax_form,
     individual_rationality,

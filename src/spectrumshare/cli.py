@@ -80,7 +80,8 @@ def _message_json(message: Message) -> dict:
 
 
 def _report_json(report: EquilibriumReport) -> dict:
-    doc = {
+    cert = report.lindahl
+    return {
         "candidate": [_message_json(m) for m in report.candidate],
         "allocation": report.allocation,
         "taxes": [rational_to_json(t) for t in report.taxes],
@@ -89,18 +90,14 @@ def _report_json(report: EquilibriumReport) -> dict:
         "feasible": report.feasible,
         "individual_rationality": list(report.individual_rationality),
         "tax_form_matches": report.tax_form_matches,
-        "lindahl": None,
-    }
-    if report.lindahl is not None:
-        cert = report.lindahl
-        doc["lindahl"] = {
+        "lindahl": {
             "prices": [rational_to_json(p) for p in cert.allocation.prices],
             "prices_balance": cert.prices_balance,
             "taxes_balance": cert.taxes_balance,
             "best_on_price_line": list(cert.user_best),
             "best_on_price_line_nonneg_tax": list(cert.user_best_nonneg_tax),
-        }
-    return doc
+        },
+    }
 
 
 _REPORT_CSV_COLUMNS = (
@@ -130,9 +127,9 @@ def _report_csv_row(report: EquilibriumReport) -> list:
         report.feasible,
         all(report.individual_rationality),
         report.tax_form_matches,
-        "" if cert is None else cert.prices_balance,
-        "" if cert is None else cert.taxes_balance,
-        "" if cert is None else cert.best_on_price_line,
+        cert.prices_balance,
+        cert.taxes_balance,
+        cert.best_on_price_line,
         " ".join(_fmt(t) for t in report.taxes),
     ]
 
@@ -146,13 +143,12 @@ def _print_report_table(report: EquilibriumReport) -> None:
     print(f"feasible allocation: {report.feasible}")
     print(f"individual rationality: {list(report.individual_rationality)}")
     print(f"reduced tax form matches: {report.tax_form_matches}")
-    if report.lindahl is not None:
-        cert = report.lindahl
-        print(f"personal prices: {', '.join(_fmt(p) for p in cert.allocation.prices)}")
-        print(f"prices balance: {cert.prices_balance}")
-        print(f"taxes balance: {cert.taxes_balance}")
-        print(f"best on price line: {list(cert.user_best)}")
-        print(f"best on price line (non-negative taxes): {list(cert.user_best_nonneg_tax)}")
+    cert = report.lindahl
+    print(f"personal prices: {', '.join(_fmt(p) for p in cert.allocation.prices)}")
+    print(f"prices balance: {cert.prices_balance}")
+    print(f"taxes balance: {cert.taxes_balance}")
+    print(f"best on price line: {list(cert.user_best)}")
+    print(f"best on price line (non-negative taxes): {list(cert.user_best_nonneg_tax)}")
 
 
 def _emit(args, document: dict) -> None:
@@ -283,9 +279,7 @@ def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     messages = _parse_messages(args.messages, scenario.config.num_users)
     verification = verify_ne(messages, scenario.config)
-    report = build_report(
-        messages, scenario.config, verification=verification, include_lindahl=True
-    )
+    report = build_report(messages, scenario.config, verification=verification)
     document = {
         "command": "verify",
         "scenario_digest": scenario.digest,
@@ -317,7 +311,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _parse_psi(path, num_users: int) -> LindahlAllocation:
+def _parse_psi(path, num_users: int, size: int) -> LindahlAllocation:
     try:
         data = json.loads(Path(path).read_text(), parse_float=Fraction)
     except json.JSONDecodeError as exc:
@@ -327,6 +321,8 @@ def _parse_psi(path, num_users: int) -> LindahlAllocation:
     allocation = data["allocation"]
     if not isinstance(allocation, int) or isinstance(allocation, bool):
         raise ConfigError("psi.allocation: expected an integer")
+    if not 0 <= allocation <= size:
+        raise ConfigError(f"psi.allocation: {allocation} is outside 0..{size}")
     vectors = []
     for key in ("taxes", "prices"):
         if not isinstance(data[key], list) or len(data[key]) != num_users:
@@ -341,7 +337,7 @@ def _parse_psi(path, num_users: int) -> LindahlAllocation:
 def cmd_lindahl_roundtrip(args) -> int:
     scenario = load_scenario(args.scenario)
     catalog = scenario.config.catalog
-    psi = _parse_psi(args.psi, scenario.config.num_users)
+    psi = _parse_psi(args.psi, scenario.config.num_users, catalog.size)
     try:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
     except (PriceSystemError, PriceScaleError) as exc:
@@ -379,9 +375,7 @@ def cmd_lindahl_roundtrip(args) -> int:
 
 def cmd_measure(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run_measurement(
-        scenario.config.gains, scenario.behaviors, scenario.pilot_power, scenario.config
-    )
+    result = run_measurement(scenario.behaviors, scenario.pilot_power, scenario.config)
     document = {
         "command": "measure",
         "scenario_digest": scenario.digest,

@@ -1,6 +1,6 @@
 """Equilibrium machinery: exact Nash checks, the census of every equilibrium
-allocation, best-response dynamics, and the two-way bridge between Nash
-equilibria of the game and Lindahl allocations.
+allocation, and the two-way bridge between Nash equilibria of the game and
+Lindahl allocations.
 
 Every question here reduces to one price-line kernel, `price_line_optimum`:
 user i's best catalog index k when its tax is k * p - c.  It rests on one
@@ -18,11 +18,7 @@ same kernel is the Lindahl check "best on the personal price line".
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
 equilibrium allocations off per-user intervals of personal prices and
-certifies each with the kernel.  Best-response dynamics stay as an object of
-study, not as an equilibrium finder.
-
-`MessageGrid` is not used for certification; it is the finite space that
-random best-response starts are drawn from.
+certifies each with the kernel.
 """
 
 from __future__ import annotations
@@ -50,47 +46,6 @@ from .model import (
     improves,
     utility_eval,
 )
-
-
-class MessageGrid(namedtuple("MessageGrid", "n_values pi_values")):
-    """Finite slice of the message space that random search starts draw from."""
-
-    __slots__ = ()
-
-    def __new__(cls, n_values: tuple[int, ...], pi_values: tuple[Fraction, ...]):
-        n_values = tuple(sorted(set(int(v) for v in n_values)))
-        pi_values = tuple(sorted(set(as_fraction(v) for v in pi_values)))
-        if not n_values or not pi_values:
-            raise ValueError("grid needs at least one proposal and one price")
-        if pi_values[0] < 0:
-            raise ValueError("grid prices must be non-negative")
-        return super().__new__(cls, n_values, pi_values)
-
-    @classmethod
-    def standard(
-        cls,
-        catalog_size: int,
-        num_users: int,
-        pi_step=Fraction(1, 4),
-        pi_max=Fraction(3),
-    ) -> "MessageGrid":
-        """Canonical grid.
-
-        Proposals: -1, 0, every catalog index, and an escape value
-        num_users * (catalog_size + 2), which makes the rounded average exceed
-        the catalog against every grid choice of the others.  Prices: 0 to
-        pi_max in pi_step increments.
-        """
-        step = as_fraction(pi_step)
-        top = as_fraction(pi_max)
-        if step <= 0:
-            raise ValueError("pi_step must be positive")
-        if top < 0:
-            raise ValueError("pi_max must be non-negative")
-        escape = num_users * (catalog_size + 2)
-        n_values = (-1, *range(catalog_size + 1), escape)
-        pi_values = tuple(k * step for k in range(int(top / step) + 1))
-        return cls(n_values, pi_values)
 
 
 def price_line_optimum(
@@ -188,53 +143,6 @@ def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) ->
     one on ties), or the opt-out proposal when that is strictly better.
     """
     return _reply(user, profile, config)[0]
-
-
-class BRResult(namedtuple("BRResult", "converged rounds profile verification history")):
-    """Outcome of round-robin best-response dynamics.
-
-    `converged` means a full round changed nothing; the fixed point is then
-    re-checked with `verify_ne` and the verdict stored in `verification`
-    (None otherwise).  `history` lists the profile after every round.
-    Non-convergence after `max_rounds` is a report, not an error.
-    """
-
-    __slots__ = ()
-
-
-def br_dynamics(
-    start: MessageProfile,
-    config: ScenarioConfig,
-    max_rounds: int = 50,
-) -> BRResult:
-    """Round-robin best responses from `start` until a fixed point or cutoff.
-
-    A user only moves when the best reply strictly improves on keeping the
-    current message (by `improves`).  The inertia makes every
-    NE an immediate fixed point instead of drifting along utility ties.
-    """
-    catalog = config.catalog
-    profile = tuple(start)
-    history = [profile]
-    converged = False
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        current = list(profile)
-        changed = False
-        for user in range(config.num_users):
-            held = _held_utility(user, outcome(tuple(current), catalog), config)
-            message, value, _ = _reply(user, tuple(current), config)
-            if improves(config.utilities[user], value, held):
-                current[user] = message
-                changed = True
-        if not changed:
-            converged = True
-            break
-        profile = tuple(current)
-        history.append(profile)
-    verification = verify_ne(profile, config) if converged else None
-    return BRResult(converged, rounds, profile, verification, tuple(history))
 
 
 def mismatch_penalties_vanish(profile: MessageProfile) -> bool:
@@ -406,8 +314,7 @@ class EquilibriumReport(
     must every user's best-on-price-line verdict in `lindahl`: at an NE the
     mismatch penalties vanish, so c_i = 0 and the NE check and the Lindahl
     check scan the same line.  `soundness_violations` lists any that do not
-    (there must never be any).  `lindahl` is None when the certificate was
-    not asked for.
+    (there must never be any).
     """
 
     __slots__ = ()
@@ -424,15 +331,12 @@ class EquilibriumReport(
             problems.append("NE a user would rather opt out of")
         if not self.tax_form_matches:
             problems.append("NE whose taxes break the reduced form")
-        if self.lindahl is None:
-            problems.append("NE without a Lindahl certificate")
-        else:
-            if not self.lindahl.prices_balance:
-                problems.append("NE whose personal prices do not sum to zero")
-            if not self.lindahl.taxes_balance:
-                problems.append("NE whose taxes do not sum to zero")
-            if not self.lindahl.best_on_price_line:
-                problems.append("NE off a user's personal price line optimum")
+        if not self.lindahl.prices_balance:
+            problems.append("NE whose personal prices do not sum to zero")
+        if not self.lindahl.taxes_balance:
+            problems.append("NE whose taxes do not sum to zero")
+        if not self.lindahl.best_on_price_line:
+            problems.append("NE off a user's personal price line optimum")
         return tuple(problems)
 
 
@@ -440,9 +344,9 @@ def build_report(
     candidate: MessageProfile,
     config: ScenarioConfig,
     verification: NEVerification | None = None,
-    include_lindahl: bool | None = None,
 ) -> EquilibriumReport:
-    """Assemble the full per-candidate report (NE check + property checks)."""
+    """Assemble the full per-candidate report: the NE check, the property
+    checks and the Lindahl certificate."""
     catalog = config.catalog
     if verification is None:
         verification = verify_ne(candidate, config)
@@ -451,9 +355,6 @@ def build_report(
     matches = False
     if vanish:
         matches = equilibrium_tax_form(candidate, catalog.size) == result.taxes
-    if include_lindahl is None:
-        include_lindahl = verification.is_ne
-    certificate = ne_to_lindahl(candidate, config, verification) if include_lindahl else None
     return EquilibriumReport(
         candidate=tuple(candidate),
         allocation=result.allocation,
@@ -463,7 +364,7 @@ def build_report(
         feasible=result.allocation != 0,
         individual_rationality=individual_rationality(candidate, config),
         tax_form_matches=matches,
-        lindahl=certificate,
+        lindahl=ne_to_lindahl(candidate, config, verification),
     )
 
 

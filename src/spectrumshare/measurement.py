@@ -107,32 +107,25 @@ def _reported(behavior: AgentBehavior, band: int, measured: Fraction) -> Fractio
 
 
 def run_measurement(
-    true_gains,
-    behaviors: Sequence[AgentBehavior],
-    pilot_power,
-    config: ScenarioConfig,
-    tolerance=Fraction(0),
+    behaviors: Sequence[AgentBehavior], pilot_power, config: ScenarioConfig
 ) -> MeasurementResult:
     """Simulate the pilot/report protocol and mark the users it excludes.
 
-    `true_gains[tx][rx][band]` is the ground-truth gain; by reciprocity the
-    reverse pilot of a pair travels through the same gain.  Estimated cross
-    gains come from the receiving side's report divided by the agreed pilot
-    power; own-pair gains are each user's own measurement and are taken as
-    the true diagonal.  Reports are compared exactly by default; `tolerance`
-    exists for runs on inexact inputs.
+    `config.gains[tx][rx][band]` is the ground-truth gain; by reciprocity
+    the reverse pilot of a pair travels through the same gain.  Estimated
+    cross gains come from the receiving side's report divided by the agreed
+    pilot power; own-pair gains are each user's own measurement and are taken
+    as the true diagonal.  The cross-check is exact: a pair is consistent
+    only when both reports are equal on every band.
     """
     users = config.num_users
     bands = config.num_bands
     pilot = as_fraction(pilot_power)
     if pilot <= 0:
         raise ConfigError("pilot power must be strictly positive")
-    tolerance = as_fraction(tolerance)
     if len(behaviors) != users:
         raise ConfigError(f"need one behavior per user ({users}), got {len(behaviors)}")
-    gains = tuple(
-        tuple(tuple(as_fraction(g) for g in row) for row in plane) for plane in true_gains
-    )
+    gains = config.gains
 
     estimated = [[[Fraction(0)] * bands for _ in range(users)] for _ in range(users)]
     for user in range(users):
@@ -153,10 +146,10 @@ def run_measurement(
                 by_rx = _reported(behaviors[rx], band, forward)
                 reverse = gain_row[band] * _pilot_scale(behaviors[rx], band) * pilot
                 by_tx = _reported(behaviors[tx], band, reverse)
-                reports.append(GainReport(tx, rx, band, by_tx, by_rx))
+                report = GainReport(tx, rx, band, by_tx, by_rx)
+                reports.append(report)
                 estimated[tx][rx][band] = by_rx / pilot
-                if abs(by_tx - by_rx) > tolerance:
-                    pair_consistent = False
+                pair_consistent = pair_consistent and report.consistent
             if not pair_consistent:
                 mismatched.append((tx, rx))
                 excluded.update((tx, rx))

@@ -1,8 +1,9 @@
 """Scenario files: strict JSON schema, exact-rational parsing, round-trip.
 
 A scenario file carries everything one run needs: the model (users, bands,
-levels, budget, noise, gains, utilities), the search grid (price step and
-cap), the measurement setup (pilot power, per-user behaviors), and the seed.
+levels, budget, noise, gains, utilities), the price grid of the
+best-response script (step and cap), the measurement setup (pilot power,
+per-user behaviors), and the seed.
 Unknown keys are rejected and every violation names the offending field
 path.  Numeric literals are parsed as exact rationals; "p/q" and decimal
 strings are accepted wherever a number is.
@@ -27,8 +28,8 @@ from .model import (
     as_fraction,
 )
 
-# The price grid is materialized (random best-response starts, the budget
-# sweep), so its size is capped: floor(pi_max / pi_step) + 1 prices.
+# The best-response script materializes the price grid to draw its random
+# starts from, so its size is capped: floor(pi_max / pi_step) + 1 prices.
 MAX_GRID_PRICES = 10**6
 
 _TOP_KEYS = (

@@ -1,12 +1,14 @@
-"""Shared builders: a tiny 8-profile scenario for fast checks, plus the desk one."""
+"""Shared builders: a tiny 8-profile scenario for fast checks, plus the desk
+one, and a loader for the runnable scripts."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from spectrumshare import (
-    MessageGrid,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
@@ -15,6 +17,18 @@ from spectrumshare import (
 from spectrumshare.measurement import Honest
 from spectrumshare.presets import desk_config, desk_scenario
 from spectrumshare.scenario import Scenario
+
+from grid_oracle import standard_grid
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """Import `scripts/<name>.py` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def peak_table(size: int, peak: int, scale=1) -> TableUtility:
@@ -113,17 +127,12 @@ def small():
 
 @pytest.fixture(scope="session")
 def small_grid(small):
-    return MessageGrid.standard(small.catalog.size, small.num_users)
+    return standard_grid(small.catalog.size, small.num_users)
 
 
 @pytest.fixture(scope="session")
 def desk():
     return desk_config()
-
-
-@pytest.fixture(scope="session")
-def desk_grid(desk):
-    return MessageGrid.standard(desk.catalog.size, desk.num_users)
 
 
 @pytest.fixture(scope="session")

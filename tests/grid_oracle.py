@@ -1,6 +1,6 @@
 """Reference implementations of the slow paths the library replaced.
 
-- Nash checks by scanning a finite message grid, which the exact price-line
+- Nash checks by scanning a finite `MessageGrid`, which the exact price-line
   kernel in `spectrumshare.equilibrium` replaced.  They try every grid
   message of one user against the others held fixed, evaluating the utility
   point by point, so they only see deviations that land on the grid.
@@ -15,6 +15,7 @@ The differential tests compare the library against them.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -22,7 +23,6 @@ from spectrumshare import (
     Deviation,
     EquilibriumReport,
     Message,
-    MessageGrid,
     NEVerification,
     build_report,
     outcome,
@@ -35,6 +35,18 @@ from spectrumshare.model import (
     improves,
     utility_eval,
 )
+
+# A finite slice of the message space: every proposal in `n_values`, every
+# price in `pi_values`.
+MessageGrid = namedtuple("MessageGrid", "n_values pi_values")
+
+
+def standard_grid(size: int, users: int) -> MessageGrid:
+    """Proposals -1, 0, every catalog index, and the escape value
+    users * (size + 2), which puts the rounded average past the catalog
+    against every grid choice of the others; prices 0 to 3 in steps of 1/4."""
+    proposals = (-1, *range(size + 1), users * (size + 2))
+    return MessageGrid(proposals, tuple(Fraction(k, 4) for k in range(13)))
 
 
 def grid_deviations(

@@ -19,10 +19,8 @@ from spectrumshare import (
     Honest,
     LindahlAllocation,
     Message,
-    MessageGrid,
     ReportCheat,
     ScenarioConfig,
-    br_dynamics,
     budget_sum,
     build_report,
     lindahl_census,
@@ -36,7 +34,8 @@ from spectrumshare import (
 from spectrumshare.presets import DESK_PEAK_INDEX, desk_config
 from spectrumshare.scenario import parse_scenario, scenario_to_jsonable
 
-from conftest import peak_table, small_scenario, uniform_gains
+from conftest import load_script, peak_table, small_scenario, uniform_gains
+from grid_oracle import standard_grid
 
 
 def criterion(label):
@@ -63,7 +62,7 @@ def desk():
 
 @pytest.fixture(scope="module")
 def grid(desk):
-    return MessageGrid.standard(desk.catalog.size, desk.num_users)
+    return standard_grid(desk.catalog.size, desk.num_users)
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +76,17 @@ def found_equilibria(desk, grid):
     equilibria = [entry.report for entry in census.equilibria]
     census_allocations = {r.allocation for r in equilibria}
 
+    br_dynamics = load_script("br_convergence_experiment").br_dynamics
     rng = random.Random(20260810)
     for _ in range(8):
         start = tuple(
             Message(rng.choice(grid.n_values), rng.choice(grid.pi_values)) for _ in range(3)
         )
-        result = br_dynamics(start, desk, max_rounds=40)
-        if result.converged and result.verification.is_ne:
-            report = build_report(result.profile, desk, verification=result.verification)
+        converged, _, profile = br_dynamics(start, desk, max_rounds=40)
+        if not converged:
+            continue
+        report = build_report(profile, desk)
+        if report.is_ne:
             # the census is complete: best response cannot find another allocation
             assert report.allocation in census_allocations
             if report.candidate not in {r.candidate for r in equilibria}:
@@ -167,7 +169,7 @@ def test_price_system_solve(desk):
 @criterion("7 measurement: honest recovery exact, one-sided cheat excluded")
 def test_measurement_protocol(desk):
     started = time.perf_counter()
-    honest = run_measurement(desk.gains, (Honest(),) * 3, 1, desk)
+    honest = run_measurement((Honest(),) * 3, 1, desk)
     assert honest.estimated_gains == desk.gains
     assert honest.excluded == frozenset()
 
@@ -176,7 +178,7 @@ def test_measurement_protocol(desk):
             ReportCheat("multiplicative", (Fraction(2), Fraction(1))) if u == cheater else Honest()
             for u in range(3)
         )
-        result = run_measurement(desk.gains, behaviors, 1, desk)
+        result = run_measurement(behaviors, 1, desk)
         expected_pairs = {(cheater, other) for other in range(3) if other != cheater}
         expected_pairs |= {(other, cheater) for other in range(3) if other != cheater}
         assert set(result.mismatched_pairs) == expected_pairs

@@ -445,8 +445,17 @@ class TestLindahlRoundtrip:
             ({"allocation": 4, "taxes": 5, "prices": [0, 0, 0]}, "psi.taxes"),
             ({"allocation": 4, "taxes": [0, 0, 0], "prices": None}, "psi.prices"),
             ({"allocation": 4, "taxes": [0, "x", 0], "prices": [0, 0, 0]}, "psi.taxes"),
+            ({"allocation": 100000, "taxes": [0, 0, 0], "prices": [0, 0, 0]}, "psi.allocation"),
+            ({"allocation": -1, "taxes": [0, 0, 0], "prices": [0, 0, 0]}, "psi.allocation"),
         ],
-        ids=["bool-allocation", "scalar-taxes", "null-prices", "bad-tax-entry"],
+        ids=[
+            "bool-allocation",
+            "scalar-taxes",
+            "null-prices",
+            "bad-tax-entry",
+            "too-large-allocation",
+            "negative-allocation",
+        ],
     )
     def test_malformed_psi_names_the_field(self, capsys, small_path, tmp_path, psi, field):
         path = tmp_path / "psi.json"

@@ -1,7 +1,6 @@
-"""Exact NE certification, the Lindahl census, best-response dynamics, and the
-Lindahl bridge."""
+"""Exact NE certification, the Lindahl census, best response, and the Lindahl
+bridge."""
 
-import random
 import time
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from spectrumshare import (
     CubicTaxUtility,
     LindahlAllocation,
     Message,
-    MessageGrid,
     NEVerification,
     PriceScaleError,
     PriceSystemError,
@@ -23,7 +21,6 @@ from spectrumshare import (
     TableUtility,
     balanced_prices,
     best_response,
-    br_dynamics,
     build_report,
     equilibrium_tax_form,
     individual_rationality,
@@ -49,6 +46,7 @@ from grid_oracle import (
     grid_verify,
     interval_oracle,
     price_line_oracle,
+    standard_grid,
     unanimity_scan,
     user_best_nonneg_tax,
 )
@@ -63,7 +61,7 @@ def unanimity(index, price, num_users=3):
 
 class TestMessageGrid:
     def test_standard_contents(self, small):
-        grid = MessageGrid.standard(small.catalog.size, 3)
+        grid = standard_grid(small.catalog.size, 3)
         assert set(range(small.catalog.size + 1)) <= set(grid.n_values)
         assert -1 in grid.n_values
         assert Fraction(0) in grid.pi_values
@@ -80,10 +78,6 @@ class TestMessageGrid:
         total = sum(others) + escape
         average = nearest_integer(total, 3)
         assert not 1 <= average <= small.catalog.size
-
-    def test_single_point_grid_allowed(self):
-        grid = MessageGrid((5,), (Fraction(1),))
-        assert grid.n_values == (5,)
 
 
 class TestVerifyNe:
@@ -172,36 +166,6 @@ class TestBestResponse:
         reply = best_response(0, profile, config)
         assert reply == Message(-8, Fraction(0))
         assert outcome((reply,) + profile[1:], config.catalog).allocation == 0
-
-
-class TestBrDynamics:
-    def test_verified_ne_is_immediate_fixed_point(self, small):
-        start = unanimity(4, 1)
-        result = br_dynamics(start, small)
-        assert result.converged
-        assert result.rounds == 1
-        assert result.profile == start
-        assert result.verification.is_ne
-
-    def test_bounded_termination_reports_non_convergence(self, small):
-        start = unanimity(8, 0)
-        result = br_dynamics(start, small, max_rounds=1)
-        if not result.converged:
-            assert result.verification is None
-            assert result.rounds == 1
-        else:
-            assert result.verification is not None
-
-    def test_fixed_points_pass_verify(self, small, small_grid):
-        rng = random.Random(11)
-        for _ in range(12):
-            start = tuple(
-                Message(rng.choice(small_grid.n_values), rng.choice(small_grid.pi_values))
-                for _ in range(3)
-            )
-            result = br_dynamics(start, small, max_rounds=30)
-            if result.converged:
-                assert result.verification.is_ne
 
 
 def census_allocations(config):
@@ -512,12 +476,10 @@ class TestReports:
         assert report.lindahl is not None
         assert report.soundness_violations() == ()
 
-    def test_lindahl_skipped_for_non_ne_by_default(self, small):
+    def test_lindahl_certified_for_non_ne(self, small):
         report = build_report(unanimity(2, 1), small)
         assert not report.is_ne
-        assert report.lindahl is None
-        forced = build_report(unanimity(2, 1), small, include_lindahl=True)
-        assert forced.lindahl is not None
+        assert report.lindahl == ne_to_lindahl(unanimity(2, 1), small)
 
     def test_ne_off_the_price_line_is_a_violation(self, small):
         report = build_report(unanimity(4, 1), small)
@@ -556,9 +518,8 @@ class TestReports:
     def test_exact_ne_is_best_on_price_line(self, small):
         for price in (0, Fraction(1, 3), 1):
             for report in unanimity_scan(price, small):
-                forced = build_report(report.candidate, small, include_lindahl=True)
-                if forced.is_ne:
-                    assert forced.lindahl.user_best == (True, True, True)
+                if report.is_ne:
+                    assert report.lindahl.user_best == (True, True, True)
 
 
 ORACLE_CONFIGS = {
@@ -573,7 +534,7 @@ ORACLE_CONFIGS = {
         )
     ),
 }
-ORACLE_GRID = MessageGrid.standard(8, 3)
+ORACLE_GRID = standard_grid(8, 3)
 grid_messages = st.builds(
     Message, st.sampled_from(ORACLE_GRID.n_values), st.sampled_from(ORACLE_GRID.pi_values)
 )
@@ -810,7 +771,7 @@ def scaled_sir(config, factor):
 
 def verdicts(candidate, config):
     verification = verify_ne(candidate, config)
-    report = build_report(candidate, config, verification, include_lindahl=True)
+    report = build_report(candidate, config, verification)
     deviation = verification.best_deviation
     return (
         verification.is_ne,

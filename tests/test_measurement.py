@@ -36,13 +36,13 @@ def four_user_config():
 
 class TestRunMeasurement:
     def test_all_honest_recovers_gains_exactly(self, small):
-        result = run_measurement(small.gains, honest(3), Fraction(2), small)
+        result = run_measurement(honest(3), Fraction(2), small)
         assert result.estimated_gains == small.gains
         assert result.excluded == frozenset()
         assert result.mismatched_pairs == ()
 
     def test_log_order_pairs_then_bands(self, desk):
-        result = run_measurement(desk.gains, honest(3), 1, desk)
+        result = run_measurement(honest(3), 1, desk)
         order = [(r.transmitter, r.receiver, r.band) for r in result.reports]
         expected = [
             (tx, rx, band)
@@ -55,14 +55,14 @@ class TestRunMeasurement:
 
     def test_report_cheat_excludes_every_pair_with_the_cheat(self, small):
         behaviors = (Honest(), Honest(), ReportCheat("multiplicative", (Fraction(2),)))
-        result = run_measurement(small.gains, behaviors, 1, small)
+        result = run_measurement(behaviors, 1, small)
         assert result.excluded == frozenset({0, 1, 2})
         assert set(result.mismatched_pairs) == {(0, 2), (2, 0), (1, 2), (2, 1)}
 
     def test_pilot_cheat_detected_both_directions(self):
         config = four_user_config()
         behaviors = (Honest(), PilotCheat((Fraction(3),)), Honest(), Honest())
-        result = run_measurement(config.gains, behaviors, 1, config)
+        result = run_measurement(behaviors, 1, config)
         assert set(result.mismatched_pairs) == {
             (0, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 1),
         }
@@ -71,7 +71,7 @@ class TestRunMeasurement:
     def test_symmetric_collusion_goes_undetected(self, small):
         cheat = ReportCheat("multiplicative", (Fraction(2),))
         behaviors = (cheat, cheat, Honest())
-        result = run_measurement(small.gains, behaviors, 1, small)
+        result = run_measurement(behaviors, 1, small)
         # the pair (0, 1) distorts identically in both directions: no mismatch
         assert (0, 1) not in result.mismatched_pairs
         assert (1, 0) not in result.mismatched_pairs
@@ -81,17 +81,11 @@ class TestRunMeasurement:
 
     def test_zero_pilot_power_rejected(self, small):
         with pytest.raises(ConfigError):
-            run_measurement(small.gains, honest(3), 0, small)
+            run_measurement(honest(3), 0, small)
 
     def test_wrong_behavior_count_rejected(self, small):
         with pytest.raises(ConfigError):
-            run_measurement(small.gains, honest(2), 1, small)
-
-    def test_tolerance_knob_suppresses_tiny_mismatches(self, small):
-        behaviors = (Honest(), Honest(), ReportCheat("additive", (Fraction(1, 1000),)))
-        strict = run_measurement(small.gains, behaviors, 1, small)
-        lenient = run_measurement(small.gains, behaviors, 1, small, tolerance=Fraction(1, 100))
-        assert strict.excluded and not lenient.excluded
+            run_measurement(honest(2), 1, small)
 
     @given(
         cheater=st.integers(min_value=0, max_value=2),
@@ -112,7 +106,7 @@ class TestRunMeasurement:
         behaviors = tuple(
             distortion if user == cheater else Honest() for user in range(3)
         )
-        result = run_measurement(small.gains, behaviors, 1, small)
+        result = run_measurement(behaviors, 1, small)
         if changes_something:
             expected = {(cheater, other) for other in range(3) if other != cheater}
             expected |= {(other, cheater) for other in range(3) if other != cheater}

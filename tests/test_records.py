@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from spectrumshare import (
-    BRResult,
     CensusEntry,
     CubicTaxUtility,
     Deviation,
@@ -22,7 +21,6 @@ from spectrumshare import (
     LindahlCertificate,
     MeasurementResult,
     Message,
-    MessageGrid,
     NEVerification,
     Outcome,
     PilotCheat,
@@ -42,7 +40,6 @@ from conftest import small_config, small_scenario
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 HALF = Fraction(1, 2)
-MESSAGES = (Message(4, 1), Message(4, 0), Message(4, HALF))
 
 
 def _report():
@@ -98,15 +95,10 @@ RECORDS = {
         small_scenario,
         ("config", "pi_step", "pi_max", "pilot_power", "behaviors", "seed", "digest"),
     ),
-    "MessageGrid": (lambda: MessageGrid((2, 0, 1), (HALF, 0)), ("n_values", "pi_values")),
     "Deviation": (lambda: Deviation(1, Message(0, 0), HALF), ("user", "message", "gain")),
     "NEVerification": (
         lambda: NEVerification(False, Deviation(1, Message(0, 0), 0.5)),
         ("is_ne", "best_deviation"),
-    ),
-    "BRResult": (
-        lambda: BRResult(True, 1, MESSAGES, None, (MESSAGES,)),
-        ("converged", "rounds", "profile", "verification", "history"),
     ),
     "LindahlAllocation": (
         lambda: LindahlAllocation(4, (0, 0, 0), (HALF, -HALF, 0)),
