@@ -16,7 +16,7 @@ import collections
 import random
 import time
 
-from spectrumshare import Message, best_response, improves, outcome, utility_eval, verify_ne
+from spectrumshare import Message, best_response, build_report, improves, outcome, utility_eval
 from spectrumshare.scenario import load_scenario
 
 
@@ -82,7 +82,7 @@ def main(argv=None) -> None:
             continue
         converged += 1
         rounds.append(taken)
-        if verify_ne(profile, config).is_ne:
+        if build_report(profile, config).is_ne:
             verified_ne += 1
         if len({m.proposal for m in profile}) == 1:
             unanimity += 1

@@ -18,18 +18,13 @@ from .equilibrium import (
     LindahlAllocation,
     LindahlCensus,
     LindahlCertificate,
-    NEVerification,
     balanced_prices,
     best_response,
     build_report,
-    equilibrium_tax_form,
-    individual_rationality,
     lindahl_census,
     lindahl_to_ne,
     mismatch_penalties_vanish,
-    ne_to_lindahl,
     price_intervals,
-    verify_ne,
 )
 from .errors import (
     ConfigError,

@@ -28,7 +28,6 @@ from .equilibrium import (
     build_report,
     lindahl_census,
     lindahl_to_ne,
-    verify_ne,
 )
 from .errors import ConfigError, ContractError, PriceScaleError, PriceSystemError
 from .measurement import run_measurement
@@ -47,12 +46,10 @@ def _fmt(value) -> str:
 
 
 def _parse_messages(spec: str, num_users: int) -> tuple[Message, ...]:
-    text = spec
-    if spec.startswith("@"):
-        text = Path(spec[1:]).read_text()
     try:
+        text = Path(spec[1:]).read_text() if spec.startswith("@") else spec
         data = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"messages: not valid JSON ({exc})") from None
     if not isinstance(data, list) or len(data) != num_users:
         raise ConfigError(f"messages: need a list of {num_users} entries")
@@ -278,16 +275,15 @@ def cmd_find_ne(args) -> int:
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     messages = _parse_messages(args.messages, scenario.config.num_users)
-    verification = verify_ne(messages, scenario.config)
-    report = build_report(messages, scenario.config, verification=verification)
+    report = build_report(messages, scenario.config)
+    deviation = report.best_deviation
     document = {
         "command": "verify",
         "scenario_digest": scenario.digest,
         "report": _report_json(report),
         "best_deviation": None,
     }
-    if verification.best_deviation is not None:
-        deviation = verification.best_deviation
+    if deviation is not None:
         document["best_deviation"] = {
             "user": deviation.user,
             "message": _message_json(deviation.message),
@@ -297,8 +293,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(document, indent=2))
     else:
         _print_report_table(report)
-        if verification.best_deviation is not None:
-            deviation = verification.best_deviation
+        if deviation is not None:
             print(
                 f"best deviation: user {deviation.user} -> "
                 f"({deviation.message.proposal}, {_fmt(deviation.message.price)}) "
@@ -314,7 +309,7 @@ def cmd_verify(args) -> int:
 def _parse_psi(path, num_users: int, size: int) -> LindahlAllocation:
     try:
         data = json.loads(Path(path).read_text(), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"psi: not valid JSON ({exc})") from None
     if not isinstance(data, dict) or set(data) != {"allocation", "taxes", "prices"}:
         raise ConfigError("psi: expected keys allocation, taxes, prices")
@@ -342,21 +337,20 @@ def cmd_lindahl_roundtrip(args) -> int:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
     except (PriceSystemError, PriceScaleError) as exc:
         raise ConfigError(str(exc)) from None
-    verification = verify_ne(messages, scenario.config)
-    result = outcome(messages, catalog)
-    prices = tuple(lindahl_price(messages, u) for u in range(len(messages)))
+    report = build_report(messages, scenario.config)
+    prices = report.lindahl.allocation.prices
     roundtrip = {
-        "allocation_match": result.allocation == psi.allocation,
-        "taxes_match": result.taxes == psi.taxes,
+        "allocation_match": report.allocation == psi.allocation,
+        "taxes_match": report.taxes == psi.taxes,
         "prices_match": prices == psi.prices,
     }
     document = {
         "command": "lindahl-roundtrip",
         "scenario_digest": scenario.digest,
         "messages": [_message_json(m) for m in messages],
-        "is_ne": verification.is_ne,
-        "allocation": result.allocation,
-        "taxes": [rational_to_json(t) for t in result.taxes],
+        "is_ne": report.is_ne,
+        "allocation": report.allocation,
+        "taxes": [rational_to_json(t) for t in report.taxes],
         "personal_prices": [rational_to_json(p) for p in prices],
         "roundtrip": roundtrip,
     }
@@ -364,7 +358,7 @@ def cmd_lindahl_roundtrip(args) -> int:
         print(json.dumps(document, indent=2))
     else:
         print(f"solved prices: {', '.join(_fmt(m.price) for m in messages)}")
-        print(f"NE: {verification.is_ne}")
+        print(f"NE: {report.is_ne}")
         print(
             "roundtrip: allocation={allocation_match} taxes={taxes_match} "
             "prices={prices_match}".format(**roundtrip)

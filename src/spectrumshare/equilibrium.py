@@ -1,6 +1,6 @@
-"""Equilibrium machinery: exact Nash checks, the census of every equilibrium
-allocation, and the two-way bridge between Nash equilibria of the game and
-Lindahl allocations.
+"""Equilibrium machinery: the one-pass certificate of a candidate, the
+census of every equilibrium allocation, and the two-way bridge between Nash
+equilibria of the game and Lindahl allocations.
 
 Every question here reduces to one price-line kernel, `price_line_optimum`:
 user i's best catalog index k when its tax is k * p - c.  It rests on one
@@ -15,10 +15,16 @@ user i's best reply over the whole message space is either the opt-out
 Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0 the
 same kernel is the Lindahl check "best on the personal price line".
 
+`build_report` certifies a candidate in one pass: one outcome, and per user
+one reply scan and one held utility, from which it reads the NE verdict and
+best deviation, individual rationality, the reduced tax form and the Lindahl
+certificate.  Only a user whose tax is on its price line but whose scanned
+line carries a credit c_i != 0 is scanned again, at credit 0.
+
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
 equilibrium allocations off per-user intervals of personal prices and
-certifies each with the kernel.
+certifies each with `build_report`.
 """
 
 from __future__ import annotations
@@ -34,9 +40,6 @@ from .mechanism import (
     MessageProfile,
     lindahl_price,
     outcome,
-    proposal_feasible,
-    rounded_average,
-    tax,
 )
 from .model import (
     IntegerScaling,
@@ -69,8 +72,9 @@ def price_line_optimum(
 
 
 def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
-    """User's best message over the whole message space, its utility, and
-    the credit and best utility of the price line scanned.
+    """User's best message over the whole message space, the credit c_i of
+    the price line scanned, the best utility on that line, and the opt-out
+    utility V_i(0, 0); the message is worth the larger of the two utilities.
 
     The opt-out (-S, 0) is chosen only when strictly better than every
     catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
@@ -82,57 +86,14 @@ def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
     credit = (after.proposal - after2.proposal) ** 2 * after.price
     index, value = price_line_optimum(user, lindahl_price(profile, user), credit, config)
     opt_out = utility_eval(config.utilities[user], 0, Fraction(0), config)
-    if opt_out > value:
-        return Message(-others_sum, Fraction(0)), opt_out, (credit, value)
-    return Message(n_users * index - others_sum, Fraction(0)), value, (credit, value)
-
-
-def _held_utility(user: int, result, config: ScenarioConfig):
-    return utility_eval(config.utilities[user], result.allocation, result.taxes[user], config)
+    proposal = -others_sum if opt_out > value else n_users * index - others_sum
+    return Message(proposal, Fraction(0)), credit, value, opt_out
 
 
 class Deviation(namedtuple("Deviation", "user message gain")):
     """A unilateral move and the utility it would gain over the candidate."""
 
     __slots__ = ()
-
-
-class NEVerification(namedtuple("NEVerification", "is_ne best_deviation")):
-    """The NE verdict and the most profitable `Deviation` (None at an NE).
-
-    `line_optima` holds, per user, the credit c_i of the price line that
-    was scanned and the best utility on it; `ne_to_lindahl` reuses the
-    scans with c_i = 0 instead of repeating them.  It is a read-only
-    attribute, not a field, so equality, hashing and the repr ignore it.
-    """
-
-    def __new__(cls, is_ne: bool, best_deviation: Deviation | None, line_optima=()):
-        self = super().__new__(cls, is_ne, best_deviation)
-        vars(self)["line_optima"] = line_optima
-        return self
-
-    line_optima = property(lambda self: vars(self)["line_optima"])
-
-
-def verify_ne(candidate: MessageProfile, config: ScenarioConfig) -> NEVerification:
-    """Check that no user has a strictly improving unilateral deviation.
-
-    The check is exact over the whole message space (any integer proposal,
-    any non-negative price).  Returns the most profitable deviation when it
-    fails.  Improvement is judged by `improves`: exact for rational
-    utilities, with a relative-and-absolute tolerance for float-valued ones.
-    """
-    base = outcome(candidate, config.catalog)
-    best: Deviation | None = None
-    optima = []
-    for user in range(len(candidate)):
-        message, value, line = _reply(user, candidate, config)
-        optima.append(line)
-        held = _held_utility(user, base, config)
-        gain = value - held
-        if improves(config.utilities[user], value, held) and (best is None or gain > best.gain):
-            best = Deviation(user, message, gain)
-    return NEVerification(best is None, best, tuple(optima))
 
 
 def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) -> Message:
@@ -156,39 +117,6 @@ def mismatch_penalties_vanish(profile: MessageProfile) -> bool:
         (profile[i].proposal - profile[(i + 1) % n].proposal) ** 2 * profile[i].price == 0
         for i in range(n)
     )
-
-
-def equilibrium_tax_form(profile: MessageProfile, catalog_size: int) -> tuple[Fraction, ...]:
-    """Taxes via the reduced form (rounded average) x (personal price).
-
-    Only valid when the mismatch penalties vanish; then it coincides exactly
-    with the full tax rule, which is verified before returning.
-    """
-    if not mismatch_penalties_vanish(profile):
-        raise ContractError("reduced tax form requires vanishing mismatch penalties")
-    proposals = [m.proposal for m in profile]
-    if proposal_feasible(proposals, catalog_size):
-        average = rounded_average(proposals)
-        reduced = tuple(average * lindahl_price(profile, user) for user in range(len(profile)))
-    else:
-        reduced = tuple(Fraction(0) for _ in profile)
-    actual = tuple(tax(profile, user, catalog_size) for user in range(len(profile)))
-    if reduced != actual:
-        raise ContractError(
-            f"reduced taxes {reduced} disagree with the tax rule {actual}"
-        )
-    return reduced
-
-
-def individual_rationality(profile: MessageProfile, config: ScenarioConfig) -> tuple[bool, ...]:
-    """Per user: is the outcome weakly preferred to the (0, 0) endowment?"""
-    result = outcome(profile, config.catalog)
-    flags = []
-    for user, spec in enumerate(config.utilities):
-        value = utility_eval(spec, result.allocation, result.taxes[user], config)
-        endowment = utility_eval(spec, 0, Fraction(0), config)
-        flags.append(not improves(spec, endowment, value))
-    return tuple(flags)
 
 
 class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices")):
@@ -233,40 +161,6 @@ class LindahlCertificate(
         return self.prices_balance and self.taxes_balance and self.best_on_price_line
 
 
-def ne_to_lindahl(
-    candidate: MessageProfile,
-    config: ScenarioConfig,
-    verification: NEVerification | None = None,
-) -> LindahlCertificate:
-    """Read a Lindahl allocation off a message profile and check it.
-
-    The price-line optimality check is exhaustive over the whole catalog, so
-    its verdict is ground truth, not a sample.  Only users whose tax lies on
-    their personal price line are scanned, and a `verification` of the same
-    candidate lends its scans of lines with zero credit.
-    """
-    result = outcome(candidate, config.catalog)
-    prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
-    allocation = LindahlAllocation(result.allocation, result.taxes, prices)
-    prices_balance = sum(prices, Fraction(0)) == 0
-    taxes_balance = sum(result.taxes, Fraction(0)) == 0
-    scanned = verification.line_optima if verification is not None else ()
-    user_best = []
-    for user, price in enumerate(prices):
-        ok = result.allocation != 0 and result.taxes[user] == result.allocation * price
-        if ok:
-            if scanned and scanned[user][0] == 0:
-                best = scanned[user][1]
-            else:
-                _, best = price_line_optimum(user, price, Fraction(0), config)
-            ok = not improves(config.utilities[user], best, _held_utility(user, result, config))
-        user_best.append(ok)
-    user_best_nonneg = tuple(ok and price >= 0 for ok, price in zip(user_best, prices))
-    return LindahlCertificate(
-        allocation, prices_balance, taxes_balance, tuple(user_best), user_best_nonneg
-    )
-
-
 def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -> MessageProfile:
     """Message profile whose outcome reproduces the Lindahl allocation `psi`.
 
@@ -304,17 +198,18 @@ def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -
 class EquilibriumReport(
     namedtuple(
         "EquilibriumReport",
-        "candidate allocation taxes is_ne mismatch_penalties_vanish feasible"
+        "candidate allocation taxes is_ne best_deviation mismatch_penalties_vanish feasible"
         " individual_rationality tax_form_matches lindahl",
     )
 ):
-    """All per-candidate verdicts in one place.
+    """All per-candidate verdicts of one `build_report` pass.
 
-    When `is_ne` holds, every structural flag below must hold too, and so
-    must every user's best-on-price-line verdict in `lindahl`: at an NE the
-    mismatch penalties vanish, so c_i = 0 and the NE check and the Lindahl
-    check scan the same line.  `soundness_violations` lists any that do not
-    (there must never be any).
+    `best_deviation` is the most profitable unilateral `Deviation`, None
+    exactly when `is_ne` holds.  When `is_ne` holds, every structural flag
+    below must hold too, and so must every user's best-on-price-line verdict
+    in `lindahl`: at an NE the mismatch penalties vanish, so c_i = 0 and the
+    NE check and the Lindahl check scan the same line.
+    `soundness_violations` lists any that do not (there must never be any).
     """
 
     __slots__ = ()
@@ -340,31 +235,59 @@ class EquilibriumReport(
         return tuple(problems)
 
 
-def build_report(
-    candidate: MessageProfile,
-    config: ScenarioConfig,
-    verification: NEVerification | None = None,
-) -> EquilibriumReport:
-    """Assemble the full per-candidate report: the NE check, the property
-    checks and the Lindahl certificate."""
-    catalog = config.catalog
-    if verification is None:
-        verification = verify_ne(candidate, config)
-    result = outcome(candidate, catalog)
+def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
+    """Certify a candidate in one pass over the users.
+
+    One outcome; per user one `_reply` scan and one held utility.  The reply
+    gives the deviation gain (exact over the whole message space; judged by
+    `improves`, so exact for rational utilities and with a tolerance for
+    float-valued ones), and its opt-out utility gives individual rationality.
+    A user is on its price line when its tax is allocation * personal price;
+    the Lindahl verdict compares its held utility with the best on that line
+    at credit 0, which is the scanned line unless c_i != 0, and only then is
+    the line scanned again.  With vanishing mismatch penalties every user
+    must be on its line (the reduced tax form); a tax that is not raises
+    `ContractError`.
+    """
+    allocation, taxes = outcome(candidate, config.catalog)
+    prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
     vanish = mismatch_penalties_vanish(candidate)
-    matches = False
-    if vanish:
-        matches = equilibrium_tax_form(candidate, catalog.size) == result.taxes
+    best: Deviation | None = None
+    rational, on_line, user_best = [], [], []
+    for user, spec in enumerate(config.utilities):
+        message, credit, line_best, opt_out = _reply(user, candidate, config)
+        held = utility_eval(spec, allocation, taxes[user], config)
+        value = max(line_best, opt_out)
+        gain = value - held
+        if improves(spec, value, held) and (best is None or gain > best.gain):
+            best = Deviation(user, message, gain)
+        rational.append(not improves(spec, opt_out, held))
+        on_line.append(taxes[user] == allocation * prices[user])
+        ok = allocation != 0 and on_line[user]
+        if ok and credit != 0:
+            _, line_best = price_line_optimum(user, prices[user], Fraction(0), config)
+        user_best.append(ok and not improves(spec, line_best, held))
+    if vanish and not all(on_line):
+        reduced = tuple(allocation * price for price in prices)
+        raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
+    lindahl = LindahlCertificate(
+        LindahlAllocation(allocation, taxes, prices),
+        sum(prices, Fraction(0)) == 0,
+        sum(taxes, Fraction(0)) == 0,
+        tuple(user_best),
+        tuple(ok and price >= 0 for ok, price in zip(user_best, prices)),
+    )
     return EquilibriumReport(
         candidate=tuple(candidate),
-        allocation=result.allocation,
-        taxes=result.taxes,
-        is_ne=verification.is_ne,
+        allocation=allocation,
+        taxes=taxes,
+        is_ne=best is None,
+        best_deviation=best,
         mismatch_penalties_vanish=vanish,
-        feasible=result.allocation != 0,
-        individual_rationality=individual_rationality(candidate, config),
-        tax_form_matches=matches,
-        lindahl=ne_to_lindahl(candidate, config, verification),
+        feasible=allocation != 0,
+        individual_rationality=tuple(rational),
+        tax_form_matches=vanish,
+        lindahl=lindahl,
     )
 
 

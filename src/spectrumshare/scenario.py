@@ -234,7 +234,7 @@ def load_scenario(path) -> Scenario:
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"scenario: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")

@@ -4,6 +4,8 @@
   kernel in `spectrumshare.equilibrium` replaced.  They try every grid
   message of one user against the others held fixed, evaluating the utility
   point by point, so they only see deviations that land on the grid.
+- The alternative-by-alternative Lindahl check, which the price-line scans
+  of `build_report` replaced.
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
 - The price-line loop over `Fraction` taxes, which the integer kernel
@@ -23,7 +25,6 @@ from spectrumshare import (
     Deviation,
     EquilibriumReport,
     Message,
-    NEVerification,
     build_report,
     outcome,
 )
@@ -85,8 +86,9 @@ def grid_deviations(
 
 def grid_verify(
     candidate: MessageProfile, grid: MessageGrid, config: ScenarioConfig
-) -> NEVerification:
-    """No user has a strictly improving unilateral grid deviation."""
+) -> tuple[bool, Optional[Deviation]]:
+    """(is_ne, best_deviation): no user has a strictly improving unilateral
+    grid deviation, and the most profitable one when some user has."""
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
@@ -96,27 +98,35 @@ def grid_verify(
             gain = value - held
             if improves(spec, value, held) and (best is None or gain > best.gain):
                 best = Deviation(user, message, gain)
-    return NEVerification(best is None, best)
+    return best is None, best
 
 
-def user_best_nonneg_tax(candidate: MessageProfile, config: ScenarioConfig) -> tuple[bool, ...]:
-    """Per user: best on its personal price line among non-negative taxes.
+def user_best_nonneg_tax(
+    candidate: MessageProfile, config: ScenarioConfig
+) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """(user_best, user_best_nonneg_tax): per user, best on its personal
+    price line among all taxes, and among non-negative taxes.
 
-    The alternative-by-alternative loop that `ne_to_lindahl` used to run.
+    The alternative-by-alternative loop that the Lindahl certificate used to
+    run, evaluating every catalog index at tax index * personal price.
     """
     result = outcome(candidate, config.catalog)
-    flags = []
+    best, best_nonneg = [], []
     for user, spec in enumerate(config.utilities):
         price = lindahl_price(candidate, user)
         charged = result.taxes[user]
-        ok = result.allocation != 0 and charged == result.allocation * price and charged >= 0
+        ok = result.allocation != 0 and charged == result.allocation * price
+        ok_nonneg = ok and charged >= 0
         held = utility_eval(spec, result.allocation, charged, config)
         for alternative in range(1, config.catalog.size + 1):
             value = utility_eval(spec, alternative, alternative * price, config)
-            if improves(spec, value, held) and alternative * price >= 0:
+            if improves(spec, value, held):
                 ok = False
-        flags.append(ok)
-    return tuple(flags)
+                if alternative * price >= 0:
+                    ok_nonneg = False
+        best.append(ok)
+        best_nonneg.append(ok_nonneg)
+    return tuple(best), tuple(best_nonneg)
 
 
 def unanimity_scan(price, config: ScenarioConfig) -> list[EquilibriumReport]:

@@ -29,7 +29,6 @@ from spectrumshare import (
     outcome,
     run_measurement,
     tax,
-    verify_ne,
 )
 from spectrumshare.presets import DESK_PEAK_INDEX, desk_config
 from spectrumshare.scenario import parse_scenario, scenario_to_jsonable
@@ -149,7 +148,7 @@ def test_lindahl_roundtrip_at_common_peak(desk):
     zero = Fraction(0)
     psi = LindahlAllocation(DESK_PEAK_INDEX, (zero,) * 3, (zero,) * 3)
     messages = lindahl_to_ne(psi, 1, desk.catalog)
-    assert verify_ne(messages, desk).is_ne
+    assert build_report(messages, desk).is_ne
     result = outcome(messages, desk.catalog)
     assert result.allocation == psi.allocation
     assert result.taxes == psi.taxes

@@ -13,7 +13,6 @@ from spectrumshare.presets import desk_scenario
 
 from spectrumshare import (
     CubicTaxUtility,
-    NEVerification,
     ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
@@ -325,8 +324,11 @@ class TestFindNe:
     def test_uncertified_census_entry_exits_3(self, capsys, small_path, monkeypatch):
         from spectrumshare import equilibrium
 
+        certify = equilibrium.build_report
         monkeypatch.setattr(
-            equilibrium, "verify_ne", lambda candidate, config: NEVerification(False, None)
+            equilibrium,
+            "build_report",
+            lambda candidate, config: certify(candidate, config)._replace(is_ne=False),
         )
         code, _, err = run(capsys, "find-ne", "--scenario", small_path)
         assert code == 3
@@ -466,6 +468,26 @@ class TestLindahlRoundtrip:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'[1, "\xff"]', b"[" + b"9" * 5001 + b"]"],
+    ids=["invalid-utf8", "over-4300-digit-int"],
+)
+@pytest.mark.parametrize("field", ["scenario", "messages", "psi"])
+def test_undecodable_input_names_it(capsys, small_path, tmp_path, field, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "scenario": ["enumerate", "--scenario", str(bad)],
+        "messages": ["verify", "--scenario", small_path, "--messages", f"@{bad}"],
+        "psi": ["lindahl-roundtrip", "--scenario", small_path, "--psi", str(bad)],
+    }[field]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 class TestMeasure:

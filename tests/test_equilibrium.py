@@ -13,7 +13,6 @@ from spectrumshare import (
     CubicTaxUtility,
     LindahlAllocation,
     Message,
-    NEVerification,
     PriceScaleError,
     PriceSystemError,
     ScenarioConfig,
@@ -22,22 +21,18 @@ from spectrumshare import (
     balanced_prices,
     best_response,
     build_report,
-    equilibrium_tax_form,
-    individual_rationality,
     integer_scaling,
     lindahl_census,
     lindahl_price,
     lindahl_to_ne,
     mismatch_penalties_vanish,
-    ne_to_lindahl,
     outcome,
     price_intervals,
     tax,
     utility_eval,
-    verify_ne,
 )
 from spectrumshare.equilibrium import price_line_optimum
-from spectrumshare.mechanism import nearest_integer
+from spectrumshare.mechanism import Outcome, clip_allocation, nearest_integer, rounded_average
 
 from conftest import peak_table, sir_configs, small_config, uniform_gains
 from grid_oracle import (
@@ -82,20 +77,20 @@ class TestMessageGrid:
 
 class TestVerifyNe:
     def test_common_peak_unanimity_is_ne(self, small):
-        result = verify_ne(unanimity(4, 1), small)
+        result = build_report(unanimity(4, 1), small)
         assert result.is_ne
         assert result.best_deviation is None
 
     @pytest.mark.parametrize("index", [1, 2, 3, 5, 6, 7, 8])
     def test_off_peak_unanimity_is_refuted(self, index, small):
-        result = verify_ne(unanimity(index, 1), small)
+        result = build_report(unanimity(index, 1), small)
         assert not result.is_ne
         deviation = result.best_deviation
         assert deviation is not None and deviation.gain > 0
 
     def test_reported_deviation_achieves_its_gain(self, small):
         candidate = unanimity(2, 1)
-        result = verify_ne(candidate, small)
+        result = build_report(candidate, small)
         deviation = result.best_deviation
         perturbed = list(candidate)
         perturbed[deviation.user] = deviation.message
@@ -113,13 +108,13 @@ class TestVerifyNe:
             Message(2, Fraction(0)),
             Message(3, Fraction(0)),
         )
-        result = verify_ne(candidate, small)
+        result = build_report(candidate, small)
         assert not result.is_ne
 
     def test_off_grid_candidate_certified(self, small):
-        assert verify_ne(unanimity(4, Fraction(1, 3)), small).is_ne
+        assert build_report(unanimity(4, Fraction(1, 3)), small).is_ne
         far = (Message(500, Fraction(1)), Message(4, Fraction(1)), Message(4, Fraction(1)))
-        result = verify_ne(far, small)
+        result = build_report(far, small)
         assert not result.is_ne
         assert result.best_deviation.message.price == 0
 
@@ -129,8 +124,8 @@ class TestVerifyNe:
         # lets a user pull the average back.
         escape = Message(small_grid.n_values[-1], Fraction(0))
         candidate = (escape, escape, Message(4, Fraction(0)))
-        assert grid_verify(candidate, small_grid, small).is_ne
-        result = verify_ne(candidate, small)
+        assert grid_verify(candidate, small_grid, small)[0]
+        result = build_report(candidate, small)
         assert not result.is_ne
         moved = outcome(
             candidate[: result.best_deviation.user]
@@ -279,8 +274,11 @@ class TestLindahlCensus:
     def test_uncertified_entry_is_a_contract_violation(self, small, monkeypatch):
         from spectrumshare import equilibrium
 
+        certify = equilibrium.build_report
         monkeypatch.setattr(
-            equilibrium, "verify_ne", lambda candidate, config: NEVerification(False, None)
+            equilibrium,
+            "build_report",
+            lambda candidate, config: certify(candidate, config)._replace(is_ne=False),
         )
         with pytest.raises(ContractError, match="census allocation 4"):
             lindahl_census(small)
@@ -354,42 +352,61 @@ def aligned_profiles():
 
 
 class TestEquilibriumTaxForm:
-    def test_unanimity_with_distinct_prices(self):
+    def test_unanimity_with_distinct_prices(self, small):
         profile = tuple(Message(5, Fraction(p)) for p in (3, 1, 2))
-        reduced = equilibrium_tax_form(profile, 216)
-        assert reduced == tuple(tax(profile, u, 216) for u in range(3))
-        assert reduced == tuple(5 * lindahl_price(profile, u) for u in range(3))
+        report = build_report(profile, small)
+        assert report.tax_form_matches
+        assert report.taxes == tuple(tax(profile, u, 8) for u in range(3))
+        assert report.taxes == tuple(5 * lindahl_price(profile, u) for u in range(3))
 
-    def test_equal_prices_give_zero(self):
-        assert equilibrium_tax_form(unanimity(5, 2), 216) == (0, 0, 0)
+    def test_equal_prices_give_zero(self, small):
+        # at 50 the average leaves the catalog: every tax is 0 = 0 * price
+        for index in (5, 50):
+            report = build_report(unanimity(index, 2), small)
+            assert report.tax_form_matches
+            assert report.taxes == (0, 0, 0)
 
-    def test_precondition_enforced(self):
+    def test_precondition_enforced(self, small):
         profile = (Message(1, Fraction(1)), Message(2, Fraction(0)), Message(3, Fraction(0)))
-        with pytest.raises(ContractError):
-            equilibrium_tax_form(profile, 216)
+        report = build_report(profile, small)
+        assert not report.mismatch_penalties_vanish
+        assert not report.tax_form_matches
+
+    def test_broken_tax_rule_is_a_contract_violation(self, small, monkeypatch):
+        from spectrumshare import equilibrium
+
+        def swapped(profile, catalog):
+            allocation, taxes = outcome(profile, catalog)
+            return Outcome(allocation, taxes[::-1])
+
+        monkeypatch.setattr(equilibrium, "outcome", swapped)
+        profile = tuple(Message(5, Fraction(p)) for p in (3, 1, 2))
+        with pytest.raises(ContractError, match="disagree with the tax rule"):
+            build_report(profile, small)
 
     @given(aligned_profiles())
     @settings(max_examples=150, deadline=None)
     def test_reduced_form_equivalence(self, profile):
-        reduced = equilibrium_tax_form(profile, 20)
-        assert reduced == tuple(tax(profile, u, 20) for u in range(3))
+        allocation = clip_allocation(rounded_average([m.proposal for m in profile]), 20)
+        for u in range(3):
+            assert tax(profile, u, 20) == allocation * lindahl_price(profile, u)
 
 
 class TestIndividualRationality:
     def test_unanimity_ne_is_rational_for_all(self, small):
-        assert individual_rationality(unanimity(4, 1), small) == (True, True, True)
+        assert build_report(unanimity(4, 1), small).individual_rationality == (True, True, True)
 
     def test_flat_low_value_with_heavy_tax_fails(self):
         flat = tuple([Fraction(0)] + [Fraction(1)] * 8)
         config = small_config(utilities=tuple(TableUtility(flat) for _ in range(3)))
         profile = tuple(Message(n, Fraction(p)) for n, p in ((1, 1), (2, 2), (3, 3)))
-        flags = individual_rationality(profile, config)
+        flags = build_report(profile, config).individual_rationality
         assert not all(flags)
 
 
 class TestNeToLindahl:
     def test_unanimity_ne_at_equal_prices(self, small):
-        certificate = ne_to_lindahl(unanimity(4, 1), small)
+        certificate = build_report(unanimity(4, 1), small).lindahl
         assert certificate.allocation.prices == (0, 0, 0)
         assert certificate.prices_balance
         assert certificate.taxes_balance
@@ -398,7 +415,7 @@ class TestNeToLindahl:
         assert certificate.all_conditions_hold
 
     def test_off_peak_candidate_fails_price_line_check(self, small):
-        certificate = ne_to_lindahl(unanimity(2, 1), small)
+        certificate = build_report(unanimity(2, 1), small).lindahl
         assert certificate.prices_balance and certificate.taxes_balance
         assert not certificate.best_on_price_line
 
@@ -406,7 +423,7 @@ class TestNeToLindahl:
     @settings(max_examples=60, deadline=None)
     def test_balance_conditions_hold_for_any_profile(self, pairs, small):
         profile = tuple(Message(n, p) for n, p in pairs)
-        certificate = ne_to_lindahl(profile, small)
+        certificate = build_report(profile, small).lindahl
         assert certificate.prices_balance
         assert certificate.taxes_balance
 
@@ -457,7 +474,7 @@ class TestLindahlToNe:
             assert certificate.all_conditions_hold
             psi = certificate.allocation
             rebuilt = lindahl_to_ne(psi, 10, config.catalog)
-            assert verify_ne(rebuilt, config).is_ne
+            assert build_report(rebuilt, config).is_ne
             result = outcome(rebuilt, config.catalog)
             assert result.allocation == psi.allocation
             assert result.taxes == psi.taxes
@@ -479,7 +496,8 @@ class TestReports:
     def test_lindahl_certified_for_non_ne(self, small):
         report = build_report(unanimity(2, 1), small)
         assert not report.is_ne
-        assert report.lindahl == ne_to_lindahl(unanimity(2, 1), small)
+        assert report.lindahl.allocation == LindahlAllocation(2, (0, 0, 0), (0, 0, 0))
+        assert report.lindahl.user_best == (False, False, False)
 
     def test_ne_off_the_price_line_is_a_violation(self, small):
         report = build_report(unanimity(4, 1), small)
@@ -500,20 +518,30 @@ class TestReports:
             return kernel(user, price, credit, config)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
-        # Infeasible average: every user's tax is 0, off its price line.
-        certificate = ne_to_lindahl((Message(-50, 1), Message(0, 2), Message(0, 0)), small)
-        assert certificate.user_best == (False, False, False)
-        assert scans == []
+        # Infeasible average: a null allocation is never best on a price
+        # line, so only the reply scans run, user 2's with credit 2500.
+        report = build_report((Message(-50, 1), Message(0, 2), Message(0, 0)), small)
+        assert report.lindahl.user_best == (False, False, False)
+        assert sorted(scans) == [0, 1, 2]
 
-    def test_lent_scan_with_credit_is_not_reused(self, small):
-        # User 0 pays exactly allocation * personal price, but verify_ne
-        # scanned its line with the credit c_0 = 9 * 4 rebated.
+    def test_lent_scan_with_credit_is_not_reused(self, small, monkeypatch):
+        # User 0 pays exactly allocation * personal price, but its reply scan
+        # runs with the credit c_0 = 9 * 4 rebated; only its Lindahl verdict
+        # needs the line at credit 0.
+        from spectrumshare import equilibrium
+
+        scans = []
+        kernel = equilibrium.price_line_optimum
+
+        def counted(user, price, credit, config):
+            scans.append((user, credit))
+            return kernel(user, price, credit, config)
+
+        monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
-        verification = verify_ne(candidate, small)
-        assert verification.line_optima[0][0] == 36
-        certificate = ne_to_lindahl(candidate, small, verification)
-        assert certificate == ne_to_lindahl(candidate, small)
-        assert certificate.user_best == (True, False, False)
+        report = build_report(candidate, small)
+        assert [credit for user, credit in scans if user == 0] == [36, 0]
+        assert report.lindahl.user_best == (True, False, False)
 
     def test_exact_ne_is_best_on_price_line(self, small):
         for price in (0, Fraction(1, 3), 1):
@@ -547,8 +575,7 @@ candidates = st.one_of(
 )
 
 
-def best_gain(verification):
-    deviation = verification.best_deviation
+def best_gain(deviation):
     return 0 if deviation is None else deviation.gain
 
 
@@ -569,21 +596,21 @@ class TestExactAgainstGridOracle:
     @settings(max_examples=80, deadline=None)
     def test_exact_ne_implies_grid_ne(self, variant, candidate):
         config = ORACLE_CONFIGS[variant]
-        if verify_ne(candidate, config).is_ne:
-            assert grid_verify(candidate, ORACLE_GRID, config).is_ne
+        if build_report(candidate, config).is_ne:
+            assert grid_verify(candidate, ORACLE_GRID, config)[0]
 
     @given(candidate=candidates)
     @settings(max_examples=80, deadline=None)
     def test_exact_gain_dominates_grid_gain(self, variant, candidate):
         config = ORACLE_CONFIGS[variant]
-        exact = best_gain(verify_ne(candidate, config))
-        assert exact >= best_gain(grid_verify(candidate, ORACLE_GRID, config))
+        exact = best_gain(build_report(candidate, config).best_deviation)
+        assert exact >= best_gain(grid_verify(candidate, ORACLE_GRID, config)[1])
 
     @given(candidate=candidates)
     @settings(max_examples=80, deadline=None)
     def test_reported_deviation_achieves_its_gain(self, variant, candidate):
         config = ORACLE_CONFIGS[variant]
-        deviation = verify_ne(candidate, config).best_deviation
+        deviation = build_report(candidate, config).best_deviation
         if deviation is not None:
             gain = realized_gain(candidate, deviation.user, deviation.message, config)
             assert gain == deviation.gain
@@ -601,15 +628,9 @@ class TestExactAgainstGridOracle:
     @settings(max_examples=80, deadline=None)
     def test_nonneg_tax_verdict_matches_loop(self, variant, candidate):
         config = ORACLE_CONFIGS[variant]
-        certificate = ne_to_lindahl(candidate, config)
-        assert certificate.user_best_nonneg_tax == user_best_nonneg_tax(candidate, config)
-
-    @given(candidate=candidates)
-    @settings(max_examples=60, deadline=None)
-    def test_lent_scans_give_the_same_certificate(self, variant, candidate):
-        config = ORACLE_CONFIGS[variant]
-        lent = ne_to_lindahl(candidate, config, verify_ne(candidate, config))
-        assert lent == ne_to_lindahl(candidate, config)
+        certificate = build_report(candidate, config).lindahl
+        expected = user_best_nonneg_tax(candidate, config)
+        assert (certificate.user_best, certificate.user_best_nonneg_tax) == expected
 
 
 # Arbitrary tables rarely share an equilibrium; single-peaked ones with
@@ -691,7 +712,8 @@ class TestCensusAgainstOracles:
     def test_every_entry_passes_verify_ne(self, config):
         for entry in lindahl_census(config).equilibria:
             report = entry.report
-            assert verify_ne(report.candidate, config).is_ne
+            assert report.is_ne
+            assert grid_verify(report.candidate, ORACLE_GRID, config)[0]
             prices = report.lindahl.allocation.prices
             assert sum(prices) == 0
             for price, (lower, upper) in zip(prices, entry.price_intervals):
@@ -712,7 +734,7 @@ class TestCensusAgainstOracles:
                 candidate = lindahl_to_ne(psi, 0, config.catalog)
             except PriceScaleError as exc:
                 candidate = lindahl_to_ne(psi, exc.min_seed_price, config.catalog)
-            if verify_ne(candidate, config).is_ne:
+            if build_report(candidate, config).is_ne:
                 assert allocation in found
 
     @given(config=census_configs, price=prices)
@@ -770,11 +792,10 @@ def scaled_sir(config, factor):
 
 
 def verdicts(candidate, config):
-    verification = verify_ne(candidate, config)
-    report = build_report(candidate, config, verification)
-    deviation = verification.best_deviation
+    report = build_report(candidate, config)
+    deviation = report.best_deviation
     return (
-        verification.is_ne,
+        report.is_ne,
         None if deviation is None else (deviation.user, deviation.message.proposal),
         report.individual_rationality,
         report.lindahl.user_best,

@@ -21,7 +21,6 @@ from spectrumshare import (
     LindahlCertificate,
     MeasurementResult,
     Message,
-    NEVerification,
     Outcome,
     PilotCheat,
     ProfileCatalog,
@@ -96,10 +95,6 @@ RECORDS = {
         ("config", "pi_step", "pi_max", "pilot_power", "behaviors", "seed", "digest"),
     ),
     "Deviation": (lambda: Deviation(1, Message(0, 0), HALF), ("user", "message", "gain")),
-    "NEVerification": (
-        lambda: NEVerification(False, Deviation(1, Message(0, 0), 0.5)),
-        ("is_ne", "best_deviation"),
-    ),
     "LindahlAllocation": (
         lambda: LindahlAllocation(4, (0, 0, 0), (HALF, -HALF, 0)),
         ("allocation", "taxes", "prices"),
@@ -115,6 +110,7 @@ RECORDS = {
             "allocation",
             "taxes",
             "is_ne",
+            "best_deviation",
             "mismatch_penalties_vanish",
             "feasible",
             "individual_rationality",
@@ -166,9 +162,6 @@ def test_repr_spelling():
     assert repr(Message(3, HALF)) == "Message(proposal=3, price=Fraction(1, 2))"
     assert repr(Honest()) == "Honest()"
     assert repr(TableUtility((0, 1))) == "TableUtility(values=(0, 1))"
-    assert repr(NEVerification(True, None, ((0, 1.0),))) == (
-        "NEVerification(is_ne=True, best_deviation=None)"
-    )
 
 
 def test_equal_and_hashed_by_value(record):
@@ -199,18 +192,6 @@ def test_keyword_construction_matches_positional(record):
     _, factory, fields = record
     value = factory()
     assert type(value)(**{field: getattr(value, field) for field in fields}) == value
-
-
-def test_line_optima_outside_equality_and_repr():
-    scanned = NEVerification(True, None, ((Fraction(0), Fraction(5)),))
-    plain = NEVerification(True, None)
-    assert scanned.line_optima == ((Fraction(0), Fraction(5)),)
-    assert plain.line_optima == ()
-    assert scanned == plain
-    assert hash(scanned) == hash(plain)
-    assert repr(scanned) == repr(plain)
-    with pytest.raises(AttributeError):
-        scanned.line_optima = ()
 
 
 def test_utility_flags_are_class_attributes():

@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 
-from spectrumshare import Message, verify_ne
+from spectrumshare import Message, build_report
 from spectrumshare.scenario import write_scenario
 
 from conftest import SCRIPTS, load_script, small_scenario
@@ -25,7 +25,7 @@ class TestBrDynamics:
         assert converged
         assert rounds == 1
         assert profile == start
-        assert verify_ne(profile, small).is_ne
+        assert build_report(profile, small).is_ne
 
     def test_bounded_termination_reports_non_convergence(self, small):
         start = unanimity(8, 0)
@@ -43,7 +43,7 @@ class TestBrDynamics:
             )
             converged, _, profile = br_dynamics(start, small, max_rounds=30)
             if converged:
-                assert verify_ne(profile, small).is_ne
+                assert build_report(profile, small).is_ne
 
 
 def test_br_convergence_experiment_summary(capsys, tmp_path):
