@@ -32,8 +32,8 @@ from .equilibrium import (
 from .errors import ConfigError, ContractError, PriceScaleError, PriceSystemError
 from .measurement import run_measurement
 from .mechanism import Message, lindahl_price, outcome
-from .model import as_fraction
-from .scenario import load_scenario, rational_to_json
+from .model import as_fraction, parse_integer
+from .scenario import load_scenario, rational_to_json, read_json
 
 
 def _fmt(value) -> str:
@@ -46,11 +46,8 @@ def _fmt(value) -> str:
 
 
 def _parse_messages(spec: str, num_users: int) -> tuple[Message, ...]:
-    try:
-        text = Path(spec[1:]).read_text() if spec.startswith("@") else spec
-        data = json.loads(text, parse_float=Fraction)
-    except ValueError as exc:
-        raise ConfigError(f"messages: not valid JSON ({exc})") from None
+    document = Path(spec[1:]).read_bytes() if spec.startswith("@") else spec
+    data = read_json(document, "messages", parse_integer)
     if not isinstance(data, list) or len(data) != num_users:
         raise ConfigError(f"messages: need a list of {num_users} entries")
     messages = []
@@ -307,10 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_psi(path, num_users: int, size: int) -> LindahlAllocation:
-    try:
-        data = json.loads(Path(path).read_text(), parse_float=Fraction)
-    except ValueError as exc:
-        raise ConfigError(f"psi: not valid JSON ({exc})") from None
+    data = read_json(Path(path).read_bytes(), "psi", parse_integer)
     if not isinstance(data, dict) or set(data) != {"allocation", "taxes", "prices"}:
         raise ConfigError("psi: expected keys allocation, taxes, prices")
     allocation = data["allocation"]
@@ -335,6 +329,8 @@ def cmd_lindahl_roundtrip(args) -> int:
     psi = _parse_psi(args.psi, scenario.config.num_users, catalog.size)
     try:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
+    except ConfigError as exc:
+        raise ConfigError(f"--pi1: {exc}") from None
     except (PriceSystemError, PriceScaleError) as exc:
         raise ConfigError(str(exc)) from None
     report = build_report(messages, scenario.config)

@@ -23,8 +23,10 @@ line carries a credit c_i != 0 is scanned again, at credit 0.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
-equilibrium allocations off per-user intervals of personal prices and
-certifies each with `build_report`.
+equilibrium allocations off per-user intervals of personal prices, whose
+ends are integer hull slopes.  It keeps an allocation only when an integer
+sign test shows the intervals admit prices summing to zero, and certifies
+each survivor with `build_report`.
 """
 
 from __future__ import annotations
@@ -294,19 +296,23 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
 # Personal prices [lower, upper] at which one allocation is a user's best
 # point on its price line; lower None stands for minus infinity.
 PriceInterval = tuple[Fraction | None, Fraction]
+# The exact slope rise / run of one hull edge as integers, run > 0.
+Slope = tuple[int, int]
 
 
-def price_intervals(scaling: IntegerScaling) -> dict[int, PriceInterval]:
+def price_intervals(scaling: IntegerScaling) -> dict[int, tuple[Slope | None, Slope]]:
     """The personal prices p at which catalog index k >= 1 maximizes
     V(j) - j * p over j = 0..size, V = heights / scale, for every k that is
-    best at some price.
+    best at some price, as the integer slopes of the interval's ends.
 
     Those k are the points of the upper concave hull of (j, V(j)), collinear
     points included; every other index lies strictly below a chord and is
     never best.  k's interval runs from the slope of the hull edge on its
-    right (minus infinity at the last index) to the slope of the edge on its
-    left, whose left end may be j = 0, which carries individual rationality.
-    One left-to-right pass over the integer heights builds the hull.
+    right (None, minus infinity, at the last index) to the slope of the edge
+    on its left, whose left end may be j = 0, which carries individual
+    rationality.  An edge from l to r has slope
+    (heights[r] - heights[l], (r - l) * scale).  One left-to-right pass over
+    the integer heights builds the hull.
     """
     heights, scale = scaling.heights, scaling.scale
     hull = [0]
@@ -321,11 +327,27 @@ def price_intervals(scaling: IntegerScaling) -> dict[int, PriceInterval]:
             hull.pop()
         hull.append(k)
     slopes = [
-        Fraction(heights[right] - heights[left], (right - left) * scale)
+        (heights[right] - heights[left], (right - left) * scale)
         for left, right in zip(hull, hull[1:])
     ]
     slopes.append(None)
     return {k: (slopes[i], slopes[i - 1]) for i, k in enumerate(hull) if i}
+
+
+def _balances(edges: Sequence[tuple[Slope | None, Slope]]) -> bool:
+    """Whether intervals given by integer slopes admit personal prices
+    summing to zero.  Hull intervals are never empty, so they do exactly when
+    the upper ends sum to at least 0 and the lower ends to at most 0 (or one
+    is minus infinity); each sum's sign comes from cross-multiplied runs."""
+
+    def sum_sign(slopes) -> int:
+        rise, run = 0, 1
+        for slope_rise, slope_run in slopes:
+            rise, run = rise * slope_run + slope_rise * run, run * slope_run
+        return rise
+
+    lowers = [lower for lower, _ in edges]
+    return sum_sign(upper for _, upper in edges) >= 0 and (None in lowers or sum_sign(lowers) <= 0)
 
 
 def balanced_prices(
@@ -396,14 +418,15 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     not quasi-linear contributes the interval [0, 0] where k is its weak top
     choice and rules k out elsewhere; the census is then incomplete: it lists
     the zero-price equilibria and misses any that need that user to face a
-    non-zero price.  Only allocations that every user admits are tested
-    against `balanced_prices`, in ascending order.
+    non-zero price.  Allocations that every user admits are tested in
+    ascending order by an integer sign test on the interval ends; only those
+    that pass get `Fraction` intervals.
 
     Each entry's messages come from `balanced_prices` and `lindahl_to_ne` at
     the smallest feasible seed price, and are certified by `build_report`.
     An entry that fails certification raises `ContractError`.
     """
-    zero = (Fraction(0), Fraction(0))
+    zero = ((0, 1), (0, 1))
     per_user = []
     for spec, values, scaling in zip(
         config.utilities, config.value_vectors, config.integer_scalings
@@ -415,10 +438,13 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
             per_user.append({k: zero for k in range(1, len(values)) if values[k] == top})
     entries = []
     for allocation in sorted(set(per_user[0]).intersection(*per_user[1:])):
-        intervals = tuple(user_intervals[allocation] for user_intervals in per_user)
-        prices = balanced_prices(intervals)
-        if prices is not None:
-            report = _certified_equilibrium(allocation, prices, config)
+        edges = [user_intervals[allocation] for user_intervals in per_user]
+        if _balances(edges):
+            intervals = tuple(
+                (None if lower is None else Fraction(*lower), Fraction(*upper))
+                for lower, upper in edges
+            )
+            report = _certified_equilibrium(allocation, balanced_prices(intervals), config)
             entries.append(CensusEntry(intervals, report))
     complete = all(spec.quasi_linear for spec in config.utilities)
     return LindahlCensus(complete, config.catalog.size, tuple(entries))

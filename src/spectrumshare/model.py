@@ -40,13 +40,47 @@ FLOAT_REL_TOL = 1e-12
 FLOAT_ABS_TOL = 1e-18
 
 
+# Exact inputs give exact outputs, which the commands print through
+# int -> str; Python refuses that beyond 4,300 digits.  A printed number is
+# a reduced fraction made from a few inputs by a few products.  The longest
+# are a cubic_tax user's gains, which cube a tax of three messages: about 11
+# times the digits of one input.  A Lindahl rebuild's solved prices sum over
+# the users: about half an input's digits per user, for at most 63 users in
+# a catalog of two or more bundles.  So every number read from input may
+# carry at most MAX_DIGITS digits, counted on its literal before it is
+# built: its characters before any exponent plus the exponent's size.
+MAX_DIGITS = 100
+
+
+def _too_long(text: str) -> ConfigError:
+    shown = text if len(text) <= 24 else f"{text[:20]}..."
+    return ConfigError(f"number {shown} exceeds {MAX_DIGITS} digits")
+
+
+def parse_integer(text: str) -> int:
+    """An integer literal of at most MAX_DIGITS digits."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise _too_long(text)
+    return int(text)
+
+
+def parse_decimal(text: str) -> Fraction:
+    """`Fraction(text)`, refused before it is built when its characters
+    before any exponent plus the exponent's size exceed MAX_DIGITS."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if len(exponent) > 9 or len(mantissa) + abs(int(exponent or 0)) > MAX_DIGITS:
+        raise _too_long(text)
+    return Fraction(text)
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, decimal or "p/q" strings to an exact rational.
 
     A string of ASCII digits, "/", ASCII digits is split into two integers;
-    every other string goes through `Fraction(str)`.  Floats are converted
-    through their shortest decimal representation, so a literal 0.1 means
-    1/10 rather than the underlying binary float.
+    every other string goes through `parse_decimal`.  Strings are input, so
+    both are held to MAX_DIGITS.  Floats are converted through their
+    shortest decimal representation, so a literal 0.1 means 1/10 rather than
+    the underlying binary float.
     """
     if isinstance(value, Fraction):
         return value
@@ -58,8 +92,10 @@ def as_fraction(value) -> Fraction:
         try:
             numerator, slash, denominator = value.partition("/")
             if slash and value.isascii() and numerator.isdigit() and denominator.isdigit():
+                if len(value) > MAX_DIGITS:
+                    raise _too_long(value)
                 return Fraction(int(numerator), int(denominator))
-            return Fraction(value)
+            return parse_decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse rational from {value!r}") from exc
     if isinstance(value, float):

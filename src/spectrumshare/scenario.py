@@ -26,6 +26,7 @@ from .model import (
     TableUtility,
     UtilitySpec,
     as_fraction,
+    parse_decimal,
 )
 
 # The best-response script materializes the price grid to draw its random
@@ -229,13 +230,22 @@ def scenario_document_jsonable(data):
     return data
 
 
+def read_json(document, field: str, parse_int=None):
+    """Decode a JSON document whose decimals become `Fraction`s through
+    `parse_decimal`; `parse_int` reads its integers (`int` when None).
+    Every error exits as a `ConfigError` that names `field`."""
+    try:
+        return json.loads(document, parse_float=parse_decimal, parse_int=parse_int)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: not valid JSON ({exc})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
     raw = Path(path).read_bytes()
-    try:
-        data = json.loads(raw, parse_float=Fraction)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: not valid JSON ({exc})") from None
+    data = read_json(raw, "scenario")
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
     return parse_scenario(data, digest=hashlib.sha256(raw).hexdigest())

@@ -15,7 +15,6 @@ from spectrumshare import (
     enumerate_bundles,
 )
 from spectrumshare.measurement import Honest
-from spectrumshare.presets import desk_config, desk_scenario
 from spectrumshare.scenario import Scenario
 
 from grid_oracle import standard_grid
@@ -29,6 +28,13 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# The desk scenario comes from the script that writes scenarios/desk.json.
+_desk = load_script("make_desk_scenario")
+DESK_PEAK_INDEX = _desk.DESK_PEAK_INDEX
+desk_config = _desk.desk_config
+desk_scenario = _desk.desk_scenario
 
 
 def peak_table(size: int, peak: int, scale=1) -> TableUtility:

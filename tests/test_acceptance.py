@@ -1,7 +1,7 @@
 """Acceptance gate: every top-level property, one labelled pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The desk
-workload is the scenario from `spectrumshare.presets`: 3 users, 2 bands,
+workload is the scenario from `scripts/make_desk_scenario.py`: 3 users, 2 bands,
 levels {0,1,2}, budget 2 (6 bundles, 216 profiles), quasi-linear tables with
 a shared peak.  Identities are exact unless a tolerance is stated.
 """
@@ -30,10 +30,16 @@ from spectrumshare import (
     run_measurement,
     tax,
 )
-from spectrumshare.presets import DESK_PEAK_INDEX, desk_config
 from spectrumshare.scenario import parse_scenario, scenario_to_jsonable
 
-from conftest import load_script, peak_table, small_scenario, uniform_gains
+from conftest import (
+    DESK_PEAK_INDEX,
+    desk_config,
+    load_script,
+    peak_table,
+    small_scenario,
+    uniform_gains,
+)
 from grid_oracle import standard_grid
 
 

@@ -1,6 +1,8 @@
 """End-to-end command checks: output content, formats, exit codes."""
 
 import json
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,6 @@ import pytest
 from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.scenario import load_scenario, scenario_to_jsonable, write_scenario
-from spectrumshare.presets import desk_scenario
 
 from spectrumshare import (
     CubicTaxUtility,
@@ -18,8 +19,8 @@ from spectrumshare import (
     SirLogUtility,
     TableUtility,
 )
-from spectrumshare.model import MAX_VALUED_PROFILES
-from conftest import peak_table, small_config, small_scenario, uniform_gains
+from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES
+from conftest import desk_scenario, peak_table, small_config, small_scenario, uniform_gains
 
 COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
@@ -488,6 +489,118 @@ def test_undecodable_input_names_it(capsys, small_path, tmp_path, field, content
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: ")
+
+
+BIG = "1" + "0" * 4000
+PSI_108 = {"allocation": 108, "taxes": [-108, -108, 216], "prices": [-1, -1, 2]}
+
+
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("messages", ["verify", "--messages", "[[1, 1e5000], [1, 1], [1, 1]]"]),
+        ("messages[0]", ["verify", "--messages", '[[1, "1e5000"], [1, 1], [1, 1]]']),
+        ("messages", ["verify", "--messages", "[[1, 1e3000000], [1, 1], [1, 1]]"]),
+        ("messages", ["verify", "--messages", f"[[{BIG}, 1], [-{BIG}, 1], [3, 1]]"]),
+        ("messages[0]", ["verify", "--messages", f'[[1, "{BIG}/3"], [1, 1], [1, 1]]']),
+        ("messages", ["outcome", "--messages", "[[1, 1e-5000], [1, 1], [1, 1]]"]),
+        ("--pi1", ["lindahl-roundtrip", "--psi", "{psi}", "--pi1", "1e5000"]),
+        ("psi", ["lindahl-roundtrip", "--psi", "{big_psi}"]),
+    ],
+    ids=[
+        "json-decimal",
+        "string-decimal",
+        "huge-exponent",
+        "4001-digit-proposals",
+        "long-ratio-string",
+        "negative-exponent",
+        "pi1",
+        "psi-integer",
+    ],
+)
+def test_oversized_numbers_name_their_input(capsys, desk_path, tmp_path, field, argv):
+    psi, big_psi = tmp_path / "psi.json", tmp_path / "big_psi.json"
+    psi.write_text(json.dumps(PSI_108))
+    big_psi.write_text(json.dumps({**PSI_108, "taxes": [-108, -108, int(BIG)]}))
+    argv = [a.replace("{psi}", str(psi)).replace("{big_psi}", str(big_psi)) for a in argv]
+    code, out, err = run(capsys, argv[0], "--scenario", desk_path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: number ")
+    assert f"exceeds {MAX_DIGITS} digits" in err
+
+
+def test_oversized_scenario_decimal_names_the_scenario(capsys, small_path, tmp_path):
+    document = json.loads(Path(small_path).read_text())
+    path = tmp_path / "huge.json"
+    text = json.dumps(document).replace('"noise_half_density": 1', '"noise_half_density": 1e5000')
+    path.write_text(text)
+    code, _, err = run(capsys, "enumerate", "--scenario", str(path))
+    assert code == 2
+    assert err.startswith("error: scenario: number 1e5000 exceeds")
+
+
+def test_exponent_is_refused_before_the_number_is_built(capsys, desk_path):
+    started = time.perf_counter()
+    messages = "[[1, 1e100000000], [1, 1], [1, 1]]"
+    code, _, err = run(capsys, "verify", "--scenario", desk_path, "--messages", messages)
+    elapsed = time.perf_counter() - started
+    assert code == 2
+    assert err.startswith("error: messages: number 1e100000000 exceeds")
+    assert elapsed < 1, f"refusing 1e100000000 took {elapsed:.2f} s"
+
+
+def test_pi1_parse_error_names_the_flag(capsys, small_path, tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
+    code, out, err = run(
+        capsys, "lindahl-roundtrip", "--scenario", small_path, "--psi", str(path), "--pi1", "abc"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --pi1: cannot parse rational from 'abc'\n"
+
+
+def test_numbers_at_the_bound_print(capsys, tmp_path):
+    # Every number at MAX_DIGITS: two cubic_tax users (cubed taxes) and a
+    # table user, prices as "p/q" literals of MAX_DIGITS characters and
+    # proposals of MAX_DIGITS digits whose rounded average is still a
+    # profile.  Every command that prints them must exit 0.
+    half = MAX_DIGITS // 2
+    top = 10**half - 1
+
+    def ratio(k):
+        return f"{top - k}/{10 ** (MAX_DIGITS - half - 2) + k}"
+
+    values = tuple([0] + [10 ** (MAX_DIGITS - 1) + 7 * k for k in range(1, 9)])
+    scenario = small_scenario()._replace(
+        config=small_config(
+            utilities=(
+                CubicTaxUtility(values, Fraction(ratio(1))),
+                CubicTaxUtility((0, *reversed(values[1:])), Fraction(ratio(2))),
+                TableUtility(tuple([Fraction(0)] + [Fraction(ratio(k)) for k in range(3, 11)])),
+            )
+        )
+    )
+    path = tmp_path / "bound.json"
+    write_scenario(scenario, path)
+    proposal = "9" * MAX_DIGITS
+    messages = json.dumps(
+        [[int(proposal), ratio(11)], [-int(proposal) + 2, ratio(12)], [3, ratio(13)]]
+    )
+    assert len(json.loads(messages)[0][1]) == MAX_DIGITS
+    longest = 0
+    for argv in (
+        ["verify", "--messages", messages],
+        ["verify", "--messages", messages, "--format", "json"],
+        ["outcome", "--messages", messages, "--format", "json"],
+        ["find-ne", "--format", "json"],
+    ):
+        code, out, err = run(capsys, argv[0], "--scenario", str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+        longest = max(longest, max(map(len, re.findall(r"\d+", out))))
+    # cubed taxes print numbers more than ten times as long as any input
+    assert longest > 10 * MAX_DIGITS, longest
 
 
 class TestMeasure:

@@ -31,7 +31,7 @@ from spectrumshare import (
     tax,
     utility_eval,
 )
-from spectrumshare.equilibrium import price_line_optimum
+from spectrumshare.equilibrium import _balances, price_line_optimum
 from spectrumshare.mechanism import Outcome, clip_allocation, nearest_integer, rounded_average
 
 from conftest import peak_table, sir_configs, small_config, uniform_gains
@@ -253,6 +253,23 @@ class TestLindahlCensus:
         assert entry.report.allocation == 108
         assert entry.report.lindahl.allocation.prices == (-1, -1, 2)
 
+    def test_desk_balances_prices_only_at_the_peak(self, desk, monkeypatch):
+        # All 216 allocations are on every user's hull; the integer sign test
+        # leaves `balanced_prices` only the equilibrium's intervals.
+        from spectrumshare import equilibrium
+
+        assert all(len(price_intervals(s)) == 216 for s in desk.integer_scalings)
+        calls = []
+        solve = equilibrium.balanced_prices
+        monkeypatch.setattr(
+            equilibrium,
+            "balanced_prices",
+            lambda intervals: calls.append(intervals) or solve(intervals),
+        )
+        (entry,) = lindahl_census(desk).equilibria
+        assert entry.report.allocation == 108
+        assert calls == [entry.price_intervals]
+
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
         prices = [m.price for m in entry.report.candidate]
@@ -311,15 +328,28 @@ class TestLindahlCensus:
         assert balanced_prices(((Fraction(1), Fraction(0)), (Fraction(-5), Fraction(5)))) is None
         assert balanced_prices(((Fraction(0), Fraction(0)), None)) is None
 
+    def test_integer_balance_by_hand(self):
+        # 1/3 - 1/3 = 0 balances at both ends
+        assert _balances((((1, 3), (1, 3)), ((-1, 3), (-1, 3))))
+        # uppers 1/2 - 2/3 < 0
+        assert not _balances((((0, 1), (1, 2)), ((-1, 1), (-2, 3))))
+        # lowers 1/2 - 1/3 > 0, unless one of them is minus infinity
+        assert not _balances((((1, 2), (1, 1)), ((-1, 3), (0, 1))))
+        assert _balances((((1, 2), (1, 1)), (None, (0, 1))))
+        # large runs, as from a float value vector's scale
+        assert not _balances((((0, 1), (1, 2**60)), ((0, 1), (-1, 2**60 - 1))))
+
     def test_price_intervals_by_hand(self):
         # points (0,0) (1,3) (2,4) (3,4): concave, so every index has an interval
         assert price_intervals(integer_scaling((0, 3, 4, 4))) == {
-            1: (1, 3),
-            2: (0, 1),
-            3: (None, 0),
+            1: ((1, 1), (3, 1)),
+            2: ((0, 1), (1, 1)),
+            3: (None, (0, 1)),
         }
-        # (1,1) lies below the chord from (0,0) to (2,4): it is never best
-        assert price_intervals(integer_scaling((0, 1, 4))) == {2: (None, 2)}
+        # (1,1) lies below the chord from (0,0) to (2,4): it is never best;
+        # the slope of the edge from 0 to 2 keeps its run 2 * scale
+        assert price_intervals(integer_scaling((0, 1, 4))) == {2: (None, (4, 2))}
+        assert price_intervals(integer_scaling((0, Fraction(1, 3)))) == {1: (None, (1, 3))}
 
 
 class TestMismatchPenalties:
@@ -666,6 +696,18 @@ census_configs = st.tuples(user_utilities(0), user_utilities(1), user_utilities(
 grid_prices = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def fraction_interval(ends):
+    """One `price_intervals` entry, integer slopes whose runs must be
+    positive, as a `Fraction` interval."""
+    lower, upper = ends
+    assert all(run > 0 for _, run in filter(None, ends))
+    return (None if lower is None else Fraction(*lower), Fraction(*upper))
+
+
+def fraction_intervals(edges):
+    return {k: fraction_interval(ends) for k, ends in edges.items()}
+
+
 def nonempty_oracle_intervals(values):
     """The oracle's intervals as {k: interval} at the indices where they are
     non-empty, which are exactly the points of the upper hull."""
@@ -692,7 +734,8 @@ class TestCensusAgainstOracles:
     @settings(max_examples=200, deadline=None)
     def test_hull_intervals_match_oracle(self, values):
         values = [0, *values]
-        assert price_intervals(integer_scaling(values)) == nonempty_oracle_intervals(values)
+        intervals = fraction_intervals(price_intervals(integer_scaling(values)))
+        assert intervals == nonempty_oracle_intervals(values)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
@@ -705,7 +748,17 @@ class TestCensusAgainstOracles:
             config.utilities, config.value_vectors, config.integer_scalings
         ):
             if spec.quasi_linear:
-                assert price_intervals(scaling) == nonempty_oracle_intervals(values)
+                intervals = fraction_intervals(price_intervals(scaling))
+                assert intervals == nonempty_oracle_intervals(values)
+
+    @given(config=census_configs)
+    @settings(max_examples=100, deadline=None)
+    def test_integer_balance_matches_balanced_prices(self, config):
+        per_user = [price_intervals(scaling) for scaling in config.integer_scalings]
+        for allocation in set(per_user[0]).intersection(*per_user[1:]):
+            edges = [user_edges[allocation] for user_edges in per_user]
+            intervals = [fraction_interval(ends) for ends in edges]
+            assert _balances(edges) == (balanced_prices(intervals) is not None)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)

@@ -1,4 +1,6 @@
-"""Golden CLI output on the committed desk scenario.
+"""Golden CLI output on the committed desk scenario and on two small
+scenarios under `tests/golden/` that reach the census branches the desk
+does not.
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
 timing fields are blanked.  To regenerate after an intended output change:
@@ -17,9 +19,16 @@ from spectrumshare.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 DESK = str(ROOT / "scenarios" / "desk.json")
+# three table users and one cubic_tax user: an incomplete census whose
+# equilibrium gives the cubic_tax user the interval [0, 0]
+MIXED = str(GOLDEN / "mixed-cubic.scenario.json")
+# three table users with equilibria at 6, 7 and 8; at the last index every
+# lower bound is minus infinity (null)
+SEVERAL = str(GOLDEN / "several-equilibria.scenario.json")
 PSI = '{"allocation": 108, "taxes": [-108, -108, 216], "prices": [-1, -1, 2]}\n'
 
-# case -> argv after the scenario; "{psi}" stands for a file holding PSI.
+# case -> argv after the scenario (the desk unless the case names another);
+# "{psi}" stands for a file holding PSI.
 CASES = {
     "find-ne.json": ["find-ne", "--format", "json"],
     "find-ne.txt": ["find-ne"],
@@ -28,6 +37,12 @@ CASES = {
     # user 2 deviates and gains 778/3
     "verify-deviation.json": ["verify", "--format", "json", "--messages", "[[1,1],[2,2],[3,3]]"],
     "lindahl-roundtrip.json": ["lindahl-roundtrip", "--format", "json", "--pi1", "6", "--psi", "{psi}"],
+    "find-ne-mixed-cubic.json": ["find-ne", "--format", "json"],
+    "find-ne-several-equilibria.json": ["find-ne", "--format", "json"],
+}
+SCENARIOS = {
+    "find-ne-mixed-cubic.json": MIXED,
+    "find-ne-several-equilibria.json": SEVERAL,
 }
 
 TIMING = re.compile(r'("timing_seconds": \{\s*"census": )[^\s}]+')
@@ -39,7 +54,7 @@ def stdout_of(case: str, workdir: Path) -> bytes:
     argv = [arg.replace("{psi}", str(psi)) for arg in CASES[case]]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main([argv[0], "--scenario", DESK, *argv[1:]])
+        code = main([argv[0], "--scenario", SCENARIOS.get(case, DESK), *argv[1:]])
     assert code == 0, case
     return TIMING.sub(r"\1null", buffer.getvalue()).encode()
 

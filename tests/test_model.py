@@ -20,7 +20,7 @@ from spectrumshare import (
     sir,
     utility_eval,
 )
-from spectrumshare.model import MAX_CATALOG_SIZE, MAX_VALUED_PROFILES
+from spectrumshare.model import MAX_CATALOG_SIZE, MAX_DIGITS, MAX_VALUED_PROFILES
 
 from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
 from grid_oracle import fraction_sir, integer_scaling_oracle, sir_value_oracle
@@ -451,7 +451,17 @@ def small_config_with_gains(gains):
 
 
 def fraction_or_none(text: str) -> Fraction | None:
-    """The reference parse: `Fraction(str)`, or None where it raises."""
+    """The reference parse: `Fraction(str)`, or None where it raises or
+    where the literal is over the input bound: its characters before any
+    exponent plus the exponent's size exceed MAX_DIGITS, or its exponent has
+    more than nine characters."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        size = len(mantissa) + (abs(int(exponent or 0)) if len(exponent) <= 9 else MAX_DIGITS + 1)
+    except ValueError:
+        size = len(mantissa)
+    if size > MAX_DIGITS:
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -490,6 +500,10 @@ class TestAsFraction:
     @example("5/-2")
     @example("5/ 2")
     @example("7" * 5000 + "/3")
+    @example("1" * MAX_DIGITS)
+    @example("1" * (MAX_DIGITS + 1))
+    @example("1e0000000001")
+    @example("0e100")
     def test_string_parse_matches_fraction(self, text):
         expected = fraction_or_none(text)
         if expected is None:

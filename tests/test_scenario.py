@@ -14,9 +14,8 @@ from spectrumshare.scenario import (
     scenario_to_jsonable,
     write_scenario,
 )
-from spectrumshare.presets import desk_scenario
 
-from conftest import small_scenario
+from conftest import desk_scenario, small_scenario
 
 
 @pytest.fixture()
