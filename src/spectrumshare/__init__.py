@@ -68,7 +68,6 @@ from .model import (
     enumerate_bundles,
     improves,
     integer_scaling,
-    sir,
     utility_eval,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_to_jsonable, write_scenario

@@ -64,6 +64,19 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
+# Every ASCII digit byte as "0" and every other byte as a space, so that one
+# substring search finds a run of more than MAX_DIGITS digits.
+_DIGIT_MASK = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+
+
+def check_digit_runs(document: bytes) -> None:
+    """Refuse an ASCII-compatible document with more than MAX_DIGITS digits
+    in a row, so that none of its integer literals is longer."""
+    start = document.translate(_DIGIT_MASK).find(b"0" * (MAX_DIGITS + 1))
+    if start >= 0:
+        raise _too_long(document[start : start + MAX_DIGITS + 1].decode())
+
+
 def parse_decimal(text: str) -> Fraction:
     """`Fraction(text)`, refused before it is built when its characters
     before any exponent plus the exponent's size exceed MAX_DIGITS."""
@@ -273,22 +286,26 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
         """Catalog walk in index order without decoding a profile.
 
-        Per band, the term weight * log1p(SIR) is computed once per column
-        code (`ScenarioConfig.band_columns`) from the integer SIR ratio and
-        read off by each profile's code; terms are summed in band order.
+        Per band, one pass over the users in column-code order builds every
+        column's total received power (noise included) and this user's own
+        signal as integers (`ScenarioConfig.integer_channels`), so its SIR
+        is signal / (total - signal).  The term weight * log1p(SIR) of each
+        column is read off by each profile's code
+        (`ScenarioConfig.band_columns`); terms are summed in band order.
         """
+        levels, channels = config.integer_channels
         values = None
         for band, (used, codes) in enumerate(config.band_columns):
+            noise, *gains = channels[self.user][band]
+            total, own, silent = [noise], [0], (0,) * len(used)
+            for tx, gain in enumerate(gains):
+                powers = [gain * levels[level] for level in used]
+                total = [t + p for t in total for p in powers]
+                own = [s + p for s in own for p in (powers if tx == self.user else silent)]
             weight = float(self.weights[band])
-            terms = [
-                weight * math.log1p(signal / interference)
-                for signal, interference in (
-                    _sir_ratio(config, self.user, band, column)
-                    for column in product(used, repeat=config.num_users)
-                )
-            ]
+            terms = [weight * math.log1p(s / (t - s)) for s, t in zip(own, total)]
             band_terms = map(terms.__getitem__, codes)
-            values = list(band_terms if values is None else map(operator.add, values, band_terms))
+            values = band_terms if values is None else map(operator.add, values, band_terms)
         return (0.0, *values)
 
     @staticmethod
@@ -480,8 +497,9 @@ class ScenarioConfig(
         profile's column code in catalog order.
 
         A column code reads the users' positions in that tuple of level
-        indices as a mixed-radix number, user 0 most significant, so
-        `product(used, repeat=num_users)` lists the columns in code order.
+        indices as a mixed-radix number, user 0 most significant, so lists
+        built by nesting over the users in order, user 0 outermost, hold
+        one entry per column in code order.
         """
         level_of = {level: i for i, level in enumerate(self.quant_levels)}
         columns = []
@@ -516,40 +534,6 @@ class ScenarioConfig(
     def integer_scalings(self) -> tuple[IntegerScaling, ...]:
         """Per user, the value vector as integers over one scale."""
         return tuple(integer_scaling(values) for values in self.value_vectors)
-
-
-def sir(catalog_index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:
-    """Signal-to-interference ratio of `user` on `band` under a profile.
-
-        gain[user][user][band] * p_user
-        -------------------------------------------------
-        noise_half_density + sum_{j != user} gain[j][user][band] * p_j
-
-    Undefined for index 0 (nobody transmits under the null allocation).
-    """
-    catalog = config.catalog
-    if not 1 <= catalog_index <= catalog.size:
-        raise ValueError(f"SIR undefined for catalog index {catalog_index}")
-    if not 0 <= user < config.num_users:
-        raise ValueError(f"user {user} outside 0..{config.num_users - 1}")
-    if not 0 <= band < config.num_bands:
-        raise ValueError(f"band {band} outside 0..{config.num_bands - 1}")
-    profile = catalog.profile_of(catalog_index)
-    column = [config.quant_levels.index(bundle[band]) for bundle in profile]
-    return Fraction(*_sir_ratio(config, user, band, column))
-
-
-def _sir_ratio(
-    config: ScenarioConfig, user: int, band: int, column: Sequence[int]
-) -> tuple[int, int]:
-    """Integers (signal, interference) whose quotient is the SIR of `user` on
-    `band` when every user j transmits at level index column[j]: both sides
-    of the ratio in `sir`, times one positive integer."""
-    levels, channels = config.integer_channels
-    noise, *gains = channels[user][band]
-    received = [gain * levels[level] for gain, level in zip(gains, column)]
-    signal = received[user]
-    return signal, noise + sum(received) - signal
 
 
 def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig):

@@ -26,6 +26,7 @@ from .model import (
     TableUtility,
     UtilitySpec,
     as_fraction,
+    check_digit_runs,
     parse_decimal,
 )
 
@@ -243,8 +244,16 @@ def read_json(document, field: str, parse_int=None):
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file.  Its integers are held to
+    MAX_DIGITS digits by one scan of the document (as UTF-8) for longer
+    runs of digits, before it is decoded."""
     raw = Path(path).read_bytes()
+    encoding = json.detect_encoding(raw)
+    utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
+    try:
+        check_digit_runs(utf8)
+    except ConfigError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
     data = read_json(raw, "scenario")
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")

@@ -9,9 +9,11 @@
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
 - The price-line loop over `Fraction` taxes, which the integer kernel
-  `price_line_optimum` replaced; the per-index `Fraction` SIR loop that
-  built the `sir_log` value vectors before the column codes and integer SIR
-  ratios; and `Fraction(v)` for every value in `integer_scaling`.
+  `price_line_optimum` replaced; `Fraction(v)` for every value in
+  `integer_scaling`.
+- Two earlier builds of the `sir_log` value vectors: the per-index
+  `Fraction` SIR loop, and the per-column integer SIR ratio walk that
+  replaced it before the column power sums.
 
 The differential tests compare the library against them.
 """
@@ -19,7 +21,8 @@ The differential tests compare the library against them.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from spectrumshare import (
     Deviation,
@@ -192,7 +195,15 @@ def price_line_oracle(user: int, price, credit, config: ScenarioConfig):
 
 
 def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:
-    """`sir` in `Fraction` arithmetic on the decoded profile's powers."""
+    """Signal-to-interference ratio of `user` on `band` under the profile at
+    `index`, in `Fraction` arithmetic on the decoded profile's powers:
+
+        gain[user][user][band] * p_user
+        -------------------------------------------------
+        noise_half_density + sum_{j != user} gain[j][user][band] * p_j
+
+    Undefined for index 0 (nobody transmits under the null allocation).
+    """
     powers = [bundle[band] for bundle in config.catalog.profile_of(index)]
     signal = config.gains[user][user][band] * powers[user]
     interference = config.noise_half_density
@@ -212,6 +223,37 @@ def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float
             total += weight * math.log1p(float(fraction_sir(index, spec.user, band, config)))
         values.append(total)
     return tuple(values)
+
+
+def column_sir_ratio(
+    config: ScenarioConfig, user: int, band: int, column: Sequence[int]
+) -> tuple[int, int]:
+    """Integers (signal, interference) whose quotient is the SIR of `user` on
+    `band` when every user j transmits at level index column[j]: both sides
+    of `fraction_sir`'s ratio times one positive integer."""
+    levels, channels = config.integer_channels
+    noise, *gains = channels[user][band]
+    received = [gain * levels[level] for gain, level in zip(gains, column)]
+    signal = received[user]
+    return signal, noise + sum(received) - signal
+
+
+def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float, ...]:
+    """`SirLogUtility.value_vector` by one `column_sir_ratio` call per
+    (band, column), read off by each profile's column code."""
+    values = None
+    for band, (used, codes) in enumerate(config.band_columns):
+        weight = float(spec.weights[band])
+        terms = [
+            weight * math.log1p(signal / interference)
+            for signal, interference in (
+                column_sir_ratio(config, spec.user, band, column)
+                for column in product(used, repeat=config.num_users)
+            )
+        ]
+        band_terms = [terms[code] for code in codes]
+        values = band_terms if values is None else [a + b for a, b in zip(values, band_terms)]
+    return (0.0, *values)
 
 
 def integer_scaling_oracle(values) -> tuple[int, tuple[int, ...]]:

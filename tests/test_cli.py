@@ -540,6 +540,38 @@ def test_oversized_scenario_decimal_names_the_scenario(capsys, small_path, tmp_p
     assert err.startswith("error: scenario: number 1e5000 exceeds")
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32-le"])
+@pytest.mark.parametrize(
+    "user, entry, shown",
+    [
+        # a weight too large for a float
+        (0, {"variant": "sir_log", "weights": [10**400]}, "1" + "0" * 19),
+        # a value that loads under Python's 4,300-digit limit but cannot print
+        (
+            0,
+            {"variant": "table", "values": [0, int("9" * 4299), 1, 1, 1, 1, 1, 1, 1]},
+            "9" * 20,
+        ),
+        # one digit over the bound, in a user after the first
+        (2, {"variant": "table", "values": [0, 10**MAX_DIGITS, *range(1, 8)]}, "1" + "0" * 19),
+    ],
+    ids=["sir-weight-10^400", "4299-digit-value", "value-of-101-digits"],
+)
+def test_long_scenario_integers_name_the_scenario(capsys, tmp_path, user, entry, shown, encoding):
+    golden = Path(__file__).resolve().parent / "golden" / "several-equilibria.scenario.json"
+    document = json.loads(golden.read_text())
+    document["utilities"][user] = entry
+    path = tmp_path / "long.json"
+    path.write_bytes(json.dumps(document).encode(encoding))
+    for argv in (
+        ["find-ne"],
+        ["verify", "--messages", '[[3, "1/3"], [2, "1/7"], [4, 1]]'],
+    ):
+        code, out, err = run(capsys, argv[0], "--scenario", str(path), *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: scenario: number {shown}... exceeds {MAX_DIGITS} digits\n"
+
+
 def test_exponent_is_refused_before_the_number_is_built(capsys, desk_path):
     started = time.perf_counter()
     messages = "[[1, 1e100000000], [1, 1], [1, 1]]"

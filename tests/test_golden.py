@@ -1,6 +1,6 @@
-"""Golden CLI output on the committed desk scenario and on two small
-scenarios under `tests/golden/` that reach the census branches the desk
-does not.
+"""Golden CLI output on the committed desk scenario and on three small
+scenarios under `tests/golden/` that reach the census branches and the
+`sir_log` values the desk does not.
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
 timing fields are blanked.  To regenerate after an intended output change:
@@ -25,6 +25,9 @@ MIXED = str(GOLDEN / "mixed-cubic.scenario.json")
 # three table users with equilibria at 6, 7 and 8; at the last index every
 # lower bound is minus infinity (null)
 SEVERAL = str(GOLDEN / "several-equilibria.scenario.json")
+# three sir_log users over two bands, each with one band of zero weight:
+# zero-price equilibria at 39 and 40
+SIR_LOG = str(GOLDEN / "sir-log.scenario.json")
 PSI = '{"allocation": 108, "taxes": [-108, -108, 216], "prices": [-1, -1, 2]}\n'
 
 # case -> argv after the scenario (the desk unless the case names another);
@@ -39,10 +42,21 @@ CASES = {
     "lindahl-roundtrip.json": ["lindahl-roundtrip", "--format", "json", "--pi1", "6", "--psi", "{psi}"],
     "find-ne-mixed-cubic.json": ["find-ne", "--format", "json"],
     "find-ne-several-equilibria.json": ["find-ne", "--format", "json"],
+    "find-ne-sir-log.json": ["find-ne", "--format", "json"],
+    # every user proposes 64; user 0 gains by opting out
+    "verify-sir-log-unanimity.json": [
+        "verify", "--format", "json", "--messages", '[[64, "1/2"], [64, 1], [64, "1/4"]]'
+    ],
+    "verify-sir-log-mixed.json": [
+        "verify", "--format", "json", "--messages", '[[9, "1/20"], [30, "1/10"], [40, "1/30"]]'
+    ],
 }
 SCENARIOS = {
     "find-ne-mixed-cubic.json": MIXED,
     "find-ne-several-equilibria.json": SEVERAL,
+    "find-ne-sir-log.json": SIR_LOG,
+    "verify-sir-log-unanimity.json": SIR_LOG,
+    "verify-sir-log-mixed.json": SIR_LOG,
 }
 
 TIMING = re.compile(r'("timing_seconds": \{\s*"census": )[^\s}]+')

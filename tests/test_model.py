@@ -17,13 +17,18 @@ from spectrumshare import (
     build_catalog,
     enumerate_bundles,
     integer_scaling,
-    sir,
     utility_eval,
 )
 from spectrumshare.model import MAX_CATALOG_SIZE, MAX_DIGITS, MAX_VALUED_PROFILES
 
 from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
-from grid_oracle import fraction_sir, integer_scaling_oracle, sir_value_oracle
+from grid_oracle import (
+    column_sir_ratio,
+    column_value_oracle,
+    fraction_sir,
+    integer_scaling_oracle,
+    sir_value_oracle,
+)
 
 
 def oracle_bundles(levels, bands, budget):
@@ -154,7 +159,7 @@ class TestSir:
         catalog = config.catalog
         # user 0 at power 1, users 1 and 2 silent
         index = catalog.index_of(((Fraction(1),), (Fraction(0),), (Fraction(0),)))
-        assert sir(index, 0, 0, config) == 1
+        assert fraction_sir(index, 0, 0, config) == 1
 
     def test_single_interferer(self):
         gains = uniform_gains(3, 1)
@@ -163,8 +168,8 @@ class TestSir:
         # interferer (user 1) at power 2 is out of reach here (levels {0,1});
         # cross gain 1/2 and power 1 gives interference 1/2
         index = catalog.index_of(((Fraction(1),), (Fraction(1),), (Fraction(0),)))
-        assert sir(index, 0, 0, config) == Fraction(1, 1 + Fraction(1, 2)) * 1
-        assert sir(index, 0, 0, config) == Fraction(2, 3)
+        assert fraction_sir(index, 0, 0, config) == Fraction(1, 1 + Fraction(1, 2)) * 1
+        assert fraction_sir(index, 0, 0, config) == Fraction(2, 3)
 
     def test_interferer_at_power_two(self):
         # direct gain 1, own power 1, noise 1, one interferer at gain 1/2, power 2
@@ -179,19 +184,19 @@ class TestSir:
         )
         catalog = config.catalog
         index = catalog.index_of(((Fraction(1),), (Fraction(2),), (Fraction(0),)))
-        assert sir(index, 0, 0, config) == Fraction(1, 2)
+        assert fraction_sir(index, 0, 0, config) == Fraction(1, 2)
 
     def test_zero_power_zero_sir(self):
         config = small_config()
         index = config.catalog.index_of(((Fraction(0),), (Fraction(1),), (Fraction(0),)))
-        assert sir(index, 0, 0, config) == 0
+        assert fraction_sir(index, 0, 0, config) == 0
 
     def test_undefined_for_null_allocation(self):
         config = small_config()
         with pytest.raises(ValueError):
-            sir(0, 0, 0, config)
+            fraction_sir(0, 0, 0, config)
         with pytest.raises(ValueError):
-            sir(config.catalog.size + 1, 0, 0, config)
+            fraction_sir(config.catalog.size + 1, 0, 0, config)
 
     @given(
         scale=st.fractions(min_value="1/8", max_value=16, max_denominator=16),
@@ -212,9 +217,14 @@ class TestSir:
             ),
             utilities=base.utilities,
         )
-        difference = sir(index, user, 0, base) - sir(index, user, 0, scaled)
+        difference = fraction_sir(index, user, 0, base) - fraction_sir(index, user, 0, scaled)
         assert difference == 0
         assert abs(float(difference)) < 1e-12
+        # the integer column sums scale by one factor, so every value is the same float
+        spec = SirLogUtility(user=user, weights=(Fraction(3, 2),))
+        assert [v.hex() for v in spec.value_vector(base)] == [
+            v.hex() for v in spec.value_vector(scaled)
+        ]
 
     @pytest.mark.parametrize("shape", SIR_SHAPES)
     @given(data=st.data())
@@ -228,9 +238,13 @@ class TestSir:
     def test_matches_fraction_formula(self, data):
         config = data.draw(sir_configs())
         index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
+        level_of = {level: i for i, level in enumerate(config.quant_levels)}
+        profile = config.catalog.profile_of(index)
         for user in range(config.num_users):
             for band in range(config.num_bands):
-                assert sir(index, user, band, config) == fraction_sir(index, user, band, config)
+                column = [level_of[bundle[band]] for bundle in profile]
+                ratio = Fraction(*column_sir_ratio(config, user, band, column))
+                assert ratio == fraction_sir(index, user, band, config)
 
     def test_benchmark_shape(self):
         # 4 users, 2 bands, Q = {0, 1, 2}, budget 2: 6 bundles, 1296 profiles.
@@ -261,7 +275,7 @@ class TestSir:
         config = sir_config(gains, (0, 1, 2), 2, noise=Fraction(1, 3))
         assert_matches_oracle(config)
         index = config.catalog.index_of(((Fraction(2), Fraction(0)),) * 3)
-        assert sir(index, 1, 0, config) == 10
+        assert fraction_sir(index, 1, 0, config) == 10
 
 
 def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
@@ -279,10 +293,12 @@ def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
 
 
 def assert_matches_oracle(config: ScenarioConfig) -> None:
-    """Every `sir_log` value equals the `Fraction` SIR loop's, float for float."""
+    """Every `sir_log` value equals the `Fraction` SIR loop's and the
+    per-column ratio walk's, float for float."""
     for spec, values in zip(config.utilities, config.value_vectors):
-        expected = sir_value_oracle(spec, config)
-        assert [v.hex() for v in values] == [v.hex() for v in expected]
+        expected = [v.hex() for v in sir_value_oracle(spec, config)]
+        assert [v.hex() for v in values] == expected
+        assert [v.hex() for v in column_value_oracle(spec, config)] == expected
 
 
 class TestIntegerScaling:
