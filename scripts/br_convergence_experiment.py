@@ -22,7 +22,7 @@ from spectrumshare.scenario import load_scenario
 
 def utility_at(user, profile, config):
     result = outcome(profile, config.catalog)
-    return utility_eval(config.utilities[user], result.allocation, result.taxes[user], config)
+    return utility_eval(config, user, result.allocation, result.taxes[user])
 
 
 def br_dynamics(start, config, max_rounds=50):

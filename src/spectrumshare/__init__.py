@@ -45,16 +45,11 @@ from .mechanism import (
     Message,
     MessageProfile,
     Outcome,
-    TaxComponents,
-    budget_sum,
     clip_allocation,
     lindahl_price,
     nearest_integer,
     outcome,
-    proposal_feasible,
     rounded_average,
-    tax,
-    tax_components,
 )
 from .model import (
     CubicTaxUtility,

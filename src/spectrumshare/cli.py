@@ -329,10 +329,10 @@ def cmd_lindahl_roundtrip(args) -> int:
     psi = _parse_psi(args.psi, scenario.config.num_users, catalog.size)
     try:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
-    except ConfigError as exc:
+    except PriceSystemError as exc:
+        raise ConfigError(f"psi.prices: {exc}") from None
+    except (ConfigError, PriceScaleError) as exc:
         raise ConfigError(f"--pi1: {exc}") from None
-    except (PriceSystemError, PriceScaleError) as exc:
-        raise ConfigError(str(exc)) from None
     report = build_report(messages, scenario.config)
     prices = report.lindahl.allocation.prices
     roundtrip = {

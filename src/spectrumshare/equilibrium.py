@@ -87,7 +87,7 @@ def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
     after2 = profile[(user + 2) % n_users]
     credit = (after.proposal - after2.proposal) ** 2 * after.price
     index, value = price_line_optimum(user, lindahl_price(profile, user), credit, config)
-    opt_out = utility_eval(config.utilities[user], 0, Fraction(0), config)
+    opt_out = utility_eval(config, user, 0, Fraction(0))
     proposal = -others_sum if opt_out > value else n_users * index - others_sum
     return Message(proposal, Fraction(0)), credit, value, opt_out
 
@@ -157,10 +157,6 @@ class LindahlCertificate(
     @property
     def best_on_price_line(self) -> bool:
         return all(self.user_best)
-
-    @property
-    def all_conditions_hold(self) -> bool:
-        return self.prices_balance and self.taxes_balance and self.best_on_price_line
 
 
 def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -> MessageProfile:
@@ -258,7 +254,7 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     rational, on_line, user_best = [], [], []
     for user, spec in enumerate(config.utilities):
         message, credit, line_best, opt_out = _reply(user, candidate, config)
-        held = utility_eval(spec, allocation, taxes[user], config)
+        held = utility_eval(config, user, allocation, taxes[user])
         value = max(line_best, opt_out)
         gain = value - held
         if improves(spec, value, held) and (best is None or gain > best.gain):

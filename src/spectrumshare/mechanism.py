@@ -64,49 +64,6 @@ def clip_allocation(value: int, catalog_size: int) -> int:
     return value if 1 <= value <= catalog_size else 0
 
 
-def proposal_feasible(proposals: Sequence[int], catalog_size: int) -> bool:
-    """The tax indicator: the (unclipped) rounded average names a real profile."""
-    return 1 <= rounded_average(proposals) <= catalog_size
-
-
-class TaxComponents(
-    namedtuple("TaxComponents", "allocation_charge mismatch_penalty balancing_credit")
-):
-    """The three pieces of one user's tax.
-
-    allocation_charge: what the user pays for the allocated profile, at a
-        price set entirely by the next two users in the cycle.
-    mismatch_penalty: (own proposal - next user's proposal)^2 * own price;
-        pushes all users toward proposing the same profile.
-    balancing_credit: minus the next user's mismatch penalty; not controlled
-        by this user, it is what makes the taxes sum to zero.
-    """
-
-    __slots__ = ()
-
-    @property
-    def total(self) -> Fraction:
-        return self.allocation_charge + self.mismatch_penalty + self.balancing_credit
-
-
-def tax_components(profile: MessageProfile, user: int, catalog_size: int) -> TaxComponents:
-    """Per-component tax of `user` (0-indexed; the cycle wraps around)."""
-    n = len(profile)
-    if not 0 <= user < n:
-        raise ValueError(f"user {user} outside 0..{n - 1}")
-    average = rounded_average([m.proposal for m in profile])
-    if not 1 <= average <= catalog_size:
-        zero = Fraction(0)
-        return TaxComponents(zero, zero, zero)
-    own = profile[user]
-    after = profile[(user + 1) % n]
-    after2 = profile[(user + 2) % n]
-    charge = average * (after.price - after2.price) / n
-    penalty = (own.proposal - after.proposal) ** 2 * own.price
-    credit = -((after.proposal - after2.proposal) ** 2) * after.price
-    return TaxComponents(charge, penalty, credit)
-
-
 def _tax_numerators(
     profile: MessageProfile, average: int, catalog_size: int
 ) -> tuple[list[int], int]:
@@ -132,28 +89,6 @@ def _tax_numerators(
         for i in range(n)
     ]
     return numerators, n * scale
-
-
-def _taxes(profile: MessageProfile, average: int, catalog_size: int) -> tuple[Fraction, ...]:
-    """Every user's exact tax at the profile's rounded average."""
-    numerators, denominator = _tax_numerators(profile, average, catalog_size)
-    return tuple(Fraction(numerator, denominator) for numerator in numerators)
-
-
-def tax(profile: MessageProfile, user: int, catalog_size: int) -> Fraction:
-    """Exact tax (positive) or subsidy (negative) charged to `user`."""
-    n = len(profile)
-    if not 0 <= user < n:
-        raise ValueError(f"user {user} outside 0..{n - 1}")
-    average = rounded_average([m.proposal for m in profile])
-    return _taxes(profile, average, catalog_size)[user]
-
-
-def budget_sum(profile: MessageProfile, catalog_size: int) -> Fraction:
-    """Sum of all taxes.  Identically zero; computed, never assumed."""
-    average = rounded_average([m.proposal for m in profile])
-    numerators, denominator = _tax_numerators(profile, average, catalog_size)
-    return Fraction(sum(numerators), denominator)
 
 
 def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
@@ -184,4 +119,8 @@ def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:
             f"profile has {len(profile)} messages, catalog expects {catalog.num_users}"
         )
     average = rounded_average([m.proposal for m in profile])
-    return Outcome(clip_allocation(average, catalog.size), _taxes(profile, average, catalog.size))
+    numerators, denominator = _tax_numerators(profile, average, catalog.size)
+    return Outcome(
+        clip_allocation(average, catalog.size),
+        tuple(Fraction(numerator, denominator) for numerator in numerators),
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -151,14 +151,15 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
 
 
 class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):
-    """Bijection between indices {1..size} and joint power profiles.
+    """The profiles of indices {1..size}, decoded on demand.
 
     A profile assigns one bundle to each user.  Profiles are ordered
     lexicographically by per-user bundle position (user 0 most significant),
-    so decoding and encoding are O(num_users) mixed-radix arithmetic.  Index
-    0 never decodes: it denotes "no feasible allocation".  No `__slots__`:
-    the cached properties live in the instance `__dict__`.
+    so decoding an index is O(num_users) mixed-radix arithmetic.  Index 0
+    never decodes: it denotes "no feasible allocation".
     """
+
+    __slots__ = ()
 
     def __new__(cls, bundles: tuple[PowerBundle, ...], num_users: int):
         if not bundles:
@@ -178,10 +179,6 @@ class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):
         """Number of feasible profiles (the largest valid index)."""
         return len(self.bundles) ** self.num_users
 
-    @cached_property
-    def _position(self) -> dict[PowerBundle, int]:
-        return {bundle: i for i, bundle in enumerate(self.bundles)}
-
     def profile_of(self, index: int) -> tuple[PowerBundle, ...]:
         """Decode a 1-based catalog index into a per-user bundle tuple."""
         if not 1 <= index <= self.size:
@@ -193,26 +190,6 @@ class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):
             rest, digit = divmod(rest, base)
             digits.append(digit)
         return tuple(self.bundles[d] for d in reversed(digits))
-
-    def index_of(self, profile: Sequence[PowerBundle]) -> int:
-        """Encode a per-user bundle tuple into its 1-based catalog index."""
-        if len(profile) != self.num_users:
-            raise ValueError(
-                f"profile has {len(profile)} bundles, catalog expects {self.num_users}"
-            )
-        base = len(self.bundles)
-        index = 0
-        for bundle in profile:
-            try:
-                position = self._position[tuple(bundle)]
-            except KeyError:
-                raise ValueError(f"bundle {bundle!r} is not in the catalog") from None
-            index = index * base + position
-        return index + 1
-
-    def iter_profiles(self) -> Iterator[tuple[PowerBundle, ...]]:
-        for index in range(1, self.size + 1):
-            yield self.profile_of(index)
 
 
 def build_catalog(num_users: int, bundles: Sequence[PowerBundle]) -> ProfileCatalog:
@@ -271,7 +248,8 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t.
 
     The signal-to-interference ratios depend on which user is evaluating, so
-    the spec carries its owner's index.
+    the spec carries its owner's index.  Every weight is below
+    10**MAX_DIGITS, the bound of every input number, so it fits a float.
     """
 
     __slots__ = ()
@@ -281,6 +259,8 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
         weights = tuple(as_fraction(w) for w in weights)
         if any(w < 0 for w in weights):
             raise ConfigError("SIR utility weights must be non-negative")
+        if any(w >= 10**MAX_DIGITS for w in weights):
+            raise ConfigError(f"SIR utility weights must be below 10**{MAX_DIGITS}")
         return super().__new__(cls, user, weights)
 
     def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
@@ -536,26 +516,22 @@ class ScenarioConfig(
         return tuple(integer_scaling(values) for values in self.value_vectors)
 
 
-def utility_eval(spec: UtilitySpec, allocation: int, tax, config: ScenarioConfig):
-    """Evaluate a utility spec at (allocation index, tax): V(k) - g(t).
+def utility_eval(config: ScenarioConfig, user: int, allocation: int, tax):
+    """User's utility at (allocation index, tax): V(k) - g(t).
 
-    V is the spec's value vector (read from `config.value_vectors` when the
-    spec is one of the config's own) and g its tax cost: t for the tables,
-    beta * t**3 for the cubic variant, float(t) for the SIR variant, which
-    returns a float.  Every g is non-decreasing, so every utility is
-    non-increasing in tax.  A spec's `quasi_linear` flag says whether g is
-    the tax itself (the tables and the SIR variant).  Allocation 0 always
-    means "no allocation", worth 0 before taxes.
+    V is the user's value vector in `config.value_vectors` and g the tax
+    cost of its spec: t for the tables, beta * t**3 for the cubic variant,
+    float(t) for the SIR variant, which returns a float.  Every g is
+    non-decreasing, so every utility is non-increasing in tax.  A spec's
+    `quasi_linear` flag says whether g is the tax itself (the tables and the
+    SIR variant).  Allocation 0 always means "no allocation", worth 0
+    before taxes.
     """
     size = config.catalog.size
     if not 0 <= allocation <= size:
         raise ValueError(f"allocation index {allocation} outside 0..{size}")
-    for own, values in zip(config.utilities, config.value_vectors):
-        if own is spec:
-            break
-    else:
-        values = spec.value_vector(config)
-    return values[allocation] - spec.tax_cost(as_fraction(tax))
+    spec = config.utilities[user]
+    return config.value_vectors[user][allocation] - spec.tax_cost(as_fraction(tax))
 
 
 def improves(spec: UtilitySpec, candidate, incumbent) -> bool:

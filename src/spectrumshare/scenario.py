@@ -143,8 +143,9 @@ def _parse_behavior(entry, num_bands: int, path: str) -> AgentBehavior:
     _fail(path, f"unknown behavior variant {variant!r}")
 
 
-def parse_scenario(data: dict, digest: str = "") -> Scenario:
-    """Validate a decoded scenario document and build the typed scenario."""
+def parse_scenario(data: dict, digest: str) -> Scenario:
+    """Validate a decoded scenario document and build the typed scenario,
+    which carries `digest`: the SHA-256 of the file's bytes."""
     _require_keys(data, _TOP_KEYS, "scenario")
 
     num_users = _integer(data["num_users"], "scenario.num_users")
@@ -213,22 +214,7 @@ def parse_scenario(data: dict, digest: str = "") -> Scenario:
     if not 0 <= seed < 2**64:
         _fail("scenario.seed", "must fit in an unsigned 64-bit integer")
 
-    if not digest:
-        digest = hashlib.sha256(
-            json.dumps(scenario_document_jsonable(data), sort_keys=True).encode()
-        ).hexdigest()
     return Scenario(config, pi_step, pi_max, pilot_power, behaviors, seed, digest)
-
-
-def scenario_document_jsonable(data):
-    """Normalize a decoded document (Fractions included) to JSON-safe values."""
-    if isinstance(data, dict):
-        return {k: scenario_document_jsonable(v) for k, v in data.items()}
-    if isinstance(data, list):
-        return [scenario_document_jsonable(v) for v in data]
-    if isinstance(data, Fraction):
-        return rational_to_json(data)
-    return data
 
 
 def read_json(document, field: str, parse_int=None):

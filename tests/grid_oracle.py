@@ -14,6 +14,18 @@
 - Two earlier builds of the `sir_log` value vectors: the per-index
   `Fraction` SIR loop, and the per-column integer SIR ratio walk that
   replaced it before the column power sums.
+- The paper's three-term tax, which `outcome` computes as integer
+  numerators over one denominator.  User i (the cycle wraps around) pays,
+  at a rounded average k that names a profile,
+
+      k * (pi_{i+1} - pi_{i+2}) / N        allocation charge
+    + (n_i - n_{i+1})^2 * pi_i             own mismatch penalty
+    - (n_{i+1} - n_{i+2})^2 * pi_{i+1}     credit: the next user's penalty
+
+  and nothing at all when k leaves the catalog.
+- The catalog encoder `index_of`, the inverse of
+  `ProfileCatalog.profile_of`: bundle positions read as a mixed-radix
+  number, user 0 most significant, plus one.
 
 The differential tests compare the library against them.
 """
@@ -33,12 +45,42 @@ from spectrumshare import (
 )
 from spectrumshare.mechanism import MessageProfile, lindahl_price, nearest_integer
 from spectrumshare.model import (
+    ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
     as_fraction,
     improves,
     utility_eval,
 )
+
+
+def tax_components(
+    profile: MessageProfile, user: int, catalog_size: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(charge, penalty, credit) of `user`'s tax, in `Fraction` arithmetic;
+    their sum is the tax."""
+    n = len(profile)
+    average = nearest_integer(sum(m.proposal for m in profile), n)
+    if not 1 <= average <= catalog_size:
+        return Fraction(0), Fraction(0), Fraction(0)
+    own, after, after2 = (profile[(user + step) % n] for step in range(3))
+    charge = average * (after.price - after2.price) / n
+    penalty = (own.proposal - after.proposal) ** 2 * own.price
+    credit = -((after.proposal - after2.proposal) ** 2) * after.price
+    return charge, penalty, credit
+
+
+def index_of(catalog: ProfileCatalog, profile) -> int:
+    """The 1-based catalog index of a per-user bundle tuple."""
+    if len(profile) != catalog.num_users:
+        raise ValueError(
+            f"profile has {len(profile)} bundles, catalog expects {catalog.num_users}"
+        )
+    index = 0
+    for bundle in profile:
+        index = index * len(catalog.bundles) + catalog.bundles.index(tuple(bundle))
+    return index + 1
+
 
 # A finite slice of the message space: every proposal in `n_values`, every
 # price in `pi_values`.
@@ -64,14 +106,13 @@ def grid_deviations(
     """
     size = config.catalog.size
     n_users = len(profile)
-    spec = config.utilities[user]
     after = profile[(user + 1) % n_users]
     after2 = profile[(user + 2) % n_users]
     others_sum = sum(m.proposal for m in profile) - profile[user].proposal
     unit_price = Fraction(after.price - after2.price, n_users)
     credit = (after.proposal - after2.proposal) ** 2 * after.price
     pi_low = grid.pi_values[0]
-    opt_out_utility = utility_eval(spec, 0, Fraction(0), config)
+    opt_out_utility = utility_eval(config, user, 0, Fraction(0))
     for proposal in grid.n_values:
         average = nearest_integer(others_sum + proposal, n_users)
         if not 1 <= average <= size:
@@ -80,10 +121,10 @@ def grid_deviations(
         mismatch = (proposal - after.proposal) ** 2
         base_tax = average * unit_price - credit
         if mismatch == 0:
-            yield Message(proposal, pi_low), utility_eval(spec, average, base_tax, config)
+            yield Message(proposal, pi_low), utility_eval(config, user, average, base_tax)
             continue
         for price in grid.pi_values:
-            value = utility_eval(spec, average, base_tax + mismatch * price, config)
+            value = utility_eval(config, user, average, base_tax + mismatch * price)
             yield Message(proposal, price), value
 
 
@@ -96,7 +137,7 @@ def grid_verify(
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
         spec = config.utilities[user]
-        held = utility_eval(spec, base.allocation, base.taxes[user], config)
+        held = utility_eval(config, user, base.allocation, base.taxes[user])
         for message, value in grid_deviations(user, candidate, grid, config):
             gain = value - held
             if improves(spec, value, held) and (best is None or gain > best.gain):
@@ -120,9 +161,9 @@ def user_best_nonneg_tax(
         charged = result.taxes[user]
         ok = result.allocation != 0 and charged == result.allocation * price
         ok_nonneg = ok and charged >= 0
-        held = utility_eval(spec, result.allocation, charged, config)
+        held = utility_eval(config, user, result.allocation, charged)
         for alternative in range(1, config.catalog.size + 1):
-            value = utility_eval(spec, alternative, alternative * price, config)
+            value = utility_eval(config, user, alternative, alternative * price)
             if improves(spec, value, held):
                 ok = False
                 if alternative * price >= 0:

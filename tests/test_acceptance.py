@@ -21,14 +21,12 @@ from spectrumshare import (
     Message,
     ReportCheat,
     ScenarioConfig,
-    budget_sum,
     build_report,
     lindahl_census,
     lindahl_price,
     lindahl_to_ne,
     outcome,
     run_measurement,
-    tax,
 )
 from spectrumshare.scenario import parse_scenario, scenario_to_jsonable
 
@@ -107,7 +105,7 @@ def test_budget_balance_always(desk, grid):
         profile = tuple(
             Message(rng.choice(grid.n_values), rng.choice(grid.pi_values)) for _ in range(3)
         )
-        assert budget_sum(profile, desk.catalog.size) == 0
+        assert sum(outcome(profile, desk.catalog).taxes) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"budget sweep took {elapsed:.2f}s"
 
@@ -115,7 +113,7 @@ def test_budget_balance_always(desk, grid):
 @criterion("2 hand-derived tax vector, exact")
 def test_derived_tax_vector(desk):
     profile = tuple(Message(n, Fraction(p)) for n, p in ((1, 1), (2, 2), (3, 3)))
-    taxes = tuple(tax(profile, user, desk.catalog.size) for user in range(3))
+    taxes = outcome(profile, desk.catalog).taxes
     assert taxes == (Fraction(-5, 3), Fraction(-26, 3), Fraction(31, 3))
     assert sum(taxes) == 0
 
@@ -200,7 +198,7 @@ def test_degenerate_guards():
     document["utilities"] = document["utilities"][:2]
     document["measurement"]["behaviors"] = document["measurement"]["behaviors"][:2]
     with pytest.raises(ConfigError):
-        parse_scenario(json.loads(json.dumps(document)))
+        parse_scenario(json.loads(json.dumps(document)), "")
 
     lone = ScenarioConfig(
         num_users=3,

@@ -439,6 +439,7 @@ class TestLindahlRoundtrip:
             "0",
         )
         assert code == 2
+        assert err.startswith("error: --pi1: ")
         assert "smallest feasible seed price is 2" in err
 
     @pytest.mark.parametrize(
@@ -450,6 +451,7 @@ class TestLindahlRoundtrip:
             ({"allocation": 4, "taxes": [0, "x", 0], "prices": [0, 0, 0]}, "psi.taxes"),
             ({"allocation": 100000, "taxes": [0, 0, 0], "prices": [0, 0, 0]}, "psi.allocation"),
             ({"allocation": -1, "taxes": [0, 0, 0], "prices": [0, 0, 0]}, "psi.allocation"),
+            ({"allocation": 4, "taxes": [0, 0, 0], "prices": [1, 0, 0]}, "psi.prices"),
         ],
         ids=[
             "bool-allocation",
@@ -458,6 +460,7 @@ class TestLindahlRoundtrip:
             "bad-tax-entry",
             "too-large-allocation",
             "negative-allocation",
+            "unbalanced-prices",
         ],
     )
     def test_malformed_psi_names_the_field(self, capsys, small_path, tmp_path, psi, field):

@@ -20,7 +20,9 @@ from spectrumshare import (
     TableUtility,
     balanced_prices,
     best_response,
+    build_catalog,
     build_report,
+    enumerate_bundles,
     integer_scaling,
     lindahl_census,
     lindahl_price,
@@ -28,11 +30,10 @@ from spectrumshare import (
     mismatch_penalties_vanish,
     outcome,
     price_intervals,
-    tax,
     utility_eval,
 )
 from spectrumshare.equilibrium import _balances, price_line_optimum
-from spectrumshare.mechanism import Outcome, clip_allocation, nearest_integer, rounded_average
+from spectrumshare.mechanism import Outcome, nearest_integer
 
 from conftest import peak_table, sir_configs, small_config, uniform_gains
 from grid_oracle import (
@@ -42,6 +43,7 @@ from grid_oracle import (
     interval_oracle,
     price_line_oracle,
     standard_grid,
+    tax_components,
     unanimity_scan,
     user_best_nonneg_tax,
 )
@@ -97,9 +99,9 @@ class TestVerifyNe:
         perturbed = tuple(perturbed)
         base = outcome(candidate, small.catalog)
         after = outcome(perturbed, small.catalog)
-        spec = small.utilities[deviation.user]
-        held = utility_eval(spec, base.allocation, base.taxes[deviation.user], small)
-        moved = utility_eval(spec, after.allocation, after.taxes[deviation.user], small)
+        user = deviation.user
+        held = utility_eval(small, user, base.allocation, base.taxes[user])
+        moved = utility_eval(small, user, after.allocation, after.taxes[user])
         assert moved - held == deviation.gain
 
     def test_priced_mismatch_is_never_ne(self, small):
@@ -147,7 +149,7 @@ class TestBestResponse:
         profile = unanimity(4, 1)
         reply = best_response(0, profile, small)
         moved = outcome((reply,) + profile[1:], small.catalog)
-        value = utility_eval(small.utilities[0], moved.allocation, moved.taxes[0], small)
+        value = utility_eval(small, 0, moved.allocation, moved.taxes[0])
         assert value == small.utilities[0].values[4]
 
     def test_price_zero_chosen_on_mismatch(self, small):
@@ -240,7 +242,7 @@ class TestUnanimityScan:
         (entry,) = census.equilibria
         assert entry.report.allocation == 4
         assert entry.price_intervals == ((0, 0),) * 3
-        assert entry.report.lindahl.all_conditions_hold
+        assert entry.report.soundness_violations() == ()
         assert scan_allocations(1, config) == [4]
 
 
@@ -386,7 +388,7 @@ class TestEquilibriumTaxForm:
         profile = tuple(Message(5, Fraction(p)) for p in (3, 1, 2))
         report = build_report(profile, small)
         assert report.tax_form_matches
-        assert report.taxes == tuple(tax(profile, u, 8) for u in range(3))
+        assert report.taxes == tuple(sum(tax_components(profile, u, 8)) for u in range(3))
         assert report.taxes == tuple(5 * lindahl_price(profile, u) for u in range(3))
 
     def test_equal_prices_give_zero(self, small):
@@ -417,9 +419,11 @@ class TestEquilibriumTaxForm:
     @given(aligned_profiles())
     @settings(max_examples=150, deadline=None)
     def test_reduced_form_equivalence(self, profile):
-        allocation = clip_allocation(rounded_average([m.proposal for m in profile]), 20)
+        catalog = build_catalog(3, enumerate_bundles((0, 1, 2), 1, 2))
+        result = outcome(profile, catalog)
         for u in range(3):
-            assert tax(profile, u, 20) == allocation * lindahl_price(profile, u)
+            reduced = result.allocation * lindahl_price(profile, u)
+            assert result.taxes[u] == sum(tax_components(profile, u, catalog.size)) == reduced
 
 
 class TestIndividualRationality:
@@ -442,7 +446,6 @@ class TestNeToLindahl:
         assert certificate.taxes_balance
         assert certificate.user_best == (True, True, True)
         assert certificate.user_best_nonneg_tax == (True, True, True)
-        assert certificate.all_conditions_hold
 
     def test_off_peak_candidate_fails_price_line_check(self, small):
         certificate = build_report(unanimity(2, 1), small).lindahl
@@ -500,9 +503,8 @@ class TestLindahlToNe:
         reports = [entry.report for entry in lindahl_census(config).equilibria]
         assert reports
         for report in reports:
-            certificate = report.lindahl
-            assert certificate.all_conditions_hold
-            psi = certificate.allocation
+            assert report.soundness_violations() == ()
+            psi = report.lindahl.allocation
             rebuilt = lindahl_to_ne(psi, 10, config.catalog)
             assert build_report(rebuilt, config).is_ne
             result = outcome(rebuilt, config.catalog)
@@ -611,11 +613,10 @@ def best_gain(deviation):
 
 def realized_gain(candidate, user, message, config):
     moved = candidate[:user] + (message,) + candidate[user + 1 :]
-    spec = config.utilities[user]
     before = outcome(candidate, config.catalog)
     after = outcome(moved, config.catalog)
-    held = utility_eval(spec, before.allocation, before.taxes[user], config)
-    return utility_eval(spec, after.allocation, after.taxes[user], config) - held
+    held = utility_eval(config, user, before.allocation, before.taxes[user])
+    return utility_eval(config, user, after.allocation, after.taxes[user]) - held
 
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))

@@ -10,16 +10,19 @@ from spectrumshare import (
     ContractError,
     Message,
     Outcome,
-    budget_sum,
     clip_allocation,
     lindahl_price,
     outcome,
-    proposal_feasible,
     rounded_average,
-    tax,
-    tax_components,
 )
 from spectrumshare.model import build_catalog, enumerate_bundles
+
+from grid_oracle import tax_components
+
+# The desk catalog: 3 users over 6 bundles, 216 profiles.
+DESK = build_catalog(3, enumerate_bundles((0, 1, 2), 2, 2))
+# 5 users over 2 bundles: 32 profiles.
+FIVE = build_catalog(5, enumerate_bundles((0, 1), 1, 1))
 
 prices = st.fractions(min_value=0, max_value=5, max_denominator=8)
 proposals = st.integers(min_value=-50, max_value=400)
@@ -78,46 +81,46 @@ class TestClipAllocation:
         assert clip_allocation(-3, 216) == 0
 
 
+def taxes(profile, catalog=DESK):
+    return outcome(profile, catalog).taxes
+
+
 class TestTax:
     def test_unanimity_is_free(self):
         profile = tuple(Message(5, Fraction(2)) for _ in range(3))
-        assert [tax(profile, u, 216) for u in range(3)] == [0, 0, 0]
+        assert taxes(profile) == (0, 0, 0)
 
     def test_hand_computed_vector(self):
         profile = tuple(Message(n, Fraction(p)) for n, p in ((1, 1), (2, 2), (3, 3)))
-        taxes = [tax(profile, u, 216) for u in range(3)]
-        assert taxes == [Fraction(-5, 3), Fraction(-26, 3), Fraction(31, 3)]
-        assert sum(taxes) == 0
+        assert taxes(profile) == (Fraction(-5, 3), Fraction(-26, 3), Fraction(31, 3))
+        assert sum(taxes(profile)) == 0
 
     def test_infeasible_average_zeroes_everything(self):
-        profile = tuple(Message(100, Fraction(u + 1)) for u in range(3))
-        assert [tax(profile, u, 6) for u in range(3)] == [0, 0, 0]
+        profile = tuple(Message(300, Fraction(u + 1)) for u in range(3))
+        assert taxes(profile) == (0, 0, 0)
 
     def test_indicator_uses_unclipped_average(self):
         # proposals averaging exactly to the top index stay feasible
-        profile = tuple(Message(6, Fraction(1, 4) * (u + 1)) for u in range(3))
-        assert proposal_feasible([m.proposal for m in profile], 6)
-        assert any(tax(profile, u, 6) != 0 for u in range(3))
+        profile = tuple(Message(216, Fraction(1, 4) * (u + 1)) for u in range(3))
+        assert outcome(profile, DESK).allocation == 216
+        assert any(tax != 0 for tax in taxes(profile))
 
     @given(profiles())
     @settings(max_examples=300, deadline=None)
     def test_budget_identity(self, profile):
-        assert budget_sum(profile, 216) == 0
+        assert sum(taxes(profile)) == 0
 
     @given(profiles(num_users=5))
     @settings(max_examples=150, deadline=None)
     def test_budget_identity_five_users(self, profile):
-        assert budget_sum(profile, 10) == 0
+        assert sum(taxes(profile, FIVE)) == 0
 
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_components_sum_to_tax(self, profile):
-        totals = []
-        for user in range(3):
-            parts = tax_components(profile, user, 216)
-            assert parts.total == tax(profile, user, 216)
-            totals.append(parts.total)
-        assert budget_sum(profile, 216) == sum(totals)
+        totals = tuple(sum(tax_components(profile, user, 216)) for user in range(3))
+        assert totals == taxes(profile)
+        assert sum(totals) == 0
 
     @given(profiles(), prices)
     @settings(max_examples=150, deadline=None)
@@ -125,24 +128,24 @@ class TestTax:
         # align user 0 with user 1, then user 0's price cannot move its own tax
         aligned = (Message(profile[1].proposal, profile[0].price),) + profile[1:]
         changed = (Message(profile[1].proposal, new_price),) + profile[1:]
-        assert tax(aligned, 0, 216) == tax(changed, 0, 216)
+        assert taxes(aligned)[0] == taxes(changed)[0]
 
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_cyclic_relabeling_rotates_taxes_and_prices(self, profile):
         rotated = profile[1:] + profile[:1]
+        assert taxes(rotated) == taxes(profile)[1:] + taxes(profile)[:1]
         for user in range(3):
-            assert tax(rotated, user, 216) == tax(profile, (user + 1) % 3, 216)
             assert lindahl_price(rotated, user) == lindahl_price(profile, (user + 1) % 3)
 
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_all_taxes_zeroed_iff_allocation_clips(self, profile):
-        feasible = proposal_feasible([m.proposal for m in profile], 216)
-        allocation = clip_allocation(rounded_average([m.proposal for m in profile]), 216)
-        assert feasible == (allocation != 0)
+        feasible = 1 <= rounded_average([m.proposal for m in profile]) <= 216
+        result = outcome(profile, DESK)
+        assert feasible == (result.allocation != 0)
         if not feasible:
-            assert all(tax(profile, u, 216) == 0 for u in range(3))
+            assert result.taxes == (0, 0, 0)
 
 
 class TestLindahlPrice:
@@ -161,34 +164,29 @@ class TestLindahlPrice:
         assert sum(lindahl_price(profile, u) for u in range(3)) == 0
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return build_catalog(3, enumerate_bundles((0, 1, 2), 2, 2))
-
-
 class TestOutcome:
 
-    def test_unanimity(self, catalog):
+    def test_unanimity(self):
         profile = tuple(Message(7, Fraction(1)) for _ in range(3))
-        result = outcome(profile, catalog)
+        result = outcome(profile, DESK)
         assert result.allocation == 7
         assert result.taxes == (0, 0, 0)
 
-    def test_hand_computed_case(self, catalog):
+    def test_hand_computed_case(self):
         profile = tuple(Message(n, Fraction(p)) for n, p in ((1, 1), (2, 2), (3, 3)))
-        result = outcome(profile, catalog)
+        result = outcome(profile, DESK)
         assert result.allocation == 2
         assert result.taxes == (Fraction(-5, 3), Fraction(-26, 3), Fraction(31, 3))
 
-    def test_zero_proposals(self, catalog):
+    def test_zero_proposals(self):
         profile = tuple(Message(0, Fraction(2)) for _ in range(3))
-        result = outcome(profile, catalog)
+        result = outcome(profile, DESK)
         assert result.allocation == 0
         assert result.taxes == (0, 0, 0)
 
-    def test_wrong_profile_length(self, catalog):
+    def test_wrong_profile_length(self):
         with pytest.raises(ValueError):
-            outcome((Message(1, Fraction(0)),), catalog)
+            outcome((Message(1, Fraction(0)),), DESK)
 
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ContractError):

@@ -1,5 +1,6 @@
 """Bundles, catalog bijection, SIR, and utility evaluation."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +27,7 @@ from grid_oracle import (
     column_sir_ratio,
     column_value_oracle,
     fraction_sir,
+    index_of,
     integer_scaling_oracle,
     sir_value_oracle,
 )
@@ -111,14 +113,14 @@ class TestCatalog:
         seen = set()
         for index in range(1, catalog.size + 1):
             profile = catalog.profile_of(index)
-            assert catalog.index_of(profile) == index
+            assert index_of(catalog, profile) == index
             seen.add(profile)
         assert len(seen) == catalog.size
 
     def test_order_is_lexicographic_in_bundle_position(self):
         bundles = enumerate_bundles((0, 1), 1, 1)
         catalog = build_catalog(3, bundles)
-        profiles = list(catalog.iter_profiles())
+        profiles = [catalog.profile_of(index) for index in range(1, catalog.size + 1)]
         expected = [
             tuple(bundles[d] for d in digits) for digits in product(range(2), repeat=3)
         ]
@@ -127,7 +129,7 @@ class TestCatalog:
     @given(st.integers(min_value=1, max_value=216))
     def test_roundtrip_property(self, index):
         catalog = build_catalog(3, enumerate_bundles((0, 1, 2), 2, 2))
-        assert catalog.index_of(catalog.profile_of(index)) == index
+        assert index_of(catalog, catalog.profile_of(index)) == index
 
     def test_index_zero_never_decodes(self):
         catalog = build_catalog(3, enumerate_bundles((0, 1), 1, 1))
@@ -158,7 +160,7 @@ class TestSir:
         config = small_config()
         catalog = config.catalog
         # user 0 at power 1, users 1 and 2 silent
-        index = catalog.index_of(((Fraction(1),), (Fraction(0),), (Fraction(0),)))
+        index = index_of(catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == 1
 
     def test_single_interferer(self):
@@ -167,7 +169,7 @@ class TestSir:
         catalog = config.catalog
         # interferer (user 1) at power 2 is out of reach here (levels {0,1});
         # cross gain 1/2 and power 1 gives interference 1/2
-        index = catalog.index_of(((Fraction(1),), (Fraction(1),), (Fraction(0),)))
+        index = index_of(catalog, ((Fraction(1),), (Fraction(1),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == Fraction(1, 1 + Fraction(1, 2)) * 1
         assert fraction_sir(index, 0, 0, config) == Fraction(2, 3)
 
@@ -183,12 +185,12 @@ class TestSir:
             utilities=tuple(peak_table(27, 1) for _ in range(3)),
         )
         catalog = config.catalog
-        index = catalog.index_of(((Fraction(1),), (Fraction(2),), (Fraction(0),)))
+        index = index_of(catalog, ((Fraction(1),), (Fraction(2),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == Fraction(1, 2)
 
     def test_zero_power_zero_sir(self):
         config = small_config()
-        index = config.catalog.index_of(((Fraction(0),), (Fraction(1),), (Fraction(0),)))
+        index = index_of(config.catalog, ((Fraction(0),), (Fraction(1),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == 0
 
     def test_undefined_for_null_allocation(self):
@@ -274,7 +276,7 @@ class TestSir:
         gains = uniform_gains(3, 2, direct=Fraction(5, 3), cross=Fraction(0))
         config = sir_config(gains, (0, 1, 2), 2, noise=Fraction(1, 3))
         assert_matches_oracle(config)
-        index = config.catalog.index_of(((Fraction(2), Fraction(0)),) * 3)
+        index = index_of(config.catalog, ((Fraction(2), Fraction(0)),) * 3)
         assert fraction_sir(index, 1, 0, config) == 10
 
 
@@ -319,31 +321,46 @@ class TestIntegerScaling:
         assert (scaling.scale, scaling.heights) == integer_scaling_oracle(values)
 
 
+def with_user_zero(spec) -> ScenarioConfig:
+    """`small_config` with `spec` as user 0's utility."""
+    return small_config(utilities=(spec, *small_config().utilities[1:]))
+
+
+VARIANTS = {
+    "table": lambda: small_config().utilities[0],
+    "cubic": lambda: CubicTaxUtility(small_config().utilities[0].values, beta=Fraction(1, 2)),
+    "sir": lambda: SirLogUtility(user=0, weights=(Fraction(1),)),
+}
+
+
 class TestUtilityEval:
     def test_table_subtracts_tax(self):
-        config = small_config()
-        spec = TableUtility((Fraction(0),) + (Fraction(7),) * 8)
-        assert utility_eval(spec, 3, 2, config) == 5
+        config = with_user_zero(TableUtility((Fraction(0),) + (Fraction(7),) * 8))
+        assert utility_eval(config, 0, 3, 2) == 5
 
     def test_null_allocation_zero_at_zero_tax(self):
         config = small_config()
-        for spec in config.utilities:
-            assert utility_eval(spec, 0, 0, config) == 0
+        for user in range(3):
+            assert utility_eval(config, user, 0, 0) == 0
 
     def test_cubic_tax_negative_tax_pays_out(self):
-        config = small_config()
-        spec = CubicTaxUtility((Fraction(0),) + (Fraction(1),) * 8, beta=1)
-        assert utility_eval(spec, 2, -1, config) == 2
+        config = with_user_zero(CubicTaxUtility((Fraction(0),) + (Fraction(1),) * 8, beta=1))
+        assert utility_eval(config, 0, 2, -1) == 2
 
     def test_sir_log_weights(self):
-        config = small_config()
-        spec = SirLogUtility(user=0, weights=(Fraction(2),))
-        index = config.catalog.index_of(((Fraction(1),), (Fraction(0),), (Fraction(0),)))
-        import math
-
-        assert utility_eval(spec, index, Fraction(1, 2), config) == pytest.approx(
+        config = with_user_zero(SirLogUtility(user=0, weights=(Fraction(2),)))
+        index = index_of(config.catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
+        assert utility_eval(config, 0, index, Fraction(1, 2)) == pytest.approx(
             2 * math.log(2) - 0.5, abs=1e-12
         )
+
+    def test_sir_log_weight_bound(self):
+        with pytest.raises(ConfigError, match="weights"):
+            SirLogUtility(user=0, weights=(Fraction(10**MAX_DIGITS),))
+        config = with_user_zero(SirLogUtility(user=0, weights=(10**MAX_DIGITS - 1,)))
+        assert all(math.isfinite(value) for value in config.value_vectors[0])
+        assert max(config.value_vectors[0]) > 10**(MAX_DIGITS - 1)
+        assert all(type(height) is int for height in config.integer_scalings[0].heights)
 
     def test_value_budget_names_the_field(self):
         users = 1
@@ -362,14 +379,15 @@ class TestUtilityEval:
         with pytest.raises(ConfigError, match=r"scenario\.num_users"):
             config.value_vectors
         with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
-            utility_eval(config.utilities[0], 1, 0, config)
+            utility_eval(config, 0, 1, 0)
 
     def test_rejects_out_of_range_allocation(self):
         config = small_config()
-        with pytest.raises(ValueError):
-            utility_eval(config.utilities[0], 9, 0, config)
+        for allocation in (9, -1):
+            with pytest.raises(ValueError):
+                utility_eval(config, 0, allocation, 0)
 
-    @pytest.mark.parametrize("variant", ["table", "cubic", "sir"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @given(
         allocation=st.integers(min_value=1, max_value=8),
         tax=st.fractions(min_value=-4, max_value=4, max_denominator=8),
@@ -377,32 +395,22 @@ class TestUtilityEval:
     )
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_in_tax(self, variant, allocation, tax, bump):
-        config = small_config()
-        spec = {
-            "table": config.utilities[0],
-            "cubic": CubicTaxUtility(config.utilities[0].values, beta=Fraction(1, 2)),
-            "sir": SirLogUtility(user=0, weights=(Fraction(1),)),
-        }[variant]
-        lower = utility_eval(spec, allocation, tax + bump, config)
-        higher = utility_eval(spec, allocation, tax, config)
+        config = with_user_zero(VARIANTS[variant]())
+        lower = utility_eval(config, 0, allocation, tax + bump)
+        higher = utility_eval(config, 0, allocation, tax)
         assert lower <= higher
         if variant in ("table", "sir"):
             assert lower < higher
 
-    @pytest.mark.parametrize("variant", ["table", "cubic", "sir"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @given(
         allocation=st.integers(min_value=1, max_value=8),
         tax=st.fractions(min_value=-4, max_value=4, max_denominator=8),
     )
     @settings(max_examples=60, deadline=None)
     def test_any_allocation_beats_null(self, variant, allocation, tax):
-        config = small_config()
-        spec = {
-            "table": config.utilities[0],
-            "cubic": CubicTaxUtility(config.utilities[0].values, beta=Fraction(1, 2)),
-            "sir": SirLogUtility(user=0, weights=(Fraction(1),)),
-        }[variant]
-        assert utility_eval(spec, allocation, tax, config) >= utility_eval(spec, 0, tax, config)
+        config = with_user_zero(VARIANTS[variant]())
+        assert utility_eval(config, 0, allocation, tax) >= utility_eval(config, 0, 0, tax)
 
 
 class TestScenarioConfig:

@@ -29,7 +29,6 @@ from spectrumshare import (
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
-    TaxComponents,
     build_report,
 )
 from spectrumshare.model import IntegerScaling
@@ -52,10 +51,6 @@ def _certificate():
 # (factory, field names in order): each factory builds a fresh, equal record.
 RECORDS = {
     "Message": (lambda: Message(3, HALF), ("proposal", "price")),
-    "TaxComponents": (
-        lambda: TaxComponents(Fraction(1), Fraction(0), Fraction(-1)),
-        ("allocation_charge", "mismatch_penalty", "balancing_credit"),
-    ),
     "Outcome": (lambda: Outcome(2, (HALF, -HALF, Fraction(0))), ("allocation", "taxes")),
     "Honest": (Honest, ()),
     "PilotCheat": (lambda: PilotCheat((1, HALF)), ("scale",)),

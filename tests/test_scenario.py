@@ -191,4 +191,4 @@ class TestRationalParsing:
 
 def test_parse_scenario_rejects_non_object():
     with pytest.raises(ConfigError):
-        parse_scenario(["not", "an", "object"])
+        parse_scenario(["not", "an", "object"], "")
