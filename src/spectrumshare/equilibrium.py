@@ -49,6 +49,7 @@ from .model import (
     ScenarioConfig,
     as_fraction,
     improves,
+    integer_scaling,
     utility_eval,
 )
 
@@ -424,11 +425,12 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     """
     zero = ((0, 1), (0, 1))
     per_user = []
-    for spec, values, scaling in zip(
-        config.utilities, config.value_vectors, config.integer_scalings
-    ):
+    for spec, values in zip(config.utilities, config.value_vectors):
         if spec.quasi_linear:
-            per_user.append(price_intervals(scaling))
+            # Built here and dropped after the hull, not read from the cached
+            # `config.integer_scalings`: at the profile cap one user's
+            # heights take tens of MB.
+            per_user.append(price_intervals(integer_scaling(values)))
         else:
             top = max(values)
             per_user.append({k: zero for k in range(1, len(values)) if values[k] == top})

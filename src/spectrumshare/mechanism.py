@@ -104,23 +104,25 @@ class Outcome(namedtuple("Outcome", "allocation taxes")):
 
     __slots__ = ()
 
-    def __new__(cls, allocation: int, taxes: tuple[Fraction, ...]):
-        if sum(taxes, Fraction(0)) != 0:
-            raise ContractError(f"taxes must sum to zero, got {taxes}")
-        if allocation == 0 and any(t != 0 for t in taxes):
-            raise ContractError("a null allocation must carry zero taxes")
-        return super().__new__(cls, allocation, taxes)
-
 
 def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:
-    """Apply the game form to a full message profile."""
+    """Apply the game form to a full message profile.
+
+    Raises `ContractError` when the taxes do not sum to zero, or when a null
+    allocation carries a tax; both are decided on the integer numerators,
+    before any `Fraction` is built.
+    """
     if len(profile) != catalog.num_users:
         raise ValueError(
             f"profile has {len(profile)} messages, catalog expects {catalog.num_users}"
         )
     average = rounded_average([m.proposal for m in profile])
     numerators, denominator = _tax_numerators(profile, average, catalog.size)
+    allocation = clip_allocation(average, catalog.size)
+    if sum(numerators) != 0:
+        raise ContractError(f"taxes must sum to zero, got {numerators} over {denominator}")
+    if allocation == 0 and any(numerators):
+        raise ContractError("a null allocation must carry zero taxes")
     return Outcome(
-        clip_allocation(average, catalog.size),
-        tuple(Fraction(numerator, denominator) for numerator in numerators),
+        allocation, tuple(Fraction(numerator, denominator) for numerator in numerators)
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -263,7 +264,7 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
             raise ConfigError(f"SIR utility weights must be below 10**{MAX_DIGITS}")
         return super().__new__(cls, user, weights)
 
-    def value_vector(self, config: "ScenarioConfig") -> tuple[float, ...]:
+    def value_vector(self, config: "ScenarioConfig") -> array:
         """Catalog walk in index order without decoding a profile.
 
         Per band, one pass over the users in column-code order builds every
@@ -271,7 +272,8 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
         signal as integers (`ScenarioConfig.integer_channels`), so its SIR
         is signal / (total - signal).  The term weight * log1p(SIR) of each
         column is read off by each profile's code
-        (`ScenarioConfig.band_columns`); terms are summed in band order.
+        (`ScenarioConfig.band_columns`); terms are summed in band order into
+        an `array('d')`, 8 bytes a value against 32 in a tuple of floats.
         """
         levels, channels = config.integer_channels
         values = None
@@ -286,7 +288,9 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
             terms = [weight * math.log1p(s / (t - s)) for s, t in zip(own, total)]
             band_terms = map(terms.__getitem__, codes)
             values = band_terms if values is None else map(operator.add, values, band_terms)
-        return (0.0, *values)
+        vector = array("d", [0.0])
+        vector.extend(values)
+        return vector
 
     @staticmethod
     def tax_cost(tax: Fraction) -> float:
@@ -449,12 +453,13 @@ class ScenarioConfig(
         return build_catalog(self.num_users, self.bundles)
 
     @cached_property
-    def value_vectors(self) -> tuple[tuple, ...]:
+    def value_vectors(self) -> tuple[Sequence, ...]:
         """Per user, the value V_i(k) of every catalog index k = 0..size before taxes.
 
         Built on first use, so commands that never evaluate a utility never
-        pay for it; entry 0 is the null allocation, worth 0.  Catalogs over
-        `MAX_VALUED_PROFILES` raise `ConfigError`.
+        pay for it; entry 0 is the null allocation, worth 0.  A table user's
+        vector is its exact tuple, a `sir_log` user's an `array('d')`.
+        Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
         """
         self.check_profile_cap("evaluating utilities")
         return tuple(spec.value_vector(self) for spec in self.utilities)
@@ -512,7 +517,9 @@ class ScenarioConfig(
 
     @cached_property
     def integer_scalings(self) -> tuple[IntegerScaling, ...]:
-        """Per user, the value vector as integers over one scale."""
+        """Per user, the value vector as integers over one scale, for the
+        `table` and `cubic_tax` line scans; `lindahl_census` builds its own
+        per user and drops them, so a `sir_log` game never caches these."""
         return tuple(integer_scaling(values) for values in self.value_vectors)
 
 

@@ -272,6 +272,14 @@ class TestLindahlCensus:
         assert entry.report.allocation == 108
         assert calls == [entry.price_intervals]
 
+    @given(config=sir_configs())
+    @settings(max_examples=10, deadline=None)
+    def test_sir_log_census_caches_no_heights(self, config):
+        # The census builds each user's integer heights and drops them after
+        # its hull; the sir_log certification scans floats only.
+        lindahl_census(config)
+        assert "integer_scalings" not in vars(config)
+
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
         prices = [m.price for m in entry.report.candidate]

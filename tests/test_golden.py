@@ -3,14 +3,18 @@ scenarios under `tests/golden/` that reach the census branches and the
 `sir_log` values the desk does not.
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
-timing fields are blanked.  To regenerate after an intended output change:
+timing fields are blanked.  The argument parser's help and usage errors at
+80 columns, for the top level and every command, must match
+`tests/golden/cli-help.txt`.  To regenerate after an intended output change:
 `PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"`.
 """
 
 import contextlib
 import io
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -78,6 +82,51 @@ def test_stdout_matches_golden(case, tmp_path):
     assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
 
 
+# command -> the arguments it needs besides --scenario, for a parse that
+# fails only on an unknown flag
+COMMANDS = {
+    "enumerate": [],
+    "outcome": ["--messages", "[]"],
+    "find-ne": [],
+    "verify": ["--messages", "[]"],
+    "lindahl-roundtrip": ["--psi", "psi.json"],
+    "measure": [],
+}
+
+
+def parser_argvs() -> list[list[str]]:
+    """Per level (the top level, then each command): --help, the bare
+    command (a required argument missing) and an unknown flag."""
+    argvs = [["--help"], [], ["--bogus", "enumerate", "--scenario", "s.json"]]
+    for command, needed in COMMANDS.items():
+        argvs += [
+            [command, "--help"],
+            [command],
+            [command, "--scenario", "s.json", *needed, "--bogus"],
+        ]
+    return argvs
+
+
+def parser_transcript() -> bytes:
+    """Exit code, stdout and stderr of every `parser_argvs` run, at 80 columns."""
+    sections = []
+    for argv in parser_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as exited:
+                    main(argv)
+        sections.append(
+            f"$ {' '.join(['spectrumshare', *argv])}\nexit {exited.value.code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        )
+    return "\n".join(sections).encode()
+
+
+def test_parser_help_and_errors_match_golden():
+    assert parser_transcript() == (GOLDEN / "cli-help.txt").read_bytes()
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -85,3 +134,4 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for case in CASES:
             (GOLDEN / case).write_bytes(stdout_of(case, Path(workdir)))
+    (GOLDEN / "cli-help.txt").write_bytes(parser_transcript())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spectrumshare import (
     ContractError,
     Message,
-    Outcome,
     clip_allocation,
     lindahl_price,
     outcome,
@@ -188,13 +187,19 @@ class TestOutcome:
         with pytest.raises(ValueError):
             outcome((Message(1, Fraction(0)),), DESK)
 
-    def test_invariants_enforced_on_construction(self):
-        with pytest.raises(ContractError):
-            Outcome(1, (Fraction(1), Fraction(0), Fraction(0)))
-        with pytest.raises(ContractError):
-            Outcome(allocation=1, taxes=(Fraction(1), Fraction(0), Fraction(0)))
-        with pytest.raises(ContractError):
-            Outcome(0, (Fraction(1), Fraction(-1), Fraction(0)))
+    def test_invariants_enforced_by_outcome(self, monkeypatch):
+        from spectrumshare import mechanism
+
+        cases = [
+            (1, [1, 0, 0], "sum to zero"),
+            (1, [3, -1, -1], "sum to zero"),
+            (0, [1, -1, 0], "null allocation"),
+        ]
+        for proposal, numerators, message in cases:
+            monkeypatch.setattr(mechanism, "_tax_numerators", lambda *_: (numerators, 3))
+            profile = tuple(Message(proposal, Fraction(1)) for _ in range(3))
+            with pytest.raises(ContractError, match=message):
+                outcome(profile, DESK)
 
 
 class TestMessage:

@@ -1,6 +1,7 @@
 """Bundles, catalog bijection, SIR, and utility evaluation."""
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -296,8 +297,9 @@ def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
 
 def assert_matches_oracle(config: ScenarioConfig) -> None:
     """Every `sir_log` value equals the `Fraction` SIR loop's and the
-    per-column ratio walk's, float for float."""
+    per-column ratio walk's, float for float, and is held in an `array('d')`."""
     for spec, values in zip(config.utilities, config.value_vectors):
+        assert isinstance(values, array) and values.typecode == "d"
         expected = [v.hex() for v in sir_value_oracle(spec, config)]
         assert [v.hex() for v in values] == expected
         assert [v.hex() for v in column_value_oracle(spec, config)] == expected

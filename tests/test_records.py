@@ -212,3 +212,24 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cold_import_loads_no_openssl():
+    """The scenario digest comes from the builtin SHA-256 module, so under
+    `-S` importing the package loads neither `hashlib` nor its OpenSSL
+    backend `_hashlib`."""
+    pytest.importorskip("_sha256")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = (
+        "import sys, spectrumshare.cli; "
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 """Scenario file schema: strictness, exact parsing, write/load round-trip."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from spectrumshare.scenario import (
 )
 
 from conftest import desk_scenario, small_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -55,6 +59,14 @@ class TestRoundTrip:
         first = load_document(tmp_path, scenario_to_jsonable(small_scenario(seed=1)))
         second = load_document(tmp_path, scenario_to_jsonable(small_scenario(seed=2)))
         assert first.digest != second.digest
+
+    @pytest.mark.parametrize(
+        "path",
+        [ROOT / "scenarios" / "desk.json", *sorted((ROOT / "tests" / "golden").glob("*.scenario.json"))],
+        ids=lambda path: path.name,
+    )
+    def test_digest_is_sha256_of_the_file(self, path):
+        assert load_scenario(path).digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_behavior_variants_roundtrip(self, tmp_path):
         scenario = small_scenario()
