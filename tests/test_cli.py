@@ -360,6 +360,27 @@ class TestVerify:
         assert document["report"]["is_ne"] is False
         assert document["best_deviation"]["gain"]
 
+    def test_soundness_violation_prints_then_exits_3(self, capsys, small_path, monkeypatch):
+        from spectrumshare.equilibrium import EquilibriumReport
+
+        monkeypatch.setattr(EquilibriumReport, "soundness_violations", lambda self: ("forced",))
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--scenario",
+            small_path,
+            "--messages",
+            "[[4,1],[4,1],[4,1]]",
+            "--format",
+            "json",
+        )
+        assert code == 3
+        document = json.loads(out)
+        assert document["command"] == "verify"
+        assert document["report"]["is_ne"] is True
+        assert document["best_deviation"] is None
+        assert err == "internal contract violated: forced\n"
+
     @pytest.mark.parametrize("index", [4, 2])
     def test_unanimity_scans_each_price_line_once(self, capsys, small_path, monkeypatch, index):
         from spectrumshare import equilibrium

@@ -54,6 +54,18 @@ CASES = {
     "verify-sir-log-mixed.json": [
         "verify", "--format", "json", "--messages", '[[9, "1/20"], [30, "1/10"], [40, "1/30"]]'
     ],
+    # every command in every format it renders differently
+    "enumerate.txt": ["enumerate"],
+    "enumerate.json": ["enumerate", "--format", "json"],
+    "enumerate-table.txt": ["enumerate", "--table"],
+    "enumerate-table.csv": ["enumerate", "--table", "--format", "csv"],
+    "outcome.txt": ["outcome", "--messages", "[[1,1],[2,2],[3,3]]"],
+    "outcome.json": ["outcome", "--format", "json", "--messages", "[[1,1],[2,2],[3,3]]"],
+    "verify-deviation.txt": ["verify", "--messages", "[[1,1],[2,2],[3,3]]"],
+    "lindahl-roundtrip.txt": ["lindahl-roundtrip", "--pi1", "6", "--psi", "{psi}"],
+    "find-ne.csv": ["find-ne", "--format", "csv"],
+    "measure.txt": ["measure"],
+    "measure.json": ["measure", "--format", "json"],
 }
 SCENARIOS = {
     "find-ne-mixed-cubic.json": MIXED,
@@ -66,20 +78,45 @@ SCENARIOS = {
 TIMING = re.compile(r'("timing_seconds": \{\s*"census": )[^\s}]+')
 
 
-def stdout_of(case: str, workdir: Path) -> bytes:
+def stdout_of(case: str, workdir: Path, *extra: str) -> bytes:
+    """Stdout of one case, with `extra` arguments appended, timing blanked."""
     psi = workdir / "psi.json"
     psi.write_text(PSI)
     argv = [arg.replace("{psi}", str(psi)) for arg in CASES[case]]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main([argv[0], "--scenario", SCENARIOS.get(case, DESK), *argv[1:]])
+        code = main([argv[0], "--scenario", SCENARIOS.get(case, DESK), *argv[1:], *extra])
     assert code == 0, case
-    return TIMING.sub(r"\1null", buffer.getvalue()).encode()
+    return blank_timing(buffer.getvalue())
+
+
+def blank_timing(text: str) -> bytes:
+    return TIMING.sub(r"\1null", text).encode()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, tmp_path):
     assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
+
+
+# one JSON case per command
+JSON_CASES = (
+    "enumerate.json",
+    "outcome.json",
+    "find-ne.json",
+    "verify-deviation.json",
+    "lindahl-roundtrip.json",
+    "measure.json",
+)
+
+
+@pytest.mark.parametrize("stdout_format", ["json", "table"])
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_out_file_is_the_json_document(case, stdout_format, tmp_path):
+    """`--out` writes the bytes `--format json` prints, whatever stdout shows."""
+    out = tmp_path / "out.json"
+    stdout_of(case, tmp_path, "--format", stdout_format, "--out", str(out))
+    assert blank_timing(out.read_text()) == (GOLDEN / case).read_bytes()
 
 
 # command -> the arguments it needs besides --scenario, for a parse that
