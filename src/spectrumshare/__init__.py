@@ -17,7 +17,6 @@ from .equilibrium import (
     EquilibriumReport,
     LindahlAllocation,
     LindahlCensus,
-    LindahlCertificate,
     balanced_prices,
     best_response,
     build_report,

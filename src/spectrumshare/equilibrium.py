@@ -18,7 +18,7 @@ same kernel is the Lindahl check "best on the personal price line".
 `build_report` certifies a candidate in one pass: one outcome, and per user
 one reply scan and one held utility, from which it reads the NE verdict and
 best deviation, individual rationality, the reduced tax form and the Lindahl
-certificate.  Only a user whose tax is on its price line but whose scanned
+verdicts.  Only a user whose tax is on its price line but whose scanned
 line carries a credit c_i != 0 is scanned again, at credit 0.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
@@ -135,31 +135,6 @@ class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices
         return super().__new__(cls, allocation, taxes, prices)
 
 
-class LindahlCertificate(
-    namedtuple(
-        "LindahlCertificate",
-        "allocation prices_balance taxes_balance user_best user_best_nonneg_tax",
-    )
-):
-    """A candidate `LindahlAllocation` with its three condition verdicts.
-
-    prices_balance: the personalized prices sum to zero (exact).
-    taxes_balance: the taxes sum to zero (exact).
-    user_best: per user, (allocation, tax) maximizes utility over every
-        catalog profile priced at its personal price line.
-    user_best_nonneg_tax: same check with alternatives restricted to
-        non-negative taxes, which is `user_best` with a non-negative
-        personal price; recorded separately because equilibrium subsidies
-        make negative taxes legitimate.
-    """
-
-    __slots__ = ()
-
-    @property
-    def best_on_price_line(self) -> bool:
-        return all(self.user_best)
-
-
 def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -> MessageProfile:
     """Message profile whose outcome reproduces the Lindahl allocation `psi`.
 
@@ -197,41 +172,62 @@ def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -
 class EquilibriumReport(
     namedtuple(
         "EquilibriumReport",
-        "candidate allocation taxes is_ne best_deviation mismatch_penalties_vanish feasible"
-        " individual_rationality tax_form_matches lindahl",
+        "candidate allocation taxes prices best_deviation mismatch_penalties_vanish"
+        " individual_rationality user_best",
     )
 ):
     """All per-candidate verdicts of one `build_report` pass.
 
-    `best_deviation` is the most profitable unilateral `Deviation`, None
-    exactly when `is_ne` holds.  When `is_ne` holds, every structural flag
-    below must hold too, and so must every user's best-on-price-line verdict
-    in `lindahl`: at an NE the mismatch penalties vanish, so c_i = 0 and the
-    NE check and the Lindahl check scan the same line.
+    `prices` are the personal prices.  `best_deviation` is the most
+    profitable unilateral `Deviation`, None exactly when the candidate is an
+    NE.  `user_best` holds, per user, whether (allocation, tax) maximizes
+    utility over every catalog profile priced at its personal price line.
+    When `is_ne` holds, every structural flag must hold too, and so must
+    every user's `user_best`: at an NE the mismatch penalties vanish, so
+    c_i = 0 and the NE check and the Lindahl check scan the same line.
     `soundness_violations` lists any that do not (there must never be any).
     """
 
     __slots__ = ()
 
+    @property
+    def is_ne(self) -> bool:
+        return self.best_deviation is None
+
+    @property
+    def feasible(self) -> bool:
+        return self.allocation != 0
+
+    @property
+    def prices_balance(self) -> bool:
+        return sum(self.prices) == 0
+
+    @property
+    def taxes_balance(self) -> bool:
+        return sum(self.taxes) == 0
+
+    @property
+    def user_best_nonneg_tax(self) -> tuple[bool, ...]:
+        """`user_best` with alternatives restricted to non-negative taxes,
+        which is `user_best` with a non-negative personal price; kept apart
+        from `user_best` because equilibrium subsidies make negative taxes
+        legitimate."""
+        return tuple(ok and price >= 0 for ok, price in zip(self.user_best, self.prices))
+
     def soundness_violations(self) -> tuple[str, ...]:
         if not self.is_ne:
             return ()
-        problems = []
-        if not self.mismatch_penalties_vanish:
-            problems.append("NE with a non-vanishing mismatch penalty")
-        if not self.feasible:
-            problems.append("NE with a null allocation")
-        if not all(self.individual_rationality):
-            problems.append("NE a user would rather opt out of")
-        if not self.tax_form_matches:
-            problems.append("NE whose taxes break the reduced form")
-        if not self.lindahl.prices_balance:
-            problems.append("NE whose personal prices do not sum to zero")
-        if not self.lindahl.taxes_balance:
-            problems.append("NE whose taxes do not sum to zero")
-        if not self.lindahl.best_on_price_line:
-            problems.append("NE off a user's personal price line optimum")
-        return tuple(problems)
+        # the reduced tax form is the vanishing-penalty verdict: `build_report`
+        # raises when the penalties vanish and a tax is off its line
+        checks = (
+            (self.mismatch_penalties_vanish, "NE with a non-vanishing mismatch penalty"),
+            (self.feasible, "NE with a null allocation"),
+            (all(self.individual_rationality), "NE a user would rather opt out of"),
+            (self.prices_balance, "NE whose personal prices do not sum to zero"),
+            (self.taxes_balance, "NE whose taxes do not sum to zero"),
+            (all(self.user_best), "NE off a user's personal price line optimum"),
+        )
+        return tuple(problem for holds, problem in checks if not holds)
 
 
 def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
@@ -269,24 +265,8 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     if vanish and not all(on_line):
         reduced = tuple(allocation * price for price in prices)
         raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
-    lindahl = LindahlCertificate(
-        LindahlAllocation(allocation, taxes, prices),
-        sum(prices, Fraction(0)) == 0,
-        sum(taxes, Fraction(0)) == 0,
-        tuple(user_best),
-        tuple(ok and price >= 0 for ok, price in zip(user_best, prices)),
-    )
     return EquilibriumReport(
-        candidate=tuple(candidate),
-        allocation=allocation,
-        taxes=taxes,
-        is_ne=best is None,
-        best_deviation=best,
-        mismatch_penalties_vanish=vanish,
-        feasible=allocation != 0,
-        individual_rationality=tuple(rational),
-        tax_form_matches=vanish,
-        lindahl=lindahl,
+        tuple(candidate), allocation, taxes, prices, best, vanish, tuple(rational), tuple(user_best)
     )
 
 
@@ -381,8 +361,8 @@ class CensusEntry(namedtuple("CensusEntry", "price_intervals report")):
     __slots__ = ()
 
 
-class LindahlCensus(namedtuple("LindahlCensus", "complete allocations_tested equilibria")):
-    """Every allocation tested, and the equilibria found among them.
+class LindahlCensus(namedtuple("LindahlCensus", "complete equilibria")):
+    """The equilibria found among every catalog allocation.
 
     `complete` holds when every utility is quasi-linear: the entries are
     then exactly the NE allocations of the game.  Otherwise the entries are
@@ -445,4 +425,4 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
             report = _certified_equilibrium(allocation, balanced_prices(intervals), config)
             entries.append(CensusEntry(intervals, report))
     complete = all(spec.quasi_linear for spec in config.utilities)
-    return LindahlCensus(complete, config.catalog.size, tuple(entries))
+    return LindahlCensus(complete, tuple(entries))

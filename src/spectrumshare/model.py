@@ -516,11 +516,15 @@ class ScenarioConfig(
         return levels.heights, channels
 
     @cached_property
-    def integer_scalings(self) -> tuple[IntegerScaling, ...]:
+    def integer_scalings(self) -> tuple[IntegerScaling | None, ...]:
         """Per user, the value vector as integers over one scale, for the
-        `table` and `cubic_tax` line scans; `lindahl_census` builds its own
-        per user and drops them, so a `sir_log` game never caches these."""
-        return tuple(integer_scaling(values) for values in self.value_vectors)
+        `table` and `cubic_tax` line scans; None for a `sir_log` user, whose
+        scan reads its floats.  `lindahl_census` builds its own per user and
+        drops them, so a `sir_log` game never caches these."""
+        return tuple(
+            None if isinstance(spec, SirLogUtility) else integer_scaling(values)
+            for spec, values in zip(self.utilities, self.value_vectors)
+        )
 
 
 def utility_eval(config: ScenarioConfig, user: int, allocation: int, tax):

@@ -128,7 +128,7 @@ def test_equilibrium_property_chain(found_equilibria):
         assert report.mismatch_penalties_vanish
         assert report.allocation != 0
         assert all(report.individual_rationality)
-        assert report.tax_form_matches
+        assert report.taxes == tuple(report.allocation * p for p in report.prices)
         assert report.soundness_violations() == ()
 
 
@@ -137,14 +137,12 @@ def test_ne_induces_lindahl_allocation(found_equilibria):
     equilibria, _ = found_equilibria
     assert equilibria
     for report in equilibria:
-        certificate = report.lindahl
-        assert certificate is not None
-        assert certificate.prices_balance
-        assert certificate.taxes_balance
-        assert certificate.user_best == (True, True, True)
+        assert report.prices_balance
+        assert report.taxes_balance
+        assert report.user_best == (True, True, True)
         # the sign-constrained verdict is recorded alongside, not enforced
-        assert len(certificate.user_best_nonneg_tax) == 3
-        assert all(isinstance(flag, bool) for flag in certificate.user_best_nonneg_tax)
+        assert len(report.user_best_nonneg_tax) == 3
+        assert all(isinstance(flag, bool) for flag in report.user_best_nonneg_tax)
 
 
 @criterion("5 Lindahl allocation rebuilds to an NE and back, exact")

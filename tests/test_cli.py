@@ -14,6 +14,8 @@ from spectrumshare.scenario import load_scenario, scenario_to_jsonable, write_sc
 
 from spectrumshare import (
     CubicTaxUtility,
+    Deviation,
+    Message,
     ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
@@ -47,6 +49,38 @@ def run(capsys, *argv):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--messages", "[[4,1],[4,1],[4,1]]"],
+        ["find-ne"],
+        ["lindahl-roundtrip", "--psi", "{psi}"],
+    ],
+    ids=["verify", "find-ne", "lindahl-roundtrip"],
+)
+def test_json_builds_no_table_or_csv_view(capsys, small_path, tmp_path, monkeypatch, argv):
+    from spectrumshare import cli
+
+    def explode(*args):
+        raise AssertionError("a table or CSV view was built for --format json")
+
+    def explode_when_iterated(*args):
+        yield explode()
+
+    # _fmt renders every quantity of the table and CSV views, and the JSON
+    # document of these three commands never calls it; the report views
+    # are generators, so they may be called but not iterated
+    monkeypatch.setattr(cli, "_fmt", explode)
+    monkeypatch.setattr(cli, "_report_lines", explode_when_iterated)
+    monkeypatch.setattr(cli, "_report_rows", explode_when_iterated)
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
+    argv = [arg.replace("{psi}", str(psi)) for arg in argv]
+    code, out, err = run(capsys, argv[0], "--scenario", small_path, *argv[1:], "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["command"] == argv[0]
 
 
 class TestEnumerate:
@@ -329,7 +363,9 @@ class TestFindNe:
         monkeypatch.setattr(
             equilibrium,
             "build_report",
-            lambda candidate, config: certify(candidate, config)._replace(is_ne=False),
+            lambda candidate, config: certify(candidate, config)._replace(
+                best_deviation=Deviation(0, Message(0, Fraction(0)), 1)
+            ),
         )
         code, _, err = run(capsys, "find-ne", "--scenario", small_path)
         assert code == 3

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spectrumshare import (
     ContractError,
     CubicTaxUtility,
+    Deviation,
     LindahlAllocation,
     Message,
     PriceScaleError,
@@ -180,7 +181,6 @@ class TestUnanimityScan:
         assert scan_allocations(1, small) == [4]
         census = lindahl_census(small)
         assert census.complete
-        assert census.allocations_tested == 8
         assert [e.report.allocation for e in census.equilibria] == [4]
 
     def test_conflicting_peaks_find_nothing(self):
@@ -192,7 +192,7 @@ class TestUnanimityScan:
         (entry,) = lindahl_census(config).equilibria
         assert entry.report.allocation == 4
         assert entry.price_intervals == ((-1, -1), (2, 2), (-3, 3))
-        assert entry.report.lindahl.allocation.prices == (-1, 2, -1)
+        assert entry.report.prices == (-1, 2, -1)
 
     def test_single_profile_catalog_is_ne(self):
         config = ScenarioConfig(
@@ -250,10 +250,9 @@ class TestLindahlCensus:
     def test_desk_finds_only_the_peak(self, desk):
         census = lindahl_census(desk)
         assert census.complete
-        assert census.allocations_tested == 216
         (entry,) = census.equilibria
         assert entry.report.allocation == 108
-        assert entry.report.lindahl.allocation.prices == (-1, -1, 2)
+        assert entry.report.prices == (-1, -1, 2)
 
     def test_desk_balances_prices_only_at_the_peak(self, desk, monkeypatch):
         # All 216 allocations are on every user's hull; the integer sign test
@@ -280,6 +279,20 @@ class TestLindahlCensus:
         lindahl_census(config)
         assert "integer_scalings" not in vars(config)
 
+    def test_mixed_game_caches_no_sir_log_heights(self):
+        # One flat table user and two zero-weight sir_log users: every
+        # allocation is an equilibrium at zero prices, and certifying them
+        # scales the table user's values only.
+        flat = TableUtility((0,) + (1,) * 8)
+        config = small_config(
+            utilities=(flat, SirLogUtility(user=1, weights=(0,)), SirLogUtility(user=2, weights=(0,)))
+        )
+        census = lindahl_census(config)
+        assert len(census.equilibria) == 8
+        scalings = vars(config)["integer_scalings"]
+        assert scalings[0] == integer_scaling(flat.values)
+        assert scalings[1:] == (None, None)
+
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
         prices = [m.price for m in entry.report.candidate]
@@ -305,7 +318,9 @@ class TestLindahlCensus:
         monkeypatch.setattr(
             equilibrium,
             "build_report",
-            lambda candidate, config: certify(candidate, config)._replace(is_ne=False),
+            lambda candidate, config: certify(candidate, config)._replace(
+                best_deviation=Deviation(0, Message(0, Fraction(0)), 1)
+            ),
         )
         with pytest.raises(ContractError, match="census allocation 4"):
             lindahl_census(small)
@@ -395,7 +410,7 @@ class TestEquilibriumTaxForm:
     def test_unanimity_with_distinct_prices(self, small):
         profile = tuple(Message(5, Fraction(p)) for p in (3, 1, 2))
         report = build_report(profile, small)
-        assert report.tax_form_matches
+        assert report.mismatch_penalties_vanish
         assert report.taxes == tuple(sum(tax_components(profile, u, 8)) for u in range(3))
         assert report.taxes == tuple(5 * lindahl_price(profile, u) for u in range(3))
 
@@ -403,14 +418,13 @@ class TestEquilibriumTaxForm:
         # at 50 the average leaves the catalog: every tax is 0 = 0 * price
         for index in (5, 50):
             report = build_report(unanimity(index, 2), small)
-            assert report.tax_form_matches
+            assert report.mismatch_penalties_vanish
             assert report.taxes == (0, 0, 0)
 
     def test_precondition_enforced(self, small):
         profile = (Message(1, Fraction(1)), Message(2, Fraction(0)), Message(3, Fraction(0)))
         report = build_report(profile, small)
         assert not report.mismatch_penalties_vanish
-        assert not report.tax_form_matches
 
     def test_broken_tax_rule_is_a_contract_violation(self, small, monkeypatch):
         from spectrumshare import equilibrium
@@ -448,25 +462,25 @@ class TestIndividualRationality:
 
 class TestNeToLindahl:
     def test_unanimity_ne_at_equal_prices(self, small):
-        certificate = build_report(unanimity(4, 1), small).lindahl
-        assert certificate.allocation.prices == (0, 0, 0)
-        assert certificate.prices_balance
-        assert certificate.taxes_balance
-        assert certificate.user_best == (True, True, True)
-        assert certificate.user_best_nonneg_tax == (True, True, True)
+        report = build_report(unanimity(4, 1), small)
+        assert report.prices == (0, 0, 0)
+        assert report.prices_balance
+        assert report.taxes_balance
+        assert report.user_best == (True, True, True)
+        assert report.user_best_nonneg_tax == (True, True, True)
 
     def test_off_peak_candidate_fails_price_line_check(self, small):
-        certificate = build_report(unanimity(2, 1), small).lindahl
-        assert certificate.prices_balance and certificate.taxes_balance
-        assert not certificate.best_on_price_line
+        report = build_report(unanimity(2, 1), small)
+        assert report.prices_balance and report.taxes_balance
+        assert not all(report.user_best)
 
     @given(pairs=st.lists(st.tuples(proposals, prices), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_balance_conditions_hold_for_any_profile(self, pairs, small):
         profile = tuple(Message(n, p) for n, p in pairs)
-        certificate = build_report(profile, small).lindahl
-        assert certificate.prices_balance
-        assert certificate.taxes_balance
+        report = build_report(profile, small)
+        assert report.prices_balance
+        assert report.taxes_balance
 
 
 class TestLindahlToNe:
@@ -512,7 +526,7 @@ class TestLindahlToNe:
         assert reports
         for report in reports:
             assert report.soundness_violations() == ()
-            psi = report.lindahl.allocation
+            psi = LindahlAllocation(report.allocation, report.taxes, report.prices)
             rebuilt = lindahl_to_ne(psi, 10, config.catalog)
             assert build_report(rebuilt, config).is_ne
             result = outcome(rebuilt, config.catalog)
@@ -528,22 +542,21 @@ class TestReports:
         assert report.allocation == 4
         assert report.feasible
         assert report.mismatch_penalties_vanish
-        assert report.tax_form_matches
         assert all(report.individual_rationality)
-        assert report.lindahl is not None
+        assert report.user_best == (True, True, True)
         assert report.soundness_violations() == ()
 
     def test_lindahl_certified_for_non_ne(self, small):
         report = build_report(unanimity(2, 1), small)
         assert not report.is_ne
-        assert report.lindahl.allocation == LindahlAllocation(2, (0, 0, 0), (0, 0, 0))
-        assert report.lindahl.user_best == (False, False, False)
+        assert (report.allocation, report.taxes, report.prices) == (2, (0, 0, 0), (0, 0, 0))
+        assert report.user_best == (False, False, False)
 
     def test_ne_off_the_price_line_is_a_violation(self, small):
         report = build_report(unanimity(4, 1), small)
-        off_line = report.lindahl._replace(user_best=(True, False, True))
+        off_line = report._replace(user_best=(True, False, True))
         assert report.soundness_violations() == ()
-        assert report._replace(lindahl=off_line).soundness_violations() == (
+        assert off_line.soundness_violations() == (
             "NE off a user's personal price line optimum",
         )
 
@@ -561,7 +574,7 @@ class TestReports:
         # Infeasible average: a null allocation is never best on a price
         # line, so only the reply scans run, user 2's with credit 2500.
         report = build_report((Message(-50, 1), Message(0, 2), Message(0, 0)), small)
-        assert report.lindahl.user_best == (False, False, False)
+        assert report.user_best == (False, False, False)
         assert sorted(scans) == [0, 1, 2]
 
     def test_lent_scan_with_credit_is_not_reused(self, small, monkeypatch):
@@ -581,13 +594,13 @@ class TestReports:
         candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
         report = build_report(candidate, small)
         assert [credit for user, credit in scans if user == 0] == [36, 0]
-        assert report.lindahl.user_best == (True, False, False)
+        assert report.user_best == (True, False, False)
 
     def test_exact_ne_is_best_on_price_line(self, small):
         for price in (0, Fraction(1, 3), 1):
             for report in unanimity_scan(price, small):
                 if report.is_ne:
-                    assert report.lindahl.user_best == (True, True, True)
+                    assert report.user_best == (True, True, True)
 
 
 ORACLE_CONFIGS = {
@@ -667,9 +680,9 @@ class TestExactAgainstGridOracle:
     @settings(max_examples=80, deadline=None)
     def test_nonneg_tax_verdict_matches_loop(self, variant, candidate):
         config = ORACLE_CONFIGS[variant]
-        certificate = build_report(candidate, config).lindahl
+        report = build_report(candidate, config)
         expected = user_best_nonneg_tax(candidate, config)
-        assert (certificate.user_best, certificate.user_best_nonneg_tax) == expected
+        assert (report.user_best, report.user_best_nonneg_tax) == expected
 
 
 # Arbitrary tables rarely share an equilibrium; single-peaked ones with
@@ -753,17 +766,15 @@ class TestCensusAgainstOracles:
         assert census.complete == all(spec.quasi_linear for spec in config.utilities)
         found = {e.report.allocation: e.price_intervals for e in census.equilibria}
         assert found == census_oracle(config)
-        for spec, values, scaling in zip(
-            config.utilities, config.value_vectors, config.integer_scalings
-        ):
+        for spec, values in zip(config.utilities, config.value_vectors):
             if spec.quasi_linear:
-                intervals = fraction_intervals(price_intervals(scaling))
+                intervals = fraction_intervals(price_intervals(integer_scaling(values)))
                 assert intervals == nonempty_oracle_intervals(values)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
     def test_integer_balance_matches_balanced_prices(self, config):
-        per_user = [price_intervals(scaling) for scaling in config.integer_scalings]
+        per_user = [price_intervals(integer_scaling(values)) for values in config.value_vectors]
         for allocation in set(per_user[0]).intersection(*per_user[1:]):
             edges = [user_edges[allocation] for user_edges in per_user]
             intervals = [fraction_interval(ends) for ends in edges]
@@ -776,7 +787,7 @@ class TestCensusAgainstOracles:
             report = entry.report
             assert report.is_ne
             assert grid_verify(report.candidate, ORACLE_GRID, config)[0]
-            prices = report.lindahl.allocation.prices
+            prices = report.prices
             assert sum(prices) == 0
             for price, (lower, upper) in zip(prices, entry.price_intervals):
                 assert (lower is None or lower <= price) and price <= upper
@@ -860,8 +871,8 @@ def verdicts(candidate, config):
         report.is_ne,
         None if deviation is None else (deviation.user, deviation.message.proposal),
         report.individual_rationality,
-        report.lindahl.user_best,
-        report.lindahl.user_best_nonneg_tax,
+        report.user_best,
+        report.user_best_nonneg_tax,
     )
 
 

@@ -362,7 +362,8 @@ class TestUtilityEval:
         config = with_user_zero(SirLogUtility(user=0, weights=(10**MAX_DIGITS - 1,)))
         assert all(math.isfinite(value) for value in config.value_vectors[0])
         assert max(config.value_vectors[0]) > 10**(MAX_DIGITS - 1)
-        assert all(type(height) is int for height in config.integer_scalings[0].heights)
+        heights = integer_scaling(config.value_vectors[0]).heights
+        assert all(type(height) is int for height in heights)
 
     def test_value_budget_names_the_field(self):
         users = 1

@@ -18,7 +18,6 @@ from spectrumshare import (
     Honest,
     LindahlAllocation,
     LindahlCensus,
-    LindahlCertificate,
     MeasurementResult,
     Message,
     Outcome,
@@ -42,10 +41,6 @@ HALF = Fraction(1, 2)
 
 def _report():
     return build_report((Message(4, 1),) * 3, small_config())
-
-
-def _certificate():
-    return _report().lindahl
 
 
 # (factory, field names in order): each factory builds a fresh, equal record.
@@ -94,23 +89,17 @@ RECORDS = {
         lambda: LindahlAllocation(4, (0, 0, 0), (HALF, -HALF, 0)),
         ("allocation", "taxes", "prices"),
     ),
-    "LindahlCertificate": (
-        _certificate,
-        ("allocation", "prices_balance", "taxes_balance", "user_best", "user_best_nonneg_tax"),
-    ),
     "EquilibriumReport": (
         _report,
         (
             "candidate",
             "allocation",
             "taxes",
-            "is_ne",
+            "prices",
             "best_deviation",
             "mismatch_penalties_vanish",
-            "feasible",
             "individual_rationality",
-            "tax_form_matches",
-            "lindahl",
+            "user_best",
         ),
     ),
     "CensusEntry": (
@@ -118,8 +107,8 @@ RECORDS = {
         ("price_intervals", "report"),
     ),
     "LindahlCensus": (
-        lambda: LindahlCensus(True, 8, ()),
-        ("complete", "allocations_tested", "equilibria"),
+        lambda: LindahlCensus(True, ()),
+        ("complete", "equilibria"),
     ),
 }
 
