@@ -16,7 +16,7 @@ import collections
 import random
 import time
 
-from spectrumshare import Message, best_response, build_report, improves, outcome, utility_eval
+from spectrumshare import Message, best_response, build_report, outcome, utility_eval
 from spectrumshare.scenario import load_scenario
 
 
@@ -29,17 +29,17 @@ def br_dynamics(start, config, max_rounds=50):
     """Round-robin best responses from `start`: (converged, rounds, profile).
 
     `converged` means a full round changed nothing.  A user only moves when
-    its best reply strictly improves on keeping its message (by `improves`),
-    so every NE is an immediate fixed point instead of drifting along
-    utility ties.  Non-convergence after `max_rounds` is a result, not an
-    error.
+    its best reply is strictly better than keeping its message (utilities
+    are exact), so every NE is an immediate fixed point instead of drifting
+    along utility ties.  Non-convergence after `max_rounds` is a result, not
+    an error.
     """
     profile = tuple(start)
     for rounds in range(1, max_rounds + 1):
         changed = False
-        for user, spec in enumerate(config.utilities):
+        for user in range(config.num_users):
             moved = profile[:user] + (best_response(user, profile, config),) + profile[user + 1 :]
-            if improves(spec, utility_at(user, moved, config), utility_at(user, profile, config)):
+            if utility_at(user, moved, config) > utility_at(user, profile, config):
                 profile, changed = moved, True
         if not changed:
             return True, rounds, profile

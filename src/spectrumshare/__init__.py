@@ -60,7 +60,6 @@ from .model import (
     as_fraction,
     build_catalog,
     enumerate_bundles,
-    improves,
     integer_scaling,
     utility_eval,
 )

@@ -4,10 +4,9 @@ Commands: enumerate, outcome, find-ne, verify, lindahl-roundtrip, measure.
 `main` loads the scenario once; each command builds its JSON document and
 lazy table and CSV views, and hands them to `_render`, the one output path.
 Every command prints a human table by default; --format json emits the
-document instead (rationals as lossless "p/q" strings, floats at 12
-significant digits); --format csv emits rows for list-shaped output and
-otherwise falls back to the table.  --out writes the JSON document to a
-file regardless of the stdout format.
+document instead (rationals as lossless "p/q" strings); --format csv emits
+rows for list-shaped output and otherwise falls back to the table.  --out
+writes the JSON document to a file regardless of the stdout format.
 
 Exit codes: 0 success (including "no equilibrium found"), 2 configuration
 error, 3 violated internal identity (must never happen).
@@ -38,13 +37,9 @@ from .model import as_fraction, parse_integer
 from .scenario import load_scenario, rational_to_json, read_json
 
 
-def _fmt(value) -> str:
-    """Render a quantity: exact rationals as p/q, floats at 12 digits."""
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
-        return str(Fraction(value))
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _fmt(value: Fraction | int) -> str:
+    """Render an exact rational as p/q (an integer as itself)."""
+    return str(Fraction(value))
 
 
 def _parse_messages(spec: str, num_users: int) -> tuple[Message, ...]:
@@ -142,18 +137,19 @@ def _render(args, scenario, document: dict, table, rows=None) -> None:
     then prints the document as JSON, the CSV `rows` (header first) when the
     command has them, or else the `table` lines; `table` and `rows` are
     iterated only when their format is chosen.  `--out` gets the JSON
-    document whatever the format.
+    document whatever the format; the JSON text is built once for both.
     """
     document = {"command": args.subcommand, "scenario_digest": scenario.digest, **document}
+    text = json.dumps(document, indent=2) if args.format == "json" or args.out else None
     if args.format == "json":
-        print(json.dumps(document, indent=2))
+        print(text)
     elif args.format == "csv" and rows is not None:
         csv.writer(sys.stdout).writerows(rows)
     else:
         for line in table:
             print(line)
     if args.out:
-        Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
+        Path(args.out).write_text(text + "\n")
 
 
 def cmd_enumerate(args, scenario) -> None:

@@ -48,22 +48,19 @@ from .model import (
     ProfileCatalog,
     ScenarioConfig,
     as_fraction,
-    improves,
-    integer_scaling,
     utility_eval,
 )
 
 
 def price_line_optimum(
     user: int, price: Fraction, credit: Fraction, config: ScenarioConfig
-) -> tuple[int, Fraction | float]:
+) -> tuple[int, Fraction]:
     """User's best catalog index k >= 1 when its tax is k * price - credit.
 
     Returns (k, V_user(k, k * price - credit)); ties resolve to the smallest k.
     Every tax on the line is the integer numerator k * A - C over one
-    denominator D.  The spec's `line_heights` ranks the indices from those
-    integers: exactly for the rational variants, and for the SIR variant
-    with the same floats that `utility_eval` computes.
+    denominator D, and every value an integer height over the user's scale,
+    so the spec's `line_heights` ranks the indices exactly on integers.
     """
     spec = config.utilities[user]
     denominator = lcm(price.denominator, credit.denominator)
@@ -71,7 +68,7 @@ def price_line_optimum(
     offset = credit.numerator * (denominator // credit.denominator)
     heights = spec.line_heights(config, user, slope, offset, denominator)
     best = heights.index(max(heights[1:]), 1)
-    return best, config.value_vectors[user][best] - spec.tax_cost(best * price - credit)
+    return best, utility_eval(config, user, best, best * price - credit)
 
 
 def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
@@ -234,9 +231,9 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     """Certify a candidate in one pass over the users.
 
     One outcome; per user one `_reply` scan and one held utility.  The reply
-    gives the deviation gain (exact over the whole message space; judged by
-    `improves`, so exact for rational utilities and with a tolerance for
-    float-valued ones), and its opt-out utility gives individual rationality.
+    gives the deviation gain (exact over the whole message space, and
+    compared exactly, since every utility is exact), and its opt-out utility
+    gives individual rationality.
     A user is on its price line when its tax is allocation * personal price;
     the Lindahl verdict compares its held utility with the best on that line
     at credit 0, which is the scanned line unless c_i != 0, and only then is
@@ -249,19 +246,18 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     vanish = mismatch_penalties_vanish(candidate)
     best: Deviation | None = None
     rational, on_line, user_best = [], [], []
-    for user, spec in enumerate(config.utilities):
+    for user in range(len(config.utilities)):
         message, credit, line_best, opt_out = _reply(user, candidate, config)
         held = utility_eval(config, user, allocation, taxes[user])
-        value = max(line_best, opt_out)
-        gain = value - held
-        if improves(spec, value, held) and (best is None or gain > best.gain):
+        gain = max(line_best, opt_out) - held
+        if gain > 0 and (best is None or gain > best.gain):
             best = Deviation(user, message, gain)
-        rational.append(not improves(spec, opt_out, held))
+        rational.append(opt_out <= held)
         on_line.append(taxes[user] == allocation * prices[user])
         ok = allocation != 0 and on_line[user]
         if ok and credit != 0:
             _, line_best = price_line_optimum(user, prices[user], Fraction(0), config)
-        user_best.append(ok and not improves(spec, line_best, held))
+        user_best.append(ok and line_best <= held)
     if vanish and not all(on_line):
         reduced = tuple(allocation * price for price in prices)
         raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
@@ -403,17 +399,20 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     the smallest feasible seed price, and are certified by `build_report`.
     An entry that fails certification raises `ContractError`.
     """
+    config.check_profile_cap("evaluating utilities")
     zero = ((0, 1), (0, 1))
     per_user = []
-    for spec, values in zip(config.utilities, config.value_vectors):
+    for spec in config.utilities:
+        # Built here and dropped after the hull, not read from the cached
+        # `config.integer_scalings`: at the profile cap one user's heights
+        # take tens of MB.
+        scaling = spec.integer_scaling(config)
         if spec.quasi_linear:
-            # Built here and dropped after the hull, not read from the cached
-            # `config.integer_scalings`: at the profile cap one user's
-            # heights take tens of MB.
-            per_user.append(price_intervals(integer_scaling(values)))
+            per_user.append(price_intervals(scaling))
         else:
-            top = max(values)
-            per_user.append({k: zero for k in range(1, len(values)) if values[k] == top})
+            heights = scaling.heights
+            top = max(heights)
+            per_user.append({k: zero for k in range(1, len(heights)) if heights[k] == top})
     entries = []
     for allocation in sorted(set(per_user[0]).intersection(*per_user[1:])):
         edges = [user_intervals[allocation] for user_intervals in per_user]

@@ -6,15 +6,17 @@ bundle per user) is a "profile"; profiles are enumerated once and addressed
 by a catalog index so that users can talk about them by number.  Index 0 is
 reserved for "no feasible allocation".
 
-All powers, gains and taxes are exact rationals (`fractions.Fraction`);
-floating point enters only when a logarithmic utility is evaluated.
+All powers, gains, values and taxes are exact.  Every utility variant's
+values V(k) are integer heights over one scale (`IntegerScaling`), so every
+comparison of utilities is exact.  Floating point enters only in a
+logarithmic utility's per-band column terms w_b * log1p(SIR), each converted
+to an integer height exactly before any sum.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -34,11 +36,6 @@ MAX_CATALOG_SIZE = 2**63 - 1
 # profiles are refused there; `outcome` and a bare `enumerate` still accept
 # them.
 MAX_VALUED_PROFILES = 10**6
-
-# Float utilities count as strictly better only beyond this combined
-# tolerance: relative to the larger magnitude compared, floored near zero.
-FLOAT_REL_TOL = 1e-12
-FLOAT_ABS_TOL = 1e-18
 
 
 # Exact inputs give exact outputs, which the commands print through
@@ -198,6 +195,22 @@ def build_catalog(num_users: int, bundles: Sequence[PowerBundle]) -> ProfileCata
     return ProfileCatalog(tuple(tuple(b) for b in bundles), num_users)
 
 
+class IntegerScaling(namedtuple("IntegerScaling", "scale heights")):
+    """Exact values as integers over one positive scale: V(k) = heights[k] / scale."""
+
+    __slots__ = ()
+
+
+def integer_scaling(values: Sequence) -> IntegerScaling:
+    """Scale exact values (floats converted exactly) by their common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # values share few distinct denominators, so their lcm takes few gcds
+    scale = math.lcm(*{denominator for _, denominator in ratios})
+    return IntegerScaling(
+        scale, tuple([numerator * (scale // denominator) for numerator, denominator in ratios])
+    )
+
+
 _EXACT_TYPES = (int, Fraction)
 
 
@@ -213,21 +226,12 @@ def _table_values(values) -> tuple[int | Fraction, ...]:
     return values
 
 
-class TableUtility(namedtuple("TableUtility", "values")):
-    """Quasi-linear utility from a value table: V(k, t) = values[k] - t.
-
-    `values` has one entry per catalog index, 0 through catalog size; entry 0
-    is the no-allocation value and is normalized to zero.
-    """
+class _QuasiLinear:
+    """The tax cost and line scan of the quasi-linear variants, whose
+    utility is V(k, t) = V(k) - t."""
 
     __slots__ = ()
     quasi_linear = True
-
-    def __new__(cls, values: tuple[int | Fraction, ...]):
-        return super().__new__(cls, _table_values(values))
-
-    def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
-        return self.values
 
     @staticmethod
     def tax_cost(tax: Fraction) -> Fraction:
@@ -236,17 +240,37 @@ class TableUtility(namedtuple("TableUtility", "values")):
     @staticmethod
     def line_heights(
         config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Per index k, V(k, (k * slope - offset) / denominator) times
         scale * denominator, less the constant scale * offset: integers in
-        the same order."""
+        the same order.  At slope 0 every tax is the same, so the value
+        heights themselves are in that order."""
         scaling = config.integer_scalings[user]
+        if not slope:
+            return scaling.heights
         step = scaling.scale * slope
         return [height * denominator - k * step for k, height in enumerate(scaling.heights)]
 
 
-class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
-    """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t.
+class TableUtility(_QuasiLinear, namedtuple("TableUtility", "values")):
+    """Quasi-linear utility from a value table: V(k, t) = values[k] - t.
+
+    `values` has one entry per catalog index, 0 through catalog size; entry 0
+    is the no-allocation value and is normalized to zero.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[int | Fraction, ...]):
+        return super().__new__(cls, _table_values(values))
+
+    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
+        return integer_scaling(self.values)
+
+
+class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
+    """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t,
+    each band's term rounded once to a float and the terms summed exactly.
 
     The signal-to-interference ratios depend on which user is evaluating, so
     the spec carries its owner's index.  Every weight is below
@@ -254,7 +278,6 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     """
 
     __slots__ = ()
-    quasi_linear = True
 
     def __new__(cls, user: int, weights: tuple[Fraction, ...]):
         weights = tuple(as_fraction(w) for w in weights)
@@ -264,20 +287,21 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
             raise ConfigError(f"SIR utility weights must be below 10**{MAX_DIGITS}")
         return super().__new__(cls, user, weights)
 
-    def value_vector(self, config: "ScenarioConfig") -> array:
+    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
         """Catalog walk in index order without decoding a profile.
 
         Per band, one pass over the users in column-code order builds every
         column's total received power (noise included) and this user's own
         signal as integers (`ScenarioConfig.integer_channels`), so its SIR
-        is signal / (total - signal).  The term weight * log1p(SIR) of each
-        column is read off by each profile's code
-        (`ScenarioConfig.band_columns`); terms are summed in band order into
-        an `array('d')`, 8 bytes a value against 32 in a tuple of floats.
+        is signal / (total - signal).  The float term weight * log1p(SIR) of
+        each column of every band becomes an integer height over one common
+        scale (`integer_scaling`, exact); a profile's height is the sum of
+        its columns' heights, read off by its code in each band
+        (`ScenarioConfig.band_columns`), into one list of ints.
         """
         levels, channels = config.integer_channels
-        values = None
-        for band, (used, codes) in enumerate(config.band_columns):
+        terms = []
+        for band, (used, _) in enumerate(config.band_columns):
             noise, *gains = channels[self.user][band]
             total, own, silent = [noise], [0], (0,) * len(used)
             for tx, gain in enumerate(gains):
@@ -285,28 +309,18 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
                 total = [t + p for t in total for p in powers]
                 own = [s + p for s in own for p in (powers if tx == self.user else silent)]
             weight = float(self.weights[band])
-            terms = [weight * math.log1p(s / (t - s)) for s, t in zip(own, total)]
-            band_terms = map(terms.__getitem__, codes)
-            values = band_terms if values is None else map(operator.add, values, band_terms)
-        vector = array("d", [0.0])
-        vector.extend(values)
-        return vector
-
-    @staticmethod
-    def tax_cost(tax: Fraction) -> float:
-        return float(tax)
-
-    @staticmethod
-    def line_heights(
-        config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
-    ) -> list[float]:
-        """Per index k, V(k, (k * slope - offset) / denominator) as a float.
-
-        Integer true division rounds correctly, so each tax is the same float
-        as `float(Fraction(k * slope - offset, denominator))`.
-        """
-        values = config.value_vectors[user]
-        return [value - (k * slope - offset) / denominator for k, value in enumerate(values)]
+            terms.append([weight * math.log1p(s / (t - s)) for s, t in zip(own, total)])
+        scaling = integer_scaling([term for band_terms in terms for term in band_terms])
+        columns, start, values = list(scaling.heights), 0, None
+        for band_terms, (_, codes) in zip(terms, config.band_columns):
+            # list slices: `list.__getitem__` maps much faster than a tuple's
+            column = columns[start : start + len(band_terms)]
+            start += len(band_terms)
+            band_heights = map(column.__getitem__, codes)
+            values = band_heights if values is None else map(operator.add, values, band_heights)
+        heights = [0]
+        heights.extend(values)
+        return IntegerScaling(scaling.scale, heights)
 
 
 class CubicTaxUtility(namedtuple("CubicTaxUtility", "values beta")):
@@ -322,8 +336,8 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "values beta")):
             raise ConfigError("beta must be strictly positive")
         return super().__new__(cls, values, beta)
 
-    def value_vector(self, config: "ScenarioConfig") -> tuple[int | Fraction, ...]:
-        return self.values
+    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
+        return integer_scaling(self.values)
 
     def tax_cost(self, tax: Fraction) -> Fraction:
         return self.beta * tax**3
@@ -343,21 +357,6 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "values beta")):
 
 
 UtilitySpec = TableUtility | SirLogUtility | CubicTaxUtility
-
-
-class IntegerScaling(namedtuple("IntegerScaling", "scale heights")):
-    """Exact values as integers over one positive scale: V(k) = heights[k] / scale."""
-
-    __slots__ = ()
-
-
-def integer_scaling(values: Sequence) -> IntegerScaling:
-    """Scale exact values (floats converted exactly) by their common denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*(denominator for _, denominator in ratios))
-    return IntegerScaling(
-        scale, tuple(numerator * (scale // denominator) for numerator, denominator in ratios)
-    )
 
 
 class ScenarioConfig(
@@ -452,18 +451,6 @@ class ScenarioConfig(
     def catalog(self) -> ProfileCatalog:
         return build_catalog(self.num_users, self.bundles)
 
-    @cached_property
-    def value_vectors(self) -> tuple[Sequence, ...]:
-        """Per user, the value V_i(k) of every catalog index k = 0..size before taxes.
-
-        Built on first use, so commands that never evaluate a utility never
-        pay for it; entry 0 is the null allocation, worth 0.  A table user's
-        vector is its exact tuple, a `sir_log` user's an `array('d')`.
-        Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
-        """
-        self.check_profile_cap("evaluating utilities")
-        return tuple(spec.value_vector(self) for spec in self.utilities)
-
     def check_profile_cap(self, work: str) -> None:
         """Raise `ConfigError` naming `scenario.num_users` when the catalog
         has more than `MAX_VALUED_PROFILES` profiles for `work` to visit."""
@@ -516,44 +503,30 @@ class ScenarioConfig(
         return levels.heights, channels
 
     @cached_property
-    def integer_scalings(self) -> tuple[IntegerScaling | None, ...]:
-        """Per user, the value vector as integers over one scale, for the
-        `table` and `cubic_tax` line scans; None for a `sir_log` user, whose
-        scan reads its floats.  `lindahl_census` builds its own per user and
-        drops them, so a `sir_log` game never caches these."""
-        return tuple(
-            None if isinstance(spec, SirLogUtility) else integer_scaling(values)
-            for spec, values in zip(self.utilities, self.value_vectors)
-        )
+    def integer_scalings(self) -> tuple[IntegerScaling, ...]:
+        """Per user, the value V_i(k) of every catalog index k = 0..size
+        before taxes, as integer heights over one scale
+        (`spec.integer_scaling`); entry 0 is the null allocation, worth 0.
+
+        Built on first use, so commands that never evaluate a utility never
+        pay for it.  Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
+        `lindahl_census` builds its own per user and drops them.
+        """
+        self.check_profile_cap("evaluating utilities")
+        return tuple(spec.integer_scaling(self) for spec in self.utilities)
 
 
-def utility_eval(config: ScenarioConfig, user: int, allocation: int, tax):
-    """User's utility at (allocation index, tax): V(k) - g(t).
+def utility_eval(config: ScenarioConfig, user: int, allocation: int, tax) -> Fraction:
+    """User's utility at (allocation index, tax): V(k) - g(t), exactly.
 
-    V is the user's value vector in `config.value_vectors` and g the tax
-    cost of its spec: t for the tables, beta * t**3 for the cubic variant,
-    float(t) for the SIR variant, which returns a float.  Every g is
-    non-decreasing, so every utility is non-increasing in tax.  A spec's
-    `quasi_linear` flag says whether g is the tax itself (the tables and the
-    SIR variant).  Allocation 0 always means "no allocation", worth 0
-    before taxes.
+    V(k) is heights[k] / scale of the user's `config.integer_scalings` entry
+    and g the tax cost of its spec: t for the quasi-linear variants (`table`,
+    `sir_log`; their `quasi_linear` flag), beta * t**3 for `cubic_tax`.
+    Every g is non-decreasing, so every utility is non-increasing in tax.
+    Allocation 0 always means "no allocation", worth 0 before taxes.
     """
     size = config.catalog.size
     if not 0 <= allocation <= size:
         raise ValueError(f"allocation index {allocation} outside 0..{size}")
-    spec = config.utilities[user]
-    return config.value_vectors[user][allocation] - spec.tax_cost(as_fraction(tax))
-
-
-def improves(spec: UtilitySpec, candidate, incumbent) -> bool:
-    """Whether utility `candidate` is strictly better than `incumbent`.
-
-    Exact for the rational variants.  The float-valued SIR variant needs a
-    gain above max(FLOAT_REL_TOL * max(|candidate|, |incumbent|),
-    FLOAT_ABS_TOL), so rounding noise is no gain and the verdict does not
-    depend on the units of utility.
-    """
-    if not isinstance(spec, SirLogUtility):
-        return candidate > incumbent
-    magnitude = max(abs(candidate), abs(incumbent))
-    return candidate - incumbent > max(FLOAT_REL_TOL * magnitude, FLOAT_ABS_TOL)
+    scale, heights = config.integer_scalings[user]
+    return Fraction(heights[allocation], scale) - config.utilities[user].tax_cost(as_fraction(tax))

@@ -8,12 +8,13 @@
   of `build_report` replaced.
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
-- The price-line loop over `Fraction` taxes, which the integer kernel
-  `price_line_optimum` replaced; `Fraction(v)` for every value in
+- The price-line loop over `Fraction` values and taxes, which the integer
+  kernel `price_line_optimum` replaced; `Fraction(v)` for every value in
   `integer_scaling`.
-- Two earlier builds of the `sir_log` value vectors: the per-index
-  `Fraction` SIR loop, and the per-column integer SIR ratio walk that
-  replaced it before the column power sums.
+- Two earlier builds of the `sir_log` values: the per-index `Fraction` SIR
+  loop, and the per-column integer SIR ratio walk that replaced it before
+  the column power sums.  Both round each band's term to a float, as the
+  library does, and sum the terms exactly as `Fraction(term)`.
 - The paper's three-term tax, which `outcome` computes as integer
   numerators over one denominator.  User i (the cycle wraps around) pays,
   at a rounded average k that names a profile,
@@ -48,8 +49,8 @@ from spectrumshare.model import (
     ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
+    UtilitySpec,
     as_fraction,
-    improves,
     utility_eval,
 )
 
@@ -97,7 +98,7 @@ def standard_grid(size: int, users: int) -> MessageGrid:
 
 def grid_deviations(
     user: int, profile: MessageProfile, grid: MessageGrid, config: ScenarioConfig
-) -> Iterator[tuple[Message, Fraction | float]]:
+) -> Iterator[tuple[Message, Fraction]]:
     """Yield (message, utility) over user's grid messages, others held fixed.
 
     When the price cannot influence the outcome (infeasible average, or no
@@ -136,11 +137,10 @@ def grid_verify(
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
-        spec = config.utilities[user]
         held = utility_eval(config, user, base.allocation, base.taxes[user])
         for message, value in grid_deviations(user, candidate, grid, config):
             gain = value - held
-            if improves(spec, value, held) and (best is None or gain > best.gain):
+            if gain > 0 and (best is None or gain > best.gain):
                 best = Deviation(user, message, gain)
     return best is None, best
 
@@ -156,7 +156,7 @@ def user_best_nonneg_tax(
     """
     result = outcome(candidate, config.catalog)
     best, best_nonneg = [], []
-    for user, spec in enumerate(config.utilities):
+    for user in range(len(candidate)):
         price = lindahl_price(candidate, user)
         charged = result.taxes[user]
         ok = result.allocation != 0 and charged == result.allocation * price
@@ -164,7 +164,7 @@ def user_best_nonneg_tax(
         held = utility_eval(config, user, result.allocation, charged)
         for alternative in range(1, config.catalog.size + 1):
             value = utility_eval(config, user, alternative, alternative * price)
-            if improves(spec, value, held):
+            if value > held:
                 ok = False
                 if alternative * price >= 0:
                     ok_nonneg = False
@@ -206,7 +206,8 @@ def census_oracle(config: ScenarioConfig) -> dict[int, tuple]:
     admits only its weak top choices.
     """
     per_user = []
-    for spec, values in zip(config.utilities, config.value_vectors):
+    for spec in config.utilities:
+        values = exact_values(spec, config)
         if spec.quasi_linear:
             per_user.append(interval_oracle(values))
         else:
@@ -224,9 +225,10 @@ def census_oracle(config: ScenarioConfig) -> dict[int, tuple]:
 
 
 def price_line_oracle(user: int, price, credit, config: ScenarioConfig):
-    """`price_line_optimum` by evaluating every index's utility with `Fraction` taxes."""
-    values = config.value_vectors[user]
-    cost = config.utilities[user].tax_cost
+    """`price_line_optimum` by evaluating every index's utility on
+    `exact_values` with `Fraction` taxes."""
+    spec = config.utilities[user]
+    values, cost = exact_values(spec, config), spec.tax_cost
     best_index, best_value = 1, values[1] - cost(price - credit)
     for index in range(2, len(values)):
         value = values[index] - cost(index * price - credit)
@@ -254,16 +256,26 @@ def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fr
     return signal / interference
 
 
-def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float, ...]:
-    """`SirLogUtility.value_vector` by a `Fraction` SIR on every index and band."""
+def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fraction, ...]:
+    """`SirLogUtility.integer_scaling`'s values by a `Fraction` SIR on every
+    index and band, each band's float term summed as `Fraction(term)`."""
     weights = [float(w) for w in spec.weights]
-    values = [0.0]
+    values = [Fraction(0)]
     for index in range(1, config.catalog.size + 1):
-        total = 0.0
+        total = Fraction(0)
         for band, weight in enumerate(weights):
-            total += weight * math.log1p(float(fraction_sir(index, spec.user, band, config)))
+            sir = float(fraction_sir(index, spec.user, band, config))
+            total += Fraction(weight * math.log1p(sir))
         values.append(total)
     return tuple(values)
+
+
+def exact_values(spec: UtilitySpec, config: ScenarioConfig) -> tuple[Fraction, ...]:
+    """A user's values V(0..size) without `integer_scaling`: a table as
+    written, a `sir_log` user's by `sir_value_oracle`."""
+    if isinstance(spec, SirLogUtility):
+        return sir_value_oracle(spec, config)
+    return tuple(Fraction(v) for v in spec.values)
 
 
 def column_sir_ratio(
@@ -279,14 +291,15 @@ def column_sir_ratio(
     return signal, noise + sum(received) - signal
 
 
-def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[float, ...]:
-    """`SirLogUtility.value_vector` by one `column_sir_ratio` call per
-    (band, column), read off by each profile's column code."""
+def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fraction, ...]:
+    """`SirLogUtility.integer_scaling`'s values by one `column_sir_ratio`
+    call per (band, column), each float term as `Fraction(term)`, read off
+    by each profile's column code."""
     values = None
     for band, (used, codes) in enumerate(config.band_columns):
         weight = float(spec.weights[band])
         terms = [
-            weight * math.log1p(signal / interference)
+            Fraction(weight * math.log1p(signal / interference))
             for signal, interference in (
                 column_sir_ratio(config, spec.user, band, column)
                 for column in product(used, repeat=config.num_users)
@@ -294,7 +307,7 @@ def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[fl
         ]
         band_terms = [terms[code] for code in codes]
         values = band_terms if values is None else [a + b for a, b in zip(values, band_terms)]
-    return (0.0, *values)
+    return (Fraction(0), *values)
 
 
 def integer_scaling_oracle(values) -> tuple[int, tuple[int, ...]]:

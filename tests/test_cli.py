@@ -23,6 +23,7 @@ from spectrumshare import (
 )
 from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES
 from conftest import desk_scenario, peak_table, small_config, small_scenario, uniform_gains
+from grid_oracle import sir_value_oracle
 
 COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
@@ -81,6 +82,22 @@ def test_json_builds_no_table_or_csv_view(capsys, small_path, tmp_path, monkeypa
     code, out, err = run(capsys, argv[0], "--scenario", small_path, *argv[1:], "--format", "json")
     assert code == 0, err
     assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_out_dumps_the_document_once(capsys, small_path, tmp_path, monkeypatch, fmt):
+    from spectrumshare import cli
+
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    out_path = tmp_path / "out.json"
+    argv = ["find-ne", "--scenario", small_path, "--format", fmt, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == 1
+    if fmt == "json":
+        assert out_path.read_text() == out
 
 
 class TestEnumerate:
@@ -693,6 +710,37 @@ def test_numbers_at_the_bound_print(capsys, tmp_path):
         longest = max(longest, max(map(len, re.findall(r"\d+", out))))
     # cubed taxes print numbers more than ten times as long as any input
     assert longest > 10 * MAX_DIGITS, longest
+
+
+def test_sir_log_terms_over_hundreds_of_binades(capsys, tmp_path):
+    # Weights near 10**99 and 10**-99 on small gains: a user's column terms
+    # run from about 2**319 down to about 2**-339, so its heights share a
+    # scale of 2**390, and still equal the exact sums of its terms.
+    config = ScenarioConfig(
+        num_users=3,
+        num_bands=2,
+        quant_levels=(0, 1),
+        power_budget=2,
+        noise_half_density=1,
+        gains=uniform_gains(3, 2, direct=Fraction(1, 1000), cross=Fraction(1, 2000)),
+        utilities=tuple(SirLogUtility(user=u, weights=(1, 1)) for u in range(3)),
+    )
+    document = scenario_to_jsonable(small_scenario(config))
+    for utility, weights in zip(document["utilities"], ([10**99, 1e-99], [1e-99, 10**99], [1, 1])):
+        utility["weights"] = weights
+    path = tmp_path / "binades.json"
+    path.write_text(json.dumps(document))
+    assert '"weights": [1000000' in path.read_text() and "1e-99" in path.read_text()
+    config = load_scenario(path).config
+    for spec, (scale, heights) in zip(config.utilities, config.integer_scalings):
+        assert tuple(Fraction(height, scale) for height in heights) == sir_value_oracle(spec, config)
+    scale, heights = config.integer_scalings[0]
+    assert scale == 2**390 and max(heights) > 2**600 * min(filter(None, heights))
+    for argv in (["verify", "--messages", "[[1,0],[1,0],[1,0]]"], ["find-ne"]):
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, *argv, "--scenario", str(path), "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            assert out
 
 
 class TestMeasure:

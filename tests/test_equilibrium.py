@@ -36,9 +36,10 @@ from spectrumshare import (
 from spectrumshare.equilibrium import _balances, price_line_optimum
 from spectrumshare.mechanism import Outcome, nearest_integer
 
-from conftest import peak_table, sir_configs, small_config, uniform_gains
+from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
 from grid_oracle import (
     census_oracle,
+    exact_values,
     grid_deviations,
     grid_verify,
     interval_oracle,
@@ -273,16 +274,16 @@ class TestLindahlCensus:
 
     @given(config=sir_configs())
     @settings(max_examples=10, deadline=None)
-    def test_sir_log_census_caches_no_heights(self, config):
+    def test_sir_log_census_caches_heights_only_to_certify(self, config):
         # The census builds each user's integer heights and drops them after
-        # its hull; the sir_log certification scans floats only.
-        lindahl_census(config)
-        assert "integer_scalings" not in vars(config)
+        # its hull; only certifying an entry caches the config's heights.
+        census = lindahl_census(config)
+        assert ("integer_scalings" in vars(config)) == bool(census.equilibria)
 
-    def test_mixed_game_caches_no_sir_log_heights(self):
+    def test_mixed_game_caches_one_scaling_per_user(self):
         # One flat table user and two zero-weight sir_log users: every
         # allocation is an equilibrium at zero prices, and certifying them
-        # scales the table user's values only.
+        # caches each user's own scaling once.
         flat = TableUtility((0,) + (1,) * 8)
         config = small_config(
             utilities=(flat, SirLogUtility(user=1, weights=(0,)), SirLogUtility(user=2, weights=(0,)))
@@ -291,7 +292,7 @@ class TestLindahlCensus:
         assert len(census.equilibria) == 8
         scalings = vars(config)["integer_scalings"]
         assert scalings[0] == integer_scaling(flat.values)
-        assert scalings[1:] == (None, None)
+        assert scalings[1:] == ((1, [0] * 9),) * 2
 
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
@@ -361,7 +362,7 @@ class TestLindahlCensus:
         # lowers 1/2 - 1/3 > 0, unless one of them is minus infinity
         assert not _balances((((1, 2), (1, 1)), ((-1, 3), (0, 1))))
         assert _balances((((1, 2), (1, 1)), (None, (0, 1))))
-        # large runs, as from a float value vector's scale
+        # large runs, as from a sir_log user's power-of-two scale
         assert not _balances((((0, 1), (1, 2**60)), ((0, 1), (-1, 2**60 - 1))))
 
     def test_price_intervals_by_hand(self):
@@ -766,15 +767,23 @@ class TestCensusAgainstOracles:
         assert census.complete == all(spec.quasi_linear for spec in config.utilities)
         found = {e.report.allocation: e.price_intervals for e in census.equilibria}
         assert found == census_oracle(config)
-        for spec, values in zip(config.utilities, config.value_vectors):
+        for spec, scaling in zip(config.utilities, config.integer_scalings):
             if spec.quasi_linear:
-                intervals = fraction_intervals(price_intervals(integer_scaling(values)))
-                assert intervals == nonempty_oracle_intervals(values)
+                intervals = fraction_intervals(price_intervals(scaling))
+                assert intervals == nonempty_oracle_intervals(exact_values(spec, config))
+
+    # the SIR shapes of at most 64 profiles at three users, where the
+    # O(N * size^2) oracle stays cheap; two bands sum two float terms
+    @given(config=sir_configs(user_counts=(3,), shapes=SIR_SHAPES[:4]))
+    @settings(max_examples=40, deadline=None)
+    def test_census_matches_oracle_on_multiband_sir(self, config):
+        found = {e.report.allocation: e.price_intervals for e in lindahl_census(config).equilibria}
+        assert found == census_oracle(config)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
     def test_integer_balance_matches_balanced_prices(self, config):
-        per_user = [price_intervals(integer_scaling(values)) for values in config.value_vectors]
+        per_user = [price_intervals(scaling) for scaling in config.integer_scalings]
         for allocation in set(per_user[0]).intersection(*per_user[1:]):
             edges = [user_edges[allocation] for user_edges in per_user]
             intervals = [fraction_interval(ends) for ends in edges]
@@ -842,7 +851,7 @@ class TestKernelAgainstOracle:
         got = price_line_optimum(user, price, credit, config)
         expected = price_line_oracle(user, price, credit, config)
         assert got == expected
-        assert type(got[1]) is type(expected[1])
+        assert type(got[1]) is type(expected[1]) is Fraction
 
     @given(config=sir_configs(), line=lines, data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -852,7 +861,7 @@ class TestKernelAgainstOracle:
         got = price_line_optimum(user, price, credit, config)
         expected = price_line_oracle(user, price, credit, config)
         assert got == expected
-        assert type(got[1]) is type(expected[1]) is float
+        assert type(got[1]) is type(expected[1]) is Fraction
 
 
 def scaled_sir(config, factor):
@@ -876,13 +885,14 @@ def verdicts(candidate, config):
     )
 
 
-class TestFloatTolerance:
+class TestExactOrderScales:
     @given(config=sir_configs(user_counts=(3,)), candidate=candidates)
     @settings(max_examples=80, deadline=None)
     def test_verdicts_do_not_depend_on_units(self, config, candidate):
-        # A power of two scales every float utility and gain exactly.
+        # A power of two scales every float term, and so every exact utility
+        # and gain, exactly; no float underflows at these exponents.
         expected = verdicts(candidate, config)
-        for exponent in (-40, -20, 20, 40):
+        for exponent in (-200, -70, -40, -20, 20, 40, 70, 200):
             factor = Fraction(2) ** exponent
             scaled = tuple(Message(m.proposal, m.price * factor) for m in candidate)
             assert verdicts(scaled, scaled_sir(config, factor)) == expected, exponent

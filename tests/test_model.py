@@ -1,7 +1,6 @@
 """Bundles, catalog bijection, SIR, and utility evaluation."""
 
 import math
-from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -223,11 +222,10 @@ class TestSir:
         difference = fraction_sir(index, user, 0, base) - fraction_sir(index, user, 0, scaled)
         assert difference == 0
         assert abs(float(difference)) < 1e-12
-        # the integer column sums scale by one factor, so every value is the same float
+        # the integer column sums scale by one factor, so every term is the
+        # same float and every value the same height
         spec = SirLogUtility(user=user, weights=(Fraction(3, 2),))
-        assert [v.hex() for v in spec.value_vector(base)] == [
-            v.hex() for v in spec.value_vector(scaled)
-        ]
+        assert spec.integer_scaling(base) == spec.integer_scaling(scaled)
 
     @pytest.mark.parametrize("shape", SIR_SHAPES)
     @given(data=st.data())
@@ -297,12 +295,12 @@ def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
 
 def assert_matches_oracle(config: ScenarioConfig) -> None:
     """Every `sir_log` value equals the `Fraction` SIR loop's and the
-    per-column ratio walk's, float for float, and is held in an `array('d')`."""
-    for spec, values in zip(config.utilities, config.value_vectors):
-        assert isinstance(values, array) and values.typecode == "d"
-        expected = [v.hex() for v in sir_value_oracle(spec, config)]
-        assert [v.hex() for v in values] == expected
-        assert [v.hex() for v in column_value_oracle(spec, config)] == expected
+    per-column ratio walk's exactly, and is held as an int height in a list."""
+    for spec, (scale, heights) in zip(config.utilities, config.integer_scalings):
+        assert type(heights) is list and all(type(height) is int for height in heights)
+        expected = sir_value_oracle(spec, config)
+        assert tuple(Fraction(height, scale) for height in heights) == expected
+        assert column_value_oracle(spec, config) == expected
 
 
 class TestIntegerScaling:
@@ -352,17 +350,17 @@ class TestUtilityEval:
     def test_sir_log_weights(self):
         config = with_user_zero(SirLogUtility(user=0, weights=(Fraction(2),)))
         index = index_of(config.catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
-        assert utility_eval(config, 0, index, Fraction(1, 2)) == pytest.approx(
-            2 * math.log(2) - 0.5, abs=1e-12
-        )
+        # SIR 1 and weight 2: one float term, held exactly
+        assert utility_eval(config, 0, index, Fraction(1, 2)) == Fraction(
+            2.0 * math.log1p(1.0)
+        ) - Fraction(1, 2)
 
     def test_sir_log_weight_bound(self):
         with pytest.raises(ConfigError, match="weights"):
             SirLogUtility(user=0, weights=(Fraction(10**MAX_DIGITS),))
         config = with_user_zero(SirLogUtility(user=0, weights=(10**MAX_DIGITS - 1,)))
-        assert all(math.isfinite(value) for value in config.value_vectors[0])
-        assert max(config.value_vectors[0]) > 10**(MAX_DIGITS - 1)
-        heights = integer_scaling(config.value_vectors[0]).heights
+        scale, heights = config.integer_scalings[0]
+        assert max(heights) > 10**(MAX_DIGITS - 1) * scale
         assert all(type(height) is int for height in heights)
 
     def test_value_budget_names_the_field(self):
@@ -380,7 +378,7 @@ class TestUtilityEval:
         )
         assert config.catalog.size == 2**users
         with pytest.raises(ConfigError, match=r"scenario\.num_users"):
-            config.value_vectors
+            config.integer_scalings
         with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
             utility_eval(config, 0, 1, 0)
 
