@@ -20,9 +20,10 @@ from spectrumshare import Message, best_response, build_report, outcome, utility
 from spectrumshare.scenario import load_scenario
 
 
-def utility_at(user, profile, config):
+def utility_at(user, profile, config, scaling):
+    """User's utility at the outcome of `profile`, on its values `scaling`."""
     result = outcome(profile, config.catalog)
-    return utility_eval(config, user, result.allocation, result.taxes[user])
+    return utility_eval(config.utilities[user], scaling, result.allocation, result.taxes[user])
 
 
 def br_dynamics(start, config, max_rounds=50):
@@ -35,11 +36,13 @@ def br_dynamics(start, config, max_rounds=50):
     an error.
     """
     profile = tuple(start)
+    scalings = [spec.integer_scaling(config) for spec in config.utilities]
     for rounds in range(1, max_rounds + 1):
         changed = False
-        for user in range(config.num_users):
+        for user, scaling in enumerate(scalings):
             moved = profile[:user] + (best_response(user, profile, config),) + profile[user + 1 :]
-            if utility_at(user, moved, config) > utility_at(user, profile, config):
+            held = utility_at(user, profile, config, scaling)
+            if utility_at(user, moved, config, scaling) > held:
                 profile, changed = moved, True
         if not changed:
             return True, rounds, profile

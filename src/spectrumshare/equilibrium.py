@@ -8,18 +8,21 @@ premise: every utility variant is non-increasing in tax.  Against fixed
 others (S the sum of their proposals, p_i = (pi_{i+1} - pi_{i+2}) / N the
 personal price, c_i = (n_{i+1} - n_{i+2})^2 * pi_{i+1} the next user's
 mismatch penalty, rebated to user i), any message of user i either makes the
-rounded average leave the catalog (the opt-out, worth V_i(0, 0)) or lands on
-some index k with a tax of at least k * p_i - c_i, which price 0 attains.  So
-user i's best reply over the whole message space is either the opt-out
-(-S, 0) or (N * k - S, 0) for the best k on the line, and a profile is a
-Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0 the
-same kernel is the Lindahl check "best on the personal price line".
+rounded average leave the catalog (the opt-out: no allocation, no tax, worth
+exactly 0 in every variant) or lands on some index k with a tax of at least
+k * p_i - c_i, which price 0 attains.  So user i's best reply over the whole
+message space is either the opt-out (-S, 0) or (N * k - S, 0) for the best k
+on the line, and a profile is a Nash equilibrium (NE) exactly when no user
+gains from it.  With c_i = 0 the same kernel is the Lindahl check "best on
+the personal price line".
 
 `build_report` certifies a candidate in one pass: one outcome, and per user
-one reply scan and one held utility, from which it reads the NE verdict and
-best deviation, individual rationality, the reduced tax form and the Lindahl
-verdicts.  Only a user whose tax is on its price line but whose scanned
-line carries a credit c_i != 0 is scanned again, at credit 0.
+its values, one reply scan and one held utility, from which it reads the NE
+verdict and best deviation, individual rationality, the reduced tax form
+and the Lindahl verdicts.  Only a user whose tax is on its price line but
+whose scanned line carries a credit c_i != 0 is scanned again, at credit 0,
+on the same values.  A user's values (its spec's `integer_scaling`) are
+built where they are used and dropped before the next user's.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -47,34 +50,35 @@ from .model import (
     IntegerScaling,
     ProfileCatalog,
     ScenarioConfig,
+    UtilitySpec,
     as_fraction,
     utility_eval,
 )
 
 
 def price_line_optimum(
-    user: int, price: Fraction, credit: Fraction, config: ScenarioConfig
+    spec: UtilitySpec, scaling: IntegerScaling, price: Fraction, credit: Fraction
 ) -> tuple[int, Fraction]:
-    """User's best catalog index k >= 1 when its tax is k * price - credit.
+    """A user's best catalog index k >= 1 when its tax is k * price - credit,
+    given its `spec` and the values `scaling` that spec builds.
 
-    Returns (k, V_user(k, k * price - credit)); ties resolve to the smallest k.
+    Returns (k, V(k, k * price - credit)); ties resolve to the smallest k.
     Every tax on the line is the integer numerator k * A - C over one
     denominator D, and every value an integer height over the user's scale,
     so the spec's `line_heights` ranks the indices exactly on integers.
     """
-    spec = config.utilities[user]
     denominator = lcm(price.denominator, credit.denominator)
     slope = price.numerator * (denominator // price.denominator)
     offset = credit.numerator * (denominator // credit.denominator)
-    heights = spec.line_heights(config, user, slope, offset, denominator)
+    heights = spec.line_heights(scaling, slope, offset, denominator)
     best = heights.index(max(heights[1:]), 1)
-    return best, utility_eval(config, user, best, best * price - credit)
+    return best, utility_eval(spec, scaling, best, best * price - credit)
 
 
-def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
+def _reply(user: int, profile: MessageProfile, spec: UtilitySpec, scaling: IntegerScaling):
     """User's best message over the whole message space, the credit c_i of
-    the price line scanned, the best utility on that line, and the opt-out
-    utility V_i(0, 0); the message is worth the larger of the two utilities.
+    the price line scanned, and the best utility on that line; the message
+    is worth the larger of that utility and the opt-out's, which is 0.
 
     The opt-out (-S, 0) is chosen only when strictly better than every
     catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
@@ -84,10 +88,9 @@ def _reply(user: int, profile: MessageProfile, config: ScenarioConfig):
     after = profile[(user + 1) % n_users]
     after2 = profile[(user + 2) % n_users]
     credit = (after.proposal - after2.proposal) ** 2 * after.price
-    index, value = price_line_optimum(user, lindahl_price(profile, user), credit, config)
-    opt_out = utility_eval(config, user, 0, Fraction(0))
-    proposal = -others_sum if opt_out > value else n_users * index - others_sum
-    return Message(proposal, Fraction(0)), credit, value, opt_out
+    index, value = price_line_optimum(spec, scaling, lindahl_price(profile, user), credit)
+    proposal = -others_sum if value < 0 else n_users * index - others_sum
+    return Message(proposal, Fraction(0)), credit, value
 
 
 class Deviation(namedtuple("Deviation", "user message gain")):
@@ -102,8 +105,11 @@ def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) ->
     `profile[user]` is ignored.  The reply has price 0 and a proposal that
     puts the rounded average exactly on the best catalog index (the smallest
     one on ties), or the opt-out proposal when that is strictly better.
+    Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
     """
-    return _reply(user, profile, config)[0]
+    config.check_profile_cap("evaluating utilities")
+    spec = config.utilities[user]
+    return _reply(user, profile, spec, spec.integer_scaling(config))[0]
 
 
 def mismatch_penalties_vanish(profile: MessageProfile) -> bool:
@@ -230,33 +236,37 @@ class EquilibriumReport(
 def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
     """Certify a candidate in one pass over the users.
 
-    One outcome; per user one `_reply` scan and one held utility.  The reply
-    gives the deviation gain (exact over the whole message space, and
-    compared exactly, since every utility is exact), and its opt-out utility
-    gives individual rationality.
+    One outcome; per user its values (`spec.integer_scaling`), one `_reply`
+    scan and one held utility.  The reply gives the deviation gain (exact
+    over the whole message space, and compared exactly, since every utility
+    is exact); the opt-out is worth 0, so individual rationality is a held
+    utility of at least 0.
     A user is on its price line when its tax is allocation * personal price;
     the Lindahl verdict compares its held utility with the best on that line
     at credit 0, which is the scanned line unless c_i != 0, and only then is
-    the line scanned again.  With vanishing mismatch penalties every user
-    must be on its line (the reduced tax form); a tax that is not raises
-    `ContractError`.
+    the line scanned again, on the same values.  With vanishing mismatch
+    penalties every user must be on its line (the reduced tax form); a tax
+    that is not raises `ContractError`.  Catalogs over `MAX_VALUED_PROFILES`
+    raise `ConfigError`.
     """
+    config.check_profile_cap("evaluating utilities")
     allocation, taxes = outcome(candidate, config.catalog)
     prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
     vanish = mismatch_penalties_vanish(candidate)
     best: Deviation | None = None
     rational, on_line, user_best = [], [], []
-    for user in range(len(config.utilities)):
-        message, credit, line_best, opt_out = _reply(user, candidate, config)
-        held = utility_eval(config, user, allocation, taxes[user])
-        gain = max(line_best, opt_out) - held
+    for user, spec in enumerate(config.utilities):
+        scaling = spec.integer_scaling(config)
+        message, credit, line_best = _reply(user, candidate, spec, scaling)
+        held = utility_eval(spec, scaling, allocation, taxes[user])
+        gain = max(line_best, 0) - held
         if gain > 0 and (best is None or gain > best.gain):
             best = Deviation(user, message, gain)
-        rational.append(opt_out <= held)
+        rational.append(held >= 0)
         on_line.append(taxes[user] == allocation * prices[user])
         ok = allocation != 0 and on_line[user]
         if ok and credit != 0:
-            _, line_best = price_line_optimum(user, prices[user], Fraction(0), config)
+            _, line_best = price_line_optimum(spec, scaling, prices[user], Fraction(0))
         user_best.append(ok and line_best <= held)
     if vanish and not all(on_line):
         reduced = tuple(allocation * price for price in prices)
@@ -403,14 +413,10 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     zero = ((0, 1), (0, 1))
     per_user = []
     for spec in config.utilities:
-        # Built here and dropped after the hull, not read from the cached
-        # `config.integer_scalings`: at the profile cap one user's heights
-        # take tens of MB.
-        scaling = spec.integer_scaling(config)
         if spec.quasi_linear:
-            per_user.append(price_intervals(scaling))
+            per_user.append(price_intervals(spec.integer_scaling(config)))
         else:
-            heights = scaling.heights
+            heights = spec.integer_scaling(config).heights
             top = max(heights)
             per_user.append({k: zero for k in range(1, len(heights)) if heights[k] == top})
     entries = []

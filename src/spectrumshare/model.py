@@ -31,7 +31,7 @@ PowerBundle = tuple[Fraction, ...]
 # larger is out of desk scale and almost certainly a misconfiguration.
 MAX_CATALOG_SIZE = 2**63 - 1
 
-# Evaluating utilities builds one value per user and profile up front, and
+# Evaluating a user's utility builds one value per profile up front, and
 # `enumerate --table` lists every profile, so catalogs beyond this many
 # profiles are refused there; `outcome` and a bare `enumerate` still accept
 # them.
@@ -214,16 +214,21 @@ def integer_scaling(values: Sequence) -> IntegerScaling:
 _EXACT_TYPES = (int, Fraction)
 
 
-def _table_values(values) -> tuple[int | Fraction, ...]:
-    """A value table kept exact, with ints and Fractions as they are and
-    anything else through `as_fraction`, after checking its null entry and
-    its signs."""
-    values = tuple(v if type(v) in _EXACT_TYPES else as_fraction(v) for v in values)
-    if not values or values[0] != 0:
+def _table_scaling(values) -> IntegerScaling:
+    """A value table as its exact `IntegerScaling`, after checking its null
+    entry and its signs.  Ints and Fractions count as they are, anything else
+    through `as_fraction`; an `IntegerScaling` (a table spec's own field, so
+    that the spec rebuilds from its fields) counts as its values."""
+    if isinstance(values, IntegerScaling):
+        scale, heights = values
+        values = [Fraction(height, scale) for height in heights]
+    scaling = integer_scaling([v if type(v) in _EXACT_TYPES else as_fraction(v) for v in values])
+    heights = scaling.heights
+    if not heights or heights[0] != 0:
         raise ConfigError("utility table must start with value 0 for the null allocation")
-    if any(v.numerator < 0 for v in values):
+    if any(height < 0 for height in heights):
         raise ConfigError("utility table values must be non-negative")
-    return values
+    return scaling
 
 
 class _QuasiLinear:
@@ -239,33 +244,33 @@ class _QuasiLinear:
 
     @staticmethod
     def line_heights(
-        config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
+        scaling: IntegerScaling, slope: int, offset: int, denominator: int
     ) -> Sequence[int]:
         """Per index k, V(k, (k * slope - offset) / denominator) times
         scale * denominator, less the constant scale * offset: integers in
         the same order.  At slope 0 every tax is the same, so the value
         heights themselves are in that order."""
-        scaling = config.integer_scalings[user]
         if not slope:
             return scaling.heights
         step = scaling.scale * slope
         return [height * denominator - k * step for k, height in enumerate(scaling.heights)]
 
 
-class TableUtility(_QuasiLinear, namedtuple("TableUtility", "values")):
-    """Quasi-linear utility from a value table: V(k, t) = values[k] - t.
+class TableUtility(_QuasiLinear, namedtuple("TableUtility", "scaling")):
+    """Quasi-linear utility from a value table: V(k, t) = V(k) - t.
 
-    `values` has one entry per catalog index, 0 through catalog size; entry 0
-    is the no-allocation value and is normalized to zero.
+    Built from one value per catalog index, 0 through catalog size; entry 0
+    is the no-allocation value and must be zero.  The table is held only as
+    its exact `scaling`, V(k) = heights[k] / scale.
     """
 
     __slots__ = ()
 
-    def __new__(cls, values: tuple[int | Fraction, ...]):
-        return super().__new__(cls, _table_values(values))
+    def __new__(cls, scaling: Sequence | IntegerScaling):
+        return super().__new__(cls, _table_scaling(scaling))
 
     def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
-        return integer_scaling(self.values)
+        return self.scaling
 
 
 class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
@@ -323,31 +328,31 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
         return IntegerScaling(scaling.scale, heights)
 
 
-class CubicTaxUtility(namedtuple("CubicTaxUtility", "values beta")):
-    """Non-quasi-linear utility: V(k, t) = values[k] - beta * t**3, beta > 0."""
+class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
+    """Non-quasi-linear utility: V(k, t) = V(k) - beta * t**3, beta > 0,
+    its value table held as its exact `scaling`, as `TableUtility`'s."""
 
     __slots__ = ()
     quasi_linear = False
 
-    def __new__(cls, values: tuple[int | Fraction, ...], beta: Fraction):
-        values = _table_values(values)
+    def __new__(cls, scaling: Sequence | IntegerScaling, beta: Fraction):
+        scaling = _table_scaling(scaling)
         beta = as_fraction(beta)
         if beta <= 0:
             raise ConfigError("beta must be strictly positive")
-        return super().__new__(cls, values, beta)
+        return super().__new__(cls, scaling, beta)
 
     def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
-        return integer_scaling(self.values)
+        return self.scaling
 
     def tax_cost(self, tax: Fraction) -> Fraction:
         return self.beta * tax**3
 
     def line_heights(
-        self, config: "ScenarioConfig", user: int, slope: int, offset: int, denominator: int
+        self, scaling: IntegerScaling, slope: int, offset: int, denominator: int
     ) -> list[int]:
         """Per index k, V(k, (k * slope - offset) / denominator) times
         scale * denominator**3 * beta.denominator: integers in the same order."""
-        scaling = config.integer_scalings[user]
         cube = denominator**3 * self.beta.denominator
         coefficient = scaling.scale * self.beta.numerator
         return [
@@ -424,10 +429,10 @@ class ScenarioConfig(
         size = self.catalog.size
         for user, spec in enumerate(self.utilities):
             if isinstance(spec, (TableUtility, CubicTaxUtility)):
-                if len(spec.values) != size + 1:
+                if len(spec.scaling.heights) != size + 1:
                     raise ConfigError(
                         f"utilities[{user}]: table needs {size + 1} entries "
-                        f"(indices 0..{size}), got {len(spec.values)}"
+                        f"(indices 0..{size}), got {len(spec.scaling.heights)}"
                     )
             elif isinstance(spec, SirLogUtility):
                 if spec.user != user:
@@ -479,9 +484,9 @@ class ScenarioConfig(
             used = sorted({level_of[bundle[band]] for bundle in self.bundles})
             position = {level: i for i, level in enumerate(used)}
             digits = [position[level_of[bundle[band]]] for bundle in self.bundles]
-            codes = [0]
+            codes, radix = [0], len(used)
             for _ in range(self.num_users):
-                codes = [code * len(used) + digit for code in codes for digit in digits]
+                codes = [code * radix + digit for code in codes for digit in digits]
             columns.append((tuple(used), codes))
         return tuple(columns)
 
@@ -502,31 +507,17 @@ class ScenarioConfig(
         )
         return levels.heights, channels
 
-    @cached_property
-    def integer_scalings(self) -> tuple[IntegerScaling, ...]:
-        """Per user, the value V_i(k) of every catalog index k = 0..size
-        before taxes, as integer heights over one scale
-        (`spec.integer_scaling`); entry 0 is the null allocation, worth 0.
+def utility_eval(spec: UtilitySpec, scaling: IntegerScaling, allocation: int, tax) -> Fraction:
+    """A user's utility at (allocation index, tax): V(k) - g(t), exactly.
 
-        Built on first use, so commands that never evaluate a utility never
-        pay for it.  Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
-        `lindahl_census` builds its own per user and drops them.
-        """
-        self.check_profile_cap("evaluating utilities")
-        return tuple(spec.integer_scaling(self) for spec in self.utilities)
-
-
-def utility_eval(config: ScenarioConfig, user: int, allocation: int, tax) -> Fraction:
-    """User's utility at (allocation index, tax): V(k) - g(t), exactly.
-
-    V(k) is heights[k] / scale of the user's `config.integer_scalings` entry
-    and g the tax cost of its spec: t for the quasi-linear variants (`table`,
-    `sir_log`; their `quasi_linear` flag), beta * t**3 for `cubic_tax`.
-    Every g is non-decreasing, so every utility is non-increasing in tax.
-    Allocation 0 always means "no allocation", worth 0 before taxes.
+    V(k) is heights[k] / scale of the user's `scaling`, which its `spec`
+    builds with `integer_scaling(config)`, and g the tax cost of its spec: t
+    for the quasi-linear variants (`table`, `sir_log`; their `quasi_linear`
+    flag), beta * t**3 for `cubic_tax`.  Every g is non-decreasing and 0 at
+    t = 0, so every utility is non-increasing in tax, and allocation 0 ("no
+    allocation", worth 0 before taxes) at tax 0 is worth exactly 0.
     """
-    size = config.catalog.size
-    if not 0 <= allocation <= size:
-        raise ValueError(f"allocation index {allocation} outside 0..{size}")
-    scale, heights = config.integer_scalings[user]
-    return Fraction(heights[allocation], scale) - config.utilities[user].tax_cost(as_fraction(tax))
+    scale, heights = scaling
+    if not 0 <= allocation < len(heights):
+        raise ValueError(f"allocation index {allocation} outside 0..{len(heights) - 1}")
+    return Fraction(heights[allocation], scale) - spec.tax_cost(as_fraction(tax))

@@ -262,17 +262,15 @@ def rational_to_json(value: Fraction):
 
 
 def _utility_to_json(spec: UtilitySpec) -> dict:
-    if isinstance(spec, TableUtility):
-        return {"variant": "table", "values": [rational_to_json(v) for v in spec.values]}
     if isinstance(spec, SirLogUtility):
         return {"variant": "sir_log", "weights": [rational_to_json(w) for w in spec.weights]}
-    if isinstance(spec, CubicTaxUtility):
-        return {
-            "variant": "cubic_tax",
-            "values": [rational_to_json(v) for v in spec.values],
-            "beta": rational_to_json(spec.beta),
-        }
-    raise ConfigError(f"unknown utility spec {spec!r}")
+    if not isinstance(spec, (TableUtility, CubicTaxUtility)):
+        raise ConfigError(f"unknown utility spec {spec!r}")
+    scale, heights = spec.scaling
+    values = [rational_to_json(Fraction(height, scale)) for height in heights]
+    if isinstance(spec, TableUtility):
+        return {"variant": "table", "values": values}
+    return {"variant": "cubic_tax", "values": values, "beta": rational_to_json(spec.beta)}
 
 
 def _behavior_to_json(behavior: AgentBehavior) -> dict:

@@ -37,12 +37,17 @@ desk_config = _desk.desk_config
 desk_scenario = _desk.desk_scenario
 
 
-def peak_table(size: int, peak: int, scale=1) -> TableUtility:
-    """Strictly single-peaked value table; entry 0 is the null allocation."""
+def peak_values(size: int, peak: int, scale=1) -> tuple[Fraction, ...]:
+    """Strictly single-peaked values; entry 0 is the null allocation."""
     values = [Fraction(0)]
     for index in range(1, size + 1):
         values.append(Fraction(scale) * (size + 24 - abs(index - peak)))
-    return TableUtility(tuple(values))
+    return tuple(values)
+
+
+def peak_table(size: int, peak: int, scale=1) -> TableUtility:
+    """A `TableUtility` of `peak_values`."""
+    return TableUtility(peak_values(size, peak, scale))
 
 
 def uniform_gains(num_users: int, num_bands: int, direct=Fraction(1), cross=Fraction(1, 2)):

@@ -55,6 +55,14 @@ from spectrumshare.model import (
 )
 
 
+def utility_of(config: ScenarioConfig, user: int):
+    """User's exact utility (allocation, tax) -> `utility_eval`, on the
+    values its spec builds once here."""
+    spec = config.utilities[user]
+    scaling = spec.integer_scaling(config)
+    return lambda allocation, tax: utility_eval(spec, scaling, allocation, tax)
+
+
 def tax_components(
     profile: MessageProfile, user: int, catalog_size: int
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -113,7 +121,8 @@ def grid_deviations(
     unit_price = Fraction(after.price - after2.price, n_users)
     credit = (after.proposal - after2.proposal) ** 2 * after.price
     pi_low = grid.pi_values[0]
-    opt_out_utility = utility_eval(config, user, 0, Fraction(0))
+    utility = utility_of(config, user)
+    opt_out_utility = utility(0, Fraction(0))
     for proposal in grid.n_values:
         average = nearest_integer(others_sum + proposal, n_users)
         if not 1 <= average <= size:
@@ -122,10 +131,10 @@ def grid_deviations(
         mismatch = (proposal - after.proposal) ** 2
         base_tax = average * unit_price - credit
         if mismatch == 0:
-            yield Message(proposal, pi_low), utility_eval(config, user, average, base_tax)
+            yield Message(proposal, pi_low), utility(average, base_tax)
             continue
         for price in grid.pi_values:
-            value = utility_eval(config, user, average, base_tax + mismatch * price)
+            value = utility(average, base_tax + mismatch * price)
             yield Message(proposal, price), value
 
 
@@ -137,7 +146,7 @@ def grid_verify(
     base = outcome(candidate, config.catalog)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
-        held = utility_eval(config, user, base.allocation, base.taxes[user])
+        held = utility_of(config, user)(base.allocation, base.taxes[user])
         for message, value in grid_deviations(user, candidate, grid, config):
             gain = value - held
             if gain > 0 and (best is None or gain > best.gain):
@@ -161,9 +170,10 @@ def user_best_nonneg_tax(
         charged = result.taxes[user]
         ok = result.allocation != 0 and charged == result.allocation * price
         ok_nonneg = ok and charged >= 0
-        held = utility_eval(config, user, result.allocation, charged)
+        utility = utility_of(config, user)
+        held = utility(result.allocation, charged)
         for alternative in range(1, config.catalog.size + 1):
-            value = utility_eval(config, user, alternative, alternative * price)
+            value = utility(alternative, alternative * price)
             if value > held:
                 ok = False
                 if alternative * price >= 0:
@@ -271,11 +281,13 @@ def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fract
 
 
 def exact_values(spec: UtilitySpec, config: ScenarioConfig) -> tuple[Fraction, ...]:
-    """A user's values V(0..size) without `integer_scaling`: a table as
-    written, a `sir_log` user's by `sir_value_oracle`."""
+    """A user's values V(0..size): a table's from the exact scaling it holds
+    since construction, a `sir_log` user's by `sir_value_oracle`, without
+    the library's build."""
     if isinstance(spec, SirLogUtility):
         return sir_value_oracle(spec, config)
-    return tuple(Fraction(v) for v in spec.values)
+    scale, heights = spec.scaling
+    return tuple(Fraction(height, scale) for height in heights)
 
 
 def column_sir_ratio(

@@ -22,7 +22,14 @@ from spectrumshare import (
     TableUtility,
 )
 from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES
-from conftest import desk_scenario, peak_table, small_config, small_scenario, uniform_gains
+from conftest import (
+    desk_scenario,
+    peak_table,
+    peak_values,
+    small_config,
+    small_scenario,
+    uniform_gains,
+)
 from grid_oracle import sir_value_oracle
 
 COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
@@ -360,7 +367,7 @@ class TestFindNe:
     def test_cubic_tax_census_is_incomplete(self, capsys, tmp_path):
         config = small_config(
             utilities=tuple(
-                CubicTaxUtility(peak_table(8, 4, s).values, beta=Fraction(1, 2))
+                CubicTaxUtility(peak_values(8, 4, s), beta=Fraction(1, 2))
                 for s in (1, 2, 3)
             )
         )
@@ -441,9 +448,9 @@ class TestVerify:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(user, price, credit, config):
-            scans.append((user, price, credit))
-            return kernel(user, price, credit, config)
+        def counted(spec, scaling, price, credit):
+            scans.append((spec, price, credit))
+            return kernel(spec, scaling, price, credit)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         messages = json.dumps([[index, 1]] * 3)
@@ -451,7 +458,8 @@ class TestVerify:
         assert code == 0
         assert f"\nNE: {index == 4}" in out
         assert len(scans) == 3
-        assert sorted(user for user, _, _ in scans) == [0, 1, 2]
+        utilities = load_scenario(small_path).config.utilities
+        assert sorted(utilities.index(spec) for spec, _, _ in scans) == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "messages, is_ne",
@@ -732,9 +740,10 @@ def test_sir_log_terms_over_hundreds_of_binades(capsys, tmp_path):
     path.write_text(json.dumps(document))
     assert '"weights": [1000000' in path.read_text() and "1e-99" in path.read_text()
     config = load_scenario(path).config
-    for spec, (scale, heights) in zip(config.utilities, config.integer_scalings):
+    for spec in config.utilities:
+        scale, heights = spec.integer_scaling(config)
         assert tuple(Fraction(height, scale) for height in heights) == sir_value_oracle(spec, config)
-    scale, heights = config.integer_scalings[0]
+    scale, heights = config.utilities[0].integer_scaling(config)
     assert scale == 2**390 and max(heights) > 2**600 * min(filter(None, heights))
     for argv in (["verify", "--messages", "[[1,0],[1,0],[1,0]]"], ["find-ne"]):
         for fmt in ("json", "table"):
@@ -792,7 +801,9 @@ class TestValueSpellings:
         return paths
 
     def test_same_integer_scalings(self, paths):
-        scalings = [load_scenario(p).config.integer_scalings for p in paths.values()]
+        scalings = [
+            [spec.scaling for spec in load_scenario(p).config.utilities] for p in paths.values()
+        ]
         assert scalings[0] == scalings[1] == scalings[2]
 
     @pytest.mark.parametrize(

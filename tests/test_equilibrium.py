@@ -31,12 +31,11 @@ from spectrumshare import (
     mismatch_penalties_vanish,
     outcome,
     price_intervals,
-    utility_eval,
 )
 from spectrumshare.equilibrium import _balances, price_line_optimum
 from spectrumshare.mechanism import Outcome, nearest_integer
 
-from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
+from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
 from grid_oracle import (
     census_oracle,
     exact_values,
@@ -48,6 +47,7 @@ from grid_oracle import (
     tax_components,
     unanimity_scan,
     user_best_nonneg_tax,
+    utility_of,
 )
 
 prices = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -102,8 +102,9 @@ class TestVerifyNe:
         base = outcome(candidate, small.catalog)
         after = outcome(perturbed, small.catalog)
         user = deviation.user
-        held = utility_eval(small, user, base.allocation, base.taxes[user])
-        moved = utility_eval(small, user, after.allocation, after.taxes[user])
+        utility = utility_of(small, user)
+        held = utility(base.allocation, base.taxes[user])
+        moved = utility(after.allocation, after.taxes[user])
         assert moved - held == deviation.gain
 
     def test_priced_mismatch_is_never_ne(self, small):
@@ -151,8 +152,8 @@ class TestBestResponse:
         profile = unanimity(4, 1)
         reply = best_response(0, profile, small)
         moved = outcome((reply,) + profile[1:], small.catalog)
-        value = utility_eval(small, 0, moved.allocation, moved.taxes[0])
-        assert value == small.utilities[0].values[4]
+        value = utility_of(small, 0)(moved.allocation, moved.taxes[0])
+        assert value == peak_values(8, 4, 1)[4]
 
     def test_price_zero_chosen_on_mismatch(self, small):
         profile = (Message(0, Fraction(1)), Message(8, Fraction(2)), Message(5, Fraction(1)))
@@ -234,7 +235,7 @@ class TestUnanimityScan:
     def test_cubic_tax_utilities_share_the_peak(self):
         config = small_config(
             utilities=tuple(
-                CubicTaxUtility(peak_table(8, 4, s).values, beta=Fraction(1, 2))
+                CubicTaxUtility(peak_values(8, 4, s), beta=Fraction(1, 2))
                 for s in (1, 2, 3)
             )
         )
@@ -260,7 +261,7 @@ class TestLindahlCensus:
         # leaves `balanced_prices` only the equilibrium's intervals.
         from spectrumshare import equilibrium
 
-        assert all(len(price_intervals(s)) == 216 for s in desk.integer_scalings)
+        assert all(len(price_intervals(spec.scaling)) == 216 for spec in desk.utilities)
         calls = []
         solve = equilibrium.balanced_prices
         monkeypatch.setattr(
@@ -272,27 +273,48 @@ class TestLindahlCensus:
         assert entry.report.allocation == 108
         assert calls == [entry.price_intervals]
 
-    @given(config=sir_configs())
-    @settings(max_examples=10, deadline=None)
-    def test_sir_log_census_caches_heights_only_to_certify(self, config):
-        # The census builds each user's integer heights and drops them after
-        # its hull; only certifying an entry caches the config's heights.
-        census = lindahl_census(config)
-        assert ("integer_scalings" in vars(config)) == bool(census.equilibria)
+    @pytest.mark.parametrize(
+        "last",
+        [SirLogUtility(user=2, weights=(0,)), CubicTaxUtility((0,) + (1,) * 8, beta=1)],
+        ids=["sir_log", "cubic_tax"],
+    )
+    def test_values_built_once_per_user_per_certificate(self, monkeypatch, last):
+        # A sir_log user's values are built where they are used, once per
+        # user and certificate, and kept nowhere; a table's are built once,
+        # at construction.
+        from spectrumshare import equilibrium, model
 
-    def test_mixed_game_caches_one_scaling_per_user(self):
-        # One flat table user and two zero-weight sir_log users: every
-        # allocation is an equilibrium at zero prices, and certifying them
-        # caches each user's own scaling once.
-        flat = TableUtility((0,) + (1,) * 8)
         config = small_config(
-            utilities=(flat, SirLogUtility(user=1, weights=(0,)), SirLogUtility(user=2, weights=(0,)))
+            utilities=(SirLogUtility(user=0, weights=(1,)), TableUtility((0,) + (1,) * 8), last)
         )
+        sir_users = [0, 2] if isinstance(last, SirLogUtility) else [0]
+        tables, builds, scans = [], [], []
+        table_scaling, sir_build = model._table_scaling, SirLogUtility.integer_scaling
+        kernel = equilibrium.price_line_optimum
+        monkeypatch.setattr(
+            model, "_table_scaling", lambda values: tables.append(values) or table_scaling(values)
+        )
+        monkeypatch.setattr(
+            SirLogUtility,
+            "integer_scaling",
+            lambda spec, config: builds.append(spec.user) or sir_build(spec, config),
+        )
+        monkeypatch.setattr(
+            equilibrium,
+            "price_line_optimum",
+            lambda spec, *line: scans.append(spec) or kernel(spec, *line),
+        )
+        # User 0 pays exactly allocation * personal price, but its reply scan
+        # runs with the credit 9 * 4 rebated, so its line is scanned again at
+        # credit 0, on the same values.
+        build_report((Message(4, 4), Message(1, 4), Message(4, 1)), config)
+        assert scans.count(config.utilities[0]) == 2
+        assert builds == sir_users
         census = lindahl_census(config)
-        assert len(census.equilibria) == 8
-        scalings = vars(config)["integer_scalings"]
-        assert scalings[0] == integer_scaling(flat.values)
-        assert scalings[1:] == ((1, [0] * 9),) * 2
+        assert census.equilibria
+        assert builds == sir_users * (2 + len(census.equilibria))
+        assert tables == []
+        assert set(vars(config)) <= {"bundles", "catalog", "band_columns", "integer_channels"}
 
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
@@ -567,9 +589,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(user, price, credit, config):
-            scans.append(user)
-            return kernel(user, price, credit, config)
+        def counted(spec, scaling, price, credit):
+            scans.append(small.utilities.index(spec))
+            return kernel(spec, scaling, price, credit)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         # Infeasible average: a null allocation is never best on a price
@@ -587,9 +609,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(user, price, credit, config):
-            scans.append((user, credit))
-            return kernel(user, price, credit, config)
+        def counted(spec, scaling, price, credit):
+            scans.append((small.utilities.index(spec), credit))
+            return kernel(spec, scaling, price, credit)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
@@ -611,7 +633,7 @@ ORACLE_CONFIGS = {
     ),
     "cubic_tax": small_config(
         utilities=tuple(
-            CubicTaxUtility(peak_table(8, p, s).values, beta=Fraction(1, 2))
+            CubicTaxUtility(peak_values(8, p, s), beta=Fraction(1, 2))
             for p, s in ((4, 1), (3, 2), (5, 3))
         )
     ),
@@ -637,8 +659,9 @@ def realized_gain(candidate, user, message, config):
     moved = candidate[:user] + (message,) + candidate[user + 1 :]
     before = outcome(candidate, config.catalog)
     after = outcome(moved, config.catalog)
-    held = utility_eval(config, user, before.allocation, before.taxes[user])
-    return utility_eval(config, user, after.allocation, after.taxes[user]) - held
+    utility = utility_of(config, user)
+    held = utility(before.allocation, before.taxes[user])
+    return utility(after.allocation, after.taxes[user]) - held
 
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
@@ -691,7 +714,7 @@ class TestExactAgainstGridOracle:
 values_tables = st.one_of(
     st.lists(st.fractions(min_value=0, max_value=12, max_denominator=3), min_size=8, max_size=8),
     st.builds(
-        lambda peak, scale: list(peak_table(8, peak, scale).values[1:]),
+        lambda peak, scale: list(peak_values(8, peak, scale)[1:]),
         st.integers(min_value=3, max_value=5),
         st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
     ),
@@ -767,9 +790,9 @@ class TestCensusAgainstOracles:
         assert census.complete == all(spec.quasi_linear for spec in config.utilities)
         found = {e.report.allocation: e.price_intervals for e in census.equilibria}
         assert found == census_oracle(config)
-        for spec, scaling in zip(config.utilities, config.integer_scalings):
+        for spec in config.utilities:
             if spec.quasi_linear:
-                intervals = fraction_intervals(price_intervals(scaling))
+                intervals = fraction_intervals(price_intervals(spec.integer_scaling(config)))
                 assert intervals == nonempty_oracle_intervals(exact_values(spec, config))
 
     # the SIR shapes of at most 64 profiles at three users, where the
@@ -783,7 +806,7 @@ class TestCensusAgainstOracles:
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
     def test_integer_balance_matches_balanced_prices(self, config):
-        per_user = [price_intervals(scaling) for scaling in config.integer_scalings]
+        per_user = [price_intervals(spec.integer_scaling(config)) for spec in config.utilities]
         for allocation in set(per_user[0]).intersection(*per_user[1:]):
             edges = [user_edges[allocation] for user_edges in per_user]
             intervals = [fraction_interval(ends) for ends in edges]
@@ -848,7 +871,8 @@ class TestKernelAgainstOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_loop(self, config, user, line):
         price, credit = line
-        got = price_line_optimum(user, price, credit, config)
+        spec = config.utilities[user]
+        got = price_line_optimum(spec, spec.integer_scaling(config), price, credit)
         expected = price_line_oracle(user, price, credit, config)
         assert got == expected
         assert type(got[1]) is type(expected[1]) is Fraction
@@ -858,7 +882,8 @@ class TestKernelAgainstOracle:
     def test_matches_fraction_loop_on_multiband_sir(self, config, line, data):
         price, credit = line
         user = data.draw(st.integers(min_value=0, max_value=config.num_users - 1))
-        got = price_line_optimum(user, price, credit, config)
+        spec = config.utilities[user]
+        got = price_line_optimum(spec, spec.integer_scaling(config), price, credit)
         expected = price_line_oracle(user, price, credit, config)
         assert got == expected
         assert type(got[1]) is type(expected[1]) is Fraction

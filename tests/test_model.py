@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 from spectrumshare import (
     ConfigError,
     CubicTaxUtility,
+    Message,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
     as_fraction,
+    best_response,
     build_catalog,
+    build_report,
     enumerate_bundles,
     integer_scaling,
-    utility_eval,
 )
 from spectrumshare.model import MAX_CATALOG_SIZE, MAX_DIGITS, MAX_VALUED_PROFILES
 
-from conftest import SIR_SHAPES, peak_table, sir_configs, small_config, uniform_gains
+from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
 from grid_oracle import (
     column_sir_ratio,
     column_value_oracle,
@@ -30,6 +32,7 @@ from grid_oracle import (
     index_of,
     integer_scaling_oracle,
     sir_value_oracle,
+    utility_of,
 )
 
 
@@ -296,7 +299,8 @@ def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
 def assert_matches_oracle(config: ScenarioConfig) -> None:
     """Every `sir_log` value equals the `Fraction` SIR loop's and the
     per-column ratio walk's exactly, and is held as an int height in a list."""
-    for spec, (scale, heights) in zip(config.utilities, config.integer_scalings):
+    for spec in config.utilities:
+        scale, heights = spec.integer_scaling(config)
         assert type(heights) is list and all(type(height) is int for height in heights)
         expected = sir_value_oracle(spec, config)
         assert tuple(Fraction(height, scale) for height in heights) == expected
@@ -320,6 +324,23 @@ class TestIntegerScaling:
         scaling = integer_scaling(values)
         assert (scaling.scale, scaling.heights) == integer_scaling_oracle(values)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**70),
+                st.fractions(min_value=0, max_denominator=10**6),
+                st.decimals(min_value=0, max_value=10**6, places=4).map(str),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_specs_hold_every_value_exactly(self, values):
+        values = [0, *values]
+        for spec in (TableUtility(values), CubicTaxUtility(values, beta=1)):
+            scale, heights = spec.scaling
+            assert [Fraction(height, scale) for height in heights] == [Fraction(v) for v in values]
+
 
 def with_user_zero(spec) -> ScenarioConfig:
     """`small_config` with `spec` as user 0's utility."""
@@ -328,7 +349,7 @@ def with_user_zero(spec) -> ScenarioConfig:
 
 VARIANTS = {
     "table": lambda: small_config().utilities[0],
-    "cubic": lambda: CubicTaxUtility(small_config().utilities[0].values, beta=Fraction(1, 2)),
+    "cubic": lambda: CubicTaxUtility(peak_values(8, 4), beta=Fraction(1, 2)),
     "sir": lambda: SirLogUtility(user=0, weights=(Fraction(1),)),
 }
 
@@ -336,22 +357,22 @@ VARIANTS = {
 class TestUtilityEval:
     def test_table_subtracts_tax(self):
         config = with_user_zero(TableUtility((Fraction(0),) + (Fraction(7),) * 8))
-        assert utility_eval(config, 0, 3, 2) == 5
+        assert utility_of(config, 0)(3, 2) == 5
 
     def test_null_allocation_zero_at_zero_tax(self):
         config = small_config()
         for user in range(3):
-            assert utility_eval(config, user, 0, 0) == 0
+            assert utility_of(config, user)(0, 0) == 0
 
     def test_cubic_tax_negative_tax_pays_out(self):
         config = with_user_zero(CubicTaxUtility((Fraction(0),) + (Fraction(1),) * 8, beta=1))
-        assert utility_eval(config, 0, 2, -1) == 2
+        assert utility_of(config, 0)(2, -1) == 2
 
     def test_sir_log_weights(self):
         config = with_user_zero(SirLogUtility(user=0, weights=(Fraction(2),)))
         index = index_of(config.catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         # SIR 1 and weight 2: one float term, held exactly
-        assert utility_eval(config, 0, index, Fraction(1, 2)) == Fraction(
+        assert utility_of(config, 0)(index, Fraction(1, 2)) == Fraction(
             2.0 * math.log1p(1.0)
         ) - Fraction(1, 2)
 
@@ -359,7 +380,7 @@ class TestUtilityEval:
         with pytest.raises(ConfigError, match="weights"):
             SirLogUtility(user=0, weights=(Fraction(10**MAX_DIGITS),))
         config = with_user_zero(SirLogUtility(user=0, weights=(10**MAX_DIGITS - 1,)))
-        scale, heights = config.integer_scalings[0]
+        scale, heights = config.utilities[0].integer_scaling(config)
         assert max(heights) > 10**(MAX_DIGITS - 1) * scale
         assert all(type(height) is int for height in heights)
 
@@ -377,16 +398,17 @@ class TestUtilityEval:
             utilities=tuple(SirLogUtility(user=u, weights=(1,)) for u in range(users)),
         )
         assert config.catalog.size == 2**users
+        candidate = (Message(1, Fraction(0)),) * users
         with pytest.raises(ConfigError, match=r"scenario\.num_users"):
-            config.integer_scalings
+            build_report(candidate, config)
         with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
-            utility_eval(config, 0, 1, 0)
+            best_response(0, candidate, config)
 
     def test_rejects_out_of_range_allocation(self):
         config = small_config()
         for allocation in (9, -1):
             with pytest.raises(ValueError):
-                utility_eval(config, 0, allocation, 0)
+                utility_of(config, 0)(allocation, 0)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @given(
@@ -397,8 +419,9 @@ class TestUtilityEval:
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_in_tax(self, variant, allocation, tax, bump):
         config = with_user_zero(VARIANTS[variant]())
-        lower = utility_eval(config, 0, allocation, tax + bump)
-        higher = utility_eval(config, 0, allocation, tax)
+        utility = utility_of(config, 0)
+        lower = utility(allocation, tax + bump)
+        higher = utility(allocation, tax)
         assert lower <= higher
         if variant in ("table", "sir"):
             assert lower < higher
@@ -411,7 +434,8 @@ class TestUtilityEval:
     @settings(max_examples=60, deadline=None)
     def test_any_allocation_beats_null(self, variant, allocation, tax):
         config = with_user_zero(VARIANTS[variant]())
-        assert utility_eval(config, 0, allocation, tax) >= utility_eval(config, 0, 0, tax)
+        utility = utility_of(config, 0)
+        assert utility(allocation, tax) >= utility(0, tax)
 
 
 class TestScenarioConfig:

@@ -64,9 +64,9 @@ RECORDS = {
         lambda: ProfileCatalog(((Fraction(0),), (Fraction(1),)), 3),
         ("bundles", "num_users"),
     ),
-    "TableUtility": (lambda: TableUtility((0, 1, HALF)), ("values",)),
+    "TableUtility": (lambda: TableUtility((0, 1, HALF)), ("scaling",)),
     "SirLogUtility": (lambda: SirLogUtility(1, (1, HALF)), ("user", "weights")),
-    "CubicTaxUtility": (lambda: CubicTaxUtility((0, 2), HALF), ("values", "beta")),
+    "CubicTaxUtility": (lambda: CubicTaxUtility((0, 2), HALF), ("scaling", "beta")),
     "IntegerScaling": (lambda: IntegerScaling(2, (0, 1, 4)), ("scale", "heights")),
     "ScenarioConfig": (
         small_config,
@@ -145,7 +145,9 @@ def test_repr_names_every_field(record):
 def test_repr_spelling():
     assert repr(Message(3, HALF)) == "Message(proposal=3, price=Fraction(1, 2))"
     assert repr(Honest()) == "Honest()"
-    assert repr(TableUtility((0, 1))) == "TableUtility(values=(0, 1))"
+    assert repr(TableUtility((0, 1))) == (
+        "TableUtility(scaling=IntegerScaling(scale=1, heights=(0, 1)))"
+    )
 
 
 def test_equal_and_hashed_by_value(record):

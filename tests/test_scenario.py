@@ -192,9 +192,10 @@ class TestRationalParsing:
 
     def test_table_ints_parse_exactly(self, tmp_path, document):
         document["utilities"][0]["values"] = [0, 7, "5/2", 0.5, 2**70, 1, 1, 1, 1]
-        values = load_document(tmp_path, document).config.utilities[0].values
-        assert values == (0, 7, Fraction(5, 2), Fraction(1, 2), 2**70, 1, 1, 1, 1)
-        assert [type(v) for v in values] == [int, int, Fraction, Fraction] + [int] * 5
+        scale, heights = load_document(tmp_path, document).config.utilities[0].scaling
+        assert scale == 2
+        assert heights == (0, 14, 5, 1, 2**71, 2, 2, 2, 2)
+        assert all(type(height) is int for height in heights)
 
     def test_rational_to_json_lossless(self):
         assert rational_to_json(Fraction(5)) == 5

@@ -69,3 +69,12 @@ def test_make_desk_scenario_reproduces_the_committed_file(capsys, tmp_path):
     load_script("make_desk_scenario").main(["--out", str(out)])
     assert f"wrote {out} (catalog size 216)" in capsys.readouterr().out
     assert out.read_bytes() == (SCRIPTS.parent / "scenarios" / "desk.json").read_bytes()
+
+
+def test_cap_memory_measures_a_small_document():
+    cap_memory = load_script("cap_memory")
+    document = cap_memory.cap_document(seed=1, users=3, bands=1)
+    assert document["num_users"] == 3 and len(document["gains"][0][0]) == 1
+    for command in ("find-ne", "verify"):
+        seconds, mib = cap_memory.measure(document, command, seed=1)
+        assert seconds > 0 and mib > 0
