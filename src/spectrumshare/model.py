@@ -84,36 +84,50 @@ def parse_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, decimal or "p/q" strings to an exact rational.
+def as_ratio(value) -> tuple[int, int]:
+    """An input number (int, Fraction, decimal or "p/q" string) as exact
+    (numerator, denominator > 0): the one reading of every input number.
 
-    A string of ASCII digits, "/", ASCII digits is split into two integers;
-    every other string goes through `parse_decimal`.  Strings are input, so
-    both are held to MAX_DIGITS.  Floats are converted through their
-    shortest decimal representation, so a literal 0.1 means 1/10 rather than
-    the underlying binary float.
+    A string of ASCII digits, "/", ASCII digits is split into two integers,
+    not reduced; every other string goes through `parse_decimal`.  Strings
+    are input, so both are held to MAX_DIGITS.  Floats are read through
+    their shortest decimal representation, so a literal 0.1 means 1/10
+    rather than the underlying binary float.
     """
-    if isinstance(value, Fraction):
-        return value
+    # strings first: a table's many "p/q" entries skip the slow isinstance
+    # test against Fraction, an abstract base class
+    if isinstance(value, str):
+        numerator, slash, denominator = value.partition("/")
+        if slash and value.isascii() and numerator.isdigit() and denominator.isdigit():
+            if len(value) > MAX_DIGITS:
+                raise _too_long(value)
+            denominator = int(denominator)
+            if denominator:
+                return int(numerator), denominator
+            raise ConfigError(f"cannot parse rational from {value!r}")
+        try:
+            return parse_decimal(value).as_integer_ratio()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot parse rational from {value!r}") from exc
     if isinstance(value, bool):
         raise ConfigError(f"expected a rational number, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            numerator, slash, denominator = value.partition("/")
-            if slash and value.isascii() and numerator.isdigit() and denominator.isdigit():
-                if len(value) > MAX_DIGITS:
-                    raise _too_long(value)
-                return Fraction(int(numerator), int(denominator))
-            return parse_decimal(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse rational from {value!r}") from exc
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConfigError(f"expected a finite number, got {value!r}")
-        return Fraction(repr(value))
+        return Fraction(repr(value)).as_integer_ratio()
     raise ConfigError(f"expected a rational number, got {value!r}")
+
+
+def as_fraction(value) -> Fraction:
+    """An input number as an exact rational, read by `as_ratio`; a Fraction
+    is returned as it is."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*as_ratio(value))
 
 
 def _validate_quant_levels(quant_levels) -> tuple[Fraction, ...]:
@@ -211,22 +225,38 @@ def integer_scaling(values: Sequence) -> IntegerScaling:
     )
 
 
-_EXACT_TYPES = (int, Fraction)
+def read_table(values: Sequence) -> IntegerScaling:
+    """Input numbers as their exact `IntegerScaling` over the least scale,
+    with no `Fraction` per entry.  A table of ints is its own heights over
+    scale 1.  Otherwise one pass keeps ints as they are and reads every
+    other entry with `as_ratio`; the heights over the lcm of those
+    denominators are divided, with it, by their gcd, so "2/4" reads as "1/2"."""
+    if set(map(type, values)) <= {int}:
+        return IntegerScaling(1, tuple(values))
+    ratios = [value if type(value) is int else as_ratio(value) for value in values]
+    denominators = {ratio[1] for ratio in ratios if type(ratio) is tuple}
+    scale = math.lcm(*denominators)
+    heights = [
+        ratio * scale if type(ratio) is int else ratio[0] * (scale // ratio[1])
+        for ratio in ratios
+    ]
+    divisor = math.gcd(scale, *heights)
+    if divisor > 1:
+        scale //= divisor
+        heights = [height // divisor for height in heights]
+    return IntegerScaling(scale, tuple(heights))
 
 
 def _table_scaling(values) -> IntegerScaling:
     """A value table as its exact `IntegerScaling`, after checking its null
-    entry and its signs.  Ints and Fractions count as they are, anything else
-    through `as_fraction`; an `IntegerScaling` (a table spec's own field, so
-    that the spec rebuilds from its fields) counts as its values."""
-    if isinstance(values, IntegerScaling):
-        scale, heights = values
-        values = [Fraction(height, scale) for height in heights]
-    scaling = integer_scaling([v if type(v) in _EXACT_TYPES else as_fraction(v) for v in values])
-    heights = scaling.heights
+    entry and its signs.  Input numbers are read by `read_table`; an
+    `IntegerScaling` (a table spec's own field, so that the spec rebuilds
+    from its fields) is checked as it is."""
+    scaling = values if isinstance(values, IntegerScaling) else read_table(values)
+    scale, heights = scaling
     if not heights or heights[0] != 0:
         raise ConfigError("utility table must start with value 0 for the null allocation")
-    if any(height < 0 for height in heights):
+    if scale < 1 or min(heights) < 0:
         raise ConfigError("utility table values must be non-negative")
     return scaling
 
@@ -261,7 +291,8 @@ class TableUtility(_QuasiLinear, namedtuple("TableUtility", "scaling")):
 
     Built from one value per catalog index, 0 through catalog size; entry 0
     is the no-allocation value and must be zero.  The table is held only as
-    its exact `scaling`, V(k) = heights[k] / scale.
+    its exact `scaling`, V(k) = heights[k] / scale, into which `read_table`
+    reads the values with no `Fraction` per entry.
     """
 
     __slots__ = ()

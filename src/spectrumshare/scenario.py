@@ -28,6 +28,7 @@ from .errors import ConfigError
 from .measurement import AgentBehavior, Honest, PilotCheat, ReportCheat
 from .model import (
     CubicTaxUtility,
+    IntegerScaling,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
@@ -35,6 +36,7 @@ from .model import (
     as_fraction,
     check_digit_runs,
     parse_decimal,
+    read_table,
 )
 
 # The best-response script materializes the price grid to draw its random
@@ -87,9 +89,12 @@ def _rational(value, path: str) -> Fraction:
         _fail(path, str(exc))
 
 
-def _rationals(values, path: str) -> tuple[int | Fraction, ...]:
-    """`_rational` over a list, except that JSON integers stay exact `int`s."""
-    return tuple(v if type(v) is int else _rational(v, path) for v in values)
+def _table(values, path: str) -> IntegerScaling:
+    """A value list read straight into integer heights (`read_table`)."""
+    try:
+        return read_table(values)
+    except ConfigError as exc:
+        _fail(path, str(exc))
 
 
 def _integer(value, path: str) -> int:
@@ -105,17 +110,17 @@ def _parse_utility(entry, user: int, num_bands: int, path: str) -> UtilitySpec:
     try:
         if variant == "table":
             _require_keys(entry, ("variant", "values"), path)
-            return TableUtility(_rationals(entry["values"], f"{path}.values"))
+            return TableUtility(_table(entry["values"], f"{path}.values"))
         if variant == "sir_log":
             _require_keys(entry, ("variant", "weights"), path)
-            weights = _rationals(entry["weights"], f"{path}.weights")
+            weights = tuple(_rational(w, f"{path}.weights") for w in entry["weights"])
             if len(weights) != num_bands:
                 _fail(path, f"need {num_bands} band weights, got {len(weights)}")
             return SirLogUtility(user=user, weights=weights)
         if variant == "cubic_tax":
             _require_keys(entry, ("variant", "values", "beta"), path)
             return CubicTaxUtility(
-                _rationals(entry["values"], f"{path}.values"),
+                _table(entry["values"], f"{path}.values"),
                 _rational(entry["beta"], f"{path}.beta"),
             )
     except ConfigError as exc:

@@ -11,6 +11,8 @@
 - The price-line loop over `Fraction` values and taxes, which the integer
   kernel `price_line_optimum` replaced; `Fraction(v)` for every value in
   `integer_scaling`.
+- A value table read through one `Fraction` per entry (`as_fraction`, then
+  `integer_scaling`), which the one-pass `read_table` replaced.
 - Two earlier builds of the `sir_log` values: the per-index `Fraction` SIR
   loop, and the per-column integer SIR ratio walk that replaced it before
   the column power sums.  Both round each band's term to a float, as the
@@ -46,11 +48,13 @@ from spectrumshare import (
 )
 from spectrumshare.mechanism import MessageProfile, lindahl_price, nearest_integer
 from spectrumshare.model import (
+    IntegerScaling,
     ProfileCatalog,
     ScenarioConfig,
     SirLogUtility,
     UtilitySpec,
     as_fraction,
+    integer_scaling,
     utility_eval,
 )
 
@@ -327,3 +331,9 @@ def integer_scaling_oracle(values) -> tuple[int, tuple[int, ...]]:
     exact = [Fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in exact))
     return scale, tuple(v.numerator * (scale // v.denominator) for v in exact)
+
+
+def table_scaling_oracle(values) -> IntegerScaling:
+    """A value table's `IntegerScaling` through one `Fraction` per entry:
+    `as_fraction` on each, then `integer_scaling`."""
+    return integer_scaling([as_fraction(v) for v in values])

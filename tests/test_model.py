@@ -22,7 +22,14 @@ from spectrumshare import (
     enumerate_bundles,
     integer_scaling,
 )
-from spectrumshare.model import MAX_CATALOG_SIZE, MAX_DIGITS, MAX_VALUED_PROFILES
+from spectrumshare.model import (
+    MAX_CATALOG_SIZE,
+    MAX_DIGITS,
+    MAX_VALUED_PROFILES,
+    IntegerScaling,
+    parse_decimal,
+    read_table,
+)
 
 from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
 from grid_oracle import (
@@ -32,6 +39,7 @@ from grid_oracle import (
     index_of,
     integer_scaling_oracle,
     sir_value_oracle,
+    table_scaling_oracle,
     utility_of,
 )
 
@@ -340,6 +348,53 @@ class TestIntegerScaling:
         for spec in (TableUtility(values), CubicTaxUtility(values, beta=1)):
             scale, heights = spec.scaling
             assert [Fraction(height, scale) for height in heights] == [Fraction(v) for v in values]
+
+    @given(
+        st.lists(
+            st.one_of(
+                # JSON ints, up to the digit bound of a scenario file
+                st.integers(min_value=-(10**MAX_DIGITS) + 1, max_value=10**MAX_DIGITS - 1),
+                st.integers(min_value=0, max_value=10**6),
+                # reduced and unreduced "p/q" strings, a zero denominator among them
+                st.fractions(min_value=0, max_denominator=10**6).map(str),
+                st.tuples(st.integers(0, 10**6), st.integers(0, 10**3)).map("{0[0]}/{0[1]}".format),
+                # "p/q" strings of 99 to 102 characters, around MAX_DIGITS
+                st.tuples(st.integers(1, MAX_DIGITS), st.integers(MAX_DIGITS - 1, MAX_DIGITS + 2))
+                .filter(lambda lengths: lengths[1] - lengths[0] >= 2)
+                .map(lambda lengths: f"{'7' * lengths[0]}/{'3' * (lengths[1] - lengths[0] - 1)}"),
+                # decimal strings and JSON decimals (parsed into Fractions)
+                st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
+                st.decimals(allow_nan=False, allow_infinity=False, places=4).map(
+                    lambda d: parse_decimal(str(d))
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_read_table_matches_fraction_per_entry(self, values):
+        try:
+            expected = table_scaling_oracle(values)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as excinfo:
+                read_table(values)
+            assert str(excinfo.value) == str(exc)
+            return
+        scaling = read_table(values)
+        assert scaling == expected
+        assert type(scaling.heights) is tuple
+        assert all(type(height) is int for height in scaling.heights)
+
+    def test_spec_rebuilt_from_its_scaling_keeps_it(self):
+        spec = TableUtility([0, "2/4", 3, Fraction(1, 3)])
+        assert spec.scaling == IntegerScaling(6, (0, 3, 18, 2))
+        assert TableUtility(scaling=spec.scaling).scaling is spec.scaling
+        assert CubicTaxUtility(spec.scaling, beta=1).scaling is spec.scaling
+        for scaling in (IntegerScaling(-1, (0, 1)), IntegerScaling(1, (0, -1))):
+            with pytest.raises(ConfigError, match="non-negative"):
+                TableUtility(scaling)
+        with pytest.raises(ConfigError, match="start with value 0"):
+            TableUtility(IntegerScaling(1, (1, 1)))
 
 
 def with_user_zero(spec) -> ScenarioConfig:

@@ -171,6 +171,31 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match=r"scenario\.utilities\[0\]\.values"):
             load_document(tmp_path, document)
 
+    TABLE_REFUSALS = {
+        "true": (True, ".values: expected a rational number, got True"),
+        "zero-denominator": ("1/0", ".values: cannot parse rational from '1/0'"),
+        "101-character ratio": (
+            "1" * 50 + "/" + "1" * 50,
+            ".values: number 11111111111111111111... exceeds 100 digits",
+        ),
+        "word": ("abc", ".values: cannot parse rational from 'abc'"),
+        "null": (None, ".values: expected a rational number, got None"),
+        "nested list": ([1, 2], ".values: expected a rational number, got [1, 2]"),
+        "negative": ("-1/2", ": utility table values must be non-negative"),
+    }
+
+    @pytest.mark.parametrize("variant", ["table", "cubic_tax"])
+    @pytest.mark.parametrize("value, message", TABLE_REFUSALS.values(), ids=TABLE_REFUSALS)
+    def test_table_value_refusal_message(self, tmp_path, document, variant, value, message):
+        utility = {"variant": variant, "values": document["utilities"][0]["values"]}
+        if variant == "cubic_tax":
+            utility["beta"] = "1/2"
+        utility["values"][3] = value
+        document["utilities"][0] = utility
+        with pytest.raises(ConfigError) as excinfo:
+            load_document(tmp_path, document)
+        assert str(excinfo.value) == "scenario.utilities[0]" + message
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
