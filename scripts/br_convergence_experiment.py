@@ -33,14 +33,17 @@ def br_dynamics(start, config, max_rounds=50):
     its best reply is strictly better than keeping its message (utilities
     are exact), so every NE is an immediate fixed point instead of drifting
     along utility ties.  Non-convergence after `max_rounds` is a result, not
-    an error.
+    an error.  Each user's values are built once per run; catalogs over
+    `MAX_VALUED_PROFILES` raise `ConfigError`.
     """
     profile = tuple(start)
+    config.check_profile_cap("evaluating utilities")
     scalings = [spec.integer_scaling(config) for spec in config.utilities]
     for rounds in range(1, max_rounds + 1):
         changed = False
         for user, scaling in enumerate(scalings):
-            moved = profile[:user] + (best_response(user, profile, config),) + profile[user + 1 :]
+            reply = best_response(user, profile, config, scaling)
+            moved = profile[:user] + (reply,) + profile[user + 1 :]
             held = utility_at(user, profile, config, scaling)
             if utility_at(user, moved, config, scaling) > held:
                 profile, changed = moved, True

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .equilibrium import (
     EquilibriumReport,
-    LindahlAllocation,
     build_report,
     lindahl_census,
     lindahl_to_ne,
@@ -33,8 +32,8 @@ from .equilibrium import (
 from .errors import ConfigError, ContractError, PriceScaleError, PriceSystemError
 from .measurement import run_measurement
 from .mechanism import Message, lindahl_price, outcome
-from .model import as_fraction, parse_integer
-from .scenario import load_scenario, rational_to_json, read_json
+from .model import as_fraction
+from .scenario import load_scenario, rational_to_json, read_messages, read_psi
 
 
 def _fmt(value: Fraction | int) -> str:
@@ -42,28 +41,11 @@ def _fmt(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
-def _parse_messages(spec: str, num_users: int) -> tuple[Message, ...]:
+def _messages(args, scenario) -> tuple[Message, ...]:
+    """`--messages`, given inline or as @file."""
+    spec = args.messages
     document = Path(spec[1:]).read_bytes() if spec.startswith("@") else spec
-    data = read_json(document, "messages", parse_integer)
-    if not isinstance(data, list) or len(data) != num_users:
-        raise ConfigError(f"messages: need a list of {num_users} entries")
-    messages = []
-    for i, entry in enumerate(data):
-        if isinstance(entry, dict):
-            if set(entry) != {"proposal", "price"}:
-                raise ConfigError(f"messages[{i}]: expected keys proposal and price")
-            proposal, price = entry["proposal"], entry["price"]
-        elif isinstance(entry, list) and len(entry) == 2:
-            proposal, price = entry
-        else:
-            raise ConfigError(f"messages[{i}]: expected [proposal, price]")
-        if not isinstance(proposal, int) or isinstance(proposal, bool):
-            raise ConfigError(f"messages[{i}]: proposal must be an integer")
-        try:
-            messages.append(Message(proposal, as_fraction(price)))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"messages[{i}]: {exc}") from None
-    return tuple(messages)
+    return read_messages(document, scenario.config.num_users)
 
 
 def _message_json(message: Message) -> dict:
@@ -177,7 +159,7 @@ def cmd_enumerate(args, scenario) -> None:
 
 
 def cmd_outcome(args, scenario) -> None:
-    messages = _parse_messages(args.messages, scenario.config.num_users)
+    messages = _messages(args, scenario)
     allocation, taxes = outcome(messages, scenario.config.catalog)
     prices = [lindahl_price(messages, u) for u in range(len(messages))]
     document = {
@@ -207,6 +189,8 @@ def _interval_json(interval) -> list:
 
 def cmd_find_ne(args, scenario) -> None:
     seed = scenario.seed if args.seed is None else args.seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
     catalog = scenario.config.catalog
     started = time.perf_counter()
     census = lindahl_census(scenario.config)
@@ -247,7 +231,7 @@ def cmd_find_ne(args, scenario) -> None:
 
 
 def cmd_verify(args, scenario) -> None:
-    messages = _parse_messages(args.messages, scenario.config.num_users)
+    messages = _messages(args, scenario)
     report = build_report(messages, scenario.config)
     deviation = report.best_deviation
     document = {"report": _report_json(report), "best_deviation": None}
@@ -273,29 +257,9 @@ def cmd_verify(args, scenario) -> None:
         raise ContractError("; ".join(violations))
 
 
-def _parse_psi(path, num_users: int, size: int) -> LindahlAllocation:
-    data = read_json(Path(path).read_bytes(), "psi", parse_integer)
-    if not isinstance(data, dict) or set(data) != {"allocation", "taxes", "prices"}:
-        raise ConfigError("psi: expected keys allocation, taxes, prices")
-    allocation = data["allocation"]
-    if not isinstance(allocation, int) or isinstance(allocation, bool):
-        raise ConfigError("psi.allocation: expected an integer")
-    if not 0 <= allocation <= size:
-        raise ConfigError(f"psi.allocation: {allocation} is outside 0..{size}")
-    vectors = []
-    for key in ("taxes", "prices"):
-        if not isinstance(data[key], list) or len(data[key]) != num_users:
-            raise ConfigError(f"psi.{key}: expected a list of {num_users} rationals")
-        try:
-            vectors.append(tuple(as_fraction(v) for v in data[key]))
-        except ConfigError as exc:
-            raise ConfigError(f"psi.{key}: {exc}") from None
-    return LindahlAllocation(allocation, *vectors)
-
-
 def cmd_lindahl_roundtrip(args, scenario) -> None:
     catalog = scenario.config.catalog
-    psi = _parse_psi(args.psi, scenario.config.num_users, catalog.size)
+    psi = read_psi(Path(args.psi).read_bytes(), scenario.config.num_users, catalog.size)
     try:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
     except PriceSystemError as exc:
@@ -361,11 +325,12 @@ def cmd_measure(args, scenario) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="scenario JSON file")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    common.add_argument("--out", default=None, help="also write the JSON document here")
+    scenario, seed, output = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    scenario.add_argument("--scenario", required=True, help="scenario JSON file")
+    seed.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    output.add_argument("--format", choices=("json", "table", "csv"), default="table")
+    output.add_argument("--out", default=None, help="also write the JSON document here")
+    common = [scenario, output]
 
     parser = argparse.ArgumentParser(
         prog="spectrumshare",
@@ -373,29 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="catalog summary")
+    p = sub.add_parser("enumerate", parents=common, help="catalog summary")
     p.add_argument("--table", action="store_true", help="print the full index table")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("outcome", parents=[common], help="apply the game form to messages")
+    p = sub.add_parser("outcome", parents=common, help="apply the game form to messages")
     p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
     p.set_defaults(func=cmd_outcome)
 
-    p = sub.add_parser("find-ne", parents=[common], help="list every equilibrium allocation")
+    p = sub.add_parser(
+        "find-ne", parents=[scenario, seed, output], help="list every equilibrium allocation"
+    )
     p.set_defaults(func=cmd_find_ne)
 
-    p = sub.add_parser("verify", parents=[common], help="full report for one candidate")
+    p = sub.add_parser("verify", parents=common, help="full report for one candidate")
     p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "lindahl-roundtrip", parents=[common], help="rebuild messages from an allocation"
+        "lindahl-roundtrip", parents=common, help="rebuild messages from an allocation"
     )
     p.add_argument("--psi", required=True, help="JSON file with allocation, taxes, prices")
     p.add_argument("--pi1", default="1", help="seed price for the cyclic solve")
     p.set_defaults(func=cmd_lindahl_roundtrip)
 
-    p = sub.add_parser("measure", parents=[common], help="run the gain measurement protocol")
+    p = sub.add_parser("measure", parents=common, help="run the gain measurement protocol")
     p.set_defaults(func=cmd_measure)
 
     return parser
@@ -405,8 +372,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         args.func(args, load_scenario(args.scenario))
         return 0
     except (ConfigError, OSError) as exc:

@@ -99,17 +99,18 @@ class Deviation(namedtuple("Deviation", "user message gain")):
     __slots__ = ()
 
 
-def best_response(user: int, profile: MessageProfile, config: ScenarioConfig) -> Message:
-    """Message maximizing user's utility against the rest of `profile`.
+def best_response(
+    user: int, profile: MessageProfile, config: ScenarioConfig, scaling: IntegerScaling
+) -> Message:
+    """Message maximizing user's utility against the rest of `profile`, on
+    its values `scaling` (its spec's `integer_scaling`, which a caller that
+    replies for the same user many times builds once).
 
     `profile[user]` is ignored.  The reply has price 0 and a proposal that
     puts the rounded average exactly on the best catalog index (the smallest
     one on ties), or the opt-out proposal when that is strictly better.
-    Catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
     """
-    config.check_profile_cap("evaluating utilities")
-    spec = config.utilities[user]
-    return _reply(user, profile, spec, spec.integer_scaling(config))[0]
+    return _reply(user, profile, config.utilities[user], scaling)[0]
 
 
 def mismatch_penalties_vanish(profile: MessageProfile) -> bool:

@@ -538,6 +538,7 @@ class ScenarioConfig(
         )
         return levels.heights, channels
 
+
 def utility_eval(spec: UtilitySpec, scaling: IntegerScaling, allocation: int, tax) -> Fraction:
     """A user's utility at (allocation index, tax): V(k) - g(t), exactly.
 

@@ -1,12 +1,15 @@
-"""Scenario files: strict JSON schema, exact-rational parsing, round-trip.
+"""Input documents: the scenario file (strict JSON schema, exact-rational
+parsing, round-trip), the `--messages` list and the `--psi` file.
 
 A scenario file carries everything one run needs: the model (users, bands,
 levels, budget, noise, gains, utilities), the price grid of the
 best-response script (step and cap), the measurement setup (pilot power,
 per-user behaviors), and the seed.
-Unknown keys are rejected and every violation names the offending field
-path.  Numeric literals are parsed as exact rationals; "p/q" and decimal
-strings are accepted wherever a number is.
+Every document is read through one set of path-naming readers (`_read`,
+`_list`, `_integer`, `_require_keys`), so unknown keys, wrong-typed fields
+and refusals of the record constructors all name the offending field path
+or the object or list that holds it.  Numeric literals are parsed as exact
+rationals; "p/q" and decimal strings are accepted wherever a number is.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ try:
 except ImportError:
     from hashlib import sha256
 
+from .equilibrium import LindahlAllocation
 from .errors import ConfigError
 from .measurement import AgentBehavior, Honest, PilotCheat, ReportCheat
+from .mechanism import Message
 from .model import (
     CubicTaxUtility,
     IntegerScaling,
@@ -36,6 +41,7 @@ from .model import (
     as_fraction,
     check_digit_runs,
     parse_decimal,
+    parse_integer,
     read_table,
 )
 
@@ -82,19 +88,27 @@ def _require_keys(mapping, required, path: str):
             _fail(path, f"missing key '{key}'")
 
 
-def _rational(value, path: str) -> Fraction:
+def _read(path: str, build, *args):
+    """`build(*args)`, a reader or record constructor, with its refusal
+    (`ConfigError`, or `ValueError` from `Message`) prefixed with `path`."""
     try:
-        return as_fraction(value)
-    except ConfigError as exc:
+        return build(*args)
+    except (ConfigError, ValueError) as exc:
         _fail(path, str(exc))
 
 
-def _table(values, path: str) -> IntegerScaling:
-    """A value list read straight into integer heights (`read_table`)."""
-    try:
-        return read_table(values)
-    except ConfigError as exc:
-        _fail(path, str(exc))
+def _list(value, path: str, length: int | None = None) -> list:
+    """A JSON list, of `length` entries where given."""
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        _fail(path, f"need {length} entries, got {len(value)}")
+    return value
+
+
+def _rationals(value, path: str, length: int | None = None) -> tuple[Fraction, ...]:
+    """A JSON list of input numbers as exact rationals."""
+    return _read(path, lambda items: tuple(map(as_fraction, items)), _list(value, path, length))
 
 
 def _integer(value, path: str) -> int:
@@ -103,55 +117,46 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _parse_utility(entry, user: int, num_bands: int, path: str) -> UtilitySpec:
+def _variant(entry, path: str):
     if not isinstance(entry, dict) or "variant" not in entry:
         _fail(path, "expected an object with a 'variant' key")
-    variant = entry["variant"]
-    try:
-        if variant == "table":
-            _require_keys(entry, ("variant", "values"), path)
-            return TableUtility(_table(entry["values"], f"{path}.values"))
-        if variant == "sir_log":
-            _require_keys(entry, ("variant", "weights"), path)
-            weights = tuple(_rational(w, f"{path}.weights") for w in entry["weights"])
-            if len(weights) != num_bands:
-                _fail(path, f"need {num_bands} band weights, got {len(weights)}")
-            return SirLogUtility(user=user, weights=weights)
-        if variant == "cubic_tax":
-            _require_keys(entry, ("variant", "values", "beta"), path)
-            return CubicTaxUtility(
-                _table(entry["values"], f"{path}.values"),
-                _rational(entry["beta"], f"{path}.beta"),
-            )
-    except ConfigError as exc:
-        if str(exc).startswith(path):
-            raise
-        _fail(path, str(exc))
+    return entry["variant"]
+
+
+def _values(entry, path: str) -> IntegerScaling:
+    """A value list read straight into integer heights (`read_table`)."""
+    path = f"{path}.values"
+    return _read(path, read_table, _list(entry["values"], path))
+
+
+def _parse_utility(entry, user: int, path: str) -> UtilitySpec:
+    variant = _variant(entry, path)
+    if variant == "table":
+        _require_keys(entry, ("variant", "values"), path)
+        return _read(path, TableUtility, _values(entry, path))
+    if variant == "sir_log":
+        _require_keys(entry, ("variant", "weights"), path)
+        weights = f"{path}.weights"
+        return _read(weights, SirLogUtility, user, _list(entry["weights"], weights))
+    if variant == "cubic_tax":
+        _require_keys(entry, ("variant", "values", "beta"), path)
+        return _read(path, CubicTaxUtility, _values(entry, path), entry["beta"])
     _fail(path, f"unknown utility variant {variant!r}")
 
 
 def _parse_behavior(entry, num_bands: int, path: str) -> AgentBehavior:
-    if not isinstance(entry, dict) or "variant" not in entry:
-        _fail(path, "expected an object with a 'variant' key")
-    variant = entry["variant"]
+    variant = _variant(entry, path)
     if variant == "honest":
         _require_keys(entry, ("variant",), path)
         return Honest()
     if variant == "pilot_cheat":
         _require_keys(entry, ("variant", "scale"), path)
-        scale = tuple(_rational(s, f"{path}.scale") for s in entry["scale"])
-        if len(scale) != num_bands:
-            _fail(path, f"need {num_bands} per-band scale factors, got {len(scale)}")
-        return PilotCheat(scale)
+        scale = f"{path}.scale"
+        return _read(scale, PilotCheat, _list(entry["scale"], scale, num_bands))
     if variant == "report_cheat":
         _require_keys(entry, ("variant", "mode", "amount"), path)
-        amount = tuple(_rational(a, f"{path}.amount") for a in entry["amount"])
-        if len(amount) != num_bands:
-            _fail(path, f"need {num_bands} per-band amounts, got {len(amount)}")
-        mode = entry["mode"]
-        if mode not in ("additive", "multiplicative"):
-            _fail(f"{path}.mode", f"expected additive|multiplicative, got {mode!r}")
-        return ReportCheat(mode, amount)
+        amount = _list(entry["amount"], f"{path}.amount", num_bands)
+        return _read(path, ReportCheat, entry["mode"], amount)
     _fail(path, f"unknown behavior variant {variant!r}")
 
 
@@ -162,43 +167,33 @@ def parse_scenario(data: dict, digest: str) -> Scenario:
 
     num_users = _integer(data["num_users"], "scenario.num_users")
     num_bands = _integer(data["num_bands"], "scenario.num_bands")
-
-    if not isinstance(data["quant_levels"], list):
-        _fail("scenario.quant_levels", "expected a list of levels")
-    if not isinstance(data["gains"], list):
-        _fail("scenario.gains", "expected a 3-d array [tx][rx][band]")
-    if not isinstance(data["utilities"], list):
-        _fail("scenario.utilities", "expected a list of utility objects")
-    if len(data["utilities"]) != num_users:
-        _fail("scenario.utilities", f"need {num_users} entries, got {len(data['utilities'])}")
-    utilities = tuple(
-        _parse_utility(entry, user, num_bands, f"scenario.utilities[{user}]")
-        for user, entry in enumerate(data["utilities"])
-    )
-
-    try:
-        config = ScenarioConfig(
-            num_users=num_users,
-            num_bands=num_bands,
-            quant_levels=tuple(
-                _rational(q, "scenario.quant_levels") for q in data["quant_levels"]
-            ),
-            power_budget=_rational(data["power_budget"], "scenario.power_budget"),
-            noise_half_density=_rational(
-                data["noise_half_density"], "scenario.noise_half_density"
-            ),
-            gains=data["gains"],
-            utilities=utilities,
+    gains = tuple(
+        tuple(
+            _rationals(row, f"scenario.gains[{tx}][{rx}]")
+            for rx, row in enumerate(_list(plane, f"scenario.gains[{tx}]"))
         )
-    except ConfigError as exc:
-        if str(exc).startswith("scenario"):
-            raise
-        raise ConfigError(f"scenario: {exc}") from None
+        for tx, plane in enumerate(_list(data["gains"], "scenario.gains"))
+    )
+    utilities = tuple(
+        _parse_utility(entry, user, f"scenario.utilities[{user}]")
+        for user, entry in enumerate(_list(data["utilities"], "scenario.utilities", num_users))
+    )
+    config = _read(
+        "scenario",
+        ScenarioConfig,
+        num_users,
+        num_bands,
+        _rationals(data["quant_levels"], "scenario.quant_levels"),
+        _read("scenario.power_budget", as_fraction, data["power_budget"]),
+        _read("scenario.noise_half_density", as_fraction, data["noise_half_density"]),
+        gains,
+        utilities,
+    )
 
     grid = data["grid"]
     _require_keys(grid, ("pi_step", "pi_max"), "scenario.grid")
-    pi_step = _rational(grid["pi_step"], "scenario.grid.pi_step")
-    pi_max = _rational(grid["pi_max"], "scenario.grid.pi_max")
+    pi_step = _read("scenario.grid.pi_step", as_fraction, grid["pi_step"])
+    pi_max = _read("scenario.grid.pi_max", as_fraction, grid["pi_max"])
     if pi_step <= 0:
         _fail("scenario.grid.pi_step", "must be strictly positive")
     if pi_max < pi_step:
@@ -212,14 +207,15 @@ def parse_scenario(data: dict, digest: str) -> Scenario:
 
     measurement = data["measurement"]
     _require_keys(measurement, ("pilot_power", "behaviors"), "scenario.measurement")
-    pilot_power = _rational(measurement["pilot_power"], "scenario.measurement.pilot_power")
+    pilot_power = _read(
+        "scenario.measurement.pilot_power", as_fraction, measurement["pilot_power"]
+    )
     if pilot_power <= 0:
         _fail("scenario.measurement.pilot_power", "must be strictly positive")
-    if not isinstance(measurement["behaviors"], list) or len(measurement["behaviors"]) != num_users:
-        _fail("scenario.measurement.behaviors", f"need {num_users} entries")
+    path = "scenario.measurement.behaviors"
     behaviors = tuple(
-        _parse_behavior(entry, num_bands, f"scenario.measurement.behaviors[{user}]")
-        for user, entry in enumerate(measurement["behaviors"])
+        _parse_behavior(entry, num_bands, f"{path}[{user}]")
+        for user, entry in enumerate(_list(measurement["behaviors"], path, num_users))
     )
 
     seed = _integer(data["seed"], "scenario.seed")
@@ -241,6 +237,35 @@ def read_json(document, field: str, parse_int=None):
         raise ConfigError(f"{field}: {exc}") from None
 
 
+def read_messages(document, num_users: int) -> tuple[Message, ...]:
+    """Decode `--messages`: one [proposal, price] pair or {"proposal": ...,
+    "price": ...} object per user, its integers held to MAX_DIGITS digits."""
+    data = _list(read_json(document, "messages", parse_integer), "messages", num_users)
+    messages = []
+    for user, entry in enumerate(data):
+        path = f"messages[{user}]"
+        if isinstance(entry, dict):
+            _require_keys(entry, ("proposal", "price"), path)
+            entry = [entry["proposal"], entry["price"]]
+        messages.append(_read(path, Message, *_list(entry, path, 2)))
+    return tuple(messages)
+
+
+def read_psi(document, num_users: int, size: int) -> LindahlAllocation:
+    """Decode a `--psi` file: an allocation index in 0..size and one tax and
+    one personal price per user, its integers held to MAX_DIGITS digits."""
+    data = read_json(document, "psi", parse_integer)
+    _require_keys(data, ("allocation", "taxes", "prices"), "psi")
+    allocation = _integer(data["allocation"], "psi.allocation")
+    if not 0 <= allocation <= size:
+        _fail("psi.allocation", f"{allocation} is outside 0..{size}")
+    return LindahlAllocation(
+        allocation,
+        _rationals(data["taxes"], "psi.taxes", num_users),
+        _rationals(data["prices"], "psi.prices", num_users),
+    )
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file.  Its integers are held to
     MAX_DIGITS digits by one scan of the document (as UTF-8) for longer
@@ -248,14 +273,8 @@ def load_scenario(path) -> Scenario:
     raw = Path(path).read_bytes()
     encoding = json.detect_encoding(raw)
     utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
-    try:
-        check_digit_runs(utf8)
-    except ConfigError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-    data = read_json(raw, "scenario")
-    if not isinstance(data, dict):
-        raise ConfigError("scenario: top level must be an object")
-    return parse_scenario(data, digest=sha256(raw).hexdigest())
+    _read("scenario", check_digit_runs, utf8)
+    return parse_scenario(read_json(raw, "scenario"), digest=sha256(raw).hexdigest())
 
 
 def rational_to_json(value: Fraction):

@@ -283,6 +283,27 @@ class TestOutcome:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "messages, refusal",
+        [
+            ("5", "messages: expected a list, got int"),
+            ('{"proposal": 1}', "messages: expected a list, got dict"),
+            ("[[1, 1], [1, 1]]", "messages: need 3 entries, got 2"),
+            ("[[1, 1], null, [1, 1]]", "messages[1]: expected a list, got NoneType"),
+            ('[[1, 1], "ab", [1, 1]]', "messages[1]: expected a list, got str"),
+            ("[[1, 1], [1, 1, 1], [1, 1]]", "messages[1]: need 2 entries, got 3"),
+            ('[[1, 1], [1, 1], {"proposal": 1}]', "messages[2]: missing key 'price'"),
+            ('[[1, 1], [1, 1], {"price": 1, "n": 1}]', "messages[2]: unknown key 'n'"),
+            ('[["a", 1], [1, 1], [1, 1]]', "messages[0]: proposal must be an integer, got 'a'"),
+            ("[[1, -1], [1, 1], [1, 1]]", "messages[0]: price must be non-negative, got -1"),
+            ("[[1, [1]], [1, 1], [1, 1]]", "messages[0]: expected a rational number, got [1]"),
+        ],
+    )
+    def test_wrong_typed_messages_name_their_path(self, capsys, desk_path, messages, refusal):
+        for command in ("outcome", "verify"):
+            code, out, err = run(capsys, command, "--scenario", desk_path, "--messages", messages)
+            assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
 
 def census_of(out):
     return json.loads(out)["census"]
@@ -332,6 +353,18 @@ class TestFindNe:
         assert first["seed"] == 3
         del first["timing_seconds"], second["timing_seconds"]
         assert first == second
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, capsys, small_path, seed):
+        code, out, err = run(capsys, "find-ne", "--scenario", small_path, "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must fit in an unsigned 64-bit integer\n"
+
+    def test_seed_is_a_find_ne_option_only(self, capsys, small_path):
+        with pytest.raises(SystemExit) as exited:
+            main(["enumerate", "--scenario", small_path, "--seed", "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_no_ne_is_still_success(self, capsys, tmp_path):
         # user 0's convex values make the last index its only possible best

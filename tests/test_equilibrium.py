@@ -54,6 +54,11 @@ prices = st.fractions(min_value=0, max_value=3, max_denominator=4)
 proposals = st.integers(min_value=-20, max_value=60)
 
 
+def reply_of(user, profile, config):
+    """`best_response` on the user's values, built for this one reply."""
+    return best_response(user, profile, config, config.utilities[user].integer_scaling(config))
+
+
 def unanimity(index, price, num_users=3):
     return tuple(Message(index, Fraction(price)) for _ in range(num_users))
 
@@ -145,25 +150,25 @@ class TestBestResponse:
     def test_against_common_peak_unanimity(self, small):
         # proposal N*k - S = 3*4 - 8 puts the average exactly on the peak 4;
         # the reply always carries price 0
-        reply = best_response(0, unanimity(4, 1), small)
+        reply = reply_of(0, unanimity(4, 1), small)
         assert reply == Message(4, Fraction(0))
 
     def test_reply_attains_the_maximum(self, small):
         profile = unanimity(4, 1)
-        reply = best_response(0, profile, small)
+        reply = reply_of(0, profile, small)
         moved = outcome((reply,) + profile[1:], small.catalog)
         value = utility_of(small, 0)(moved.allocation, moved.taxes[0])
         assert value == peak_values(8, 4, 1)[4]
 
     def test_price_zero_chosen_on_mismatch(self, small):
         profile = (Message(0, Fraction(1)), Message(8, Fraction(2)), Message(5, Fraction(1)))
-        assert best_response(0, profile, small).price == 0
+        assert reply_of(0, profile, small).price == 0
 
     def test_opt_out_when_every_index_costs_too_much(self):
         # user 0's personal price (pi_1 - pi_2)/3 = 100 outweighs any value
         config = small_config()
         profile = (Message(4, Fraction(0)), Message(4, Fraction(300)), Message(4, Fraction(0)))
-        reply = best_response(0, profile, config)
+        reply = reply_of(0, profile, config)
         assert reply == Message(-8, Fraction(0))
         assert outcome((reply,) + profile[1:], config.catalog).allocation == 0
 
@@ -695,7 +700,7 @@ class TestExactAgainstGridOracle:
     @settings(max_examples=80, deadline=None)
     def test_best_response_dominates_every_grid_reply(self, variant, candidate, user):
         config = ORACLE_CONFIGS[variant]
-        reply = best_response(user, candidate, config)
+        reply = reply_of(user, candidate, config)
         value = realized_gain(candidate, user, reply, config)
         for message, _ in grid_deviations(user, candidate, ORACLE_GRID, config):
             assert value >= realized_gain(candidate, user, message, config)

@@ -16,7 +16,6 @@ from spectrumshare import (
     SirLogUtility,
     TableUtility,
     as_fraction,
-    best_response,
     build_catalog,
     build_report,
     enumerate_bundles,
@@ -31,7 +30,15 @@ from spectrumshare.model import (
     read_table,
 )
 
-from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
+from conftest import (
+    SIR_SHAPES,
+    load_script,
+    peak_table,
+    peak_values,
+    sir_configs,
+    small_config,
+    uniform_gains,
+)
 from grid_oracle import (
     column_sir_ratio,
     column_value_oracle,
@@ -456,8 +463,10 @@ class TestUtilityEval:
         candidate = (Message(1, Fraction(0)),) * users
         with pytest.raises(ConfigError, match=r"scenario\.num_users"):
             build_report(candidate, config)
+        # the best-response dynamics refuse where they build the values
+        br_dynamics = load_script("br_convergence_experiment").br_dynamics
         with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
-            best_response(0, candidate, config)
+            br_dynamics(candidate, config)
 
     def test_rejects_out_of_range_allocation(self):
         config = small_config()

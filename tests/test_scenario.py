@@ -6,8 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectrumshare import ConfigError, Honest, PilotCheat, ReportCheat
+from spectrumshare.cli import main
 from spectrumshare.scenario import (
     MAX_GRID_PRICES,
     load_scenario,
@@ -201,6 +204,127 @@ class TestSchemaErrors:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_scenario(path)
+
+
+def mixed_document():
+    """A valid document with every utility and behavior variant."""
+    document = scenario_to_jsonable(small_scenario())
+    utilities, behaviors = document["utilities"], document["measurement"]["behaviors"]
+    utilities[1] = {"variant": "cubic_tax", "values": utilities[1]["values"], "beta": "1/2"}
+    utilities[2] = {"variant": "sir_log", "weights": [1]}
+    behaviors[1] = {"variant": "pilot_cheat", "scale": [2]}
+    behaviors[2] = {"variant": "report_cheat", "mode": "additive", "amount": ["1/2"]}
+    return document
+
+
+def render(path) -> str:
+    return "scenario" + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+
+
+def fields(node, path=()):
+    """(path, kind) of every field below `node`, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        if isinstance(value, dict):
+            kind = "object"
+        elif isinstance(value, list):
+            kind = "list"
+        elif key in ("variant", "mode"):
+            kind = "text"
+        elif key in ("num_users", "num_bands", "seed"):
+            kind = "integer"
+        else:
+            kind = "number"
+        yield path + (key,), kind
+        yield from fields(value, path + (key,))
+
+
+SCALARS = {
+    "int": st.integers(-3, 3),
+    "null": st.none(),
+    "string": st.text(alphabet="abxyz", max_size=3),
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2),
+    "list": st.lists(st.integers(0, 3), max_size=3),
+}
+# the JSON types that each kind of field refuses
+WRONG = {
+    "object": ("int", "null", "string", "list"),
+    "list": ("int", "null", "string", "object"),
+    "text": ("int", "null", "object", "list"),
+    "integer": ("null", "string", "object", "list"),
+    "number": ("null", "string", "object", "list"),
+}
+FIELDS = list(fields(mixed_document()))
+
+
+@st.composite
+def wrong_fields(draw):
+    path, kind = draw(st.sampled_from(FIELDS))
+    return path, draw(st.one_of(*(SCALARS[name] for name in WRONG[kind])))
+
+
+def with_field(document, path, value):
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return document
+
+
+# the list fields where a number or null once raised TypeError, and a
+# string or an object was iterated by character or by key
+LIST_FIELDS = {
+    "gains[tx]": ("gains", 0),
+    "gains[tx][rx]": ("gains", 0, 0),
+    "table values": ("utilities", 0, "values"),
+    "cubic_tax values": ("utilities", 1, "values"),
+    "weights": ("utilities", 2, "weights"),
+    "pilot_cheat scale": ("measurement", "behaviors", 1, "scale"),
+    "report_cheat amount": ("measurement", "behaviors", 2, "amount"),
+}
+
+
+class TestWrongTypedFields:
+    def test_mixed_document_loads(self, tmp_path):
+        load_document(tmp_path, mixed_document())
+
+    @given(wrong=wrong_fields())
+    @example(wrong=(("gains", 0), 5))
+    @example(wrong=(("gains", 0, 0), 5))
+    @example(wrong=(("utilities", 0, "values"), 5))
+    @example(wrong=(("utilities", 0, "values"), None))
+    @example(wrong=(("utilities", 1, "values"), 5))
+    @example(wrong=(("utilities", 1, "values"), None))
+    @example(wrong=(("utilities", 2, "weights"), 5))
+    @example(wrong=(("measurement", "behaviors", 1, "scale"), 5))
+    @example(wrong=(("measurement", "behaviors", 2, "amount"), 5))
+    @settings(max_examples=60, deadline=None)
+    def test_wrong_typed_field_names_its_path(self, tmp_path_factory, wrong):
+        path, value = wrong
+        document = with_field(mixed_document(), path, value)
+        with pytest.raises(ConfigError) as excinfo:
+            load_document(tmp_path_factory.mktemp("wrong"), document)
+        message = str(excinfo.value)
+        # the field's own path or that of an object or list holding it
+        holders = [render(path[:depth]) for depth in range(1, len(path) + 1)]
+        assert any(message.startswith(f"{holder}: ") for holder in holders), (holders, message)
+
+    @pytest.mark.parametrize(
+        "value", [5, None, "ab", {"a": 1}], ids=["int", "null", "string", "object"]
+    )
+    @pytest.mark.parametrize("path", LIST_FIELDS.values(), ids=LIST_FIELDS)
+    def test_wrong_typed_list_exits_2_naming_it(self, capsys, tmp_path, path, value):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(with_field(mixed_document(), path, value)))
+        assert main(["enumerate", "--scenario", str(scenario)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {render(path)}: expected a list, got ")
 
 
 class TestRationalParsing:
