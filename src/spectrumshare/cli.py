@@ -8,13 +8,18 @@ document instead (rationals as lossless "p/q" strings); --format csv emits
 rows for list-shaped output and otherwise falls back to the table.  --out
 writes the JSON document to a file regardless of the stdout format.
 
+Each command's options are declared once, in `_OPTIONS` and `_COMMANDS`.
+A plain command line (the command, then its flags in full, each once with a
+value that does not start with "-") is read directly by `_plain_args`, so a
+command run never imports argparse; argparse prints help and usage errors
+and reads every other command line.
+
 Exit codes: 0 success (including "no equilibrium found"), 2 configuration
 error, 3 violated internal identity (must never happen).
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
@@ -22,6 +27,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .equilibrium import (
     EquilibriumReport,
@@ -323,54 +329,88 @@ def cmd_measure(args, scenario) -> None:
     _render(args, scenario, document, table())
 
 
+# Every option: name -> the `add_argument` keywords of its flag "--name".  An
+# optional flag states its default, which `_plain_args` fills in when absent.
+_OPTIONS = {
+    "scenario": {"required": True, "help": "scenario JSON file"},
+    "seed": {"type": int, "default": None, "help": "override the scenario seed"},
+    "format": {"choices": ("json", "table", "csv"), "default": "table"},
+    "out": {"default": None, "help": "also write the JSON document here"},
+    "table": {"action": "store_true", "default": False, "help": "print the full index table"},
+    "messages": {"required": True, "help": "JSON [[n, price], ...] or @file"},
+    "psi": {"required": True, "help": "JSON file with allocation, taxes, prices"},
+    "pi1": {"default": "1", "help": "seed price for the cyclic solve"},
+}
+# Every command: name -> (help, handler, its flags in help order).  With
+# `_OPTIONS` it is the one declaration that `build_parser` and `_plain_args`
+# both read.
+_COMMANDS = {
+    "enumerate": ("catalog summary", cmd_enumerate, "scenario format out table"),
+    "outcome": ("apply the game form to messages", cmd_outcome, "scenario format out messages"),
+    "find-ne": ("list every equilibrium allocation", cmd_find_ne, "scenario seed format out"),
+    "verify": ("full report for one candidate", cmd_verify, "scenario format out messages"),
+    "lindahl-roundtrip": (
+        "rebuild messages from an allocation", cmd_lindahl_roundtrip, "scenario format out psi pi1"
+    ),
+    "measure": ("run the gain measurement protocol", cmd_measure, "scenario format out"),
+}
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read without
+    argparse, for a plain `argv`: a command, then some of its flags, each in
+    full, at most once and followed by a value that does not start with "-",
+    with every required flag given and every value one its flag accepts.
+    None for any other argv (help, usage errors, abbreviations, "--flag=value",
+    repeated flags), which argparse then reads.  Never prints or exits."""
+    command, *rest = argv or [""]
+    if command not in _COMMANDS:
+        return None
+    _, func, names = _COMMANDS[command]
+    given = dict(zip(rest[::2], rest[1::2]))
+    if 2 * len(given) != len(rest):  # a flag without a value, or one given twice
+        return None
+    args = {"subcommand": command, "func": func}
+    for name in names.split():
+        option = _OPTIONS[name]
+        value = given.pop("--" + name, None)
+        if value is None and not option.get("required"):
+            value = option["default"]
+        elif value is None or value[:1] == "-" or "action" in option:
+            return None
+        elif value not in option.get("choices", [value]):
+            return None
+        else:
+            try:
+                value = option.get("type", str)(value)
+            except ValueError:
+                return None
+        args[name] = value
+    return None if given else SimpleNamespace(**args)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    scenario, seed, output = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    scenario.add_argument("--scenario", required=True, help="scenario JSON file")
-    seed.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    output.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    output.add_argument("--out", default=None, help="also write the JSON document here")
-    common = [scenario, output]
+def build_parser():
+    """The argparse tree of every command, for help, usage errors and every
+    argv that `_plain_args` does not read."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="spectrumshare",
         description="Allocation game form for shared spectrum: enumerate, play, verify.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("enumerate", parents=common, help="catalog summary")
-    p.add_argument("--table", action="store_true", help="print the full index table")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("outcome", parents=common, help="apply the game form to messages")
-    p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
-    p.set_defaults(func=cmd_outcome)
-
-    p = sub.add_parser(
-        "find-ne", parents=[scenario, seed, output], help="list every equilibrium allocation"
-    )
-    p.set_defaults(func=cmd_find_ne)
-
-    p = sub.add_parser("verify", parents=common, help="full report for one candidate")
-    p.add_argument("--messages", required=True, help='JSON [[n, price], ...] or @file')
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "lindahl-roundtrip", parents=common, help="rebuild messages from an allocation"
-    )
-    p.add_argument("--psi", required=True, help="JSON file with allocation, taxes, prices")
-    p.add_argument("--pi1", default="1", help="seed price for the cyclic solve")
-    p.set_defaults(func=cmd_lindahl_roundtrip)
-
-    p = sub.add_parser("measure", parents=common, help="run the gain measurement protocol")
-    p.set_defaults(func=cmd_measure)
-
+    for command, (summary, func, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in names.split():
+            p.add_argument("--" + name, **_OPTIONS[name])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         args.func(args, load_scenario(args.scenario))
         return 0

@@ -395,6 +395,13 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
 UtilitySpec = TableUtility | SirLogUtility | CubicTaxUtility
 
 
+def _need(items, length: int, field: str) -> None:
+    """Refuse `items`, the record's field `field`, unless it holds `length`
+    entries."""
+    if len(items) != length:
+        raise ConfigError(f"need {length} entries, got {len(items)}", field)
+
+
 class ScenarioConfig(
     namedtuple(
         "ScenarioConfig",
@@ -433,12 +440,11 @@ class ScenarioConfig(
             raise ConfigError("noise_half_density must be strictly positive")
 
         gains = tuple(tuple(tuple(as_fraction(g) for g in row) for row in plane) for plane in gains)
-        if len(gains) != num_users or any(len(plane) != num_users for plane in gains):
-            raise ConfigError("gains tensor must be num_users x num_users x num_bands")
-        for plane in gains:
-            for row in plane:
-                if len(row) != num_bands:
-                    raise ConfigError("gains tensor must be num_users x num_users x num_bands")
+        _need(gains, num_users, "gains")
+        for tx, plane in enumerate(gains):
+            _need(plane, num_users, f"gains[{tx}]")
+            for rx, row in enumerate(plane):
+                _need(row, num_bands, f"gains[{tx}][{rx}]")
                 if any(g < 0 for g in row):
                     raise ConfigError("channel gains must be non-negative")
 
@@ -459,24 +465,15 @@ class ScenarioConfig(
         )
         size = self.catalog.size
         for user, spec in enumerate(self.utilities):
+            field = f"utilities[{user}]"
             if isinstance(spec, (TableUtility, CubicTaxUtility)):
-                if len(spec.scaling.heights) != size + 1:
-                    raise ConfigError(
-                        f"utilities[{user}]: table needs {size + 1} entries "
-                        f"(indices 0..{size}), got {len(spec.scaling.heights)}"
-                    )
+                _need(spec.scaling.heights, size + 1, f"{field}.values")
             elif isinstance(spec, SirLogUtility):
                 if spec.user != user:
-                    raise ConfigError(
-                        f"utilities[{user}]: SIR utility is owned by user {spec.user}"
-                    )
-                if len(spec.weights) != self.num_bands:
-                    raise ConfigError(
-                        f"utilities[{user}]: need {self.num_bands} band weights, "
-                        f"got {len(spec.weights)}"
-                    )
+                    raise ConfigError(f"SIR utility is owned by user {spec.user}", field)
+                _need(spec.weights, self.num_bands, f"{field}.weights")
             else:
-                raise ConfigError(f"utilities[{user}]: unknown utility spec {spec!r}")
+                raise ConfigError(f"unknown utility spec {spec!r}", field)
         return self
 
     @cached_property

@@ -90,10 +90,13 @@ def _require_keys(mapping, required, path: str):
 
 def _read(path: str, build, *args):
     """`build(*args)`, a reader or record constructor, with its refusal
-    (`ConfigError`, or `ValueError` from `Message`) prefixed with `path`."""
+    (`ConfigError`, or `ValueError` from `Message`) prefixed with `path`,
+    joined onto the refused field's path when the refusal names one."""
     try:
         return build(*args)
     except (ConfigError, ValueError) as exc:
+        if getattr(exc, "field", ""):
+            _fail(f"{path}.{exc.field}", exc.reason)
         _fail(path, str(exc))
 
 

@@ -1,13 +1,23 @@
 """End-to-end command checks: output content, formats, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spectrumshare import cli
 from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.scenario import load_scenario, scenario_to_jsonable, write_scenario
@@ -32,7 +42,8 @@ from conftest import (
 )
 from grid_oracle import sir_value_oracle
 
-COMMITTED_DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
+ROOT = Path(__file__).resolve().parents[1]
+COMMITTED_DESK = ROOT / "scenarios" / "desk.json"
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +68,111 @@ def run(capsys, *argv):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+# Every flag of every command, near misses of them, and values that argparse
+# reads in its own ways: empty, dash-led, signed, padded, underscored,
+# @-prefixed, an invalid choice, and one holding a space
+_FLAGS = ["--" + name for name in cli._OPTIONS]
+_NOISE_FLAGS = ["--bogus", "-h", "--", "--scen", "--format=json"]
+_VALUES = ["", "-", "-1", "-x", "+3", " 5", "1_0", "@m.json", "yaml", "a b", "json", "csv", "7"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command (or a bogus one), then most of its own flags in any order,
+    each with a value that is often one the flag accepts, and now and then
+    one or two stray tokens spliced in anywhere."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h"]))
+    names = cli._COMMANDS[command][2].split() if command in cli._COMMANDS else []
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        accepted = cli._OPTIONS[name].get("choices", ["7"])
+        if draw(st.integers(0, 4)):
+            argv += ["--" + name, draw(st.sampled_from(_VALUES) | st.sampled_from(accepted))]
+    strays = st.lists(st.sampled_from(_FLAGS + _NOISE_FLAGS + _VALUES), min_size=1, max_size=2)
+    for stray in draw(strays) if draw(st.integers(0, 2)) == 0 else []:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["verify", "--scenario", "s.json", "--messages", "[]"])
+@example(["find-ne", "--seed", " 5", "--scenario", "a b", "--format", "csv"])
+@example(["enumerate", "--out", "", "--scenario", "@m.json"])
+@example(["lindahl-roundtrip", "--pi1", "+3", "--psi", "p", "--scenario", "s"])
+def test_plain_args_match_argparse(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        plain = cli._plain_args(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _WorkloadRep:
+    """Runs one benchmark rep through `main`, recording every argv it sends."""
+
+    def __init__(self, plan, workdir):
+        self.common = ["--scenario", plan["scenario"], "--format", "json"]
+        self.workdir, self.rep, self.sent = workdir, 0, []
+
+    def run(self, kind, argv, check=None):
+        self.sent.append((kind, argv))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        document = json.loads(out.getvalue())
+        assert check is None or check(document)
+        return document
+
+
+@pytest.mark.parametrize(
+    "workload, kinds",
+    [
+        ("desk-search", {"find_ne", "verify"}),
+        ("sir-verify", {"verify"}),
+        ("table-certify", {"verify", "roundtrip"}),
+    ],
+)
+def test_benchmark_argvs_are_plain(tmp_path, workload, kinds):
+    workloads = _load_workloads()
+    plan = workloads.prepare(workload, 7, ROOT, tmp_path)
+    rep = _WorkloadRep(plan, tmp_path)
+    workloads.REPS[workload](rep, plan, random.Random(f"{workload}:7:0"))
+    assert {kind for kind, _ in rep.sent} == kinds
+    for _, argv in rep.sent:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+def test_plain_command_never_imports_argparse():
+    """The gain of the plain path: a plain argv runs without argparse, and
+    help still comes from argparse."""
+    script = f"""
+import contextlib, io, sys
+from spectrumshare.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--scenario", {str(COMMITTED_DESK)!r}, "--format", "json",
+                 "--messages", "[[108,6],[108,0],[108,3]]"])
+assert code == 0 and "argparse" not in sys.modules, code
+main(["verify", "--help"])
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: spectrumshare verify")
 
 
 @pytest.mark.parametrize(

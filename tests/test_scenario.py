@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectrumshare import ConfigError, Honest, PilotCheat, ReportCheat
+from spectrumshare import ConfigError, Honest, PilotCheat, ReportCheat, ScenarioConfig, SirLogUtility
 from spectrumshare.cli import main
 from spectrumshare.scenario import (
     MAX_GRID_PRICES,
@@ -20,7 +20,7 @@ from spectrumshare.scenario import (
     write_scenario,
 )
 
-from conftest import desk_scenario, small_scenario
+from conftest import desk_scenario, peak_table, small_config, small_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -325,6 +325,64 @@ class TestWrongTypedFields:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {render(path)}: expected a list, got ")
+
+
+
+# (resized field, its new value, the refusal): each names the field's path
+SHAPE_REFUSALS = {
+    "gains row": (("gains", 0, 1), [1, 1], "scenario.gains[0][1]: need 1 entries, got 2"),
+    "gains planes": (("gains",), [[[1]] * 3] * 2, "scenario.gains: need 3 entries, got 2"),
+    "gains rows": (("gains", 1), [[1]] * 2, "scenario.gains[1]: need 3 entries, got 2"),
+    "table values": (
+        ("utilities", 0, "values"),
+        list(range(10)),
+        "scenario.utilities[0].values: need 9 entries, got 10",
+    ),
+    "cubic_tax values": (
+        ("utilities", 1, "values"),
+        list(range(8)),
+        "scenario.utilities[1].values: need 9 entries, got 8",
+    ),
+    "weights": (
+        ("utilities", 2, "weights"),
+        [1, 1],
+        "scenario.utilities[2].weights: need 1 entries, got 2",
+    ),
+}
+
+
+class TestShapeRefusals:
+    @pytest.mark.parametrize("path, value, refusal", SHAPE_REFUSALS.values(), ids=SHAPE_REFUSALS)
+    def test_wrong_length_exits_2_naming_it(self, capsys, tmp_path, path, value, refusal):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(with_field(mixed_document(), path, value)))
+        assert main(["enumerate", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+    def test_desk_table_of_218_entries(self, capsys, tmp_path):
+        document = json.loads((ROOT / "scenarios" / "desk.json").read_text())
+        document["utilities"][0]["values"].append(1)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        assert main(["enumerate", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.utilities[0].values: need 217 entries, got 218\n"
+        )
+
+    def test_config_built_in_python_refuses_them(self):
+        config = small_config()
+        fields = config._asdict()
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioConfig(**{**fields, "gains": ((((1,),) * 3,) * 2)})
+        assert (excinfo.value.field, excinfo.value.reason) == ("gains", "need 3 entries, got 2")
+        with pytest.raises(ConfigError, match=r"^gains\[0\]\[1\]: need 1 entries, got 2$"):
+            ScenarioConfig(**{**fields, "gains": (((1,), (1, 1), (1,)),) + config.gains[1:]})
+        with pytest.raises(ConfigError, match=r"^utilities\[1\]\.values: need 9 entries, got 8$"):
+            short = (config.utilities[0], peak_table(7, 4), config.utilities[2])
+            ScenarioConfig(**{**fields, "utilities": short})
+        with pytest.raises(ConfigError, match=r"^utilities\[2\]\.weights: need 1 entries, got 2$"):
+            sir = (*config.utilities[:2], SirLogUtility(2, (1, 1)))
+            ScenarioConfig(**{**fields, "utilities": sir})
 
 
 class TestRationalParsing:
