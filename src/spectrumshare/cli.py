@@ -15,7 +15,8 @@ command run never imports argparse; argparse prints help and usage errors
 and reads every other command line.
 
 Exit codes: 0 success (including "no equilibrium found"), 2 configuration
-error, 3 violated internal identity (must never happen).
+error, 3 violated internal identity (must never happen), 141 (128 + SIGPIPE)
+when standard output closes before the output is written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -414,6 +416,10 @@ def main(argv=None) -> int:
     try:
         args.func(args, load_scenario(args.scenario))
         return 0
+    except BrokenPipeError:
+        # stdout closed early: stop quietly, with nothing left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

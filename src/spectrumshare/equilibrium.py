@@ -29,11 +29,17 @@ every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
 equilibrium allocations off per-user intervals of personal prices, whose
 ends are integer hull slopes.  It keeps an allocation only when an integer
 sign test shows the intervals admit prices summing to zero, and certifies
-each survivor with `build_report`.
+each survivor with `build_report`.  It need not test every allocation on
+every user's hull: each hull is concave, so its slopes never rise from left
+to right, and for two such allocations k < k' every user's upper end at k'
+is at most its lower end at k.  Both sums of ends then fall from left to
+right, the upper test passes on a prefix and the lower test on a suffix,
+and two bisections find the balanced run with O(N log C) sign tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -284,16 +290,18 @@ PriceInterval = tuple[Fraction | None, Fraction]
 Slope = tuple[int, int]
 
 
-def price_intervals(scaling: IntegerScaling) -> dict[int, tuple[Slope | None, Slope]]:
+def price_intervals(scaling: IntegerScaling) -> tuple[list[int], list[Slope | None]]:
     """The personal prices p at which catalog index k >= 1 maximizes
     V(j) - j * p over j = 0..size, V = heights / scale, for every k that is
-    best at some price, as the integer slopes of the interval's ends.
+    best at some price: those k ascending, and the integer slopes of the
+    hull edges that bound their intervals.
 
     Those k are the points of the upper concave hull of (j, V(j)), collinear
     points included; every other index lies strictly below a chord and is
-    never best.  k's interval runs from the slope of the hull edge on its
-    right (None, minus infinity, at the last index) to the slope of the edge
-    on its left, whose left end may be j = 0, which carries individual
+    never best.  The k at position n of the first list has the interval
+    [slopes[n + 1], slopes[n]]: from the slope of the hull edge on its right
+    (None, minus infinity, at the last index) to the slope of the edge on
+    its left, whose left end may be j = 0, which carries individual
     rationality.  An edge from l to r has slope
     (heights[r] - heights[l], (r - l) * scale).  One left-to-right pass over
     the integer heights builds the hull.
@@ -315,23 +323,16 @@ def price_intervals(scaling: IntegerScaling) -> dict[int, tuple[Slope | None, Sl
         for left, right in zip(hull, hull[1:])
     ]
     slopes.append(None)
-    return {k: (slopes[i], slopes[i - 1]) for i, k in enumerate(hull) if i}
+    return hull[1:], slopes
 
 
-def _balances(edges: Sequence[tuple[Slope | None, Slope]]) -> bool:
-    """Whether intervals given by integer slopes admit personal prices
-    summing to zero.  Hull intervals are never empty, so they do exactly when
-    the upper ends sum to at least 0 and the lower ends to at most 0 (or one
-    is minus infinity); each sum's sign comes from cross-multiplied runs."""
-
-    def sum_sign(slopes) -> int:
-        rise, run = 0, 1
-        for slope_rise, slope_run in slopes:
-            rise, run = rise * slope_run + slope_rise * run, run * slope_run
-        return rise
-
-    lowers = [lower for lower, _ in edges]
-    return sum_sign(upper for _, upper in edges) >= 0 and (None in lowers or sum_sign(lowers) <= 0)
+def _sum_sign(slopes) -> int:
+    """An integer with the sign of a sum of integer slopes: the numerator of
+    the sum over the product of the runs, which are positive."""
+    rise, run = 0, 1
+    for slope_rise, slope_run in slopes:
+        rise, run = rise * slope_run + slope_rise * run, run * slope_run
+    return rise
 
 
 def balanced_prices(
@@ -392,43 +393,79 @@ def _certified_equilibrium(allocation: int, prices, config: ScenarioConfig) -> E
     return report
 
 
+def _balanced_intervals(config: ScenarioConfig):
+    """(allocation, per-user `Fraction` intervals) for every allocation that
+    every user admits and whose intervals admit prices summing to zero, in
+    ascending order.  See `lindahl_census` for the two bisections."""
+    hulls = []
+    for spec in config.utilities:
+        if spec.quasi_linear:
+            hulls.append(price_intervals(spec.integer_scaling(config)))
+        else:
+            heights = spec.integer_scaling(config).heights
+            top = max(heights)
+            tops = [k for k in range(1, len(heights)) if heights[k] == top]
+            hulls.append((tops, [(0, 1)] * (len(tops) + 1)))
+    candidates = sorted(set(hulls[0][0]).intersection(*(vertices for vertices, _ in hulls[1:])))
+
+    def edges(allocation: int) -> list[tuple[Slope | None, Slope]]:
+        ends = []
+        for vertices, slopes in hulls:
+            n = bisect_left(vertices, allocation)
+            ends.append((slopes[n + 1], slopes[n]))
+        return ends
+
+    def lowers_fit(allocation: int) -> bool:
+        lowers = [lower for lower, _ in edges(allocation)]
+        return None in lowers or _sum_sign(lowers) <= 0
+
+    def uppers_short(allocation: int) -> bool:
+        return _sum_sign(upper for _, upper in edges(allocation)) < 0
+
+    start = bisect_left(candidates, True, key=lowers_fit)
+    stop = bisect_left(candidates, True, lo=start, key=uppers_short)
+    for allocation in candidates[start:stop]:
+        yield allocation, tuple(
+            (None if lower is None else Fraction(*lower), Fraction(*upper))
+            for lower, upper in edges(allocation)
+        )
+
+
 def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     """Find every equilibrium allocation from per-user price intervals.
 
     Every NE gives a Lindahl allocation and every Lindahl allocation rebuilds
     into an NE, so with quasi-linear utilities allocation k is an NE
     allocation exactly when every user's `price_intervals` has k and those
-    intervals admit personal prices summing to zero.  A user whose utility is
-    not quasi-linear contributes the interval [0, 0] where k is its weak top
-    choice and rules k out elsewhere; the census is then incomplete: it lists
-    the zero-price equilibria and misses any that need that user to face a
-    non-zero price.  Allocations that every user admits are tested in
-    ascending order by an integer sign test on the interval ends; only those
-    that pass get `Fraction` intervals.
+    intervals [L_i(k), U_i(k)] admit personal prices summing to zero, which,
+    as hull intervals are never empty, is sum U_i >= 0 and (some L_i is
+    minus infinity or sum L_i <= 0).  A user
+    whose utility is not quasi-linear contributes the interval [0, 0] where
+    k is its weak top choice and rules k out elsewhere; the census is then
+    incomplete: it lists the zero-price equilibria and misses any that need
+    that user to face a non-zero price.
+
+    The allocations every user admits need not be tested one by one.  Each
+    user's hull is concave, so its edge slopes never rise from left to
+    right: for two such allocations k < k', the edge left of k' starts at or
+    after k, so U_i(k') <= L_i(k) <= U_i(k), and [0, 0] keeps that too.  So
+    sum U_i and sum L_i both fall over the ascending allocations, and
+    L_i = minus infinity only at user i's last hull point, after which no
+    allocation is admitted.  The upper test therefore passes on a prefix and
+    the lower test on a suffix, and the balanced allocations are one run
+    found by two bisections: O(N log C) integer sign tests for C admitted
+    allocations, each sum's sign from cross-multiplied runs, a user's edges
+    found by bisecting its hull points.  Only the allocations in the run get
+    `Fraction` intervals.
 
     Each entry's messages come from `balanced_prices` and `lindahl_to_ne` at
     the smallest feasible seed price, and are certified by `build_report`.
     An entry that fails certification raises `ContractError`.
     """
     config.check_profile_cap("evaluating utilities")
-    zero = ((0, 1), (0, 1))
-    per_user = []
-    for spec in config.utilities:
-        if spec.quasi_linear:
-            per_user.append(price_intervals(spec.integer_scaling(config)))
-        else:
-            heights = spec.integer_scaling(config).heights
-            top = max(heights)
-            per_user.append({k: zero for k in range(1, len(heights)) if heights[k] == top})
     entries = []
-    for allocation in sorted(set(per_user[0]).intersection(*per_user[1:])):
-        edges = [user_intervals[allocation] for user_intervals in per_user]
-        if _balances(edges):
-            intervals = tuple(
-                (None if lower is None else Fraction(*lower), Fraction(*upper))
-                for lower, upper in edges
-            )
-            report = _certified_equilibrium(allocation, balanced_prices(intervals), config)
-            entries.append(CensusEntry(intervals, report))
+    for allocation, intervals in _balanced_intervals(config):
+        report = _certified_equilibrium(allocation, balanced_prices(intervals), config)
+        entries.append(CensusEntry(intervals, report))
     complete = all(spec.quasi_linear for spec in config.utilities)
     return LindahlCensus(complete, tuple(entries))

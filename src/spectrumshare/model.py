@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice
 
 from .errors import ConfigError
 
@@ -36,6 +36,11 @@ MAX_CATALOG_SIZE = 2**63 - 1
 # profiles are refused there; `outcome` and a bare `enumerate` still accept
 # them.
 MAX_VALUED_PROFILES = 10**6
+
+# No catalog of 3 or more users over more bundles than the integer cube root
+# of MAX_CATALOG_SIZE can index its profiles, so bundle enumeration stops
+# there.
+MAX_BUNDLES = 2**21 - 1
 
 
 # Exact inputs give exact outputs, which the commands print through
@@ -146,20 +151,36 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
     """All per-user power bundles: vectors in Q^num_bands with sum <= budget.
 
     Bundles are ordered lexicographically with the quantization levels
-    ascending, which fixes the catalog ordering once and for all.
+    ascending, which fixes the catalog ordering once and for all.  They grow
+    one band at a time, keeping only partial sums within the budget, on the
+    levels and budget as integers over one scale; past `MAX_BUNDLES` bundles
+    they are refused.
     """
     levels = _validate_quant_levels(quant_levels)
     if num_bands < 1:
         raise ConfigError("num_bands must be at least 1")
-    if len(levels) ** num_bands > MAX_CATALOG_SIZE:
-        raise ConfigError(
-            f"bundle space {len(levels)}^{num_bands} exceeds the supported "
-            f"enumeration bound {MAX_CATALOG_SIZE}"
-        )
     budget = as_fraction(power_budget)
     if budget < 0:
         raise ConfigError("power budget must be non-negative")
-    return tuple(b for b in product(levels, repeat=num_bands) if sum(b) <= budget)
+    _, (cap, *heights) = integer_scaling((budget, *levels))
+    grown = [((), 0)]
+    for _ in range(num_bands):
+        # level 0 always fits, so the count never falls from band to band:
+        # one bundle past the bound is enough to refuse
+        sums = (
+            (bundle + (level,), total + height)
+            for bundle, total in grown
+            for level, height in zip(levels, heights)
+            if total + height <= cap
+        )
+        grown = list(islice(sums, MAX_BUNDLES + 1))
+        if len(grown) > MAX_BUNDLES:
+            raise ConfigError(
+                f"more than {MAX_BUNDLES} bundles fit the power budget, more than a "
+                "catalog of 3 users can index (lower num_bands, quant_levels or power_budget)",
+                "num_bands",
+            )
+    return tuple(bundle for bundle, _ in grown)
 
 
 class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):

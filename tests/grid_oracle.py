@@ -8,6 +8,9 @@
   of `build_report` replaced.
 - The unanimity scan and the O(N * size^2) price-interval scan, which the
   Lindahl census replaced as the way to find equilibria.
+- The census's hull pass as it was when it returned one dict of interval
+  ends per user, and its loop that ran the integer balance test on every
+  allocation on every user's hull, which two bisections replaced.
 - The price-line loop over `Fraction` values and taxes, which the integer
   kernel `price_line_optimum` replaced; `Fraction(v)` for every value in
   `integer_scaling`.
@@ -235,6 +238,70 @@ def census_oracle(config: ScenarioConfig) -> dict[int, tuple]:
         below = None in lowers or sum(lowers) <= 0
         if below and sum(upper for _, upper in intervals) >= 0:
             found[allocation] = intervals
+    return found
+
+
+def dict_price_intervals(scaling: IntegerScaling) -> dict[int, tuple]:
+    """{k: (lower, upper)} for every point k >= 1 of the upper concave hull
+    of (j, heights[j] / scale), each end the integer slope (rise, run) of a
+    hull edge, lower None (minus infinity) at the last index: the dict form
+    of `price_intervals`, by the same left-to-right pass."""
+    heights, scale = scaling.heights, scaling.scale
+    hull = [0]
+    for k, height in enumerate(heights[1:], start=1):
+        while len(hull) >= 2:
+            left, middle = hull[-2], hull[-1]
+            rise = (heights[middle] - heights[left]) * (k - left)
+            if rise >= (height - heights[left]) * (middle - left):
+                break
+            hull.pop()
+        hull.append(k)
+    slopes = [
+        (heights[right] - heights[left], (right - left) * scale)
+        for left, right in zip(hull, hull[1:])
+    ]
+    slopes.append(None)
+    return {k: (slopes[i], slopes[i - 1]) for i, k in enumerate(hull) if i}
+
+
+def sign_balances(edges) -> bool:
+    """Whether intervals given by integer slope ends admit personal prices
+    summing to zero: the upper ends sum to at least 0 and the lower ends to
+    at most 0 (or one is minus infinity), each sum's sign from
+    cross-multiplied runs."""
+
+    def sum_sign(slopes) -> int:
+        rise, run = 0, 1
+        for slope_rise, slope_run in slopes:
+            rise, run = rise * slope_run + slope_rise * run, run * slope_run
+        return rise
+
+    lowers = [lower for lower, _ in edges]
+    return sum_sign(upper for _, upper in edges) >= 0 and (None in lowers or sum_sign(lowers) <= 0)
+
+
+def loop_census(config: ScenarioConfig) -> dict[int, tuple]:
+    """Allocation -> per-user `Fraction` intervals for every allocation the
+    census keeps, by testing every allocation that every user admits with
+    `sign_balances`, in ascending order.  A user whose utility is not
+    quasi-linear admits its weak top choices with the interval [0, 0]."""
+    zero = ((0, 1), (0, 1))
+    per_user = []
+    for spec in config.utilities:
+        scaling = spec.integer_scaling(config)
+        if spec.quasi_linear:
+            per_user.append(dict_price_intervals(scaling))
+        else:
+            top = max(scaling.heights)
+            per_user.append({k: zero for k, h in enumerate(scaling.heights) if k and h == top})
+    found = {}
+    for allocation in sorted(set(per_user[0]).intersection(*per_user[1:])):
+        edges = [user_edges[allocation] for user_edges in per_user]
+        if sign_balances(edges):
+            found[allocation] = tuple(
+                (None if lower is None else Fraction(*lower), Fraction(*upper))
+                for lower, upper in edges
+            )
     return found
 
 

@@ -155,6 +155,34 @@ def test_benchmark_argvs_are_plain(tmp_path, workload, kinds):
         assert vars(plain) == vars(build_parser().parse_args(argv))
 
 
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # 9,261 table lines cannot all fit the pipe, so writing them outlasts
+    # the reader, which closes the pipe after two lines
+    size = 21**3
+    config = ScenarioConfig(
+        num_users=3,
+        num_bands=1,
+        quant_levels=range(21),
+        power_budget=20,
+        noise_half_density=1,
+        gains=uniform_gains(3, 1),
+        utilities=tuple(TableUtility([0] + [1] * size) for _ in range(3)),
+    )
+    path = tmp_path / "long-table.json"
+    write_scenario(small_scenario(config), path)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "spectrumshare", "enumerate", "--scenario", str(path), "--table"]
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as process:
+        assert process.stdout.readline().startswith("bundles=21 ")
+        process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=60)
+    assert (code, err) == (141, "")
+
+
 def test_plain_command_never_imports_argparse():
     """The gain of the plain path: a plain argv runs without argparse, and
     help still comes from argparse."""
@@ -277,6 +305,30 @@ class TestEnumerate:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "--scenario", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_forty_bands_enumerate_fast(self, capsys, tmp_path):
+        # 41 bundles fit a budget of one level-1 band out of 40; the catalog
+        # is built without walking the 2^40 level vectors
+        document = scenario_to_jsonable(small_scenario())
+        document["num_bands"] = 40
+        document["gains"] = [[[1] * 40 for _ in range(3)] for _ in range(3)]
+        document["utilities"] = [{"variant": "sir_log", "weights": [1] * 40}] * 3
+        path = tmp_path / "forty-bands.json"
+        path.write_text(json.dumps(document))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--scenario", str(path))
+        elapsed = time.perf_counter() - started
+        assert code == 0, err
+        assert "bundles=41 profiles=68921" in out
+        assert elapsed < 1, f"enumerate took {elapsed:.1f} s"
+
+    def test_too_many_bundles_exit_2_naming_num_bands(self, capsys, small_path, monkeypatch):
+        from spectrumshare import model
+
+        monkeypatch.setattr(model, "MAX_BUNDLES", 1)
+        code, _, err = run(capsys, "enumerate", "--scenario", small_path)
+        assert code == 2
+        assert err.startswith("error: scenario.num_bands: more than 1 bundles fit the power")
 
     def test_oversized_grid_exits_2(self, capsys, tmp_path):
         document = scenario_to_jsonable(small_scenario())

@@ -1,6 +1,8 @@
 """Exact NE certification, the Lindahl census, best response, and the Lindahl
 bridge."""
 
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -32,17 +34,21 @@ from spectrumshare import (
     outcome,
     price_intervals,
 )
-from spectrumshare.equilibrium import _balances, price_line_optimum
+from spectrumshare.equilibrium import _balanced_intervals, price_line_optimum
 from spectrumshare.mechanism import Outcome, nearest_integer
+from spectrumshare.model import IntegerScaling
 
 from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
 from grid_oracle import (
     census_oracle,
+    dict_price_intervals,
     exact_values,
     grid_deviations,
     grid_verify,
     interval_oracle,
+    loop_census,
     price_line_oracle,
+    sign_balances,
     standard_grid,
     tax_components,
     unanimity_scan,
@@ -266,7 +272,8 @@ class TestLindahlCensus:
         # leaves `balanced_prices` only the equilibrium's intervals.
         from spectrumshare import equilibrium
 
-        assert all(len(price_intervals(spec.scaling)) == 216 for spec in desk.utilities)
+        every_index = list(range(1, 217))
+        assert all(price_intervals(spec.scaling)[0] == every_index for spec in desk.utilities)
         calls = []
         solve = equilibrium.balanced_prices
         monkeypatch.setattr(
@@ -277,6 +284,20 @@ class TestLindahlCensus:
         (entry,) = lindahl_census(desk).equilibria
         assert entry.report.allocation == 108
         assert calls == [entry.price_intervals]
+
+    def test_desk_census_bisects_for_the_balanced_run(self, desk, monkeypatch):
+        # All 216 allocations are on every user's hull; two bisections make
+        # at most ceil(log2 216) + 1 sign tests each, not one per allocation.
+        from spectrumshare import equilibrium
+
+        calls = []
+        sign = equilibrium._sum_sign
+        monkeypatch.setattr(
+            equilibrium, "_sum_sign", lambda slopes: calls.append(slopes) or sign(slopes)
+        )
+        (entry,) = lindahl_census(desk).equilibria
+        assert entry.report.allocation == 108
+        assert 0 < len(calls) <= 2 * (math.ceil(math.log2(216)) + 1)
 
     @pytest.mark.parametrize(
         "last",
@@ -383,26 +404,30 @@ class TestLindahlCensus:
 
     def test_integer_balance_by_hand(self):
         # 1/3 - 1/3 = 0 balances at both ends
-        assert _balances((((1, 3), (1, 3)), ((-1, 3), (-1, 3))))
+        assert sign_balances((((1, 3), (1, 3)), ((-1, 3), (-1, 3))))
         # uppers 1/2 - 2/3 < 0
-        assert not _balances((((0, 1), (1, 2)), ((-1, 1), (-2, 3))))
+        assert not sign_balances((((0, 1), (1, 2)), ((-1, 1), (-2, 3))))
         # lowers 1/2 - 1/3 > 0, unless one of them is minus infinity
-        assert not _balances((((1, 2), (1, 1)), ((-1, 3), (0, 1))))
-        assert _balances((((1, 2), (1, 1)), (None, (0, 1))))
+        assert not sign_balances((((1, 2), (1, 1)), ((-1, 3), (0, 1))))
+        assert sign_balances((((1, 2), (1, 1)), (None, (0, 1))))
         # large runs, as from a sir_log user's power-of-two scale
-        assert not _balances((((0, 1), (1, 2**60)), ((0, 1), (-1, 2**60 - 1))))
+        assert not sign_balances((((0, 1), (1, 2**60)), ((0, 1), (-1, 2**60 - 1))))
 
     def test_price_intervals_by_hand(self):
-        # points (0,0) (1,3) (2,4) (3,4): concave, so every index has an interval
-        assert price_intervals(integer_scaling((0, 3, 4, 4))) == {
+        # points (0,0) (1,3) (2,4) (3,4): concave, so every index has an
+        # interval: index 1 [1, 3], index 2 [0, 1], index 3 [-inf, 0]
+        points = integer_scaling((0, 3, 4, 4))
+        assert price_intervals(points) == ([1, 2, 3], [(3, 1), (1, 1), (0, 1), None])
+        assert dict_price_intervals(points) == {
             1: ((1, 1), (3, 1)),
             2: ((0, 1), (1, 1)),
             3: (None, (0, 1)),
         }
         # (1,1) lies below the chord from (0,0) to (2,4): it is never best;
         # the slope of the edge from 0 to 2 keeps its run 2 * scale
-        assert price_intervals(integer_scaling((0, 1, 4))) == {2: (None, (4, 2))}
-        assert price_intervals(integer_scaling((0, Fraction(1, 3)))) == {1: (None, (1, 3))}
+        assert price_intervals(integer_scaling((0, 1, 4))) == ([2], [(4, 2), None])
+        assert dict_price_intervals(integer_scaling((0, 1, 4))) == {2: (None, (4, 2))}
+        assert price_intervals(integer_scaling((0, Fraction(1, 3)))) == ([1], [(1, 3), None])
 
 
 class TestMismatchPenalties:
@@ -748,15 +773,22 @@ grid_prices = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def fraction_interval(ends):
-    """One `price_intervals` entry, integer slopes whose runs must be
-    positive, as a `Fraction` interval."""
+    """One hull point's (lower, upper) ends, integer slopes whose runs must
+    be positive, as a `Fraction` interval."""
     lower, upper = ends
     assert all(run > 0 for _, run in filter(None, ends))
     return (None if lower is None else Fraction(*lower), Fraction(*upper))
 
 
-def fraction_intervals(edges):
-    return {k: fraction_interval(ends) for k, ends in edges.items()}
+def hull_edges(hull):
+    """`price_intervals`' two lists as {k: (lower, upper)} slope ends."""
+    vertices, slopes = hull
+    assert len(slopes) == len(vertices) + 1 and slopes[-1] is None
+    return {k: (slopes[n + 1], slopes[n]) for n, k in enumerate(vertices)}
+
+
+def fraction_intervals(hull):
+    return {k: fraction_interval(ends) for k, ends in hull_edges(hull).items()}
 
 
 def nonempty_oracle_intervals(values):
@@ -767,6 +799,67 @@ def nonempty_oracle_intervals(values):
         for k, (lower, upper) in enumerate(interval_oracle(values), start=1)
         if lower is None or lower <= upper
     }
+
+
+# Users of the generated 3-user, 1-band games, by the shape of their table:
+# concave ones whose slopes come from a few small integers, so that sums of
+# slopes often tie at 0; rising concave ones, whose last index has no lower
+# end; flat, linear up and linear down ones, with every index on the hull;
+# arbitrary ones; and cubic_tax users with several top indices.
+GAME_KINDS = ("concave", "rising", "flat", "up", "down", "random", "cubic")
+
+
+def game_heights(kind, size, rng):
+    if kind == "flat":
+        return [0] + [rng.randint(1, 5)] * size
+    if kind == "up":
+        return list(range(size + 1))
+    if kind == "down":
+        return [0, *range(size, 0, -1)]
+    if kind in ("random", "cubic"):
+        return [0] + [rng.randint(0, 2 if kind == "cubic" else 20) for _ in range(size)]
+    low = 1 if kind == "rising" else -2
+    steps = sorted((rng.randint(low, 2) for _ in range(size)), reverse=True)
+    heights = [0]
+    for step in steps:
+        heights.append(heights[-1] + step)
+    # lifting every index but 0 steepens only the first edge: still concave
+    lift = max(0, -min(heights))
+    return [0] + [height + lift for height in heights[1:]]
+
+
+def large_game(levels, kinds, seed):
+    """Three users of `kinds` over one band with levels 0..levels, so
+    (levels + 1)^3 profiles.  Tables other than flat and linear ones are
+    divided by a denominator of their own."""
+    rng = random.Random(seed)
+    size = (levels + 1) ** 3
+    utilities = []
+    for kind in kinds:
+        denominator = 1 if kind in ("flat", "up", "down") else rng.choice((1, 2, 3, 7))
+        values = [Fraction(height, denominator) for height in game_heights(kind, size, rng)]
+        if kind == "cubic":
+            utilities.append(CubicTaxUtility(values, beta=Fraction(1, 2)))
+        else:
+            utilities.append(TableUtility(values))
+    return ScenarioConfig(
+        num_users=3,
+        num_bands=1,
+        quant_levels=range(levels + 1),
+        power_budget=levels,
+        noise_half_density=1,
+        gains=uniform_gains(3, 1),
+        utilities=tuple(utilities),
+    )
+
+
+# from 1,000 to 4,096 profiles
+large_games = st.builds(
+    large_game,
+    st.integers(min_value=9, max_value=15),
+    st.tuples(*[st.sampled_from(GAME_KINDS)] * 3),
+    st.integers(min_value=0, max_value=2**32),
+)
 
 
 class TestCensusAgainstOracles:
@@ -808,14 +901,53 @@ class TestCensusAgainstOracles:
         found = {e.report.allocation: e.price_intervals for e in lindahl_census(config).equilibria}
         assert found == census_oracle(config)
 
+    @given(
+        heights=st.lists(
+            st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=2**70),
+            max_size=60,
+        ),
+        scale=st.integers(min_value=1, max_value=2**64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_list_hull_matches_dict_oracle(self, heights, scale):
+        scaling = IntegerScaling(scale, (0, *heights))
+        assert hull_edges(price_intervals(scaling)) == dict_price_intervals(scaling)
+
+    @given(game=large_games)
+    @example(game=large_game(9, ("flat", "flat", "flat"), 0))
+    @example(game=large_game(9, ("up", "down", "flat"), 0))
+    @example(game=large_game(9, ("rising", "rising", "rising"), 0))
+    @example(game=large_game(9, ("concave", "cubic", "concave"), 0))
+    @settings(max_examples=40, deadline=None)
+    def test_bisected_census_matches_loop(self, game):
+        assert dict(_balanced_intervals(game)) == loop_census(game)
+        for spec in game.utilities:
+            if spec.quasi_linear:
+                scaling = spec.integer_scaling(game)
+                assert hull_edges(price_intervals(scaling)) == dict_price_intervals(scaling)
+
+    def test_bisection_edge_cases(self):
+        everything = list(range(1, 1001))
+        # flat tables: every allocation balances
+        flat = large_game(9, ("flat", "flat", "flat"), 0)
+        assert [k for k, _ in _balanced_intervals(flat)] == everything
+        # slopes 1, -1 and 0 past index 1: sum U_i = sum L_i = 0 at 2..999
+        ties = dict(_balanced_intervals(large_game(9, ("up", "down", "flat"), 0)))
+        assert list(ties) == everything
+        assert all(sum(upper for _, upper in ties[k]) == 0 for k in range(2, 1000))
+        # rising tables: only the last index, where every lower end is None
+        rising = dict(_balanced_intervals(large_game(9, ("rising", "rising", "rising"), 0)))
+        assert list(rising) == [1000]
+        assert [lower for lower, _ in rising[1000]] == [None] * 3
+
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
     def test_integer_balance_matches_balanced_prices(self, config):
-        per_user = [price_intervals(spec.integer_scaling(config)) for spec in config.utilities]
+        per_user = [dict_price_intervals(spec.integer_scaling(config)) for spec in config.utilities]
         for allocation in set(per_user[0]).intersection(*per_user[1:]):
             edges = [user_edges[allocation] for user_edges in per_user]
             intervals = [fraction_interval(ends) for ends in edges]
-            assert _balances(edges) == (balanced_prices(intervals) is not None)
+            assert sign_balances(edges) == (balanced_prices(intervals) is not None)
 
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)

@@ -22,6 +22,7 @@ from spectrumshare import (
     integer_scaling,
 )
 from spectrumshare.model import (
+    MAX_BUNDLES,
     MAX_CATALOG_SIZE,
     MAX_DIGITS,
     MAX_VALUED_PROFILES,
@@ -96,6 +97,25 @@ class TestEnumerateBundles:
         assert list(enumerate_bundles(levels, bands, budget)) == oracle_bundles(
             levels, bands, budget
         )
+
+    def test_many_bands_within_budget(self):
+        # 41 of the 2^40 level vectors fit, in lexicographic order
+        got = enumerate_bundles((0, 1), 40, 1)
+        assert list(got) == oracle_bundles((Fraction(0), Fraction(1)), 40, Fraction(1))
+        assert len(got) == 41 and got[0] == (0,) * 40 and got[-1] == (1,) + (0,) * 39
+        assert all(type(level) is Fraction for bundle in got for level in bundle)
+
+    def test_bound_is_the_cube_root_of_the_catalog_bound(self):
+        assert MAX_BUNDLES**3 <= MAX_CATALOG_SIZE < (MAX_BUNDLES + 1) ** 3
+
+    def test_refuses_past_the_bundle_bound_naming_num_bands(self, monkeypatch):
+        from spectrumshare import model
+
+        monkeypatch.setattr(model, "MAX_BUNDLES", 5)
+        assert len(enumerate_bundles((0, 1), 2, 2)) == 4
+        with pytest.raises(ConfigError) as err:
+            enumerate_bundles((0, 1), 3, 3)
+        assert err.value.field == "num_bands"
 
     def test_rejects_empty_levels(self):
         with pytest.raises(ConfigError):
