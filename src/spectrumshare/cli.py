@@ -1,12 +1,14 @@
 """Command-line front end: load a scenario, run a command, emit a report.
 
 Commands: enumerate, outcome, find-ne, verify, lindahl-roundtrip, measure.
-`main` loads the scenario once; each command builds its JSON document and
-lazy table and CSV views, and hands them to `_render`, the one output path.
-Every command prints a human table by default; --format json emits the
-document instead (rationals as lossless "p/q" strings); --format csv emits
-rows for list-shaped output and otherwise falls back to the table.  --out
-writes the JSON document to a file regardless of the stdout format.
+`main` loads the scenario once; each command builds its JSON document, the
+one statement of its output, and hands it to `_render`, the one output path.
+Every command prints a table by default, rendered from the document by
+`_table_lines`; --format json emits the document itself (rationals as
+lossless "p/q" strings); --format csv emits `_csv_rows` of the command's one
+list of records (find-ne's equilibria, enumerate --table's profiles) and
+otherwise falls back to the table.  --out writes the JSON document to a file
+regardless of the stdout format.
 
 Each command's options are declared once, in `_OPTIONS` and `_COMMANDS`.
 A plain command line (the command, then its flags in full, each once with a
@@ -27,7 +29,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,11 +43,6 @@ from .measurement import run_measurement
 from .mechanism import Message, lindahl_price, outcome
 from .model import as_fraction
 from .scenario import load_scenario, rational_to_json, read_messages, read_psi
-
-
-def _fmt(value: Fraction | int) -> str:
-    """Render an exact rational as p/q (an integer as itself)."""
-    return str(Fraction(value))
 
 
 def _messages(args, scenario) -> tuple[Message, ...]:
@@ -69,74 +65,87 @@ def _report_json(report: EquilibriumReport) -> dict:
         "mismatch_penalties_vanish": report.mismatch_penalties_vanish,
         "feasible": report.feasible,
         "individual_rationality": list(report.individual_rationality),
-        "tax_form_matches": report.mismatch_penalties_vanish,
         "lindahl": {
             "prices": [rational_to_json(p) for p in report.prices],
-            "prices_balance": report.prices_balance,
-            "taxes_balance": report.taxes_balance,
             "best_on_price_line": list(report.user_best),
             "best_on_price_line_nonneg_tax": list(report.user_best_nonneg_tax),
         },
     }
 
 
-# A report's CSV columns: (header, value of one report)
-_REPORT_COLUMNS = (
-    ("proposal", lambda r: r.candidate[0].proposal),
-    ("price", lambda r: _fmt(r.candidate[0].price)),
-    ("allocation", lambda r: r.allocation),
-    ("is_ne", lambda r: r.is_ne),
-    ("mismatch_penalties_vanish", lambda r: r.mismatch_penalties_vanish),
-    ("feasible", lambda r: r.feasible),
-    ("individual_rationality", lambda r: all(r.individual_rationality)),
-    ("tax_form_matches", lambda r: r.mismatch_penalties_vanish),
-    ("prices_balance", lambda r: r.prices_balance),
-    ("taxes_balance", lambda r: r.taxes_balance),
-    ("best_on_price_line", lambda r: all(r.user_best)),
-    ("taxes", lambda r: " ".join(_fmt(t) for t in r.taxes)),
-)
+def _flat(record: dict, prefix: str = ""):
+    """(key, value) pairs of a record, nested keys joined with dots."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _flat(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
-def _report_rows(reports):
-    """CSV rows of reports, header first."""
-    yield [header for header, _ in _REPORT_COLUMNS]
-    for report in reports:
-        yield [value(report) for _, value in _REPORT_COLUMNS]
+# compact JSON text, from one encoder rather than a `json.dumps` per value
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _report_lines(report: EquilibriumReport):
-    yield f"candidate: {', '.join(f'({m.proposal}, {_fmt(m.price)})' for m in report.candidate)}"
-    yield f"allocation: {report.allocation}"
-    yield f"taxes: {', '.join(_fmt(t) for t in report.taxes)} (sum={_fmt(sum(report.taxes))})"
-    yield f"NE: {report.is_ne}"
-    yield f"mismatch penalties vanish: {report.mismatch_penalties_vanish}"
-    yield f"feasible allocation: {report.feasible}"
-    yield f"individual rationality: {list(report.individual_rationality)}"
-    yield f"reduced tax form matches: {report.mismatch_penalties_vanish}"
-    yield f"personal prices: {', '.join(_fmt(p) for p in report.prices)}"
-    yield f"prices balance: {report.prices_balance}"
-    yield f"taxes balance: {report.taxes_balance}"
-    yield f"best on price line: {list(report.user_best)}"
-    yield f"best on price line (non-negative taxes): {list(report.user_best_nonneg_tax)}"
+def _compact(value) -> str:
+    """A JSON value as compact JSON text, a string bare."""
+    return value if isinstance(value, str) else _encode_compact(value)
 
 
-def _render(args, scenario, document: dict, table, rows=None) -> None:
+def _text(value) -> str:
+    """A JSON value as the table spells it: a list of scalars inline,
+    anything else as `_compact` does."""
+    if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
+        return "[" + ", ".join(map(_compact, value)) + "]"
+    return _compact(value)
+
+
+def _table_lines(document: dict, indent: str = ""):
+    """The table view of a JSON document: a nested key as an indented
+    `key:` block, a list of records as aligned rows under a header of their
+    flattened keys, and every other value as a `key: value` line."""
+    for key, value in document.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _table_lines(value, indent + "  ")
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            yield f"{indent}{key}:"
+            rows = [[k for k, _ in _flat(value[0])]]
+            rows += [[_text(v) for _, v in _flat(record)] for record in value]
+            widths = [max(map(len, column)) for column in zip(*rows)]
+            for row in rows:
+                yield indent + "  " + "  ".join(map(str.ljust, row, widths)).rstrip()
+        else:
+            yield f"{indent}{key}: {_text(value)}"
+
+
+def _csv_rows(records: list):
+    """The CSV view of a list of records: their flattened keys as the
+    header, then one row per record (nothing at all for no records)."""
+    for number, record in enumerate(records):
+        keys, values = zip(*_flat(record))
+        if number == 0:
+            yield keys
+        yield map(_compact, values)
+
+
+def _render(args, scenario, document: dict, records: list | None = None) -> None:
     """The one output path of every command.
 
     Stamps the command and the scenario digest ahead of `document`'s keys,
-    then prints the document as JSON, the CSV `rows` (header first) when the
-    command has them, or else the `table` lines; `table` and `rows` are
-    iterated only when their format is chosen.  `--out` gets the JSON
-    document whatever the format; the JSON text is built once for both.
+    then prints the document as JSON, as CSV rows of `records` (the
+    command's one list of records, if it has one) or as the table; the
+    table and CSV views are built only when their format is chosen.
+    `--out` gets the JSON document whatever the format; the JSON text is
+    built once for both.
     """
     document = {"command": args.subcommand, "scenario_digest": scenario.digest, **document}
     text = json.dumps(document, indent=2) if args.format == "json" or args.out else None
     if args.format == "json":
         print(text)
-    elif args.format == "csv" and rows is not None:
-        csv.writer(sys.stdout).writerows(rows)
+    elif args.format == "csv" and records is not None:
+        csv.writer(sys.stdout).writerows(_csv_rows(records))
     else:
-        for line in table:
+        for line in _table_lines(document):
             print(line)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -145,25 +154,13 @@ def _render(args, scenario, document: dict, table, rows=None) -> None:
 def cmd_enumerate(args, scenario) -> None:
     catalog = scenario.config.catalog
     document = {"bundle_count": len(catalog.bundles), "profile_count": catalog.size}
-    rows = []
     if args.table:
         scenario.config.check_profile_cap("listing the profile table")
-        rows = [
-            [index] + [" ".join(_fmt(p) for p in bundle) for bundle in catalog.profile_of(index)]
+        document["profiles"] = [
+            {"index": index, "bundles": [" ".join(map(str, b)) for b in catalog.profile_of(index)]}
             for index in range(1, catalog.size + 1)
         ]
-        document["profiles"] = [{"index": row[0], "bundles": row[1:]} for row in rows]
-
-    def table():
-        yield f"bundles={len(catalog.bundles)} profiles={catalog.size}"
-        for row in rows:
-            yield f"  {row[0]:>6}: " + " | ".join(row[1:])
-
-    def csv_rows():
-        yield ["index"] + [f"user{u}" for u in range(catalog.num_users)]
-        yield from rows
-
-    _render(args, scenario, document, table(), csv_rows() if args.table else None)
+    _render(args, scenario, document, document.get("profiles"))
 
 
 def cmd_outcome(args, scenario) -> None:
@@ -177,17 +174,7 @@ def cmd_outcome(args, scenario) -> None:
         "tax_sum": rational_to_json(sum(taxes)),
         "personal_prices": [rational_to_json(p) for p in prices],
     }
-
-    def table():
-        yield f"allocation: {allocation}"
-        for user, (message, t) in enumerate(zip(messages, taxes)):
-            yield (
-                f"  user {user}: proposal={message.proposal} price={_fmt(message.price)} "
-                f"tax={_fmt(t)}"
-            )
-        yield f"sum={_fmt(sum(taxes))}"
-
-    _render(args, scenario, document, table())
+    _render(args, scenario, document)
 
 
 def _interval_json(interval) -> list:
@@ -203,39 +190,20 @@ def cmd_find_ne(args, scenario) -> None:
     started = time.perf_counter()
     census = lindahl_census(scenario.config)
     elapsed = time.perf_counter() - started
+    equilibria = [
+        {
+            **_report_json(entry.report),
+            "price_intervals": [_interval_json(iv) for iv in entry.price_intervals],
+        }
+        for entry in census.equilibria
+    ]
     document = {
         "seed": seed,
         "catalog": {"bundle_count": len(catalog.bundles), "profile_count": catalog.size},
-        "census": {
-            "complete": census.complete,
-            "allocations_tested": catalog.size,
-            "equilibria": [
-                {
-                    **_report_json(entry.report),
-                    "price_intervals": [_interval_json(iv) for iv in entry.price_intervals],
-                }
-                for entry in census.equilibria
-            ],
-        },
+        "census": {"complete": census.complete, "equilibria": equilibria},
         "timing_seconds": {"census": round(elapsed, 4)},
     }
-
-    def table():
-        yield (
-            f"seed={seed} profiles={catalog.size} ne_found={len(census.equilibria)} "
-            f"complete={census.complete}"
-        )
-        for entry in census.equilibria:
-            yield "-" * 40
-            yield from _report_lines(entry.report)
-            intervals = ", ".join(
-                f"[{'-inf' if lower is None else _fmt(lower)}, {_fmt(upper)}]"
-                for lower, upper in entry.price_intervals
-            )
-            yield f"personal price intervals: {intervals}"
-
-    rows = _report_rows(entry.report for entry in census.equilibria)
-    _render(args, scenario, document, table(), rows)
+    _render(args, scenario, document, equilibria)
 
 
 def cmd_verify(args, scenario) -> None:
@@ -247,19 +215,9 @@ def cmd_verify(args, scenario) -> None:
         document["best_deviation"] = {
             "user": deviation.user,
             "message": _message_json(deviation.message),
-            "gain": _fmt(deviation.gain),
+            "gain": rational_to_json(deviation.gain),
         }
-
-    def table():
-        yield from _report_lines(report)
-        if deviation is not None:
-            yield (
-                f"best deviation: user {deviation.user} -> "
-                f"({deviation.message.proposal}, {_fmt(deviation.message.price)}) "
-                f"gains {_fmt(deviation.gain)}"
-            )
-
-    _render(args, scenario, document, table())
+    _render(args, scenario, document)
     violations = report.soundness_violations()
     if violations:
         raise ContractError("; ".join(violations))
@@ -275,29 +233,19 @@ def cmd_lindahl_roundtrip(args, scenario) -> None:
     except (ConfigError, PriceScaleError) as exc:
         raise ConfigError(f"--pi1: {exc}") from None
     report = build_report(messages, scenario.config)
-    roundtrip = {
-        "allocation_match": report.allocation == psi.allocation,
-        "taxes_match": report.taxes == psi.taxes,
-        "prices_match": report.prices == psi.prices,
-    }
     document = {
         "messages": [_message_json(m) for m in messages],
         "is_ne": report.is_ne,
         "allocation": report.allocation,
         "taxes": [rational_to_json(t) for t in report.taxes],
         "personal_prices": [rational_to_json(p) for p in report.prices],
-        "roundtrip": roundtrip,
+        "roundtrip": {
+            "allocation_match": report.allocation == psi.allocation,
+            "taxes_match": report.taxes == psi.taxes,
+            "prices_match": report.prices == psi.prices,
+        },
     }
-
-    def table():
-        yield f"solved prices: {', '.join(_fmt(m.price) for m in messages)}"
-        yield f"NE: {report.is_ne}"
-        yield (
-            "roundtrip: allocation={allocation_match} taxes={taxes_match} "
-            "prices={prices_match}".format(**roundtrip)
-        )
-
-    _render(args, scenario, document, table())
+    _render(args, scenario, document)
 
 
 def cmd_measure(args, scenario) -> None:
@@ -322,13 +270,7 @@ def cmd_measure(args, scenario) -> None:
             for r in result.reports
         ],
     }
-
-    def table():
-        yield f"pairs measured: {len(result.reports)} reports"
-        yield f"mismatched pairs: {[tuple(p) for p in result.mismatched_pairs]}"
-        yield f"excluded users: {sorted(result.excluded)}"
-
-    _render(args, scenario, document, table())
+    _render(args, scenario, document)
 
 
 # Every option: name -> the `add_argument` keywords of its flag "--name".  An

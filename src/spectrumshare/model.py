@@ -21,7 +21,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
 from .errors import ConfigError
 
@@ -153,8 +152,9 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
     Bundles are ordered lexicographically with the quantization levels
     ascending, which fixes the catalog ordering once and for all.  They grow
     one band at a time, keeping only partial sums within the budget, on the
-    levels and budget as integers over one scale; past `MAX_BUNDLES` bundles
-    they are refused.
+    levels and budget as integers over one scale.  They are counted first,
+    by how many level vectors reach each partial sum, so that more than
+    `MAX_BUNDLES` of them are refused before any is built.
     """
     levels = _validate_quant_levels(quant_levels)
     if num_bands < 1:
@@ -163,23 +163,29 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
     if budget < 0:
         raise ConfigError("power budget must be non-negative")
     _, (cap, *heights) = integer_scaling((budget, *levels))
-    grown = [((), 0)]
+    counts = {0: 1}
     for _ in range(num_bands):
-        # level 0 always fits, so the count never falls from band to band:
-        # one bundle past the bound is enough to refuse
-        sums = (
-            (bundle + (level,), total + height)
-            for bundle, total in grown
-            for level, height in zip(levels, heights)
-            if total + height <= cap
-        )
-        grown = list(islice(sums, MAX_BUNDLES + 1))
-        if len(grown) > MAX_BUNDLES:
+        grown_counts = {}
+        for total, count in counts.items():
+            for height in heights:
+                if total + height <= cap:
+                    grown_counts[total + height] = grown_counts.get(total + height, 0) + count
+        counts = grown_counts
+        # level 0 always fits, so a count never falls from band to band
+        if sum(counts.values()) > MAX_BUNDLES:
             raise ConfigError(
                 f"more than {MAX_BUNDLES} bundles fit the power budget, more than a "
                 "catalog of 3 users can index (lower num_bands, quant_levels or power_budget)",
                 "num_bands",
             )
+    grown = [((), 0)]
+    for _ in range(num_bands):
+        grown = [
+            (bundle + (level,), total + height)
+            for bundle, total in grown
+            for level, height in zip(levels, heights)
+            if total + height <= cap
+        ]
     return tuple(bundle for bundle, _ in grown)
 
 

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from spectrumshare import cli
 from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
-from spectrumshare.scenario import load_scenario, scenario_to_jsonable, write_scenario
+from spectrumshare.equilibrium import build_report
+from spectrumshare.scenario import (
+    load_scenario,
+    read_messages,
+    scenario_to_jsonable,
+    write_scenario,
+)
 
 from spectrumshare import (
     CubicTaxUtility,
@@ -175,7 +181,7 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     with subprocess.Popen(
         argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     ) as process:
-        assert process.stdout.readline().startswith("bundles=21 ")
+        assert process.stdout.readline() == "command: enumerate\n"
         process.stdout.readline()
         process.stdout.close()
         err = process.stderr.read()
@@ -221,12 +227,13 @@ def test_json_builds_no_table_or_csv_view(capsys, small_path, tmp_path, monkeypa
     def explode_when_iterated(*args):
         yield explode()
 
-    # _fmt renders every quantity of the table and CSV views, and the JSON
-    # document of these three commands never calls it; the report views
-    # are generators, so they may be called but not iterated
-    monkeypatch.setattr(cli, "_fmt", explode)
-    monkeypatch.setattr(cli, "_report_lines", explode_when_iterated)
-    monkeypatch.setattr(cli, "_report_rows", explode_when_iterated)
+    # _compact and _text spell every value of the table and CSV views, and
+    # the JSON path never calls them; the two views are generators, so they
+    # may be called but not iterated
+    monkeypatch.setattr(cli, "_compact", explode)
+    monkeypatch.setattr(cli, "_text", explode)
+    monkeypatch.setattr(cli, "_table_lines", explode_when_iterated)
+    monkeypatch.setattr(cli, "_csv_rows", explode_when_iterated)
     psi = tmp_path / "psi.json"
     psi.write_text(json.dumps({"allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}))
     argv = [arg.replace("{psi}", str(psi)) for arg in argv]
@@ -255,8 +262,8 @@ class TestEnumerate:
     def test_summary(self, capsys, desk_path):
         code, out, _ = run(capsys, "enumerate", "--scenario", desk_path)
         assert code == 0
-        assert "bundles=6" in out
-        assert "profiles=216" in out
+        assert "\nbundle_count: 6\n" in out
+        assert "\nprofile_count: 216\n" in out
 
     def test_json_format(self, capsys, small_path):
         code, out, _ = run(capsys, "enumerate", "--scenario", small_path, "--format", "json")
@@ -268,7 +275,9 @@ class TestEnumerate:
     def test_full_table(self, capsys, small_path):
         code, out, _ = run(capsys, "enumerate", "--scenario", small_path, "--table")
         assert code == 0
-        assert out.count(":") >= 8
+        rows = out.split("\nprofiles:\n")[1].splitlines()
+        assert rows[0].split() == ["index", "bundles"]
+        assert [int(row.split()[0]) for row in rows[1:]] == list(range(1, 9))
 
     def test_csv_table(self, capsys, small_path):
         code, out, _ = run(
@@ -293,7 +302,7 @@ class TestEnumerate:
         write_scenario(small_scenario(config), path)
         code, out, _ = run(capsys, "enumerate", "--scenario", str(path))
         assert code == 0
-        assert "bundles=1 profiles=1" in out
+        assert "\nbundle_count: 1\nprofile_count: 1\n" in out
 
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -319,8 +328,26 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--scenario", str(path))
         elapsed = time.perf_counter() - started
         assert code == 0, err
-        assert "bundles=41 profiles=68921" in out
+        assert "\nbundle_count: 41\nprofile_count: 68921\n" in out
         assert elapsed < 1, f"enumerate took {elapsed:.1f} s"
+
+    def test_too_many_bundles_refused_before_any_is_built(self, tmp_path):
+        # 2^21 level vectors of 24 bands fit a budget of 24 by the 21st band;
+        # counting them first refuses long before the bundle tuples could be
+        # built, so a fresh process exits within the timeout
+        document = scenario_to_jsonable(small_scenario())
+        document.update(num_bands=24, quant_levels=[0, 1], power_budget=24)
+        document["gains"] = [[[1] * 24 for _ in range(3)] for _ in range(3)]
+        document["utilities"] = [{"variant": "sir_log", "weights": [1] * 24}] * 3
+        path = tmp_path / "many-bands.json"
+        path.write_text(json.dumps(document))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = [sys.executable, "-m", "spectrumshare", "enumerate", "--scenario", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=2)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(
+            "error: scenario.num_bands: more than 2097151 bundles fit the power budget"
+        )
 
     def test_too_many_bundles_exit_2_naming_num_bands(self, capsys, small_path, monkeypatch):
         from spectrumshare import model
@@ -406,7 +433,7 @@ class TestOutcome:
         )
         assert code == 0
         assert "-5/3" in out and "-26/3" in out and "31/3" in out
-        assert "sum=0" in out
+        assert "\ntax_sum: 0\n" in out
 
     def test_unanimity(self, capsys, desk_path):
         code, out, _ = run(
@@ -419,7 +446,7 @@ class TestOutcome:
         )
         assert code == 0
         assert "allocation: 9" in out
-        assert "sum=0" in out
+        assert "\ntax_sum: 0\n" in out
 
     def test_messages_from_file(self, capsys, desk_path, tmp_path):
         messages = tmp_path / "messages.json"
@@ -481,8 +508,10 @@ class TestFindNe:
     def test_table_output(self, capsys, small_path):
         code, out, _ = run(capsys, "find-ne", "--scenario", small_path)
         assert code == 0
-        assert " ne_found=1 complete=True" in out
-        assert "personal price intervals: [-1, 1], [-2, 2], [-3, 3]" in out
+        assert "\ncensus:\n  complete: true\n  equilibria:\n" in out
+        rows = out.split("\n  equilibria:\n")[1].split("\ntiming_seconds:")[0].splitlines()
+        assert len(rows) == 2 and rows[0].split()[0] == "candidate"
+        assert rows[1].split()[-1] == "[[-1,1],[-2,2],[-3,3]]"
 
     def test_json_document(self, capsys, small_path, tmp_path):
         out_path = tmp_path / "report.json"
@@ -502,11 +531,16 @@ class TestFindNe:
         assert "measurement" not in document
         census = document["census"]
         assert census["complete"] is True
-        assert census["allocations_tested"] == 8
+        assert set(census) == {"complete", "equilibria"}
         found = census["equilibria"]
         assert [e["allocation"] for e in found] == [4]
         assert found[0]["is_ne"] is True
-        assert found[0]["lindahl"]["prices_balance"] is True
+        messages = json.dumps([[m["proposal"], m["price"]] for m in found[0]["candidate"]])
+        report = build_report(read_messages(messages, 3), load_scenario(small_path).config)
+        assert report.prices_balance and report.taxes_balance
+        assert set(found[0]["lindahl"]) == {
+            "prices", "best_on_price_line", "best_on_price_line_nonneg_tax"
+        }
         assert found[0]["price_intervals"] == [[-1, 1], [-2, 2], [-3, 3]]
         assert json.loads(out_path.read_text()) == document
 
@@ -543,13 +577,17 @@ class TestFindNe:
         write_scenario(small_scenario(config), path)
         code, out, _ = run(capsys, "find-ne", "--scenario", str(path))
         assert code == 0
-        assert " ne_found=0 complete=True" in out
+        assert "\ncensus:\n  complete: true\n  equilibria: []\n" in out
 
     def test_csv_format(self, capsys, small_path):
         code, out, _ = run(capsys, "find-ne", "--scenario", small_path, "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("proposal,price,allocation,is_ne,")
+        assert lines[0] == (
+            "candidate,allocation,taxes,is_ne,mismatch_penalties_vanish,feasible,"
+            "individual_rationality,lindahl.prices,lindahl.best_on_price_line,"
+            "lindahl.best_on_price_line_nonneg_tax,price_intervals"
+        )
         assert len(lines) == 2
 
     def test_search_never_reports_a_null_allocation(self, capsys):
@@ -603,7 +641,14 @@ class TestVerify:
             capsys, "verify", "--scenario", small_path, "--messages", "[[4,1],[4,1],[4,1]]"
         )
         assert code == 0
-        assert "\nNE: True" in out
+        assert "\n  is_ne: true\n" in out
+
+    def test_whole_gain_is_a_json_number(self, capsys):
+        argv = ["verify", "--scenario", str(COMMITTED_DESK), "--format", "json"]
+        code, out, err = run(capsys, *argv, "--messages", "[[1,0],[1,0],[1,0]]")
+        assert (code, err) == (0, "")
+        gain = json.loads(out)["best_deviation"]["gain"]
+        assert (type(gain), gain) == (int, 214)
 
     def test_non_ne_reports_deviation(self, capsys, small_path):
         code, out, _ = run(
@@ -657,7 +702,7 @@ class TestVerify:
         messages = json.dumps([[index, 1]] * 3)
         code, out, _ = run(capsys, "verify", "--scenario", small_path, "--messages", messages)
         assert code == 0
-        assert f"\nNE: {index == 4}" in out
+        assert f"\n  is_ne: {str(index == 4).lower()}\n" in out
         assert len(scans) == 3
         utilities = load_scenario(small_path).config.utilities
         assert sorted(utilities.index(spec) for spec, _, _ in scans) == [0, 1, 2]
@@ -957,7 +1002,7 @@ class TestMeasure:
     def test_honest_run(self, capsys, desk_path):
         code, out, _ = run(capsys, "measure", "--scenario", desk_path)
         assert code == 0
-        assert "excluded users: []" in out
+        assert "\nexcluded_users: []\n" in out
 
     def test_cheat_run_lists_pairs(self, capsys, tmp_path):
         scenario = small_scenario()

@@ -3,14 +3,17 @@ scenarios under `tests/golden/` that reach the census branches and the
 `sir_log` values the desk does not.
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
-timing fields are blanked.  The argument parser's help and usage errors at
+timing fields are blanked, and each table and CSV golden must be the
+generic view of its JSON sibling.  The argument parser's help and usage errors at
 80 columns, for the top level and every command, must match
 `tests/golden/cli-help.txt`.  To regenerate after an intended output change:
 `PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"`.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import re
 from pathlib import Path
@@ -18,6 +21,7 @@ from unittest import mock
 
 import pytest
 
+from spectrumshare import cli
 from spectrumshare.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +61,7 @@ CASES = {
     # every command in every format it renders differently
     "enumerate.txt": ["enumerate"],
     "enumerate.json": ["enumerate", "--format", "json"],
+    "enumerate-table.json": ["enumerate", "--table", "--format", "json"],
     "enumerate-table.txt": ["enumerate", "--table"],
     "enumerate-table.csv": ["enumerate", "--table", "--format", "csv"],
     "outcome.txt": ["outcome", "--messages", "[[1,1],[2,2],[3,3]]"],
@@ -75,7 +80,8 @@ SCENARIOS = {
     "verify-sir-log-mixed.json": SIR_LOG,
 }
 
-TIMING = re.compile(r'("timing_seconds": \{\s*"census": )[^\s}]+')
+# the census time, in the JSON document and in the table
+TIMING = re.compile(r'("timing_seconds": \{\s*"census": |\ntiming_seconds:\n  census: )[^\s}]+')
 
 
 def stdout_of(case: str, workdir: Path, *extra: str) -> bytes:
@@ -97,6 +103,42 @@ def blank_timing(text: str) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, tmp_path):
     assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
+
+
+# every table and CSV case -> its JSON sibling and, for CSV, the keys of the
+# command's one list of records in that document
+VIEWS = {
+    "enumerate.txt": ("enumerate.json", None),
+    "enumerate-table.txt": ("enumerate-table.json", None),
+    "enumerate-table.csv": ("enumerate-table.json", ["profiles"]),
+    "outcome.txt": ("outcome.json", None),
+    "find-ne.txt": ("find-ne.json", None),
+    "find-ne.csv": ("find-ne.json", ["census", "equilibria"]),
+    "verify-deviation.txt": ("verify-deviation.json", None),
+    "lindahl-roundtrip.txt": ("lindahl-roundtrip.json", None),
+    "measure.txt": ("measure.json", None),
+}
+
+
+def test_every_table_and_csv_case_has_a_json_sibling():
+    assert set(VIEWS) == {case for case in CASES if not case.endswith(".json")}
+
+
+@pytest.mark.parametrize("case", sorted(VIEWS))
+def test_view_is_rendered_from_the_json_golden(case):
+    """The table and the CSV say nothing the JSON document does not: each
+    is the generic view of the document, with no hand-written view."""
+    sibling, records_keys = VIEWS[case]
+    document = json.loads((GOLDEN / sibling).read_bytes())
+    buffer = io.StringIO()
+    if records_keys is None:
+        buffer.writelines(line + "\n" for line in cli._table_lines(document))
+    else:
+        records = document
+        for key in records_keys:
+            records = records[key]
+        csv.writer(buffer).writerows(cli._csv_rows(records))
+    assert buffer.getvalue().encode() == (GOLDEN / case).read_bytes()
 
 
 # one JSON case per command

@@ -117,6 +117,16 @@ class TestEnumerateBundles:
             enumerate_bundles((0, 1), 3, 3)
         assert err.value.field == "num_bands"
 
+    def test_bound_admits_exactly_its_count(self, monkeypatch):
+        from spectrumshare import model
+
+        # levels 0, 1, 2 over 2 bands within budget 2: six bundles
+        monkeypatch.setattr(model, "MAX_BUNDLES", 6)
+        assert len(enumerate_bundles((0, 1, 2), 2, 2)) == 6
+        monkeypatch.setattr(model, "MAX_BUNDLES", 5)
+        with pytest.raises(ConfigError):
+            enumerate_bundles((0, 1, 2), 2, 2)
+
     def test_rejects_empty_levels(self):
         with pytest.raises(ConfigError):
             enumerate_bundles((), 2, 1)
