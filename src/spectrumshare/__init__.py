@@ -25,12 +25,7 @@ from .equilibrium import (
     mismatch_penalties_vanish,
     price_intervals,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    PriceScaleError,
-    PriceSystemError,
-)
+from .errors import ConfigError, ContractError
 from .measurement import (
     AgentBehavior,
     GainReport,
@@ -46,6 +41,7 @@ from .mechanism import (
     Outcome,
     clip_allocation,
     lindahl_price,
+    message_prices,
     nearest_integer,
     outcome,
     rounded_average,

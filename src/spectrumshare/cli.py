@@ -38,17 +38,17 @@ from .equilibrium import (
     lindahl_census,
     lindahl_to_ne,
 )
-from .errors import ConfigError, ContractError, PriceScaleError, PriceSystemError
+from .errors import ConfigError, ContractError
 from .measurement import run_measurement
 from .mechanism import Message, lindahl_price, outcome
 from .model import as_fraction
-from .scenario import load_scenario, rational_to_json, read_messages, read_psi
+from .scenario import load_scenario, rational_to_json, read_file, read_messages, read_psi
 
 
 def _messages(args, scenario) -> tuple[Message, ...]:
     """`--messages`, given inline or as @file."""
     spec = args.messages
-    document = Path(spec[1:]).read_bytes() if spec.startswith("@") else spec
+    document = read_file(spec[1:], "messages") if spec.startswith("@") else spec
     return read_messages(document, scenario.config.num_users)
 
 
@@ -135,11 +135,17 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
     then prints the document as JSON, as CSV rows of `records` (the
     command's one list of records, if it has one) or as the table; the
     table and CSV views are built only when their format is chosen.
-    `--out` gets the JSON document whatever the format; the JSON text is
-    built once for both.
+    `--out` gets the JSON document whatever the format, written before
+    anything is printed, so that a file it cannot write leaves stdout empty;
+    the JSON text is built once for both.
     """
     document = {"command": args.subcommand, "scenario_digest": scenario.digest, **document}
     text = json.dumps(document, indent=2) if args.format == "json" or args.out else None
+    if args.out:
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
     if args.format == "json":
         print(text)
     elif args.format == "csv" and records is not None:
@@ -147,8 +153,6 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
     else:
         for line in _table_lines(document):
             print(line)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
 
 
 def cmd_enumerate(args, scenario) -> None:
@@ -225,12 +229,10 @@ def cmd_verify(args, scenario) -> None:
 
 def cmd_lindahl_roundtrip(args, scenario) -> None:
     catalog = scenario.config.catalog
-    psi = read_psi(Path(args.psi).read_bytes(), scenario.config.num_users, catalog.size)
+    psi = read_psi(read_file(args.psi, "psi"), scenario.config.num_users, catalog.size)
     try:
         messages = lindahl_to_ne(psi, as_fraction(args.pi1), catalog)
-    except PriceSystemError as exc:
-        raise ConfigError(f"psi.prices: {exc}") from None
-    except (ConfigError, PriceScaleError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"--pi1: {exc}") from None
     report = build_report(messages, scenario.config)
     document = {

@@ -45,13 +45,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .errors import ContractError, PriceScaleError, PriceSystemError
-from .mechanism import (
-    Message,
-    MessageProfile,
-    lindahl_price,
-    outcome,
-)
+from .errors import ConfigError, ContractError
+from .mechanism import Message, MessageProfile, lindahl_price, message_prices, outcome
 from .model import (
     IntegerScaling,
     ProfileCatalog,
@@ -148,35 +143,25 @@ class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices
 def lindahl_to_ne(psi: LindahlAllocation, seed_price, catalog: ProfileCatalog) -> MessageProfile:
     """Message profile whose outcome reproduces the Lindahl allocation `psi`.
 
-    Every user proposes the allocation index; the prices solve the cyclic
-    system personal_price[i] = (price[i+1] - price[i+2]) / N exactly, seeded
-    by price[0] = seed_price.  The system is consistent only when the
-    personal prices sum to zero, and seed_price must be large enough to keep
-    every solved price non-negative.
+    Every user proposes the allocation index; the prices are the least
+    solution `message_prices` of the cyclic price system, all raised by one
+    constant so that price[0] = seed_price.  Personal prices that do not sum
+    to zero raise `ValueError`; a seed price below the least one, which
+    would make a price negative, raises `ConfigError` naming that least one.
     """
     n = len(psi.prices)
     if n != catalog.num_users:
         raise ValueError(f"allocation is for {n} users, catalog expects {catalog.num_users}")
     if not 0 <= psi.allocation <= catalog.size:
         raise ValueError(f"allocation {psi.allocation} outside 0..{catalog.size}")
-    if sum(psi.prices, Fraction(0)) != 0:
-        raise PriceSystemError(
-            f"personal prices must sum to zero, got {sum(psi.prices, Fraction(0))}"
-        )
+    least = message_prices(psi.prices)
     seed = as_fraction(seed_price)
-    solved = [seed]
-    for j in range(1, n):
-        previous_personal = psi.prices[(j - 2) % n]
-        solved.append(solved[j - 1] - n * previous_personal)
-    lowest = min(solved)
-    if lowest < 0:
-        minimum = seed - lowest
-        raise PriceScaleError(
+    if seed < least[0]:
+        raise ConfigError(
             f"seed price {seed} makes a solved price negative; "
-            f"the smallest feasible seed price is {minimum}",
-            minimum,
+            f"the smallest feasible seed price is {least[0]}"
         )
-    return tuple(Message(psi.allocation, price) for price in solved)
+    return tuple(Message(psi.allocation, price + seed - least[0]) for price in least)
 
 
 class EquilibriumReport(
@@ -380,19 +365,6 @@ class LindahlCensus(namedtuple("LindahlCensus", "complete equilibria")):
     __slots__ = ()
 
 
-def _certified_equilibrium(allocation: int, prices, config: ScenarioConfig) -> EquilibriumReport:
-    psi = LindahlAllocation(allocation, tuple(allocation * p for p in prices), prices)
-    try:
-        candidate = lindahl_to_ne(psi, 0, config.catalog)
-    except PriceScaleError as exc:
-        candidate = lindahl_to_ne(psi, exc.min_seed_price, config.catalog)
-    report = build_report(candidate, config)
-    problems = report.soundness_violations() if report.is_ne else ("messages are not an NE",)
-    if problems:
-        raise ContractError(f"census allocation {allocation}: {'; '.join(problems)}")
-    return report
-
-
 def _balanced_intervals(config: ScenarioConfig):
     """(allocation, per-user `Fraction` intervals) for every allocation that
     every user admits and whose intervals admit prices summing to zero, in
@@ -458,14 +430,19 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     found by bisecting its hull points.  Only the allocations in the run get
     `Fraction` intervals.
 
-    Each entry's messages come from `balanced_prices` and `lindahl_to_ne` at
-    the smallest feasible seed price, and are certified by `build_report`.
-    An entry that fails certification raises `ContractError`.
+    Each entry's messages propose the allocation at the least message prices
+    (`message_prices`) of one zero-sum vector from `balanced_prices`, and
+    are certified by `build_report`.  An entry that fails certification
+    raises `ContractError`.
     """
     config.check_profile_cap("evaluating utilities")
     entries = []
     for allocation, intervals in _balanced_intervals(config):
-        report = _certified_equilibrium(allocation, balanced_prices(intervals), config)
+        prices = message_prices(balanced_prices(intervals))
+        report = build_report(tuple(Message(allocation, price) for price in prices), config)
+        problems = report.soundness_violations() if report.is_ne else ("messages are not an NE",)
+        if problems:
+            raise ContractError(f"census allocation {allocation}: {'; '.join(problems)}")
         entries.append(CensusEntry(intervals, report))
     complete = all(spec.quasi_linear for spec in config.utilities)
     return LindahlCensus(complete, tuple(entries))

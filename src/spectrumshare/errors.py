@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two exceptions: `ConfigError` for refused input (exit 2)
+and `ContractError` for a violated internal identity (exit 3)."""
 
 
 class ConfigError(Exception):
@@ -14,15 +15,3 @@ class ConfigError(Exception):
 
 class ContractError(Exception):
     """An internal identity that must always hold was violated."""
-
-
-class PriceSystemError(ValueError):
-    """The personalized prices are inconsistent (they must sum to zero)."""
-
-
-class PriceScaleError(ValueError):
-    """The seed price is too small to keep all solved prices non-negative."""
-
-    def __init__(self, message: str, min_seed_price):
-        super().__init__(message)
-        self.min_seed_price = min_seed_price

@@ -1,4 +1,5 @@
-"""The allocation game form: messages, outcome rule, and the cyclic tax.
+"""The allocation game form: messages, outcome rule, the cyclic tax, and the
+cyclic personal price in both directions (`lindahl_price`, `message_prices`).
 
 Each user submits a message (proposal, price): an integer catalog index it
 proposes, and a non-negative price per unit of profile index it is willing
@@ -97,6 +98,25 @@ def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
     if not 0 <= user < n:
         raise ValueError(f"user {user} outside 0..{n - 1}")
     return (profile[(user + 1) % n].price - profile[(user + 2) % n].price) / n
+
+
+def message_prices(personal_prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The inverse of `lindahl_price`: the least non-negative message prices
+    whose personal prices are `personal_prices`, the lowest of them 0.
+
+    The cyclic system p_i = (pi_{i+1} - pi_{i+2}) / N has a solution only
+    when the p_i sum to zero (else `ValueError`), and then its solutions
+    differ by one constant; pi_0 = 0 gives one, which is then shifted.
+    """
+    total = sum(personal_prices, Fraction(0))
+    if total != 0:
+        raise ValueError(f"personal prices must sum to zero, got {total}")
+    n = len(personal_prices)
+    prices = [Fraction(0)]
+    for j in range(1, n):
+        prices.append(prices[-1] - n * personal_prices[(j - 2) % n])
+    lowest = min(prices)
+    return tuple(price - lowest for price in prices)
 
 
 class Outcome(namedtuple("Outcome", "allocation taxes")):

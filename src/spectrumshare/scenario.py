@@ -30,7 +30,7 @@ except ImportError:
 from .equilibrium import LindahlAllocation
 from .errors import ConfigError
 from .measurement import AgentBehavior, Honest, PilotCheat, ReportCheat
-from .mechanism import Message
+from .mechanism import Message, message_prices
 from .model import (
     CubicTaxUtility,
     IntegerScaling,
@@ -90,8 +90,9 @@ def _require_keys(mapping, required, path: str):
 
 def _read(path: str, build, *args):
     """`build(*args)`, a reader or record constructor, with its refusal
-    (`ConfigError`, or `ValueError` from `Message`) prefixed with `path`,
-    joined onto the refused field's path when the refusal names one."""
+    (`ConfigError`, or `ValueError` from `Message` or `message_prices`)
+    prefixed with `path`, joined onto the refused field's path when the
+    refusal names one."""
     try:
         return build(*args)
     except (ConfigError, ValueError) as exc:
@@ -228,6 +229,15 @@ def parse_scenario(data: dict, digest: str) -> Scenario:
     return Scenario(config, pi_step, pi_max, pilot_power, behaviors, seed, digest)
 
 
+def read_file(path, field: str) -> bytes:
+    """The bytes of the file at `path`; a file that cannot be read exits as
+    a `ConfigError` that names `field`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def read_json(document, field: str, parse_int=None):
     """Decode a JSON document whose decimals become `Fraction`s through
     `parse_decimal`; `parse_int` reads its integers (`int` when None).
@@ -256,24 +266,24 @@ def read_messages(document, num_users: int) -> tuple[Message, ...]:
 
 def read_psi(document, num_users: int, size: int) -> LindahlAllocation:
     """Decode a `--psi` file: an allocation index in 0..size and one tax and
-    one personal price per user, its integers held to MAX_DIGITS digits."""
+    one personal price per user, the prices summing to zero (which
+    `message_prices` decides), its integers held to MAX_DIGITS digits."""
     data = read_json(document, "psi", parse_integer)
     _require_keys(data, ("allocation", "taxes", "prices"), "psi")
     allocation = _integer(data["allocation"], "psi.allocation")
     if not 0 <= allocation <= size:
         _fail("psi.allocation", f"{allocation} is outside 0..{size}")
-    return LindahlAllocation(
-        allocation,
-        _rationals(data["taxes"], "psi.taxes", num_users),
-        _rationals(data["prices"], "psi.prices", num_users),
-    )
+    taxes = _rationals(data["taxes"], "psi.taxes", num_users)
+    prices = _rationals(data["prices"], "psi.prices", num_users)
+    _read("psi.prices", message_prices, prices)
+    return LindahlAllocation(allocation, taxes, prices)
 
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file.  Its integers are held to
     MAX_DIGITS digits by one scan of the document (as UTF-8) for longer
     runs of digits, before it is decoded."""
-    raw = Path(path).read_bytes()
+    raw = read_file(path, "scenario")
     encoding = json.detect_encoding(raw)
     utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
     _read("scenario", check_digit_runs, utf8)

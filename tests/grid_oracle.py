@@ -32,6 +32,9 @@
 - The catalog encoder `index_of`, the inverse of
   `ProfileCatalog.profile_of`: bundle positions read as a mixed-radix
   number, user 0 most significant, plus one.
+- The cyclic price solve seeded by the caller's price[0], with the least
+  seed read off its most negative price, which the closed-form inverse
+  `message_prices` replaced.
 
 The differential tests compare the library against them.
 """
@@ -84,6 +87,17 @@ def tax_components(
     penalty = (own.proposal - after.proposal) ** 2 * own.price
     credit = -((after.proposal - after2.proposal) ** 2) * after.price
     return charge, penalty, credit
+
+
+def seeded_message_prices(personal_prices, seed) -> tuple[list[Fraction], Fraction]:
+    """The cyclic system p_i = (pi_{i+1} - pi_{i+2}) / N solved one price at
+    a time from pi_0 = seed: the solved prices and the least seed that keeps
+    every one of them non-negative."""
+    n = len(personal_prices)
+    solved = [Fraction(seed)]
+    for j in range(1, n):
+        solved.append(solved[j - 1] - n * personal_prices[(j - 2) % n])
+    return solved, seed - min(solved)
 
 
 def index_of(catalog: ProfileCatalog, profile) -> int:

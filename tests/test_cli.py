@@ -258,6 +258,15 @@ def test_out_dumps_the_document_once(capsys, small_path, tmp_path, monkeypatch, 
         assert out_path.read_text() == out
 
 
+def test_unwritable_out_names_it_and_prints_nothing(capsys, small_path, tmp_path):
+    out_path = tmp_path / "missing" / "out.json"
+    argv = ["find-ne", "--scenario", small_path, "--format", "json", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out: ")
+    assert not out_path.parent.exists()
+
+
 class TestEnumerate:
     def test_summary(self, capsys, desk_path):
         code, out, _ = run(capsys, "enumerate", "--scenario", desk_path)
@@ -804,13 +813,16 @@ class TestLindahlRoundtrip:
 
 @pytest.mark.parametrize(
     "content",
-    [b'[1, "\xff"]', b"[" + b"9" * 5001 + b"]"],
-    ids=["invalid-utf8", "over-4300-digit-int"],
+    [b'[1, "\xff"]', b"[" + b"9" * 5001 + b"]", None, "directory"],
+    ids=["invalid-utf8", "over-4300-digit-int", "missing-file", "directory"],
 )
 @pytest.mark.parametrize("field", ["scenario", "messages", "psi"])
 def test_undecodable_input_names_it(capsys, small_path, tmp_path, field, content):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
     argv = {
         "scenario": ["enumerate", "--scenario", str(bad)],
         "messages": ["verify", "--scenario", small_path, "--messages", f"@{bad}"],

@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectrumshare import (
+    ConfigError,
     ContractError,
     CubicTaxUtility,
     Deviation,
     LindahlAllocation,
     Message,
-    PriceScaleError,
-    PriceSystemError,
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
@@ -30,6 +29,7 @@ from spectrumshare import (
     lindahl_census,
     lindahl_price,
     lindahl_to_ne,
+    message_prices,
     mismatch_penalties_vanish,
     outcome,
     price_intervals,
@@ -48,6 +48,7 @@ from grid_oracle import (
     interval_oracle,
     loop_census,
     price_line_oracle,
+    seeded_message_prices,
     sign_balances,
     standard_grid,
     tax_components,
@@ -558,7 +559,7 @@ class TestLindahlToNe:
 
     def test_inconsistent_prices_rejected(self, small):
         psi = LindahlAllocation(1, (0, 0, 0), (Fraction(1), Fraction(0), Fraction(0)))
-        with pytest.raises(PriceSystemError):
+        with pytest.raises(ValueError, match="sum to zero"):
             lindahl_to_ne(psi, 10, small.catalog)
 
     def test_too_small_seed_price_reports_minimum(self, small):
@@ -567,10 +568,34 @@ class TestLindahlToNe:
             (Fraction(-2, 3), Fraction(-2, 3), Fraction(4, 3)),
             (Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)),
         )
-        with pytest.raises(PriceScaleError) as err:
+        with pytest.raises(ConfigError, match="the smallest feasible seed price is 2$"):
             lindahl_to_ne(psi, 0, small.catalog)
-        assert err.value.min_seed_price == 2
-        lindahl_to_ne(psi, err.value.min_seed_price, small.catalog)
+        assert min(m.price for m in lindahl_to_ne(psi, 2, small.catalog)) == 0
+
+    @given(
+        # zero-sum "p/q" personal prices of 3 to 8 users
+        personal=st.lists(st.fractions(-5, 5, max_denominator=12), min_size=2, max_size=7)
+        .map(lambda prices: [*prices, -sum(prices, Fraction(0))])
+        .flatmap(st.permutations)
+        .map(tuple),
+        lift=st.fractions(min_value=0, max_value=5, max_denominator=12),
+        drop=st.fractions(min_value=0, max_value=5, max_denominator=12).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_matches_seeded_solve(self, personal, lift, drop):
+        least = message_prices(personal)
+        minimum = seeded_message_prices(personal, 0)[1]
+        assert list(least) == seeded_message_prices(personal, minimum)[0]
+        assert min(least) == 0
+        rebuilt = tuple(Message(1, price) for price in least)
+        assert tuple(lindahl_price(rebuilt, u) for u in range(len(personal))) == personal
+        catalog = build_catalog(len(personal), [(0,), (1,)])
+        psi = LindahlAllocation(1, personal, personal)
+        seed = minimum + lift
+        solved = seeded_message_prices(personal, seed)[0]
+        assert [m.price for m in lindahl_to_ne(psi, seed, catalog)] == solved
+        with pytest.raises(ConfigError, match=f"smallest feasible seed price is {minimum}$"):
+            lindahl_to_ne(psi, minimum - drop, catalog)
 
     def test_roundtrip_from_found_ne(self):
         # the priced equilibrium of conflicting peaks, rebuilt at another seed price
@@ -971,11 +996,7 @@ class TestCensusAgainstOracles:
         if any(p != 0 and not spec.quasi_linear for p, spec in zip(prices, config.utilities)):
             return
         for allocation in range(1, config.catalog.size + 1):
-            psi = LindahlAllocation(allocation, tuple(allocation * p for p in prices), prices)
-            try:
-                candidate = lindahl_to_ne(psi, 0, config.catalog)
-            except PriceScaleError as exc:
-                candidate = lindahl_to_ne(psi, exc.min_seed_price, config.catalog)
+            candidate = tuple(Message(allocation, price) for price in message_prices(prices))
             if build_report(candidate, config).is_ne:
                 assert allocation in found
 
@@ -983,6 +1004,39 @@ class TestCensusAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_census_contains_unanimity_scan(self, config, price):
         assert set(scan_allocations(price, config)) <= set(census_allocations(config))
+
+
+class TestMetamorphic:
+    """Relations between the census of a game and of a transformed one, which
+    need no oracle."""
+
+    @given(
+        tables=st.tuples(values_tables, values_tables, values_tables),
+        c=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    )
+    # a priced equilibrium: peaks at 1, 8 and 4
+    @example(
+        tables=tuple(peak_values(8, peak, scale) for peak, scale in ((1, 1), (8, 2), (4, 3))),
+        c=Fraction(7, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_money_rescaling_scales_prices(self, tables, c):
+        """Every table times c > 0 keeps the census allocations and scales
+        every interval end and every rebuilt message price by c."""
+
+        def census(scale):
+            utilities = tuple(TableUtility([scale * v for v in values]) for values in tables)
+            return lindahl_census(small_config(utilities=utilities)).equilibria
+
+        base, scaled = census(1), census(c)
+        assert [e.report.allocation for e in scaled] == [e.report.allocation for e in base]
+        for entry, rescaled in zip(base, scaled):
+            assert rescaled.price_intervals == tuple(
+                (None if lower is None else c * lower, c * upper)
+                for lower, upper in entry.price_intervals
+            )
+            prices = [c * m.price for m in entry.report.candidate]
+            assert [m.price for m in rescaled.report.candidate] == prices
 
 
 signed_prices = st.fractions(min_value=-3, max_value=3, max_denominator=12)

@@ -399,15 +399,18 @@ class TestIntegerScaling:
                 st.tuples(st.integers(1, MAX_DIGITS), st.integers(MAX_DIGITS - 1, MAX_DIGITS + 2))
                 .filter(lambda lengths: lengths[1] - lengths[0] >= 2)
                 .map(lambda lengths: f"{'7' * lengths[0]}/{'3' * (lengths[1] - lengths[0] - 1)}"),
-                # decimal strings and JSON decimals (parsed into Fractions)
+                # decimal strings, over-long ones among them, and JSON
+                # decimals (parsed into Fractions) short enough to be read
                 st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
-                st.decimals(allow_nan=False, allow_infinity=False, places=4).map(
+                st.decimals(min_value=-(10**90), max_value=10**90, places=4).map(
                     lambda d: parse_decimal(str(d))
                 ),
             ),
             max_size=12,
         )
     )
+    # a 101-character decimal literal, one over MAX_DIGITS
+    @example(["1" + "0" * 90 + "40265.3183"])
     @settings(max_examples=300, deadline=None)
     def test_read_table_matches_fraction_per_entry(self, values):
         try:
