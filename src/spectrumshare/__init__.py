@@ -22,7 +22,6 @@ from .equilibrium import (
     build_report,
     lindahl_census,
     lindahl_to_ne,
-    mismatch_penalties_vanish,
     price_intervals,
 )
 from .errors import ConfigError, ContractError
@@ -39,12 +38,11 @@ from .mechanism import (
     Message,
     MessageProfile,
     Outcome,
-    clip_allocation,
     lindahl_price,
     message_prices,
     nearest_integer,
     outcome,
-    rounded_average,
+    tax_terms,
 )
 from .model import (
     CubicTaxUtility,

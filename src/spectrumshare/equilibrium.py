@@ -7,22 +7,23 @@ user i's best catalog index k when its tax is k * p - c.  It rests on one
 premise: every utility variant is non-increasing in tax.  Against fixed
 others (S the sum of their proposals, p_i = (pi_{i+1} - pi_{i+2}) / N the
 personal price, c_i = (n_{i+1} - n_{i+2})^2 * pi_{i+1} the next user's
-mismatch penalty, rebated to user i), any message of user i either makes the
-rounded average leave the catalog (the opt-out: no allocation, no tax, worth
-exactly 0 in every variant) or lands on some index k with a tax of at least
-k * p_i - c_i, which price 0 attains.  So user i's best reply over the whole
-message space is either the opt-out (-S, 0) or (N * k - S, 0) for the best k
-on the line, and a profile is a Nash equilibrium (NE) exactly when no user
-gains from it.  With c_i = 0 the same kernel is the Lindahl check "best on
-the personal price line".
+mismatch penalty, rebated to user i; both read off `mechanism.tax_terms`),
+any message of user i either makes the rounded average leave the catalog
+(the opt-out: no allocation, no tax, worth exactly 0 in every variant) or
+lands on some index k with a tax of at least k * p_i - c_i, which price 0
+attains.  So user i's best reply over the whole message space is either the
+opt-out (-S, 0) or (N * k - S, 0) for the best k on the line, and a profile
+is a Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0
+the same kernel is the Lindahl check "best on the personal price line".
 
-`build_report` certifies a candidate in one pass: one outcome, and per user
-its values, one reply scan and one held utility, from which it reads the NE
-verdict and best deviation, individual rationality, the reduced tax form
-and the Lindahl verdicts.  Only a user whose tax is on its price line but
-whose scanned line carries a credit c_i != 0 is scanned again, at credit 0,
-on the same values.  A user's values (its spec's `integer_scaling`) are
-built where they are used and dropped before the next user's.
+`build_report` certifies a candidate in one pass: one outcome, one
+`tax_terms`, and per user its values, one reply scan and one held utility,
+from which it reads the NE verdict and best deviation, individual
+rationality, the reduced tax form and the Lindahl verdicts.  Only a user
+whose tax is on its price line but whose scanned line carries a credit
+c_i != 0 is scanned again, at credit 0, on the same values.  A user's values
+(its spec's `integer_scaling`) are built where they are used and dropped
+before the next user's.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConfigError, ContractError
-from .mechanism import Message, MessageProfile, lindahl_price, message_prices, outcome
+from .mechanism import Message, MessageProfile, message_prices, outcome, tax_terms
 from .model import (
     IntegerScaling,
     ProfileCatalog,
@@ -76,20 +77,22 @@ def price_line_optimum(
     return best, utility_eval(spec, scaling, best, best * price - credit)
 
 
-def _reply(user: int, profile: MessageProfile, spec: UtilitySpec, scaling: IntegerScaling):
+def _reply(user: int, profile: MessageProfile, terms, spec: UtilitySpec, scaling: IntegerScaling):
     """User's best message over the whole message space, the credit c_i of
     the price line scanned, and the best utility on that line; the message
     is worth the larger of that utility and the opt-out's, which is 0.
+    `terms` are the profile's `tax_terms`: the line's price is user i's
+    personal price, and its credit is user i+1's mismatch penalty.
 
     The opt-out (-S, 0) is chosen only when strictly better than every
     catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
     """
+    prices, penalties, denominator = terms
     n_users = len(profile)
     others_sum = sum(m.proposal for m in profile) - profile[user].proposal
-    after = profile[(user + 1) % n_users]
-    after2 = profile[(user + 2) % n_users]
-    credit = (after.proposal - after2.proposal) ** 2 * after.price
-    index, value = price_line_optimum(spec, scaling, lindahl_price(profile, user), credit)
+    credit = Fraction(penalties[(user + 1) % n_users], denominator)
+    price = Fraction(prices[user], denominator)
+    index, value = price_line_optimum(spec, scaling, price, credit)
     proposal = -others_sum if value < 0 else n_users * index - others_sum
     return Message(proposal, Fraction(0)), credit, value
 
@@ -111,20 +114,7 @@ def best_response(
     puts the rounded average exactly on the best catalog index (the smallest
     one on ties), or the opt-out proposal when that is strictly better.
     """
-    return _reply(user, profile, config.utilities[user], scaling)[0]
-
-
-def mismatch_penalties_vanish(profile: MessageProfile) -> bool:
-    """True iff every user's (proposal gap to the next user)^2 * price is zero.
-
-    This holds at every NE: a user facing a positive own penalty could drop
-    its price to zero and strictly lower its tax.
-    """
-    n = len(profile)
-    return all(
-        (profile[i].proposal - profile[(i + 1) % n].proposal) ** 2 * profile[i].price == 0
-        for i in range(n)
-    )
+    return _reply(user, profile, tax_terms(profile), config.utilities[user], scaling)[0]
 
 
 class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices")):
@@ -228,11 +218,11 @@ class EquilibriumReport(
 def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
     """Certify a candidate in one pass over the users.
 
-    One outcome; per user its values (`spec.integer_scaling`), one `_reply`
-    scan and one held utility.  The reply gives the deviation gain (exact
-    over the whole message space, and compared exactly, since every utility
-    is exact); the opt-out is worth 0, so individual rationality is a held
-    utility of at least 0.
+    One outcome and one `tax_terms`; per user its values
+    (`spec.integer_scaling`), one `_reply` scan and one held utility.  The
+    reply gives the deviation gain (exact over the whole message space, and
+    compared exactly, since every utility is exact); the opt-out is worth 0,
+    so individual rationality is a held utility of at least 0.
     A user is on its price line when its tax is allocation * personal price;
     the Lindahl verdict compares its held utility with the best on that line
     at credit 0, which is the scanned line unless c_i != 0, and only then is
@@ -243,13 +233,15 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     """
     config.check_profile_cap("evaluating utilities")
     allocation, taxes = outcome(candidate, config.catalog)
-    prices = tuple(lindahl_price(candidate, user) for user in range(len(candidate)))
-    vanish = mismatch_penalties_vanish(candidate)
+    terms = tax_terms(candidate)
+    price_numerators, penalties, denominator = terms
+    prices = tuple(Fraction(price, denominator) for price in price_numerators)
+    vanish = not any(penalties)
     best: Deviation | None = None
     rational, on_line, user_best = [], [], []
     for user, spec in enumerate(config.utilities):
         scaling = spec.integer_scaling(config)
-        message, credit, line_best = _reply(user, candidate, spec, scaling)
+        message, credit, line_best = _reply(user, candidate, terms, spec, scaling)
         held = utility_eval(spec, scaling, allocation, taxes[user])
         gain = max(line_best, 0) - held
         if gain > 0 and (best is None or gain > best.gain):

@@ -4,10 +4,11 @@ cyclic personal price in both directions (`lindahl_price`, `message_prices`).
 Each user submits a message (proposal, price): an integer catalog index it
 proposes, and a non-negative price per unit of profile index it is willing
 to pay.  The outcome is the catalog entry nearest to the average proposal
-(clipped to 0 when the average falls outside the catalog) plus one tax or
-subsidy per user.  The tax of user i only involves its own message and the
-messages of the two users after it in the cycle, which is what makes the
-budget balance exactly, on and off equilibrium.
+(0 when the average falls outside the catalog) plus one tax or subsidy per
+user.  The tax of user i only involves its own message and the messages of
+the two users after it in the cycle, which is what makes the budget balance
+exactly, on and off equilibrium.  `tax_terms` states its two terms, the
+personal price and the mismatch penalty, once for every caller.
 
 Everything here is exact rational arithmetic; there are no tolerances.
 """
@@ -51,45 +52,23 @@ def nearest_integer(total: int, count: int) -> int:
     return quotient + 1 if quotient >= 0 else quotient
 
 
-def rounded_average(proposals: Sequence[int]) -> int:
-    """Integer nearest to the exact mean of the proposals."""
-    if not proposals:
-        raise ValueError("need at least one proposal")
-    return nearest_integer(sum(proposals), len(proposals))
+def tax_terms(profile: MessageProfile) -> tuple[list[int], list[int], int]:
+    """Every user's personal price and own mismatch penalty, as integer
+    numerators over one shared denominator N * lcm(price denominators).
 
-
-def clip_allocation(value: int, catalog_size: int) -> int:
-    """Map an integer onto the catalog: itself when valid, else 0."""
-    if catalog_size < 1:
-        raise ValueError("catalog_size must be at least 1")
-    return value if 1 <= value <= catalog_size else 0
-
-
-def _tax_numerators(
-    profile: MessageProfile, average: int, catalog_size: int
-) -> tuple[list[int], int]:
-    """Every user's tax at the profile's rounded average, as integer numerators
-    over one shared denominator n * lcm(price denominators).
-
-    User i pays the allocation charge, plus its own mismatch penalty, minus
-    the penalty of user i+1; all zero when the average names no profile.
+    The personal price of user i is p_i = (pi_{i+1} - pi_{i+2}) / N, and its
+    penalty is P_i = (n_i - n_{i+1})^2 * pi_i.  At an allocation k that names
+    a profile user i pays k * p_i + P_i - P_{i+1}, which sums to zero.
     """
     n = len(profile)
-    if not 1 <= average <= catalog_size:
-        return [0] * n, 1
     scale = lcm(*(m.price.denominator for m in profile))
     scaled = [m.price.numerator * (scale // m.price.denominator) for m in profile]
+    prices = [scaled[(i + 1) % n] - scaled[(i + 2) % n] for i in range(n)]
     penalties = [
         n * (message.proposal - profile[(i + 1) % n].proposal) ** 2 * scaled[i]
         for i, message in enumerate(profile)
     ]
-    numerators = [
-        average * (scaled[(i + 1) % n] - scaled[(i + 2) % n])
-        + penalties[i]
-        - penalties[(i + 1) % n]
-        for i in range(n)
-    ]
-    return numerators, n * scale
+    return prices, penalties, n * scale
 
 
 def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
@@ -97,7 +76,8 @@ def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
     n = len(profile)
     if not 0 <= user < n:
         raise ValueError(f"user {user} outside 0..{n - 1}")
-    return (profile[(user + 1) % n].price - profile[(user + 2) % n].price) / n
+    prices, _, denominator = tax_terms(profile)
+    return Fraction(prices[user], denominator)
 
 
 def message_prices(personal_prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -128,21 +108,19 @@ class Outcome(namedtuple("Outcome", "allocation taxes")):
 def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:
     """Apply the game form to a full message profile.
 
-    Raises `ContractError` when the taxes do not sum to zero, or when a null
-    allocation carries a tax; both are decided on the integer numerators,
-    before any `Fraction` is built.
+    The allocation is the rounded average proposal when it names a catalog
+    profile, else 0 with every tax 0.  Raises `ContractError` when the taxes
+    do not sum to zero, decided on the integer numerators before any
+    `Fraction` is built.
     """
-    if len(profile) != catalog.num_users:
-        raise ValueError(
-            f"profile has {len(profile)} messages, catalog expects {catalog.num_users}"
-        )
-    average = rounded_average([m.proposal for m in profile])
-    numerators, denominator = _tax_numerators(profile, average, catalog.size)
-    allocation = clip_allocation(average, catalog.size)
+    n = len(profile)
+    if n != catalog.num_users:
+        raise ValueError(f"profile has {n} messages, catalog expects {catalog.num_users}")
+    average = nearest_integer(sum(m.proposal for m in profile), n)
+    if not 1 <= average <= catalog.size:
+        return Outcome(0, (Fraction(0),) * n)
+    prices, penalties, denominator = tax_terms(profile)
+    numerators = [average * prices[i] + penalties[i] - penalties[(i + 1) % n] for i in range(n)]
     if sum(numerators) != 0:
         raise ContractError(f"taxes must sum to zero, got {numerators} over {denominator}")
-    if allocation == 0 and any(numerators):
-        raise ContractError("a null allocation must carry zero taxes")
-    return Outcome(
-        allocation, tuple(Fraction(numerator, denominator) for numerator in numerators)
-    )
+    return Outcome(average, tuple(Fraction(numerator, denominator) for numerator in numerators))

@@ -244,7 +244,7 @@ def read_json(document, field: str, parse_int=None):
     Every error exits as a `ConfigError` that names `field`."""
     try:
         return json.loads(document, parse_float=parse_decimal, parse_int=parse_int)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{field}: not valid JSON ({exc})") from None
     except ConfigError as exc:
         raise ConfigError(f"{field}: {exc}") from None

@@ -813,8 +813,14 @@ class TestLindahlRoundtrip:
 
 @pytest.mark.parametrize(
     "content",
-    [b'[1, "\xff"]', b"[" + b"9" * 5001 + b"]", None, "directory"],
-    ids=["invalid-utf8", "over-4300-digit-int", "missing-file", "directory"],
+    [
+        b'[1, "\xff"]',
+        b"[" + b"9" * 5001 + b"]",
+        None,
+        "directory",
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["invalid-utf8", "over-4300-digit-int", "missing-file", "directory", "nested-too-deep"],
 )
 @pytest.mark.parametrize("field", ["scenario", "messages", "psi"])
 def test_undecodable_input_names_it(capsys, small_path, tmp_path, field, content):

@@ -30,9 +30,9 @@ from spectrumshare import (
     lindahl_price,
     lindahl_to_ne,
     message_prices,
-    mismatch_penalties_vanish,
     outcome,
     price_intervals,
+    tax_terms,
 )
 from spectrumshare.equilibrium import _balanced_intervals, price_line_optimum
 from spectrumshare.mechanism import Outcome, nearest_integer
@@ -433,15 +433,15 @@ class TestLindahlCensus:
 
 class TestMismatchPenalties:
     def test_unanimity_vanishes(self):
-        assert mismatch_penalties_vanish(unanimity(3, 2))
+        assert not any(tax_terms(unanimity(3, 2))[1])
 
     def test_zero_prices_vanish(self):
         profile = tuple(Message(n, Fraction(0)) for n in (1, 2, 3))
-        assert mismatch_penalties_vanish(profile)
+        assert not any(tax_terms(profile)[1])
 
     def test_priced_disagreement_detected(self):
         profile = (Message(1, Fraction(1)), Message(2, Fraction(0)), Message(3, Fraction(0)))
-        assert not mismatch_penalties_vanish(profile)
+        assert tax_terms(profile)[1] == [3, 0, 0]
 
 
 def aligned_profiles():
@@ -1006,6 +1006,49 @@ class TestCensusAgainstOracles:
         assert set(scan_allocations(price, config)) <= set(census_allocations(config))
 
 
+def peak_biased_tables(size: int):
+    """Value tables of `size` profiles, half of them single-peaked near the
+    middle so that games of such tables often hold an equilibrium."""
+    return st.one_of(
+        st.lists(
+            st.fractions(min_value=0, max_value=12, max_denominator=3),
+            min_size=size,
+            max_size=size,
+        ).map(lambda values: (Fraction(0), *values)),
+        st.builds(
+            peak_values,
+            st.just(size),
+            st.integers(min_value=size // 2 - 1, max_value=size // 2 + 1),
+            st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+        ),
+    )
+
+
+@st.composite
+def table_games(draw):
+    """(tables, permutation): one table per user of a 3- or 4-user game over
+    one band with levels {0, 1}, and a permutation of the users."""
+    num_users = draw(st.sampled_from((3, 4)))
+    tables = peak_biased_tables(2**num_users)
+    tables = draw(st.lists(tables, min_size=num_users, max_size=num_users))
+    return tables, draw(st.permutations(range(num_users)))
+
+
+def table_census(tables) -> dict:
+    """Allocation -> per-user price intervals of the census of a game whose
+    users hold `tables`, over one band with levels {0, 1}."""
+    config = ScenarioConfig(
+        num_users=len(tables),
+        num_bands=1,
+        quant_levels=(Fraction(0), Fraction(1)),
+        power_budget=Fraction(1),
+        noise_half_density=Fraction(1),
+        gains=uniform_gains(len(tables), 1),
+        utilities=tuple(TableUtility(values) for values in tables),
+    )
+    return {e.report.allocation: e.price_intervals for e in lindahl_census(config).equilibria}
+
+
 class TestMetamorphic:
     """Relations between the census of a game and of a transformed one, which
     need no oracle."""
@@ -1037,6 +1080,23 @@ class TestMetamorphic:
             )
             prices = [c * m.price for m in entry.report.candidate]
             assert [m.price for m in rescaled.report.candidate] == prices
+
+    @given(game=table_games())
+    # a priced equilibrium: peaks at 1, 8 and 4
+    @example(
+        game=([peak_values(8, peak, scale) for peak, scale in ((1, 1), (8, 2), (4, 3))], (2, 0, 1))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_tables_permutes_intervals(self, game):
+        """Handing user i the table of user perm[i], on the same catalog
+        indices, keeps the census allocations and moves each entry's
+        intervals with their tables.  (Relabelling the users in the catalog
+        too does not: it reorders the indices, and with them the price
+        lines, since a personal price is charged per unit of index.)"""
+        tables, perm = game
+        base = table_census(tables)
+        moved = {k: tuple(intervals[j] for j in perm) for k, intervals in base.items()}
+        assert table_census([tables[j] for j in perm]) == moved
 
 
 signed_prices = st.fractions(min_value=-3, max_value=3, max_denominator=12)

@@ -1,6 +1,7 @@
-"""Every name that `spectrumshare` exports is reached outside the tests:
-another module of the package imports it, its own module names it outside
-its own definition, or a script imports it."""
+"""Every name that `spectrumshare` exports, and every top-level function and
+class of the package, is reached outside the tests: another module of the
+package imports it, its own module names it outside its own definition, or
+a script imports it."""
 
 import ast
 from pathlib import Path
@@ -41,23 +42,40 @@ def named_outside_definition(tree: ast.Module, name: str) -> bool:
     )
 
 
+MODULES = {path.stem: parse(path) for path in PACKAGE.glob("*.py")}
+FROM_SCRIPTS = imported_names(parse(path) for path in (ROOT / "scripts").glob("*.py"))
+
+
+def unreached(definitions) -> list[str]:
+    """The `module.name` of every (name, module) pair reached nowhere."""
+    missed = []
+    for name, module in sorted(definitions):
+        others = [tree for stem, tree in MODULES.items() if stem not in ("__init__", module)]
+        if not (
+            name in imported_names(others)
+            or named_outside_definition(MODULES[module], name)
+            or name in FROM_SCRIPTS
+        ):
+            missed.append(f"{module}.{name}")
+    return missed
+
+
 def test_every_export_is_reached_outside_the_tests():
-    modules = {path.stem: parse(path) for path in PACKAGE.glob("*.py")}
-    scripts = [parse(path) for path in (ROOT / "scripts").glob("*.py")]
     exports = {
-        alias.asname or alias.name: node.module
-        for node in modules["__init__"].body
+        (alias.asname or alias.name, node.module)
+        for node in MODULES["__init__"].body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    from_scripts = imported_names(scripts)
-    unreached = []
-    for name, module in sorted(exports.items()):
-        others = [tree for stem, tree in modules.items() if stem not in ("__init__", module)]
-        if not (
-            name in imported_names(others)
-            or named_outside_definition(modules[module], name)
-            or name in from_scripts
-        ):
-            unreached.append(f"{module}.{name}")
-    assert unreached == []
+    assert unreached(exports) == []
+
+
+def test_every_top_level_definition_is_reached_outside_the_tests():
+    definitions = {
+        (statement.name, stem)
+        for stem, tree in MODULES.items()
+        for statement in tree.body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert definitions
+    assert unreached(definitions) == []

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrumshare import (
-    ContractError,
-    Message,
-    clip_allocation,
-    lindahl_price,
-    outcome,
-    rounded_average,
-)
+from spectrumshare import ContractError, Message, lindahl_price, outcome, tax_terms
+from spectrumshare.mechanism import nearest_integer
 from spectrumshare.model import build_catalog, enumerate_bundles
 
 from grid_oracle import tax_components
@@ -48,36 +42,29 @@ def oracle_nearest(total: int, count: int) -> int:
 
 class TestRoundedAverage:
     def test_integer_mean(self):
-        assert rounded_average((2, 2, 2)) == 2
+        assert nearest_integer(6, 3) == 2
 
     def test_nearest_rounding(self):
-        assert rounded_average((1, 2, 2)) == 2  # mean 5/3
+        assert nearest_integer(5, 3) == 2
 
     def test_tie_rounds_away_from_zero(self):
-        assert rounded_average((1, 1, 1, 2, 2, 2)) == 2  # mean 3/2
-        assert rounded_average((-1, -1, -1, -2, -2, -2)) == -2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rounded_average(())
+        assert nearest_integer(9, 6) == 2
+        assert nearest_integer(-9, 6) == -2
 
     @given(st.lists(proposals, min_size=1, max_size=7))
     def test_matches_distance_oracle(self, values):
-        assert rounded_average(values) == oracle_nearest(sum(values), len(values))
+        total, count = sum(values), len(values)
+        assert nearest_integer(total, count) == oracle_nearest(total, count)
 
 
 class TestClipAllocation:
-    def test_in_range(self):
-        assert clip_allocation(2, 216) == 2
-
-    def test_zero_clips(self):
-        assert clip_allocation(0, 216) == 0
-
-    def test_above_range_clips(self):
-        assert clip_allocation(217, 216) == 0
-
-    def test_negative_clips(self):
-        assert clip_allocation(-3, 216) == 0
+    @pytest.mark.parametrize("proposal, allocation", [(2, 2), (0, 0), (217, 0), (-3, 0)])
+    def test_outcome_names_only_catalog_profiles(self, proposal, allocation):
+        profile = tuple(Message(proposal, Fraction(u + 1)) for u in range(3))
+        result = outcome(profile, DESK)
+        assert result.allocation == allocation
+        if allocation == 0:
+            assert result.taxes == (0, 0, 0)
 
 
 def taxes(profile, catalog=DESK):
@@ -140,11 +127,35 @@ class TestTax:
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_all_taxes_zeroed_iff_allocation_clips(self, profile):
-        feasible = 1 <= rounded_average([m.proposal for m in profile]) <= 216
+        feasible = 1 <= nearest_integer(sum(m.proposal for m in profile), 3) <= 216
         result = outcome(profile, DESK)
         assert feasible == (result.allocation != 0)
         if not feasible:
             assert result.taxes == (0, 0, 0)
+
+
+class TestTaxTerms:
+    @given(
+        st.integers(min_value=3, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(min_value=1, max_value=60), prices), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_terms_match_fraction_components(self, pairs):
+        # proposals in 1..60 put the rounded average on a profile of a 60-profile catalog
+        profile = tuple(Message(n, p) for n, p in pairs)
+        n = len(profile)
+        allocation = nearest_integer(sum(m.proposal for m in profile), n)
+        price_numerators, penalties, denominator = tax_terms(profile)
+        for i in range(n):
+            charge, penalty, credit = tax_components(profile, i, 60)
+            assert allocation * Fraction(price_numerators[i], denominator) == charge
+            assert Fraction(penalties[i], denominator) == penalty
+            assert -Fraction(penalties[(i + 1) % n], denominator) == credit
+            after, after2 = profile[(i + 1) % n].price, profile[(i + 2) % n].price
+            assert lindahl_price(profile, i) == (after - after2) / n
 
 
 class TestLindahlPrice:
@@ -190,15 +201,10 @@ class TestOutcome:
     def test_invariants_enforced_by_outcome(self, monkeypatch):
         from spectrumshare import mechanism
 
-        cases = [
-            (1, [1, 0, 0], "sum to zero"),
-            (1, [3, -1, -1], "sum to zero"),
-            (0, [1, -1, 0], "null allocation"),
-        ]
-        for proposal, numerators, message in cases:
-            monkeypatch.setattr(mechanism, "_tax_numerators", lambda *_: (numerators, 3))
-            profile = tuple(Message(proposal, Fraction(1)) for _ in range(3))
-            with pytest.raises(ContractError, match=message):
+        for unbalanced in ([1, 0, 0], [3, -1, -1]):
+            monkeypatch.setattr(mechanism, "tax_terms", lambda _: (unbalanced, [0, 0, 0], 3))
+            profile = tuple(Message(1, Fraction(1)) for _ in range(3))
+            with pytest.raises(ContractError, match="sum to zero"):
                 outcome(profile, DESK)
 
 
