@@ -5,7 +5,8 @@ The game comes with no convergence guarantee for any adjustment process, so
 this is an empirical census, not an assertion: run K seeded random starts,
 count trajectories that converge, that end at a verified NE (checked exactly
 over the whole message space), and that end at a unanimity profile, and
-histogram the fixed points.  Starts are drawn from the scenario's message grid.
+histogram the fixed points with the personal prices each one charges.
+Starts are drawn from the scenario's message grid.
 `br_dynamics` below runs the dynamics on the library's exact `best_response`.
 Best response is not how equilibria are found (`spectrumshare find-ne` lists
 them all); this script studies the dynamics.
@@ -16,7 +17,14 @@ import collections
 import random
 import time
 
-from spectrumshare import Message, best_response, build_report, outcome, utility_eval
+from spectrumshare import (
+    Message,
+    best_response,
+    build_report,
+    lindahl_price,
+    outcome,
+    utility_eval,
+)
 from spectrumshare.scenario import load_scenario
 
 
@@ -77,6 +85,7 @@ def main(argv=None) -> None:
     unanimity = 0
     rounds = []
     fixed_points = collections.Counter()
+    personal_prices = {}
     allocations = collections.Counter()
     started = time.perf_counter()
     for _ in range(args.starts):
@@ -92,7 +101,9 @@ def main(argv=None) -> None:
             verified_ne += 1
         if len({m.proposal for m in profile}) == 1:
             unanimity += 1
-        fixed_points[tuple((m.proposal, str(m.price)) for m in profile)] += 1
+        key = tuple((m.proposal, str(m.price)) for m in profile)
+        fixed_points[key] += 1
+        personal_prices[key] = [str(lindahl_price(profile, u)) for u in range(len(profile))]
         allocations[outcome(profile, config.catalog).allocation] += 1
     elapsed = time.perf_counter() - started
 
@@ -109,7 +120,7 @@ def main(argv=None) -> None:
         print(f"  {count:>4}x  profile {allocation}")
     print("fixed points by frequency:")
     for profile, count in fixed_points.most_common(10):
-        print(f"  {count:>4}x  {profile}")
+        print(f"  {count:>4}x  {profile}  personal prices {personal_prices[profile]}")
 
 
 if __name__ == "__main__":

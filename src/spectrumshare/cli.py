@@ -1,11 +1,12 @@
 """Command-line front end: load a scenario, run a command, emit a report.
 
 Commands: enumerate, outcome, find-ne, verify, lindahl-roundtrip, measure.
-`main` loads the scenario once; each command builds its JSON document, the
-one statement of its output, and hands it to `_render`, the one output path.
-Every command prints a table by default, rendered from the document by
-`_table_lines`; --format json emits the document itself (rationals as
-lossless "p/q" strings); --format csv emits `_csv_rows` of the command's one
+`main` loads the scenario once; each command builds its JSON document of
+exact values, the one statement of its output, and hands it to `_render`,
+the one output path, which spells every rational.  Every command prints a
+table by default, rendered from the document by `_table_lines`; --format
+json emits the document itself (a rational as an integer when whole, else
+a lossless "p/q" string); --format csv emits `_csv_rows` of the command's one
 list of records (find-ne's equilibria, enumerate --table's profiles) and
 otherwise falls back to the table.  --out writes the JSON document to a file
 regardless of the stdout format.
@@ -23,12 +24,12 @@ when standard output closes before the output is written.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,7 +41,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, ContractError
 from .measurement import run_measurement
-from .mechanism import Message, lindahl_price, outcome
+from .mechanism import Message, outcome, tax_terms
 from .model import as_fraction
 from .scenario import load_scenario, rational_to_json, read_file, read_messages, read_psi
 
@@ -52,21 +53,17 @@ def _messages(args, scenario) -> tuple[Message, ...]:
     return read_messages(document, scenario.config.num_users)
 
 
-def _message_json(message: Message) -> dict:
-    return {"proposal": message.proposal, "price": rational_to_json(message.price)}
-
-
 def _report_json(report: EquilibriumReport) -> dict:
     return {
-        "candidate": [_message_json(m) for m in report.candidate],
+        "candidate": [m._asdict() for m in report.candidate],
         "allocation": report.allocation,
-        "taxes": [rational_to_json(t) for t in report.taxes],
+        "taxes": list(report.taxes),
         "is_ne": report.is_ne,
         "mismatch_penalties_vanish": report.mismatch_penalties_vanish,
         "feasible": report.feasible,
         "individual_rationality": list(report.individual_rationality),
         "lindahl": {
-            "prices": [rational_to_json(p) for p in report.prices],
+            "prices": list(report.prices),
             "best_on_price_line": list(report.user_best),
             "best_on_price_line_nonneg_tax": list(report.user_best_nonneg_tax),
         },
@@ -82,13 +79,17 @@ def _flat(record: dict, prefix: str = ""):
             yield prefix + key, value
 
 
-# compact JSON text, from one encoder rather than a `json.dumps` per value
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+# compact JSON text, from one encoder rather than a `json.dumps` per value;
+# as in `_render`, `rational_to_json` spells its rationals
+_encode_compact = json.JSONEncoder(separators=(",", ":"), default=rational_to_json).encode
 
 
 def _compact(value) -> str:
-    """A JSON value as compact JSON text, a string bare."""
-    return value if isinstance(value, str) else _encode_compact(value)
+    """A JSON value as compact JSON text, a string or a rational bare (a
+    `Fraction` prints as `rational_to_json` spells it: 5 or 1/3)."""
+    if isinstance(value, (str, Fraction)):
+        return str(value)
+    return _encode_compact(value)
 
 
 def _text(value) -> str:
@@ -131,16 +132,20 @@ def _csv_rows(records: list):
 def _render(args, scenario, document: dict, records: list | None = None) -> None:
     """The one output path of every command.
 
-    Stamps the command and the scenario digest ahead of `document`'s keys,
-    then prints the document as JSON, as CSV rows of `records` (the
+    `document` holds exact values: ints, `Fraction`s, bools, None, strings,
+    and lists and dicts of them.  Stamps the command and the scenario digest
+    ahead of its keys, then prints it as JSON, as CSV rows of `records` (the
     command's one list of records, if it has one) or as the table; the
-    table and CSV views are built only when their format is chosen.
-    `--out` gets the JSON document whatever the format, written before
-    anything is printed, so that a file it cannot write leaves stdout empty;
-    the JSON text is built once for both.
+    table and CSV views are built only when their format is chosen.  Every
+    rational is spelled here, by `rational_to_json` for the JSON text and
+    by `_compact` for the views.  `--out` gets the JSON document whatever
+    the format, written before anything is printed, so that a file it
+    cannot write leaves stdout empty; the JSON text is built once for both.
     """
     document = {"command": args.subcommand, "scenario_digest": scenario.digest, **document}
-    text = json.dumps(document, indent=2) if args.format == "json" or args.out else None
+    text = None
+    if args.format == "json" or args.out:
+        text = json.dumps(document, indent=2, default=rational_to_json)
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")
@@ -149,6 +154,8 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
     if args.format == "json":
         print(text)
     elif args.format == "csv" and records is not None:
+        import csv
+
         csv.writer(sys.stdout).writerows(_csv_rows(records))
     else:
         for line in _table_lines(document):
@@ -170,20 +177,15 @@ def cmd_enumerate(args, scenario) -> None:
 def cmd_outcome(args, scenario) -> None:
     messages = _messages(args, scenario)
     allocation, taxes = outcome(messages, scenario.config.catalog)
-    prices = [lindahl_price(messages, u) for u in range(len(messages))]
+    prices, _, denominator = tax_terms(messages)
     document = {
-        "messages": [_message_json(m) for m in messages],
+        "messages": [m._asdict() for m in messages],
         "allocation": allocation,
-        "taxes": [rational_to_json(t) for t in taxes],
-        "tax_sum": rational_to_json(sum(taxes)),
-        "personal_prices": [rational_to_json(p) for p in prices],
+        "taxes": list(taxes),
+        "tax_sum": sum(taxes),
+        "personal_prices": [Fraction(p, denominator) for p in prices],
     }
     _render(args, scenario, document)
-
-
-def _interval_json(interval) -> list:
-    lower, upper = interval
-    return [None if lower is None else rational_to_json(lower), rational_to_json(upper)]
 
 
 def cmd_find_ne(args, scenario) -> None:
@@ -197,7 +199,7 @@ def cmd_find_ne(args, scenario) -> None:
     equilibria = [
         {
             **_report_json(entry.report),
-            "price_intervals": [_interval_json(iv) for iv in entry.price_intervals],
+            "price_intervals": list(map(list, entry.price_intervals)),
         }
         for entry in census.equilibria
     ]
@@ -218,8 +220,8 @@ def cmd_verify(args, scenario) -> None:
     if deviation is not None:
         document["best_deviation"] = {
             "user": deviation.user,
-            "message": _message_json(deviation.message),
-            "gain": rational_to_json(deviation.gain),
+            "message": deviation.message._asdict(),
+            "gain": deviation.gain,
         }
     _render(args, scenario, document)
     violations = report.soundness_violations()
@@ -236,11 +238,11 @@ def cmd_lindahl_roundtrip(args, scenario) -> None:
         raise ConfigError(f"--pi1: {exc}") from None
     report = build_report(messages, scenario.config)
     document = {
-        "messages": [_message_json(m) for m in messages],
+        "messages": [m._asdict() for m in messages],
         "is_ne": report.is_ne,
         "allocation": report.allocation,
-        "taxes": [rational_to_json(t) for t in report.taxes],
-        "personal_prices": [rational_to_json(p) for p in report.prices],
+        "taxes": list(report.taxes),
+        "personal_prices": list(report.prices),
         "roundtrip": {
             "allocation_match": report.allocation == psi.allocation,
             "taxes_match": report.taxes == psi.taxes,
@@ -253,24 +255,11 @@ def cmd_lindahl_roundtrip(args, scenario) -> None:
 def cmd_measure(args, scenario) -> None:
     result = run_measurement(scenario.behaviors, scenario.pilot_power, scenario.config)
     document = {
-        "pilot_power": rational_to_json(scenario.pilot_power),
+        "pilot_power": scenario.pilot_power,
         "excluded_users": sorted(result.excluded),
-        "mismatched_pairs": [list(pair) for pair in result.mismatched_pairs],
-        "estimated_gains": [
-            [[rational_to_json(g) for g in row] for row in plane]
-            for plane in result.estimated_gains
-        ],
-        "reports": [
-            {
-                "transmitter": r.transmitter,
-                "receiver": r.receiver,
-                "band": r.band,
-                "reported_by_tx": rational_to_json(r.reported_by_tx),
-                "reported_by_rx": rational_to_json(r.reported_by_rx),
-                "consistent": r.consistent,
-            }
-            for r in result.reports
-        ],
+        "mismatched_pairs": list(map(list, result.mismatched_pairs)),
+        "estimated_gains": [list(map(list, plane)) for plane in result.estimated_gains],
+        "reports": [{**r._asdict(), "consistent": r.consistent} for r in result.reports],
     }
     _render(args, scenario, document)
 

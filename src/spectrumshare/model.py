@@ -59,13 +59,6 @@ def _too_long(text: str) -> ConfigError:
     return ConfigError(f"number {shown} exceeds {MAX_DIGITS} digits")
 
 
-def parse_integer(text: str) -> int:
-    """An integer literal of at most MAX_DIGITS digits."""
-    if len(text.lstrip("-")) > MAX_DIGITS:
-        raise _too_long(text)
-    return int(text)
-
-
 # Every ASCII digit byte as "0" and every other byte as a space, so that one
 # substring search finds a run of more than MAX_DIGITS digits.
 _DIGIT_MASK = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))

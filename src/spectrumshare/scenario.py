@@ -5,11 +5,13 @@ A scenario file carries everything one run needs: the model (users, bands,
 levels, budget, noise, gains, utilities), the price grid of the
 best-response script (step and cap), the measurement setup (pilot power,
 per-user behaviors), and the seed.
-Every document is read through one set of path-naming readers (`_read`,
-`_list`, `_integer`, `_require_keys`), so unknown keys, wrong-typed fields
-and refusals of the record constructors all name the offending field path
-or the object or list that holds it.  Numeric literals are parsed as exact
-rationals; "p/q" and decimal strings are accepted wherever a number is.
+Every document is decoded by one bounded reader, `read_json`, and read
+through one set of path-naming readers (`_read`, `_list`, `_integer`,
+`_require_keys`), so unknown keys, wrong-typed fields and refusals of the
+record constructors all name the offending field path or the object or
+list that holds it.  Numeric literals are parsed as exact rationals; "p/q"
+and decimal strings are accepted wherever a number is.  `rational_to_json`
+is the JSON spelling of every rational the program writes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
     as_fraction,
     check_digit_runs,
     parse_decimal,
-    parse_integer,
     read_table,
 )
 
@@ -238,12 +239,18 @@ def read_file(path, field: str) -> bytes:
         raise ConfigError(f"{field}: {exc}") from None
 
 
-def read_json(document, field: str, parse_int=None):
-    """Decode a JSON document whose decimals become `Fraction`s through
-    `parse_decimal`; `parse_int` reads its integers (`int` when None).
-    Every error exits as a `ConfigError` that names `field`."""
+def read_json(document, field: str):
+    """Decode a JSON document, given as bytes or str: the one reader of
+    every input document.  Its integers are held to MAX_DIGITS digits by one
+    scan of the document (as UTF-8) for longer runs of digits, before it is
+    decoded; its decimals become `Fraction`s through `parse_decimal`.  Every
+    error exits as a `ConfigError` that names `field`."""
     try:
-        return json.loads(document, parse_float=parse_decimal, parse_int=parse_int)
+        raw = document.encode() if isinstance(document, str) else document
+        encoding = json.detect_encoding(raw)
+        utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
+        check_digit_runs(utf8)
+        return json.loads(document, parse_float=parse_decimal)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{field}: not valid JSON ({exc})") from None
     except ConfigError as exc:
@@ -252,8 +259,8 @@ def read_json(document, field: str, parse_int=None):
 
 def read_messages(document, num_users: int) -> tuple[Message, ...]:
     """Decode `--messages`: one [proposal, price] pair or {"proposal": ...,
-    "price": ...} object per user, its integers held to MAX_DIGITS digits."""
-    data = _list(read_json(document, "messages", parse_integer), "messages", num_users)
+    "price": ...} object per user."""
+    data = _list(read_json(document, "messages"), "messages", num_users)
     messages = []
     for user, entry in enumerate(data):
         path = f"messages[{user}]"
@@ -267,8 +274,8 @@ def read_messages(document, num_users: int) -> tuple[Message, ...]:
 def read_psi(document, num_users: int, size: int) -> LindahlAllocation:
     """Decode a `--psi` file: an allocation index in 0..size and one tax and
     one personal price per user, the prices summing to zero (which
-    `message_prices` decides), its integers held to MAX_DIGITS digits."""
-    data = read_json(document, "psi", parse_integer)
+    `message_prices` decides)."""
+    data = read_json(document, "psi")
     _require_keys(data, ("allocation", "taxes", "prices"), "psi")
     allocation = _integer(data["allocation"], "psi.allocation")
     if not 0 <= allocation <= size:
@@ -280,22 +287,15 @@ def read_psi(document, num_users: int, size: int) -> LindahlAllocation:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file.  Its integers are held to
-    MAX_DIGITS digits by one scan of the document (as UTF-8) for longer
-    runs of digits, before it is decoded."""
+    """Load and validate a scenario JSON file."""
     raw = read_file(path, "scenario")
-    encoding = json.detect_encoding(raw)
-    utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
-    _read("scenario", check_digit_runs, utf8)
     return parse_scenario(read_json(raw, "scenario"), digest=sha256(raw).hexdigest())
 
 
 def rational_to_json(value: Fraction):
-    """Lossless JSON value for a rational: int when whole, else 'p/q'."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return str(value)
+    """Lossless JSON value for a rational (a `Fraction` or an int): int when
+    whole, else 'p/q'."""
+    return value.numerator if value.denominator == 1 else str(value)
 
 
 def _utility_to_json(spec: UtilitySpec) -> dict:

@@ -191,14 +191,15 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
 
 def test_plain_command_never_imports_argparse():
     """The gain of the plain path: a plain argv runs without argparse, and
-    help still comes from argparse."""
+    help still comes from argparse.  A command that prints no CSV never
+    imports `csv` either."""
     script = f"""
 import contextlib, io, sys
 from spectrumshare.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["verify", "--scenario", {str(COMMITTED_DESK)!r}, "--format", "json",
                  "--messages", "[[108,6],[108,0],[108,3]]"])
-assert code == 0 and "argparse" not in sys.modules, code
+assert code == 0 and "argparse" not in sys.modules and "csv" not in sys.modules, code
 main(["verify", "--help"])
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -851,10 +852,12 @@ PSI_108 = {"allocation": 108, "taxes": [-108, -108, 216], "prices": [-1, -1, 2]}
         ("messages[0]", ["verify", "--messages", '[[1, "1e5000"], [1, 1], [1, 1]]']),
         ("messages", ["verify", "--messages", "[[1, 1e3000000], [1, 1], [1, 1]]"]),
         ("messages", ["verify", "--messages", f"[[{BIG}, 1], [-{BIG}, 1], [3, 1]]"]),
-        ("messages[0]", ["verify", "--messages", f'[[1, "{BIG}/3"], [1, 1], [1, 1]]']),
+        ("messages", ["verify", "--messages", f'[[1, "{BIG}/3"], [1, 1], [1, 1]]']),
         ("messages", ["outcome", "--messages", "[[1, 1e-5000], [1, 1], [1, 1]]"]),
         ("--pi1", ["lindahl-roundtrip", "--psi", "{psi}", "--pi1", "1e5000"]),
         ("psi", ["lindahl-roundtrip", "--psi", "{big_psi}"]),
+        ("messages", ["verify", "--messages", f"[[-{'9' * (MAX_DIGITS + 1)}, 1], [1, 1], [1, 1]]"]),
+        ("psi", ["lindahl-roundtrip", "--psi", "{utf16_psi}"]),
     ],
     ids=[
         "json-decimal",
@@ -865,18 +868,37 @@ PSI_108 = {"allocation": 108, "taxes": [-108, -108, 216], "prices": [-1, -1, 2]}
         "negative-exponent",
         "pi1",
         "psi-integer",
+        "negative-101-digit-proposal",
+        "101-digit-tax-in-utf16-psi",
     ],
 )
 def test_oversized_numbers_name_their_input(capsys, desk_path, tmp_path, field, argv):
     psi, big_psi = tmp_path / "psi.json", tmp_path / "big_psi.json"
     psi.write_text(json.dumps(PSI_108))
     big_psi.write_text(json.dumps({**PSI_108, "taxes": [-108, -108, int(BIG)]}))
-    argv = [a.replace("{psi}", str(psi)).replace("{big_psi}", str(big_psi)) for a in argv]
+    utf16_psi = tmp_path / "utf16_psi.json"
+    long_tax = {**PSI_108, "taxes": [-108, -108, 10**MAX_DIGITS]}
+    utf16_psi.write_bytes(json.dumps(long_tax).encode("utf-16"))
+    files = {"{psi}": psi, "{big_psi}": big_psi, "{utf16_psi}": utf16_psi}
+    argv = [str(files.get(a, a)) for a in argv]
     code, out, err = run(capsys, argv[0], "--scenario", desk_path, *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: number ")
     assert f"exceeds {MAX_DIGITS} digits" in err
+
+
+@pytest.mark.parametrize(
+    "messages",
+    ['[[1, "\udc80"], [1, 1], [1, 1]]', "[[1, 1], [1, 1], [1, 1]]\udc80"],
+    ids=["in-string", "outside-string"],
+)
+def test_lone_surrogate_in_messages_names_it(capsys, desk_path, messages):
+    """A `--messages` argument that UTF-8 cannot encode (a lone surrogate,
+    as Python decodes an invalid byte in argv) exits 2 naming it."""
+    code, out, err = run(capsys, "verify", "--scenario", desk_path, "--messages", messages)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: messages")
 
 
 def test_oversized_scenario_decimal_names_the_scenario(capsys, small_path, tmp_path):
@@ -1014,6 +1036,89 @@ def test_sir_log_terms_over_hundreds_of_binades(capsys, tmp_path):
             code, out, err = run(capsys, *argv, "--scenario", str(path), "--format", fmt)
             assert (code, err) == (0, ""), argv
             assert out
+
+
+def four_user_sir_scenario():
+    """4 sir_log users over 2 bands, levels {0, 1, 2}, budget 2: 1,296
+    profiles, with seeded gains and each user's weight on one band, which
+    give equilibria at 438, 444 and 450."""
+    rng = random.Random(32)
+
+    def rational():
+        return Fraction(rng.randint(0, 12), rng.randint(1, 5))
+
+    config = ScenarioConfig(
+        num_users=4,
+        num_bands=2,
+        quant_levels=(0, 1, 2),
+        power_budget=2,
+        noise_half_density=Fraction(3, 4),
+        gains=tuple(tuple((rational(), rational()) for _ in range(4)) for _ in range(4)),
+        utilities=tuple(
+            SirLogUtility(user=u, weights=(rational(), 0) if u % 2 else (0, rational()))
+            for u in range(4)
+        ),
+    )
+    return small_scenario(config)
+
+
+SIR_LOG_GOLDEN = ROOT / "tests" / "golden" / "sir-log.scenario.json"
+# scenario -> the --messages of its two verify runs: a unanimity candidate
+# (an equilibrium of the 4-user game) and a mixed one
+RESCALED_GAMES = {
+    "sir-log-golden": (
+        lambda: load_scenario(SIR_LOG_GOLDEN),
+        ('[[64, "1/2"], [64, 1], [64, "1/4"]]', '[[9, "1/20"], [30, "1/10"], [40, "1/30"]]'),
+    ),
+    "sir-log-4x2": (
+        four_user_sir_scenario,
+        ('[[438, 0], [438, 0], [438, 0], [438, 0]]', '[[9, 1], [300, 0], [1000, 2], [7, 3]]'),
+    ),
+}
+
+
+def rescale_powers(config, c):
+    """Every power and the noise times c: each SIR stays the same."""
+    return config._replace(
+        quant_levels=tuple(c * q for q in config.quant_levels),
+        power_budget=c * config.power_budget,
+        noise_half_density=c * config.noise_half_density,
+    )
+
+
+def rescale_gains(config, c):
+    """Every gain and the noise times c: each SIR stays the same."""
+    gains = tuple(tuple(tuple(c * g for g in row) for row in plane) for plane in config.gains)
+    return config._replace(gains=gains, noise_half_density=c * config.noise_half_density)
+
+
+@pytest.mark.parametrize("rescale", [rescale_powers, rescale_gains])
+@pytest.mark.parametrize("game", RESCALED_GAMES)
+def test_rescaling_physics_keeps_the_output(capsys, tmp_path, game, rescale):
+    """Multiplying by c either all gains and the noise, or the quant levels,
+    power budget and noise, leaves every SIR and so every `sir_log` height
+    as it was: `find-ne` and `verify` print the same JSON apart from the
+    scenario digest and the timing."""
+    build, candidates = RESCALED_GAMES[game]
+    scenario = build()
+    commands = [["find-ne"]] + [["verify", "--messages", m] for m in candidates]
+
+    def outputs(config, name):
+        path = tmp_path / name
+        write_scenario(scenario._replace(config=ScenarioConfig(*config)), path)
+        documents = []
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--scenario", str(path), "--format", "json")
+            assert (code, err) == (0, ""), argv
+            document = json.loads(out)
+            del document["scenario_digest"]
+            document.pop("timing_seconds", None)
+            documents.append(document)
+        return documents
+
+    expected = outputs(scenario.config, "base.json")
+    for c in (Fraction(3, 2), Fraction(7), Fraction(1, 5), Fraction(2), Fraction(10, 3)):
+        assert outputs(rescale(scenario.config, c), f"{c}.json".replace("/", "_")) == expected, c
 
 
 class TestMeasure:

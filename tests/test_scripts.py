@@ -62,6 +62,8 @@ def test_br_convergence_experiment_summary(capsys, tmp_path):
         assert re.search(r"^rounds to converge: min=\d+ mean=[\d.]+ max=\d+$", out, re.M)
         # the shared peak of the small scenario is its only equilibrium allocation
         assert re.search(rf"^ +{converged}x  profile 4$", out, re.M)
+        # each fixed point with the personal prices it charges
+        assert re.search(r"^ +\d+x  \(.*\)  personal prices \['.*', '.*', '.*'\]$", out, re.M)
 
 
 def test_make_desk_scenario_reproduces_the_committed_file(capsys, tmp_path):
