@@ -52,7 +52,6 @@ from .model import (
     TableUtility,
     UtilitySpec,
     as_fraction,
-    build_catalog,
     enumerate_bundles,
     integer_scaling,
     utility_eval,

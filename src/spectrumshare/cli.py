@@ -163,12 +163,14 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
 
 
 def cmd_enumerate(args, scenario) -> None:
-    catalog = scenario.config.catalog
-    document = {"bundle_count": len(catalog.bundles), "profile_count": catalog.size}
+    config = scenario.config
+    catalog = config.catalog
+    document = {"bundle_count": catalog.bundle_count, "profile_count": catalog.size}
     if args.table:
-        scenario.config.check_profile_cap("listing the profile table")
+        config.check_profile_cap("listing the profile table")
+        spelled = [" ".join(str(config.quant_levels[i]) for i in b) for b in config.bundles]
         document["profiles"] = [
-            {"index": index, "bundles": [" ".join(map(str, b)) for b in catalog.profile_of(index)]}
+            {"index": index, "bundles": [spelled[b] for b in catalog.profile_of(index)]}
             for index in range(1, catalog.size + 1)
         ]
     _render(args, scenario, document, document.get("profiles"))
@@ -205,7 +207,7 @@ def cmd_find_ne(args, scenario) -> None:
     ]
     document = {
         "seed": seed,
-        "catalog": {"bundle_count": len(catalog.bundles), "profile_count": catalog.size},
+        "catalog": {"bundle_count": catalog.bundle_count, "profile_count": catalog.size},
         "census": {"complete": census.complete, "equilibria": equilibria},
         "timing_seconds": {"census": round(elapsed, 4)},
     }

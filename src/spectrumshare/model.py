@@ -2,9 +2,10 @@
 
 Users split a fixed power budget across frequency bands, drawing per-band
 power from a finite quantization set.  Every joint choice of bundles (one
-bundle per user) is a "profile"; profiles are enumerated once and addressed
-by a catalog index so that users can talk about them by number.  Index 0 is
-reserved for "no feasible allocation".
+bundle per user) is a "profile"; profiles are counted, not listed, and
+addressed by a catalog index so that users can talk about them by number.
+A bundle is a tuple of level indices, built only where it is read.  Index 0
+is reserved for "no feasible allocation".
 
 All powers, gains, values and taxes are exact.  Every utility variant's
 values V(k) are integer heights over one scale (`IntegerScaling`), so every
@@ -24,8 +25,6 @@ from functools import cached_property
 
 from .errors import ConfigError
 
-PowerBundle = tuple[Fraction, ...]
-
 # Catalog indices must stay addressable as signed 64-bit integers; anything
 # larger is out of desk scale and almost certainly a misconfiguration.
 MAX_CATALOG_SIZE = 2**63 - 1
@@ -37,7 +36,7 @@ MAX_CATALOG_SIZE = 2**63 - 1
 MAX_VALUED_PROFILES = 10**6
 
 # No catalog of 3 or more users over more bundles than the integer cube root
-# of MAX_CATALOG_SIZE can index its profiles, so bundle enumeration stops
+# of MAX_CATALOG_SIZE can index its profiles, so bundle counting stops
 # there.
 MAX_BUNDLES = 2**21 - 1
 
@@ -127,29 +126,18 @@ def as_fraction(value) -> Fraction:
     return Fraction(*as_ratio(value))
 
 
-def _validate_quant_levels(quant_levels) -> tuple[Fraction, ...]:
+def count_bundles(quant_levels, num_bands: int, power_budget) -> int:
+    """How many level vectors over `num_bands` bands sum to at most the
+    budget, after checking the inputs: counted, none built, by how many
+    vectors reach each partial sum, band by band, on the levels and budget
+    as integers over one scale.  More than `MAX_BUNDLES` are refused."""
     levels = tuple(as_fraction(q) for q in quant_levels)
     if not levels:
         raise ConfigError("quantization set must not be empty")
     if levels[0] != 0:
         raise ConfigError("quantization set must start with the zero level")
-    for lo, hi in zip(levels, levels[1:]):
-        if hi <= lo:
-            raise ConfigError("quantization levels must be strictly increasing")
-    return levels
-
-
-def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[PowerBundle, ...]:
-    """All per-user power bundles: vectors in Q^num_bands with sum <= budget.
-
-    Bundles are ordered lexicographically with the quantization levels
-    ascending, which fixes the catalog ordering once and for all.  They grow
-    one band at a time, keeping only partial sums within the budget, on the
-    levels and budget as integers over one scale.  They are counted first,
-    by how many level vectors reach each partial sum, so that more than
-    `MAX_BUNDLES` of them are refused before any is built.
-    """
-    levels = _validate_quant_levels(quant_levels)
+    if any(hi <= lo for lo, hi in zip(levels, levels[1:])):
+        raise ConfigError("quantization levels must be strictly increasing")
     if num_bands < 1:
         raise ConfigError("num_bands must be at least 1")
     budget = as_fraction(power_budget)
@@ -158,12 +146,12 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
     _, (cap, *heights) = integer_scaling((budget, *levels))
     counts = {0: 1}
     for _ in range(num_bands):
-        grown_counts = {}
+        grown = {}
         for total, count in counts.items():
             for height in heights:
                 if total + height <= cap:
-                    grown_counts[total + height] = grown_counts.get(total + height, 0) + count
-        counts = grown_counts
+                    grown[total + height] = grown.get(total + height, 0) + count
+        counts = grown
         # level 0 always fits, so a count never falls from band to band
         if sum(counts.values()) > MAX_BUNDLES:
             raise ConfigError(
@@ -171,62 +159,65 @@ def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[Power
                 "catalog of 3 users can index (lower num_bands, quant_levels or power_budget)",
                 "num_bands",
             )
+    return sum(counts.values())
+
+
+def enumerate_bundles(quant_levels, num_bands: int, power_budget) -> tuple[tuple[int, ...], ...]:
+    """Every power bundle as a tuple of level indices, one per band, in the
+    lexicographic order that fixes the catalog's: counted first, so that too
+    many are refused before any is built, then grown band by band, keeping
+    only partial sums within the budget."""
+    count_bundles(quant_levels, num_bands, power_budget)
+    _, (cap, *heights) = integer_scaling([as_fraction(v) for v in (power_budget, *quant_levels)])
     grown = [((), 0)]
     for _ in range(num_bands):
         grown = [
             (bundle + (level,), total + height)
             for bundle, total in grown
-            for level, height in zip(levels, heights)
+            for level, height in enumerate(heights)
             if total + height <= cap
         ]
     return tuple(bundle for bundle, _ in grown)
 
 
-class ProfileCatalog(namedtuple("ProfileCatalog", "bundles num_users")):
+class ProfileCatalog(namedtuple("ProfileCatalog", "bundle_count num_users")):
     """The profiles of indices {1..size}, decoded on demand.
 
-    A profile assigns one bundle to each user.  Profiles are ordered
-    lexicographically by per-user bundle position (user 0 most significant),
-    so decoding an index is O(num_users) mixed-radix arithmetic.  Index 0
-    never decodes: it denotes "no feasible allocation".
+    A profile assigns one of `bundle_count` bundles to each user.  Profiles
+    are ordered lexicographically by per-user bundle position (user 0 most
+    significant), so decoding an index is O(num_users) mixed-radix
+    arithmetic.  Index 0 never decodes: it denotes "no feasible allocation".
     """
 
     __slots__ = ()
 
-    def __new__(cls, bundles: tuple[PowerBundle, ...], num_users: int):
-        if not bundles:
+    def __new__(cls, bundle_count: int, num_users: int):
+        if bundle_count < 1:
             raise ConfigError("catalog needs at least one bundle")
         if num_users < 1:
             raise ConfigError("catalog needs at least one user")
-        size = len(bundles) ** num_users
+        size = bundle_count**num_users
         if size > MAX_CATALOG_SIZE:
             raise ConfigError(
-                f"catalog would hold {len(bundles)}^{num_users} = {size} "
+                f"catalog would hold {bundle_count}^{num_users} = {size} "
                 f"profiles; indices are limited to {MAX_CATALOG_SIZE}"
             )
-        return super().__new__(cls, bundles, num_users)
+        return super().__new__(cls, bundle_count, num_users)
 
     @property
     def size(self) -> int:
         """Number of feasible profiles (the largest valid index)."""
-        return len(self.bundles) ** self.num_users
+        return self.bundle_count**self.num_users
 
-    def profile_of(self, index: int) -> tuple[PowerBundle, ...]:
-        """Decode a 1-based catalog index into a per-user bundle tuple."""
+    def profile_of(self, index: int) -> tuple[int, ...]:
+        """Decode a 1-based catalog index into each user's bundle position."""
         if not 1 <= index <= self.size:
             raise ValueError(f"catalog index {index} outside 1..{self.size}")
-        base = len(self.bundles)
-        rest = index - 1
-        digits = []
+        rest, digits = index - 1, []
         for _ in range(self.num_users):
-            rest, digit = divmod(rest, base)
+            rest, digit = divmod(rest, self.bundle_count)
             digits.append(digit)
-        return tuple(self.bundles[d] for d in reversed(digits))
-
-
-def build_catalog(num_users: int, bundles: Sequence[PowerBundle]) -> ProfileCatalog:
-    """Build the shared profile catalog for `num_users` over `bundles`."""
-    return ProfileCatalog(tuple(tuple(b) for b in bundles), num_users)
+        return tuple(reversed(digits))
 
 
 class IntegerScaling(namedtuple("IntegerScaling", "scale heights")):
@@ -453,7 +444,7 @@ class ScenarioConfig(
                 f"at least 3 users are required, got {num_users}: the cyclic "
                 "price structure degenerates below that"
             )
-        quant_levels = _validate_quant_levels(quant_levels)
+        quant_levels = tuple(as_fraction(q) for q in quant_levels)
         power_budget = as_fraction(power_budget)
         noise_half_density = as_fraction(noise_half_density)
         if noise_half_density <= 0:
@@ -465,7 +456,7 @@ class ScenarioConfig(
             _need(plane, num_users, f"gains[{tx}]")
             for rx, row in enumerate(plane):
                 _need(row, num_bands, f"gains[{tx}][{rx}]")
-                if any(g < 0 for g in row):
+                if any(g.numerator < 0 for g in row):
                     raise ConfigError("channel gains must be non-negative")
 
         utilities = tuple(utilities)
@@ -497,12 +488,13 @@ class ScenarioConfig(
         return self
 
     @cached_property
-    def bundles(self) -> tuple[PowerBundle, ...]:
-        return enumerate_bundles(self.quant_levels, self.num_bands, self.power_budget)
+    def catalog(self) -> ProfileCatalog:
+        count = count_bundles(self.quant_levels, self.num_bands, self.power_budget)
+        return ProfileCatalog(count, self.num_users)
 
     @cached_property
-    def catalog(self) -> ProfileCatalog:
-        return build_catalog(self.num_users, self.bundles)
+    def bundles(self) -> tuple[tuple[int, ...], ...]:
+        return enumerate_bundles(self.quant_levels, self.num_bands, self.power_budget)
 
     def check_profile_cap(self, work: str) -> None:
         """Raise `ConfigError` naming `scenario.num_users` when the catalog
@@ -510,7 +502,7 @@ class ScenarioConfig(
         size = self.catalog.size
         if size > MAX_VALUED_PROFILES:
             raise ConfigError(
-                f"scenario.num_users: {self.num_users} users over {len(self.bundles)} "
+                f"scenario.num_users: {self.num_users} users over {self.catalog.bundle_count} "
                 f"bundles give {size} profiles; {work} is limited to "
                 f"{MAX_VALUED_PROFILES} profiles (lower num_users, num_bands, "
                 "quant_levels or power_budget)"
@@ -526,12 +518,11 @@ class ScenarioConfig(
         built by nesting over the users in order, user 0 outermost, hold
         one entry per column in code order.
         """
-        level_of = {level: i for i, level in enumerate(self.quant_levels)}
         columns = []
         for band in range(self.num_bands):
-            used = sorted({level_of[bundle[band]] for bundle in self.bundles})
+            used = sorted({bundle[band] for bundle in self.bundles})
             position = {level: i for i, level in enumerate(used)}
-            digits = [position[level_of[bundle[band]]] for bundle in self.bundles]
+            digits = [position[bundle[band]] for bundle in self.bundles]
             codes, radix = [0], len(used)
             for _ in range(self.num_users):
                 codes = [code * radix + digit for code in codes for digit in digits]

@@ -21,13 +21,16 @@ from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-# CPython's builtin SHA-256 gives the same digest as `hashlib`'s without
-# loading OpenSSL, which would add about 3.6 MiB to the peak memory of every
-# command for one hash of the scenario file.
+# CPython's builtin SHA-256 (`_sha2` since 3.12, `_sha256` before) gives the
+# digest of `hashlib` without loading OpenSSL, which would add about 3.6 MiB
+# to the peak memory of every command for one hash of the scenario file.
 try:
-    from _sha256 import sha256
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .equilibrium import LindahlAllocation
 from .errors import ConfigError
@@ -234,7 +237,8 @@ def read_file(path, field: str) -> bytes:
     """The bytes of the file at `path`; a file that cannot be read exits as
     a `ConfigError` that names `field`."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise ConfigError(f"{field}: {exc}") from None
 

@@ -32,6 +32,9 @@
 - The catalog encoder `index_of`, the inverse of
   `ProfileCatalog.profile_of`: bundle positions read as a mixed-radix
   number, user 0 most significant, plus one.
+- The bundle builder as it was before bundles became level indices,
+  `fraction_bundles`: every bundle as a tuple of `Fraction` powers, and
+  `fraction_profile`, the decoding of an index into those bundles.
 - The cyclic price solve seeded by the caller's price[0], with the least
   seed read off its most negative price, which the closed-form inverse
   `message_prices` replaced.
@@ -39,6 +42,7 @@
 The differential tests compare the library against them.
 """
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -100,16 +104,52 @@ def seeded_message_prices(personal_prices, seed) -> tuple[list[Fraction], Fracti
     return solved, seed - min(solved)
 
 
-def index_of(catalog: ProfileCatalog, profile) -> int:
-    """The 1-based catalog index of a per-user bundle tuple."""
-    if len(profile) != catalog.num_users:
+def index_of(catalog: ProfileCatalog, positions) -> int:
+    """The 1-based catalog index of per-user bundle positions."""
+    if len(positions) != catalog.num_users:
         raise ValueError(
-            f"profile has {len(profile)} bundles, catalog expects {catalog.num_users}"
+            f"profile has {len(positions)} bundles, catalog expects {catalog.num_users}"
         )
     index = 0
-    for bundle in profile:
-        index = index * len(catalog.bundles) + catalog.bundles.index(tuple(bundle))
+    for position in positions:
+        index = index * catalog.bundle_count + position
     return index + 1
+
+
+@functools.cache
+def fraction_bundles(quant_levels, num_bands: int, power_budget) -> tuple[tuple[Fraction, ...], ...]:
+    """Every bundle as a tuple of `Fraction` powers, lexicographic with the
+    levels ascending: grown one band at a time, keeping only partial sums
+    within the budget, in `Fraction` arithmetic."""
+    levels = [as_fraction(level) for level in quant_levels]
+    budget = as_fraction(power_budget)
+    grown = [()]
+    for _ in range(num_bands):
+        grown = [
+            bundle + (level,) for bundle in grown for level in levels if sum(bundle) + level <= budget
+        ]
+    return tuple(grown)
+
+
+def fraction_index(config: ScenarioConfig, profile) -> int:
+    """The 1-based catalog index of a profile of per-user `Fraction`
+    bundles: the inverse of `fraction_profile`."""
+    bundles = fraction_bundles(config.quant_levels, config.num_bands, config.power_budget)
+    return index_of(config.catalog, [bundles.index(tuple(bundle)) for bundle in profile])
+
+
+def fraction_profile(config: ScenarioConfig, index: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The `Fraction` bundles of the profile at a 1-based catalog index:
+    the index less one read as a mixed-radix number over `fraction_bundles`,
+    user 0 most significant."""
+    bundles = fraction_bundles(config.quant_levels, config.num_bands, config.power_budget)
+    if not 1 <= index <= len(bundles) ** config.num_users:
+        raise ValueError(f"catalog index {index} outside the catalog")
+    rest, profile = index - 1, []
+    for _ in range(config.num_users):
+        rest, position = divmod(rest, len(bundles))
+        profile.insert(0, bundles[position])
+    return tuple(profile)
 
 
 # A finite slice of the message space: every proposal in `n_values`, every
@@ -342,7 +382,7 @@ def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fr
 
     Undefined for index 0 (nobody transmits under the null allocation).
     """
-    powers = [bundle[band] for bundle in config.catalog.profile_of(index)]
+    powers = [bundle[band] for bundle in fraction_profile(config, index)]
     signal = config.gains[user][user][band] * powers[user]
     interference = config.noise_half_density
     for j, power in enumerate(powers):

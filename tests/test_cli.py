@@ -341,6 +341,27 @@ class TestEnumerate:
         assert "\nbundle_count: 41\nprofile_count: 68921\n" in out
         assert elapsed < 1, f"enumerate took {elapsed:.1f} s"
 
+    def test_eighteen_bands_are_counted_not_built(self, capsys, tmp_path, monkeypatch):
+        # 2^18 bundles of levels [0, 1] fit a budget of 18, and 3 users give
+        # 2^54 profiles: both are counted, and no bundle is built
+        from spectrumshare import model
+
+        def never(*args):
+            raise AssertionError("no bundle may be built")
+
+        monkeypatch.setattr(model, "enumerate_bundles", never)
+        document = scenario_to_jsonable(small_scenario())
+        document.update(num_bands=18, quant_levels=[0, 1], power_budget=18)
+        document["gains"] = [[[1] * 18 for _ in range(3)] for _ in range(3)]
+        document["utilities"] = [{"variant": "sir_log", "weights": [1] * 18}] * 3
+        path = tmp_path / "eighteen-bands.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "enumerate", "--scenario", str(path), "--format", "json")
+        assert code == 0, err
+        document = json.loads(out)
+        assert document["bundle_count"] == 262144 == 2**18
+        assert document["profile_count"] == 18014398509481984 == 2**54
+
     def test_too_many_bundles_refused_before_any_is_built(self, tmp_path):
         # 2^21 level vectors of 24 bands fit a budget of 24 by the 21st band;
         # counting them first refuses long before the bundle tuples could be

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,9 +23,7 @@ from spectrumshare import (
     TableUtility,
     balanced_prices,
     best_response,
-    build_catalog,
     build_report,
-    enumerate_bundles,
     integer_scaling,
     lindahl_census,
     lindahl_price,
@@ -36,7 +35,7 @@ from spectrumshare import (
 )
 from spectrumshare.equilibrium import _balanced_intervals, price_line_optimum
 from spectrumshare.mechanism import Outcome, nearest_integer
-from spectrumshare.model import IntegerScaling
+from spectrumshare.model import IntegerScaling, ProfileCatalog
 
 from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
 from grid_oracle import (
@@ -495,7 +494,7 @@ class TestEquilibriumTaxForm:
     @given(aligned_profiles())
     @settings(max_examples=150, deadline=None)
     def test_reduced_form_equivalence(self, profile):
-        catalog = build_catalog(3, enumerate_bundles((0, 1, 2), 1, 2))
+        catalog = ProfileCatalog(3, 3)
         result = outcome(profile, catalog)
         for u in range(3):
             reduced = result.allocation * lindahl_price(profile, u)
@@ -589,7 +588,7 @@ class TestLindahlToNe:
         assert min(least) == 0
         rebuilt = tuple(Message(1, price) for price in least)
         assert tuple(lindahl_price(rebuilt, u) for u in range(len(personal))) == personal
-        catalog = build_catalog(len(personal), [(0,), (1,)])
+        catalog = ProfileCatalog(2, len(personal))
         psi = LindahlAllocation(1, personal, personal)
         seed = minimum + lift
         solved = seeded_message_prices(personal, seed)[0]
@@ -1097,6 +1096,70 @@ class TestMetamorphic:
         base = table_census(tables)
         moved = {k: tuple(intervals[j] for j in perm) for k, intervals in base.items()}
         assert table_census([tables[j] for j in perm]) == moved
+
+
+# Every message of a small grid over an 8-profile catalog: proposals -1,
+# every index and one index past the catalog, prices 0, 1/2 and 1.
+THEOREM_PRICES = (Fraction(0), Fraction(1, 2), Fraction(1))
+THEOREM_MESSAGES = tuple(
+    Message(proposal, price) for proposal in (-1, *range(1, 10)) for price in THEOREM_PRICES
+)
+
+
+class TestTheoremOverMessageGrids:
+    """The paper's claims judged at every profile of a whole message grid by
+    `build_report`, which shares no code with the census's hulls."""
+
+    @given(tables=st.lists(peak_biased_tables(8), min_size=3, max_size=3))
+    # slopes 1/6, -1/6 and 0 past index 1: every lower end sums to 0 at 2..7,
+    # and message prices (1/2, 1/2, 0) give personal prices on those slopes
+    @example(
+        tables=[
+            tuple(Fraction(k, 6) for k in range(9)),
+            (0, *(Fraction(9 - k, 6) for k in range(1, 9))),
+            (0, *[1] * 8),
+        ]
+    )
+    @settings(max_examples=2, deadline=None)
+    def test_grid_equilibria_are_the_census_allocations(self, tables):
+        """Every grid profile balances its budget; every grid NE is
+        individually rational and its allocation is in the census; and
+        every census entry gives a grid NE at every grid price vector whose
+        personal prices lie in its intervals.
+
+        The one exception is known and pinned: when every table is all zero,
+        no user gains by pulling the average into the catalog, so profiles
+        with the null allocation are NE too, which the census (indices
+        1..size) does not list and `soundness_violations` flags."""
+        config = small_config(utilities=tuple(TableUtility(values) for values in tables))
+        census = {e.report.allocation: e.price_intervals for e in lindahl_census(config).equilibria}
+        all_zero = not any(map(any, tables))
+        equilibria = set()
+        for profile in product(THEOREM_MESSAGES, repeat=3):
+            report = build_report(profile, config)
+            assert report.taxes_balance, profile
+            if report.is_ne:
+                assert all(report.individual_rationality), profile
+                assert report.allocation in census or (report.allocation == 0 and all_zero), profile
+                equilibria.add(profile)
+        for allocation, intervals in census.items():
+            for prices in product(THEOREM_PRICES, repeat=3):
+                candidate = tuple(Message(allocation, price) for price in prices)
+                personal = [lindahl_price(candidate, user) for user in range(3)]
+                if all(
+                    (lower is None or lower <= price) and price <= upper
+                    for price, (lower, upper) in zip(personal, intervals)
+                ):
+                    assert candidate in equilibria, candidate
+
+    def test_all_zero_tables_have_a_null_allocation_equilibrium(self):
+        """The known exception above: nobody can gain, so the null
+        allocation is an NE, and its report says it must never be one."""
+        config = small_config(utilities=(TableUtility((0,) * 9),) * 3)
+        report = build_report((Message(-1, 0),) * 3, config)
+        assert report.is_ne and report.allocation == 0
+        assert "NE with a null allocation" in report.soundness_violations()
+        assert 0 not in census_allocations(config)
 
 
 signed_prices = st.fractions(min_value=-3, max_value=3, max_denominator=12)

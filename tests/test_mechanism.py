@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from spectrumshare import ContractError, Message, lindahl_price, outcome, tax_terms
 from spectrumshare.mechanism import nearest_integer
-from spectrumshare.model import build_catalog, enumerate_bundles
+from spectrumshare.model import ProfileCatalog
 
 from grid_oracle import tax_components
 
 # The desk catalog: 3 users over 6 bundles, 216 profiles.
-DESK = build_catalog(3, enumerate_bundles((0, 1, 2), 2, 2))
+DESK = ProfileCatalog(6, 3)
 # 5 users over 2 bundles: 32 profiles.
-FIVE = build_catalog(5, enumerate_bundles((0, 1), 1, 1))
+FIVE = ProfileCatalog(2, 5)
 
 prices = st.fractions(min_value=0, max_value=5, max_denominator=8)
 proposals = st.integers(min_value=-50, max_value=400)

@@ -15,8 +15,8 @@ from spectrumshare import (
     ScenarioConfig,
     SirLogUtility,
     TableUtility,
+    ProfileCatalog,
     as_fraction,
-    build_catalog,
     build_report,
     enumerate_bundles,
     integer_scaling,
@@ -27,6 +27,7 @@ from spectrumshare.model import (
     MAX_DIGITS,
     MAX_VALUED_PROFILES,
     IntegerScaling,
+    count_bundles,
     parse_decimal,
     read_table,
 )
@@ -43,6 +44,9 @@ from conftest import (
 from grid_oracle import (
     column_sir_ratio,
     column_value_oracle,
+    fraction_bundles,
+    fraction_index,
+    fraction_profile,
     fraction_sir,
     index_of,
     integer_scaling_oracle,
@@ -68,6 +72,11 @@ def oracle_bundles(levels, bands, budget):
     return found
 
 
+def powers(levels, bundles):
+    """Level-index bundles as tuples of their levels."""
+    return [tuple(levels[i] for i in bundle) for bundle in bundles]
+
+
 class TestEnumerateBundles:
     def test_zero_only_level(self):
         assert enumerate_bundles((0,), 2, 5) == ((0, 0),)
@@ -76,7 +85,13 @@ class TestEnumerateBundles:
         levels = (Fraction(0), Fraction(1), Fraction(2))
         got = enumerate_bundles(levels, 2, 2)
         assert got == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-        assert list(got) == oracle_bundles(levels, 2, Fraction(2))
+        assert powers(levels, got) == oracle_bundles(levels, 2, Fraction(2))
+
+    def test_bundles_are_level_indices(self):
+        levels = (0, Fraction(1, 2), Fraction(3, 2))
+        assert enumerate_bundles(levels, 2, 2) == (
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)
+        )
 
     def test_zero_budget_forces_zero_bundle(self):
         assert enumerate_bundles((0, 1), 1, 0) == ((0,),)
@@ -90,20 +105,39 @@ class TestEnumerateBundles:
         ),
         bands=st.integers(min_value=1, max_value=3),
         budget=st.fractions(min_value=0, max_value=6, max_denominator=4),
+        data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_oracle(self, extra_levels, bands, budget):
+    def test_matches_oracle(self, extra_levels, bands, budget, data):
+        """Level-index bundles, mapped through the levels, are the `Fraction`
+        bundles of the builder they replaced, in order, and as many as
+        `count_bundles` counts; `profile_of` decodes an index into the
+        positions of the bundles the oracle decodes it into."""
         levels = tuple([Fraction(0)] + sorted(extra_levels))
-        assert list(enumerate_bundles(levels, bands, budget)) == oracle_bundles(
-            levels, bands, budget
+        bundles = enumerate_bundles(levels, bands, budget)
+        expected = fraction_bundles(levels, bands, budget)
+        assert powers(levels, bundles) == list(expected) == oracle_bundles(levels, bands, budget)
+        assert count_bundles(levels, bands, budget) == len(bundles)
+        config = ScenarioConfig(
+            num_users=3,
+            num_bands=bands,
+            quant_levels=levels,
+            power_budget=budget,
+            noise_half_density=1,
+            gains=uniform_gains(3, bands),
+            utilities=tuple(SirLogUtility(user, (1,) * bands) for user in range(3)),
         )
+        assert config.bundles == bundles
+        index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
+        profile = [expected[position] for position in config.catalog.profile_of(index)]
+        assert tuple(profile) == fraction_profile(config, index)
 
     def test_many_bands_within_budget(self):
         # 41 of the 2^40 level vectors fit, in lexicographic order
         got = enumerate_bundles((0, 1), 40, 1)
-        assert list(got) == oracle_bundles((Fraction(0), Fraction(1)), 40, Fraction(1))
+        assert list(got) == oracle_bundles((0, 1), 40, 1)
         assert len(got) == 41 and got[0] == (0,) * 40 and got[-1] == (1,) + (0,) * 39
-        assert all(type(level) is Fraction for bundle in got for level in bundle)
+        assert all(type(level) is int for bundle in got for level in bundle)
 
     def test_bound_is_the_cube_root_of_the_catalog_bound(self):
         assert MAX_BUNDLES**3 <= MAX_CATALOG_SIZE < (MAX_BUNDLES + 1) ** 3
@@ -146,18 +180,26 @@ class TestEnumerateBundles:
 
 class TestCatalog:
     def test_single_bundle(self):
-        catalog = build_catalog(3, [(Fraction(0), Fraction(0))])
+        catalog = ProfileCatalog(1, 3)
         assert catalog.size == 1
-        assert catalog.profile_of(1) == ((0, 0), (0, 0), (0, 0))
+        assert catalog.profile_of(1) == (0, 0, 0)
 
     def test_desk_size_matches_counting_oracle(self):
         bundles = enumerate_bundles((0, 1, 2), 2, 2)
-        catalog = build_catalog(3, bundles)
+        catalog = ProfileCatalog(len(bundles), 3)
         assert catalog.size == len(list(product(range(len(bundles)), repeat=3))) == 216
 
+    def test_config_counts_without_building(self, monkeypatch):
+        from spectrumshare import model
+
+        def never(*args):
+            raise AssertionError("no bundle may be built")
+
+        monkeypatch.setattr(model, "enumerate_bundles", never)
+        assert small_config().catalog == ProfileCatalog(2, 3)
+
     def test_roundtrip_exhaustive(self):
-        bundles = enumerate_bundles((0, 1), 2, 2)
-        catalog = build_catalog(3, bundles)
+        catalog = ProfileCatalog(4, 3)
         seen = set()
         for index in range(1, catalog.size + 1):
             profile = catalog.profile_of(index)
@@ -166,27 +208,23 @@ class TestCatalog:
         assert len(seen) == catalog.size
 
     def test_order_is_lexicographic_in_bundle_position(self):
-        bundles = enumerate_bundles((0, 1), 1, 1)
-        catalog = build_catalog(3, bundles)
+        catalog = ProfileCatalog(2, 3)
         profiles = [catalog.profile_of(index) for index in range(1, catalog.size + 1)]
-        expected = [
-            tuple(bundles[d] for d in digits) for digits in product(range(2), repeat=3)
-        ]
-        assert profiles == expected
+        assert profiles == list(product(range(2), repeat=3))
 
     @given(st.integers(min_value=1, max_value=216))
     def test_roundtrip_property(self, index):
-        catalog = build_catalog(3, enumerate_bundles((0, 1, 2), 2, 2))
+        catalog = ProfileCatalog(6, 3)
         assert index_of(catalog, catalog.profile_of(index)) == index
 
     def test_index_zero_never_decodes(self):
-        catalog = build_catalog(3, enumerate_bundles((0, 1), 1, 1))
+        catalog = ProfileCatalog(2, 3)
         with pytest.raises(ValueError):
             catalog.profile_of(0)
 
     def test_overflow_reports_bound(self):
         with pytest.raises(ConfigError) as err:
-            build_catalog(40, [(Fraction(k),) for k in range(10)])
+            ProfileCatalog(10, 40)
         assert str(MAX_CATALOG_SIZE) in str(err.value)
 
 
@@ -206,18 +244,16 @@ def sir_probe_config(gains):
 class TestSir:
     def test_lone_transmitter(self):
         config = small_config()
-        catalog = config.catalog
         # user 0 at power 1, users 1 and 2 silent
-        index = index_of(catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
+        index = fraction_index(config, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == 1
 
     def test_single_interferer(self):
         gains = uniform_gains(3, 1)
         config = sir_probe_config(gains)
-        catalog = config.catalog
         # interferer (user 1) at power 2 is out of reach here (levels {0,1});
         # cross gain 1/2 and power 1 gives interference 1/2
-        index = index_of(catalog, ((Fraction(1),), (Fraction(1),), (Fraction(0),)))
+        index = fraction_index(config, ((Fraction(1),), (Fraction(1),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == Fraction(1, 1 + Fraction(1, 2)) * 1
         assert fraction_sir(index, 0, 0, config) == Fraction(2, 3)
 
@@ -232,13 +268,12 @@ class TestSir:
             gains=uniform_gains(3, 1),
             utilities=tuple(peak_table(27, 1) for _ in range(3)),
         )
-        catalog = config.catalog
-        index = index_of(catalog, ((Fraction(1),), (Fraction(2),), (Fraction(0),)))
+        index = fraction_index(config, ((Fraction(1),), (Fraction(2),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == Fraction(1, 2)
 
     def test_zero_power_zero_sir(self):
         config = small_config()
-        index = index_of(config.catalog, ((Fraction(0),), (Fraction(1),), (Fraction(0),)))
+        index = fraction_index(config, ((Fraction(0),), (Fraction(1),), (Fraction(0),)))
         assert fraction_sir(index, 0, 0, config) == 0
 
     def test_undefined_for_null_allocation(self):
@@ -287,11 +322,10 @@ class TestSir:
     def test_matches_fraction_formula(self, data):
         config = data.draw(sir_configs())
         index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
-        level_of = {level: i for i, level in enumerate(config.quant_levels)}
-        profile = config.catalog.profile_of(index)
+        profile = [config.bundles[b] for b in config.catalog.profile_of(index)]
         for user in range(config.num_users):
             for band in range(config.num_bands):
-                column = [level_of[bundle[band]] for bundle in profile]
+                column = [bundle[band] for bundle in profile]
                 ratio = Fraction(*column_sir_ratio(config, user, band, column))
                 assert ratio == fraction_sir(index, user, band, config)
 
@@ -323,7 +357,7 @@ class TestSir:
         gains = uniform_gains(3, 2, direct=Fraction(5, 3), cross=Fraction(0))
         config = sir_config(gains, (0, 1, 2), 2, noise=Fraction(1, 3))
         assert_matches_oracle(config)
-        index = index_of(config.catalog, ((Fraction(2), Fraction(0)),) * 3)
+        index = fraction_index(config, ((Fraction(2), Fraction(0)),) * 3)
         assert fraction_sir(index, 1, 0, config) == 10
 
 
@@ -465,7 +499,7 @@ class TestUtilityEval:
 
     def test_sir_log_weights(self):
         config = with_user_zero(SirLogUtility(user=0, weights=(Fraction(2),)))
-        index = index_of(config.catalog, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
+        index = fraction_index(config, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         # SIR 1 and weight 2: one float term, held exactly
         assert utility_of(config, 0)(index, Fraction(1, 2)) == Fraction(
             2.0 * math.log1p(1.0)

@@ -1,6 +1,7 @@
 """Immutable records: value semantics of every record class, and a cold
 import that loads neither `dataclasses`, `inspect` nor `typing`."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,8 +62,8 @@ RECORDS = {
         ("estimated_gains", "excluded", "mismatched_pairs", "reports"),
     ),
     "ProfileCatalog": (
-        lambda: ProfileCatalog(((Fraction(0),), (Fraction(1),)), 3),
-        ("bundles", "num_users"),
+        lambda: ProfileCatalog(2, 3),
+        ("bundle_count", "num_users"),
     ),
     "TableUtility": (lambda: TableUtility((0, 1, HALF)), ("scaling",)),
     "SirLogUtility": (lambda: SirLogUtility(1, (1, HALF)), ("user", "weights")),
@@ -206,10 +207,11 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
 
 
 def test_cold_import_loads_no_openssl():
-    """The scenario digest comes from the builtin SHA-256 module, so under
-    `-S` importing the package loads neither `hashlib` nor its OpenSSL
-    backend `_hashlib`."""
-    pytest.importorskip("_sha256")
+    """The scenario digest comes from the builtin SHA-256 module (`_sha2`
+    since CPython 3.12, `_sha256` before), so under `-S` importing the
+    package loads neither `hashlib` nor its OpenSSL backend `_hashlib`."""
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256 module")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = (
         "import sys, spectrumshare.cli; "
