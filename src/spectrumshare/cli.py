@@ -43,7 +43,7 @@ from .errors import ConfigError, ContractError
 from .measurement import run_measurement
 from .mechanism import Message, outcome, tax_terms
 from .model import as_fraction
-from .scenario import load_scenario, rational_to_json, read_file, read_messages, read_psi
+from .scenario import json_text, load_scenario, rational_to_json, read_file, read_messages, read_psi
 
 
 def _messages(args, scenario) -> tuple[Message, ...]:
@@ -137,15 +137,15 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
     ahead of its keys, then prints it as JSON, as CSV rows of `records` (the
     command's one list of records, if it has one) or as the table; the
     table and CSV views are built only when their format is chosen.  Every
-    rational is spelled here, by `rational_to_json` for the JSON text and
-    by `_compact` for the views.  `--out` gets the JSON document whatever
-    the format, written before anything is printed, so that a file it
-    cannot write leaves stdout empty; the JSON text is built once for both.
+    rational is spelled here, by `json_text` (the one JSON writer) for the
+    JSON text and by `_compact` for the views.  `--out` gets the JSON
+    document whatever the format, written before anything is printed, so
+    that a file it cannot write leaves stdout empty; the text is built once.
     """
     document = {"command": args.subcommand, "scenario_digest": scenario.digest, **document}
     text = None
     if args.format == "json" or args.out:
-        text = json.dumps(document, indent=2, default=rational_to_json)
+        text = json_text(document)
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")

@@ -16,14 +16,17 @@ opt-out (-S, 0) or (N * k - S, 0) for the best k on the line, and a profile
 is a Nash equilibrium (NE) exactly when no user gains from it.  With c_i = 0
 the same kernel is the Lindahl check "best on the personal price line".
 
-`build_report` certifies a candidate in one pass: one outcome, one
-`tax_terms`, and per user its values, one reply scan and one held utility,
-from which it reads the NE verdict and best deviation, individual
-rationality, the reduced tax form and the Lindahl verdicts.  Only a user
-whose tax is on its price line but whose scanned line carries a credit
-c_i != 0 is scanned again, at credit 0, on the same values.  A user's values
-(its spec's `integer_scaling`) are built where they are used and dropped
-before the next user's.
+The kernel works on integers: the line is the integer numerators
+k * A - C of `tax_terms` over their one denominator D, and it returns the
+best index and its value as an integer numerator of the user's spec's
+`value` over its `unit`.  `build_report` certifies a candidate in one pass
+on those integers: one outcome, one `tax_terms`, and per user its values,
+one reply scan and one held utility, from which it reads the NE verdict and
+best deviation, individual rationality, the reduced tax form and the
+Lindahl verdicts.  Only a user whose tax is on its price line but whose
+scanned line carries a credit c_i != 0 is scanned again, at credit 0, on the
+same values.  A user's values (its spec's `integer_scaling`) are built where
+they are used and dropped before the next user's.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -44,7 +47,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
 
 from .errors import ConfigError, ContractError
 from .mechanism import Message, MessageProfile, message_prices, outcome, tax_terms
@@ -54,47 +56,36 @@ from .model import (
     ScenarioConfig,
     UtilitySpec,
     as_fraction,
-    utility_eval,
 )
 
 
 def price_line_optimum(
-    spec: UtilitySpec, scaling: IntegerScaling, price: Fraction, credit: Fraction
-) -> tuple[int, Fraction]:
-    """A user's best catalog index k >= 1 when its tax is k * price - credit,
-    given its `spec` and the values `scaling` that spec builds.
+    spec: UtilitySpec, scaling: IntegerScaling, slope: int, offset: int, denominator: int
+) -> tuple[int, int]:
+    """A user's best catalog index k >= 1 when its tax is the integer
+    numerator k * slope - offset over `denominator`, given its `spec` and
+    the values `scaling` that spec builds.
 
-    Returns (k, V(k, k * price - credit)); ties resolve to the smallest k.
-    Every tax on the line is the integer numerator k * A - C over one
-    denominator D, and every value an integer height over the user's scale,
-    so the spec's `line_heights` ranks the indices exactly on integers.
+    Returns (k, V(k, tax)) with the value as the integer numerator of the
+    spec's `value` over its `unit`; ties resolve to the smallest k.  The
+    spec's `line_heights` ranks the indices exactly on integers.
     """
-    denominator = lcm(price.denominator, credit.denominator)
-    slope = price.numerator * (denominator // price.denominator)
-    offset = credit.numerator * (denominator // credit.denominator)
     heights = spec.line_heights(scaling, slope, offset, denominator)
     best = heights.index(max(heights[1:]), 1)
-    return best, utility_eval(spec, scaling, best, best * price - credit)
+    return best, spec.value(scaling, best, best * slope - offset, denominator)
 
 
-def _reply(user: int, profile: MessageProfile, terms, spec: UtilitySpec, scaling: IntegerScaling):
-    """User's best message over the whole message space, the credit c_i of
-    the price line scanned, and the best utility on that line; the message
-    is worth the larger of that utility and the opt-out's, which is 0.
-    `terms` are the profile's `tax_terms`: the line's price is user i's
-    personal price, and its credit is user i+1's mismatch penalty.
+def _reply(user: int, profile: MessageProfile, index: int, value: int) -> Message:
+    """User's best message over the whole message space, given the best
+    `index` on its reply line and its `value` there: the opt-out (-S, 0),
+    worth 0, only when strictly better, otherwise (N * index - S, 0), which
+    puts the average exactly on `index`.
 
-    The opt-out (-S, 0) is chosen only when strictly better than every
-    catalog index; otherwise (N * k - S, 0) puts the average exactly on k.
-    """
-    prices, penalties, denominator = terms
-    n_users = len(profile)
+    The reply line is the user's price line, its price the personal price
+    and its credit c_i the next user's mismatch penalty (`tax_terms`)."""
     others_sum = sum(m.proposal for m in profile) - profile[user].proposal
-    credit = Fraction(penalties[(user + 1) % n_users], denominator)
-    price = Fraction(prices[user], denominator)
-    index, value = price_line_optimum(spec, scaling, price, credit)
-    proposal = -others_sum if value < 0 else n_users * index - others_sum
-    return Message(proposal, Fraction(0)), credit, value
+    proposal = -others_sum if value < 0 else len(profile) * index - others_sum
+    return Message(proposal, Fraction(0))
 
 
 class Deviation(namedtuple("Deviation", "user message gain")):
@@ -114,7 +105,10 @@ def best_response(
     puts the rounded average exactly on the best catalog index (the smallest
     one on ties), or the opt-out proposal when that is strictly better.
     """
-    return _reply(user, profile, tax_terms(profile), config.utilities[user], scaling)[0]
+    prices, penalties, denominator = tax_terms(profile)
+    credit = penalties[(user + 1) % len(profile)]
+    line = price_line_optimum(config.utilities[user], scaling, prices[user], credit, denominator)
+    return _reply(user, profile, *line)
 
 
 class LindahlAllocation(namedtuple("LindahlAllocation", "allocation taxes prices")):
@@ -216,45 +210,53 @@ class EquilibriumReport(
 
 
 def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
-    """Certify a candidate in one pass over the users.
+    """Certify a candidate in one pass over the users, on integers.
 
-    One outcome and one `tax_terms`; per user its values
-    (`spec.integer_scaling`), one `_reply` scan and one held utility.  The
-    reply gives the deviation gain (exact over the whole message space, and
-    compared exactly, since every utility is exact); the opt-out is worth 0,
-    so individual rationality is a held utility of at least 0.
-    A user is on its price line when its tax is allocation * personal price;
-    the Lindahl verdict compares its held utility with the best on that line
-    at credit 0, which is the scanned line unless c_i != 0, and only then is
-    the line scanned again, on the same values.  With vanishing mismatch
-    penalties every user must be on its line (the reduced tax form); a tax
-    that is not raises `ContractError`.  Catalogs over `MAX_VALUED_PROFILES`
+    One outcome and one `tax_terms`, whose denominator D every tax and
+    price line shares; per user its values (`spec.integer_scaling`), one
+    reply scan and one held utility, integer numerators over the user's
+    `unit`.  The reply gives the deviation gain (exact over the whole
+    message space; gains over different units are compared by
+    cross-multiplying); the opt-out is worth 0, so individual rationality is
+    a held utility of at least 0.  A user is on its price line when the
+    allocation is 0 or P_i = P_{i+1}, its own mismatch penalty and the
+    next user's; the Lindahl verdict compares its held utility with the
+    best on that line at credit 0, which is the scanned line unless
+    c_i = P_{i+1} != 0, and only then is the line scanned again, on the same
+    values.  With vanishing penalties every tax must be allocation *
+    personal price (the reduced tax form); one that is not raises
+    `ContractError`.  `Fraction`s are built only for the report's prices,
+    taxes and best deviation's gain.  Catalogs over `MAX_VALUED_PROFILES`
     raise `ConfigError`.
     """
     config.check_profile_cap("evaluating utilities")
     allocation, taxes = outcome(candidate, config.catalog)
-    terms = tax_terms(candidate)
-    price_numerators, penalties, denominator = terms
-    prices = tuple(Fraction(price, denominator) for price in price_numerators)
+    price_numerators, penalties, denominator = tax_terms(candidate)
+    n_users = len(candidate)
     vanish = not any(penalties)
-    best: Deviation | None = None
-    rational, on_line, user_best = [], [], []
+    best = None  # (gain, unit, user, index, line value) of the best deviation
+    rational, user_best = [], []
     for user, spec in enumerate(config.utilities):
         scaling = spec.integer_scaling(config)
-        message, credit, line_best = _reply(user, candidate, terms, spec, scaling)
-        held = utility_eval(spec, scaling, allocation, taxes[user])
-        gain = max(line_best, 0) - held
-        if gain > 0 and (best is None or gain > best.gain):
-            best = Deviation(user, message, gain)
+        slope, credit = price_numerators[user], penalties[(user + 1) % n_users]
+        tax = taxes[user].numerator * (denominator // taxes[user].denominator)
+        if vanish and tax != allocation * slope:
+            reduced = tuple(Fraction(allocation * p, denominator) for p in price_numerators)
+            raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
+        index, line_best = price_line_optimum(spec, scaling, slope, credit, denominator)
+        held = spec.value(scaling, allocation, tax, denominator)
+        gain, unit = max(line_best, 0) - held, spec.unit(scaling, denominator)
+        if gain > 0 and (best is None or gain * best[1] > best[0] * unit):
+            best = (gain, unit, user, index, line_best)
         rational.append(held >= 0)
-        on_line.append(taxes[user] == allocation * prices[user])
-        ok = allocation != 0 and on_line[user]
-        if ok and credit != 0:
-            _, line_best = price_line_optimum(spec, scaling, prices[user], Fraction(0))
+        ok = allocation != 0 and penalties[user] == credit
+        if ok and credit:
+            _, line_best = price_line_optimum(spec, scaling, slope, 0, denominator)
         user_best.append(ok and line_best <= held)
-    if vanish and not all(on_line):
-        reduced = tuple(allocation * price for price in prices)
-        raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
+    if best is not None:
+        gain, unit, user, index, line_best = best
+        best = Deviation(user, _reply(user, candidate, index, line_best), Fraction(gain, unit))
+    prices = tuple(Fraction(price, denominator) for price in price_numerators)
     return EquilibriumReport(
         tuple(candidate), allocation, taxes, prices, best, vanish, tuple(rational), tuple(user_best)
     )

@@ -8,10 +8,13 @@ A bundle is a tuple of level indices, built only where it is read.  Index 0
 is reserved for "no feasible allocation".
 
 All powers, gains, values and taxes are exact.  Every utility variant's
-values V(k) are integer heights over one scale (`IntegerScaling`), so every
-comparison of utilities is exact.  Floating point enters only in a
-logarithmic utility's per-band column terms w_b * log1p(SIR), each converted
-to an integer height exactly before any sum.
+values V(k) are integer heights over one scale (`IntegerScaling`), and each
+variant states its utility V(k, t) once, as an integer numerator (`value`)
+over one per-user `unit`, for taxes t over a given denominator; so every
+comparison of utilities is exact and integer, and `utility_eval` is its
+`Fraction` view.  Floating point enters only in a logarithmic utility's
+per-band column terms w_b * log1p(SIR), each converted to an integer height
+exactly before any sum.
 """
 
 from __future__ import annotations
@@ -273,24 +276,31 @@ def _table_scaling(values) -> IntegerScaling:
 
 
 class _QuasiLinear:
-    """The tax cost and line scan of the quasi-linear variants, whose
-    utility is V(k, t) = V(k) - t."""
+    """The utility and line scan of the quasi-linear variants, whose
+    utility is V(k, t) = V(k) - t: for taxes over D, `value` is over the
+    unit scale * D."""
 
     __slots__ = ()
     quasi_linear = True
 
     @staticmethod
-    def tax_cost(tax: Fraction) -> Fraction:
-        return tax
+    def unit(scaling: IntegerScaling, denominator: int) -> int:
+        return scaling.scale * denominator
+
+    @staticmethod
+    def value(scaling: IntegerScaling, allocation: int, tax: int, denominator: int) -> int:
+        """V(allocation, tax / denominator) over `unit`: the one statement
+        of this utility."""
+        return scaling.heights[allocation] * denominator - scaling.scale * tax
 
     @staticmethod
     def line_heights(
         scaling: IntegerScaling, slope: int, offset: int, denominator: int
     ) -> Sequence[int]:
-        """Per index k, V(k, (k * slope - offset) / denominator) times
-        scale * denominator, less the constant scale * offset: integers in
-        the same order.  At slope 0 every tax is the same, so the value
-        heights themselves are in that order."""
+        """Per index k, `value` at tax (k * slope - offset) / denominator,
+        less the constant scale * offset: integers in the same order.  At
+        slope 0 every tax is the same, so the value heights themselves are
+        in that order."""
         if not slope:
             return scaling.heights
         step = scaling.scale * slope
@@ -372,7 +382,9 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
 
 class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
     """Non-quasi-linear utility: V(k, t) = V(k) - beta * t**3, beta > 0,
-    its value table held as its exact `scaling`, as `TableUtility`'s."""
+    its value table held as its exact `scaling`, as `TableUtility`'s.  For
+    taxes over D its `value` is over the unit scale * D**3 * beta's
+    denominator."""
 
     __slots__ = ()
     quasi_linear = False
@@ -387,19 +399,23 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
     def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
         return self.scaling
 
-    def tax_cost(self, tax: Fraction) -> Fraction:
-        return self.beta * tax**3
+    def unit(self, scaling: IntegerScaling, denominator: int) -> int:
+        return scaling.scale * denominator**3 * self.beta.denominator
+
+    def value(self, scaling: IntegerScaling, allocation: int, tax: int, denominator: int) -> int:
+        """V(allocation, tax / denominator) over `unit`: the one statement
+        of this utility."""
+        cube = denominator**3 * self.beta.denominator
+        return scaling.heights[allocation] * cube - scaling.scale * self.beta.numerator * tax**3
 
     def line_heights(
         self, scaling: IntegerScaling, slope: int, offset: int, denominator: int
     ) -> list[int]:
-        """Per index k, V(k, (k * slope - offset) / denominator) times
-        scale * denominator**3 * beta.denominator: integers in the same order."""
-        cube = denominator**3 * self.beta.denominator
-        coefficient = scaling.scale * self.beta.numerator
+        """Per index k, `value` at tax (k * slope - offset) / denominator."""
+        value = self.value
         return [
-            height * cube - coefficient * (k * slope - offset) ** 3
-            for k, height in enumerate(scaling.heights)
+            value(scaling, k, k * slope - offset, denominator)
+            for k in range(len(scaling.heights))
         ]
 
 
@@ -548,7 +564,8 @@ class ScenarioConfig(
 
 
 def utility_eval(spec: UtilitySpec, scaling: IntegerScaling, allocation: int, tax) -> Fraction:
-    """A user's utility at (allocation index, tax): V(k) - g(t), exactly.
+    """A user's utility at (allocation index, tax): V(k) - g(t), exactly,
+    as a `Fraction` view of its spec's integer `value` over its `unit`.
 
     V(k) is heights[k] / scale of the user's `scaling`, which its `spec`
     builds with `integer_scaling(config)`, and g the tax cost of its spec: t
@@ -557,7 +574,8 @@ def utility_eval(spec: UtilitySpec, scaling: IntegerScaling, allocation: int, ta
     t = 0, so every utility is non-increasing in tax, and allocation 0 ("no
     allocation", worth 0 before taxes) at tax 0 is worth exactly 0.
     """
-    scale, heights = scaling
-    if not 0 <= allocation < len(heights):
-        raise ValueError(f"allocation index {allocation} outside 0..{len(heights) - 1}")
-    return Fraction(heights[allocation], scale) - spec.tax_cost(as_fraction(tax))
+    if not 0 <= allocation < len(scaling.heights):
+        raise ValueError(f"allocation index {allocation} outside 0..{len(scaling.heights) - 1}")
+    tax = as_fraction(tax)
+    numerator = spec.value(scaling, allocation, tax.numerator, tax.denominator)
+    return Fraction(numerator, spec.unit(scaling, tax.denominator))

@@ -11,7 +11,8 @@ through one set of path-naming readers (`_read`, `_list`, `_integer`,
 record constructors all name the offending field path or the object or
 list that holds it.  Numeric literals are parsed as exact rationals; "p/q"
 and decimal strings are accepted wherever a number is.  `rational_to_json`
-is the JSON spelling of every rational the program writes.
+is the JSON spelling of every rational the program writes, and `json_text`
+the one writer of every JSON document.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # CPython's builtin SHA-256 (`_sha2` since 3.12, `_sha256` before) gives the
@@ -302,6 +304,38 @@ def rational_to_json(value: Fraction):
     return value.numerator if value.denominator == 1 else str(value)
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """The text of `json.dumps(value, indent=2, default=rational_to_json)`,
+    which runs the stdlib's pure-Python encoder: the one writer of every
+    JSON document.  `value` holds dicts with string keys, lists, tuples,
+    strings, ints, bools, None, finite floats and rationals; `indent` is the
+    line break and indentation before its closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [json_text(item, inner) for item in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}"
+    return json_text(rational_to_json(value), indent)
+
+
 def _utility_to_json(spec: UtilitySpec) -> dict:
     if isinstance(spec, SirLogUtility):
         return {"variant": "sir_log", "weights": [rational_to_json(w) for w in spec.weights]}
@@ -354,4 +388,4 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def write_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_jsonable(scenario), indent=2) + "\n")
+    Path(path).write_text(json_text(scenario_to_jsonable(scenario)) + "\n")

@@ -13,7 +13,10 @@
   allocation on every user's hull, which two bisections replaced.
 - The price-line loop over `Fraction` values and taxes, which the integer
   kernel `price_line_optimum` replaced; `Fraction(v)` for every value in
-  `integer_scaling`.
+  `integer_scaling`.  It states each variant's tax cost itself.
+- `fraction_report`, the certificate as it was before `build_report` read
+  every verdict off integer numerators: `Fraction` prices, taxes and
+  utilities throughout.
 - A value table read through one `Fraction` per entry (`as_fraction`, then
   `integer_scaling`), which the one-pass `read_table` replaced.
 - Two earlier builds of the `sir_log` values: the per-index `Fraction` SIR
@@ -359,17 +362,68 @@ def loop_census(config: ScenarioConfig) -> dict[int, tuple]:
     return found
 
 
+def fraction_utility(spec: UtilitySpec, value: Fraction, tax: Fraction) -> Fraction:
+    """V(k) - g(t) in `Fraction` arithmetic, from the value V(k): the tax
+    cost g is t for the quasi-linear variants and beta * t**3 for
+    `cubic_tax`."""
+    return value - (tax if spec.quasi_linear else spec.beta * tax**3)
+
+
+def fraction_line(spec: UtilitySpec, values, price, credit) -> tuple[int, Fraction]:
+    """The best index k >= 1 and its utility on the line of taxes
+    k * price - credit, over the `Fraction` values V(0..size); ties resolve
+    to the smallest k."""
+    best_index, best_value = 1, fraction_utility(spec, values[1], price - credit)
+    for index in range(2, len(values)):
+        value = fraction_utility(spec, values[index], index * price - credit)
+        if value > best_value:
+            best_index, best_value = index, value
+    return best_index, best_value
+
+
 def price_line_oracle(user: int, price, credit, config: ScenarioConfig):
     """`price_line_optimum` by evaluating every index's utility on
     `exact_values` with `Fraction` taxes."""
     spec = config.utilities[user]
-    values, cost = exact_values(spec, config), spec.tax_cost
-    best_index, best_value = 1, values[1] - cost(price - credit)
-    for index in range(2, len(values)):
-        value = values[index] - cost(index * price - credit)
-        if value > best_value:
-            best_index, best_value = index, value
-    return best_index, best_value
+    return fraction_line(spec, exact_values(spec, config), price, credit)
+
+
+def fraction_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
+    """`build_report` as it was before it certified on integers: every
+    price, tax and utility a `Fraction`, each user's line scanned by
+    `fraction_line` on its `exact_values`.  The reply line of user i has
+    its personal price and the credit c_i, the next user's mismatch
+    penalty; it is scanned again at credit 0 only for a user on its price
+    line (tax = allocation * personal price) whose c_i is not 0."""
+    allocation, taxes = outcome(candidate, config.catalog)
+    n = len(candidate)
+    prices = tuple(lindahl_price(candidate, user) for user in range(n))
+    penalties = [
+        (message.proposal - candidate[(i + 1) % n].proposal) ** 2 * message.price
+        for i, message in enumerate(candidate)
+    ]
+    total = sum(m.proposal for m in candidate)
+    best: Optional[Deviation] = None
+    rational, user_best = [], []
+    for user, spec in enumerate(config.utilities):
+        values = exact_values(spec, config)
+        credit = penalties[(user + 1) % n]
+        index, line_best = fraction_line(spec, values, prices[user], credit)
+        held = fraction_utility(spec, values[allocation], taxes[user])
+        gain = max(line_best, 0) - held
+        if gain > 0 and (best is None or gain > best.gain):
+            others = total - candidate[user].proposal
+            proposal = -others if line_best < 0 else n * index - others
+            best = Deviation(user, Message(proposal, Fraction(0)), gain)
+        rational.append(held >= 0)
+        ok = allocation != 0 and taxes[user] == allocation * prices[user]
+        if ok and credit != 0:
+            _, line_best = fraction_line(spec, values, prices[user], Fraction(0))
+        user_best.append(ok and line_best <= held)
+    vanish = not any(penalties)
+    return EquilibriumReport(
+        tuple(candidate), allocation, taxes, prices, best, vanish, tuple(rational), tuple(user_best)
+    )
 
 
 def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fraction:

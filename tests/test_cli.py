@@ -248,8 +248,8 @@ def test_out_dumps_the_document_once(capsys, small_path, tmp_path, monkeypatch, 
     from spectrumshare import cli
 
     calls = []
-    dumps = json.dumps
-    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    writer = cli.json_text
+    monkeypatch.setattr(cli, "json_text", lambda *a: calls.append(a) or writer(*a))
     out_path = tmp_path / "out.json"
     argv = ["find-ne", "--scenario", small_path, "--format", fmt, "--out", str(out_path)]
     code, out, err = run(capsys, *argv)
@@ -725,9 +725,9 @@ class TestVerify:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, price, credit):
-            scans.append((spec, price, credit))
-            return kernel(spec, scaling, price, credit)
+        def counted(spec, scaling, *line):
+            scans.append((spec, *line))
+            return kernel(spec, scaling, *line)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         messages = json.dumps([[index, 1]] * 3)
@@ -736,7 +736,7 @@ class TestVerify:
         assert f"\n  is_ne: {str(index == 4).lower()}\n" in out
         assert len(scans) == 3
         utilities = load_scenario(small_path).config.utilities
-        assert sorted(utilities.index(spec) for spec, _, _ in scans) == [0, 1, 2]
+        assert sorted(utilities.index(spec) for spec, *_ in scans) == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "messages, is_ne",

@@ -42,6 +42,7 @@ from grid_oracle import (
     census_oracle,
     dict_price_intervals,
     exact_values,
+    fraction_report,
     grid_deviations,
     grid_verify,
     interval_oracle,
@@ -643,9 +644,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, price, credit):
+        def counted(spec, scaling, *line):
             scans.append(small.utilities.index(spec))
-            return kernel(spec, scaling, price, credit)
+            return kernel(spec, scaling, *line)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         # Infeasible average: a null allocation is never best on a price
@@ -663,9 +664,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, price, credit):
-            scans.append((small.utilities.index(spec), credit))
-            return kernel(spec, scaling, price, credit)
+        def counted(spec, scaling, slope, offset, denominator):
+            scans.append((small.utilities.index(spec), Fraction(offset, denominator)))
+            return kernel(spec, scaling, slope, offset, denominator)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
@@ -1175,6 +1176,16 @@ lines = st.one_of(
 )
 
 
+def kernel_on_fractions(spec, scaling, price, credit):
+    """`price_line_optimum` on the line of taxes k * price - credit, given
+    as `Fraction`s, with its value as a `Fraction`."""
+    denominator = math.lcm(price.denominator, credit.denominator)
+    slope = price.numerator * (denominator // price.denominator)
+    offset = credit.numerator * (denominator // credit.denominator)
+    index, value = price_line_optimum(spec, scaling, slope, offset, denominator)
+    return index, Fraction(value, spec.unit(scaling, denominator))
+
+
 class TestKernelAgainstOracle:
     """The integer price-line kernel against the `Fraction` loop it replaced."""
 
@@ -1186,10 +1197,8 @@ class TestKernelAgainstOracle:
     def test_matches_fraction_loop(self, config, user, line):
         price, credit = line
         spec = config.utilities[user]
-        got = price_line_optimum(spec, spec.integer_scaling(config), price, credit)
-        expected = price_line_oracle(user, price, credit, config)
-        assert got == expected
-        assert type(got[1]) is type(expected[1]) is Fraction
+        got = kernel_on_fractions(spec, spec.integer_scaling(config), price, credit)
+        assert got == price_line_oracle(user, price, credit, config)
 
     @given(config=sir_configs(), line=lines, data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -1197,10 +1206,61 @@ class TestKernelAgainstOracle:
         price, credit = line
         user = data.draw(st.integers(min_value=0, max_value=config.num_users - 1))
         spec = config.utilities[user]
-        got = price_line_optimum(spec, spec.integer_scaling(config), price, credit)
-        expected = price_line_oracle(user, price, credit, config)
-        assert got == expected
-        assert type(got[1]) is type(expected[1]) is Fraction
+        got = kernel_on_fractions(spec, spec.integer_scaling(config), price, credit)
+        assert got == price_line_oracle(user, price, credit, config)
+
+
+# Prices of unequal denominators, zero included.
+report_prices = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=12)
+)
+
+
+def report_candidates(size):
+    """Candidates for a catalog of `size` profiles: proposals whose average
+    may leave the catalog, and unanimous proposals at unequal prices, whose
+    mismatch penalties vanish while the personal prices do not."""
+    proposals = st.integers(min_value=-2 * size, max_value=3 * size)
+    message = st.builds(Message, proposals, report_prices)
+    agreeing = st.tuples(
+        st.integers(min_value=1, max_value=size), st.lists(report_prices, min_size=3, max_size=3)
+    )
+    return st.one_of(
+        st.tuples(message, message, message),
+        agreeing.map(lambda t: tuple(Message(t[0], price) for price in t[1])),
+    )
+
+
+class TestReportAgainstFractionReport:
+    """The integer certificate against the `Fraction` one it replaced,
+    every verdict and the best deviation included."""
+
+    @given(config=census_configs, candidate=report_candidates(8))
+    @example(ORACLE_CONFIGS["cubic_tax"], (Message(4, 1), Message(4, 3), Message(4, 2)))
+    @example(ORACLE_CONFIGS["table"], (Message(-20, 0), Message(1, 3), Message(2, 0)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_on_small_games(self, config, candidate):
+        report = build_report(candidate, config)
+        assert report == fraction_report(candidate, config)
+        if report.best_deviation is not None:
+            assert type(report.best_deviation.gain) is Fraction
+
+    @given(config=census_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_on_census_entries(self, config):
+        for entry in lindahl_census(config).equilibria:
+            assert entry.report == fraction_report(entry.report.candidate, config)
+
+    @given(candidate=report_candidates(216))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_on_the_desk(self, desk, candidate):
+        assert build_report(candidate, desk) == fraction_report(candidate, desk)
+
+    @given(config=sir_configs(user_counts=(3,)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_on_multiband_sir(self, config, data):
+        candidate = data.draw(report_candidates(config.catalog.size))
+        assert build_report(candidate, config) == fraction_report(candidate, config)
 
 
 def scaled_sir(config, factor):

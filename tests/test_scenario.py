@@ -13,6 +13,7 @@ from spectrumshare import ConfigError, Honest, PilotCheat, ReportCheat, Scenario
 from spectrumshare.cli import main
 from spectrumshare.scenario import (
     MAX_GRID_PRICES,
+    json_text,
     load_scenario,
     parse_scenario,
     rational_to_json,
@@ -412,3 +413,39 @@ class TestRationalParsing:
 def test_parse_scenario_rejects_non_object():
     with pytest.raises(ConfigError):
         parse_scenario(["not", "an", "object"], "")
+
+
+# Text with quotes, backslashes, control characters, non-ASCII and astral
+# characters, and lone surrogates, all of which the writer escapes.
+json_strings = st.text() | st.text(
+    alphabet=st.sampled_from('"\\/\n\t\x00\x1f\x7fé☃\U0001f600\ud800 a')
+)
+json_scalars = st.one_of(
+    json_strings,
+    st.integers(),
+    st.integers(min_value=-(10**90), max_value=10**90),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The one JSON writer against the stdlib encoder it replaced."""
+
+    @given(json_documents)
+    @example({"a": [], "b": {}, "c": ({"d": (1, Fraction(1, 3), Fraction(4, 2))},)})
+    @example([1e16, -0.0, 2.5e-300, True, False, None, 10**80])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_stdlib_encoder(self, document):
+        assert json_text(document) == json.dumps(document, indent=2, default=rational_to_json)
