@@ -28,10 +28,10 @@ from spectrumshare import (
 from spectrumshare.scenario import load_scenario
 
 
-def utility_at(user, profile, config, scaling):
-    """User's utility at the outcome of `profile`, on its values `scaling`."""
+def utility_at(user, profile, config, values):
+    """User's utility at the outcome of `profile`, on its `values`."""
     result = outcome(profile, config.catalog)
-    return utility_eval(config.utilities[user], scaling, result.allocation, result.taxes[user])
+    return utility_eval(values, result.allocation, result.taxes[user])
 
 
 def br_dynamics(start, config, max_rounds=50):
@@ -46,14 +46,14 @@ def br_dynamics(start, config, max_rounds=50):
     """
     profile = tuple(start)
     config.check_profile_cap("evaluating utilities")
-    scalings = [spec.integer_scaling(config) for spec in config.utilities]
+    per_user = [spec.values(config) for spec in config.utilities]
     for rounds in range(1, max_rounds + 1):
         changed = False
-        for user, scaling in enumerate(scalings):
-            reply = best_response(user, profile, config, scaling)
+        for user, values in enumerate(per_user):
+            reply = best_response(user, profile, values)
             moved = profile[:user] + (reply,) + profile[user + 1 :]
-            held = utility_at(user, profile, config, scaling)
-            if utility_at(user, moved, config, scaling) > held:
+            held = utility_at(user, profile, config, values)
+            if utility_at(user, moved, config, values) > held:
                 profile, changed = moved, True
         if not changed:
             return True, rounds, profile

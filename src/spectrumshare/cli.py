@@ -41,7 +41,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, ContractError
 from .measurement import run_measurement
-from .mechanism import Message, outcome, tax_terms
+from .mechanism import Message, outcome
 from .model import as_fraction
 from .scenario import json_text, load_scenario, rational_to_json, read_file, read_messages, read_psi
 
@@ -178,8 +178,7 @@ def cmd_enumerate(args, scenario) -> None:
 
 def cmd_outcome(args, scenario) -> None:
     messages = _messages(args, scenario)
-    allocation, taxes = outcome(messages, scenario.config.catalog)
-    prices, _, denominator = tax_terms(messages)
+    allocation, taxes, (prices, _, denominator) = outcome(messages, scenario.config.catalog)
     document = {
         "messages": [m._asdict() for m in messages],
         "allocation": allocation,

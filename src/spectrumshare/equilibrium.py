@@ -18,15 +18,15 @@ the same kernel is the Lindahl check "best on the personal price line".
 
 The kernel works on integers: the line is the integer numerators
 k * A - C of `tax_terms` over their one denominator D, and it returns the
-best index and its value as an integer numerator of the user's spec's
-`value` over its `unit`.  `build_report` certifies a candidate in one pass
-on those integers: one outcome, one `tax_terms`, and per user its values,
-one reply scan and one held utility, from which it reads the NE verdict and
-best deviation, individual rationality, the reduced tax form and the
-Lindahl verdicts.  Only a user whose tax is on its price line but whose
-scanned line carries a credit c_i != 0 is scanned again, at credit 0, on the
-same values.  A user's values (its spec's `integer_scaling`) are built where
-they are used and dropped before the next user's.
+best index and its value, the integer numerator `value` over the `unit` of
+the user's values (`spec.values`).  `build_report` certifies a candidate in
+one pass on those integers: one outcome, which carries its `tax_terms`, and
+per user its values, one reply scan and one held utility, from which it
+reads the NE verdict and best deviation, individual rationality, the
+reduced tax form and the Lindahl verdicts.  Only a user whose tax is on its
+price line but whose scanned line carries a credit c_i != 0 is scanned
+again, at credit 0, on the same values, which are built where they are used
+and dropped before the next user's.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -51,28 +51,29 @@ from fractions import Fraction
 from .errors import ConfigError, ContractError
 from .mechanism import Message, MessageProfile, message_prices, outcome, tax_terms
 from .model import (
+    CubicTaxUtility,
     IntegerScaling,
     ProfileCatalog,
     ScenarioConfig,
-    UtilitySpec,
+    TableUtility,
     as_fraction,
 )
 
 
 def price_line_optimum(
-    spec: UtilitySpec, scaling: IntegerScaling, slope: int, offset: int, denominator: int
+    values: TableUtility | CubicTaxUtility, slope: int, offset: int, denominator: int
 ) -> tuple[int, int]:
     """A user's best catalog index k >= 1 when its tax is the integer
-    numerator k * slope - offset over `denominator`, given its `spec` and
-    the values `scaling` that spec builds.
+    numerator k * slope - offset over `denominator`, given the `values` its
+    spec builds (`spec.values(config)`).
 
     Returns (k, V(k, tax)) with the value as the integer numerator of the
-    spec's `value` over its `unit`; ties resolve to the smallest k.  The
-    spec's `line_heights` ranks the indices exactly on integers.
+    values' `value` over their `unit`; ties resolve to the smallest k.
+    Their `line_heights` ranks the indices exactly on integers.
     """
-    heights = spec.line_heights(scaling, slope, offset, denominator)
+    heights = values.line_heights(slope, offset, denominator)
     best = heights.index(max(heights[1:]), 1)
-    return best, spec.value(scaling, best, best * slope - offset, denominator)
+    return best, values.value(best, best * slope - offset, denominator)
 
 
 def _reply(user: int, profile: MessageProfile, index: int, value: int) -> Message:
@@ -95,11 +96,11 @@ class Deviation(namedtuple("Deviation", "user message gain")):
 
 
 def best_response(
-    user: int, profile: MessageProfile, config: ScenarioConfig, scaling: IntegerScaling
+    user: int, profile: MessageProfile, values: TableUtility | CubicTaxUtility
 ) -> Message:
     """Message maximizing user's utility against the rest of `profile`, on
-    its values `scaling` (its spec's `integer_scaling`, which a caller that
-    replies for the same user many times builds once).
+    its `values` (`spec.values(config)`, which a caller that replies for the
+    same user many times builds once).
 
     `profile[user]` is ignored.  The reply has price 0 and a proposal that
     puts the rounded average exactly on the best catalog index (the smallest
@@ -107,7 +108,7 @@ def best_response(
     """
     prices, penalties, denominator = tax_terms(profile)
     credit = penalties[(user + 1) % len(profile)]
-    line = price_line_optimum(config.utilities[user], scaling, prices[user], credit, denominator)
+    line = price_line_optimum(values, prices[user], credit, denominator)
     return _reply(user, profile, *line)
 
 
@@ -212,46 +213,45 @@ class EquilibriumReport(
 def build_report(candidate: MessageProfile, config: ScenarioConfig) -> EquilibriumReport:
     """Certify a candidate in one pass over the users, on integers.
 
-    One outcome and one `tax_terms`, whose denominator D every tax and
-    price line shares; per user its values (`spec.integer_scaling`), one
-    reply scan and one held utility, integer numerators over the user's
-    `unit`.  The reply gives the deviation gain (exact over the whole
-    message space; gains over different units are compared by
-    cross-multiplying); the opt-out is worth 0, so individual rationality is
-    a held utility of at least 0.  A user is on its price line when the
-    allocation is 0 or P_i = P_{i+1}, its own mismatch penalty and the
-    next user's; the Lindahl verdict compares its held utility with the
-    best on that line at credit 0, which is the scanned line unless
-    c_i = P_{i+1} != 0, and only then is the line scanned again, on the same
-    values.  With vanishing penalties every tax must be allocation *
-    personal price (the reduced tax form); one that is not raises
-    `ContractError`.  `Fraction`s are built only for the report's prices,
-    taxes and best deviation's gain.  Catalogs over `MAX_VALUED_PROFILES`
-    raise `ConfigError`.
+    One outcome, whose `tax_terms` give the denominator D every tax and
+    price line shares; per user its values (`spec.values`), one reply scan
+    and one held utility, integer numerators over the values' `unit`.  The
+    reply gives the deviation gain (exact over the whole message space;
+    gains over different units are compared by cross-multiplying); the
+    opt-out is worth 0, so individual rationality is a held utility of at
+    least 0.  A user is on its price line when the allocation is 0 or
+    P_i = P_{i+1}, its own mismatch penalty and the next user's; the Lindahl
+    verdict compares its held utility with the best on that line at credit
+    0, which is the scanned line unless c_i = P_{i+1} != 0, and only then is
+    the line scanned again, on the same values.  With vanishing penalties
+    every tax must be allocation * personal price (the reduced tax form);
+    one that is not raises `ContractError`.  `Fraction`s are built only for
+    the report's prices, taxes and best deviation's gain.  Catalogs over
+    `MAX_VALUED_PROFILES` raise `ConfigError`.
     """
     config.check_profile_cap("evaluating utilities")
-    allocation, taxes = outcome(candidate, config.catalog)
-    price_numerators, penalties, denominator = tax_terms(candidate)
+    allocation, taxes, terms = outcome(candidate, config.catalog)
+    price_numerators, penalties, denominator = terms
     n_users = len(candidate)
     vanish = not any(penalties)
     best = None  # (gain, unit, user, index, line value) of the best deviation
     rational, user_best = [], []
     for user, spec in enumerate(config.utilities):
-        scaling = spec.integer_scaling(config)
+        values = spec.values(config)
         slope, credit = price_numerators[user], penalties[(user + 1) % n_users]
         tax = taxes[user].numerator * (denominator // taxes[user].denominator)
         if vanish and tax != allocation * slope:
             reduced = tuple(Fraction(allocation * p, denominator) for p in price_numerators)
             raise ContractError(f"reduced taxes {reduced} disagree with the tax rule {taxes}")
-        index, line_best = price_line_optimum(spec, scaling, slope, credit, denominator)
-        held = spec.value(scaling, allocation, tax, denominator)
-        gain, unit = max(line_best, 0) - held, spec.unit(scaling, denominator)
+        index, line_best = price_line_optimum(values, slope, credit, denominator)
+        held = values.value(allocation, tax, denominator)
+        gain, unit = max(line_best, 0) - held, values.unit(denominator)
         if gain > 0 and (best is None or gain * best[1] > best[0] * unit):
             best = (gain, unit, user, index, line_best)
         rational.append(held >= 0)
         ok = allocation != 0 and penalties[user] == credit
         if ok and credit:
-            _, line_best = price_line_optimum(spec, scaling, slope, 0, denominator)
+            _, line_best = price_line_optimum(values, slope, 0, denominator)
         user_best.append(ok and line_best <= held)
     if best is not None:
         gain, unit, user, index, line_best = best
@@ -365,10 +365,12 @@ def _balanced_intervals(config: ScenarioConfig):
     ascending order.  See `lindahl_census` for the two bisections."""
     hulls = []
     for spec in config.utilities:
+        # a temporary, so that one `sir_log` user's heights are dropped
+        # before the next user's are built
         if spec.quasi_linear:
-            hulls.append(price_intervals(spec.integer_scaling(config)))
+            hulls.append(price_intervals(spec.values(config).scaling))
         else:
-            heights = spec.integer_scaling(config).heights
+            heights = spec.values(config).scaling.heights
             top = max(heights)
             tops = [k for k in range(1, len(heights)) if heights[k] == top]
             hulls.append((tops, [(0, 1)] * (len(tops) + 1)))

@@ -52,7 +52,7 @@ def nearest_integer(total: int, count: int) -> int:
     return quotient + 1 if quotient >= 0 else quotient
 
 
-def tax_terms(profile: MessageProfile) -> tuple[list[int], list[int], int]:
+def tax_terms(profile: MessageProfile) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Every user's personal price and own mismatch penalty, as integer
     numerators over one shared denominator N * lcm(price denominators).
 
@@ -63,11 +63,11 @@ def tax_terms(profile: MessageProfile) -> tuple[list[int], list[int], int]:
     n = len(profile)
     scale = lcm(*(m.price.denominator for m in profile))
     scaled = [m.price.numerator * (scale // m.price.denominator) for m in profile]
-    prices = [scaled[(i + 1) % n] - scaled[(i + 2) % n] for i in range(n)]
-    penalties = [
+    prices = tuple(scaled[(i + 1) % n] - scaled[(i + 2) % n] for i in range(n))
+    penalties = tuple(
         n * (message.proposal - profile[(i + 1) % n].proposal) ** 2 * scaled[i]
         for i, message in enumerate(profile)
-    ]
+    )
     return prices, penalties, n * scale
 
 
@@ -99,8 +99,8 @@ def message_prices(personal_prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(price - lowest for price in prices)
 
 
-class Outcome(namedtuple("Outcome", "allocation taxes")):
-    """Allocation index (0 = none) plus the exact tax vector."""
+class Outcome(namedtuple("Outcome", "allocation taxes terms")):
+    """Allocation index (0 = none), exact tax vector, and its `tax_terms`."""
 
     __slots__ = ()
 
@@ -109,18 +109,18 @@ def outcome(profile: MessageProfile, catalog: ProfileCatalog) -> Outcome:
     """Apply the game form to a full message profile.
 
     The allocation is the rounded average proposal when it names a catalog
-    profile, else 0 with every tax 0.  Raises `ContractError` when the taxes
-    do not sum to zero, decided on the integer numerators before any
-    `Fraction` is built.
+    profile, else 0 with every tax 0; the profile's `tax_terms` are returned
+    either way.  Raises `ContractError` when the taxes do not sum to zero,
+    decided on the integer numerators before any `Fraction` is built.
     """
     n = len(profile)
     if n != catalog.num_users:
         raise ValueError(f"profile has {n} messages, catalog expects {catalog.num_users}")
+    terms = prices, penalties, denominator = tax_terms(profile)
     average = nearest_integer(sum(m.proposal for m in profile), n)
     if not 1 <= average <= catalog.size:
-        return Outcome(0, (Fraction(0),) * n)
-    prices, penalties, denominator = tax_terms(profile)
+        return Outcome(0, (Fraction(0),) * n, terms)
     numerators = [average * prices[i] + penalties[i] - penalties[(i + 1) % n] for i in range(n)]
     if sum(numerators) != 0:
         raise ContractError(f"taxes must sum to zero, got {numerators} over {denominator}")
-    return Outcome(average, tuple(Fraction(numerator, denominator) for numerator in numerators))
+    return Outcome(average, tuple(Fraction(t, denominator) for t in numerators), terms)

@@ -7,14 +7,14 @@ addressed by a catalog index so that users can talk about them by number.
 A bundle is a tuple of level indices, built only where it is read.  Index 0
 is reserved for "no feasible allocation".
 
-All powers, gains, values and taxes are exact.  Every utility variant's
-values V(k) are integer heights over one scale (`IntegerScaling`), and each
-variant states its utility V(k, t) once, as an integer numerator (`value`)
-over one per-user `unit`, for taxes t over a given denominator; so every
-comparison of utilities is exact and integer, and `utility_eval` is its
-`Fraction` view.  Floating point enters only in a logarithmic utility's
-per-band column terms w_b * log1p(SIR), each converted to an integer height
-exactly before any sum.
+All powers, gains, values and taxes are exact.  A utility spec's values,
+`spec.values(config)`, hold V(k) as integer heights over one scale
+(`IntegerScaling`) and state the utility V(k, t) once, as an integer
+numerator (`value`) over one per-user `unit`, for taxes t over a given
+denominator; so every comparison of utilities is exact and integer, and
+`utility_eval` is its `Fraction` view.  Floating point enters only in a
+logarithmic utility's per-band column terms w_b * log1p(SIR), each converted
+to an integer height exactly before any sum.
 """
 
 from __future__ import annotations
@@ -275,57 +275,46 @@ def _table_scaling(values) -> IntegerScaling:
     return scaling
 
 
-class _QuasiLinear:
-    """The utility and line scan of the quasi-linear variants, whose
-    utility is V(k, t) = V(k) - t: for taxes over D, `value` is over the
-    unit scale * D."""
-
-    __slots__ = ()
-    quasi_linear = True
-
-    @staticmethod
-    def unit(scaling: IntegerScaling, denominator: int) -> int:
-        return scaling.scale * denominator
-
-    @staticmethod
-    def value(scaling: IntegerScaling, allocation: int, tax: int, denominator: int) -> int:
-        """V(allocation, tax / denominator) over `unit`: the one statement
-        of this utility."""
-        return scaling.heights[allocation] * denominator - scaling.scale * tax
-
-    @staticmethod
-    def line_heights(
-        scaling: IntegerScaling, slope: int, offset: int, denominator: int
-    ) -> Sequence[int]:
-        """Per index k, `value` at tax (k * slope - offset) / denominator,
-        less the constant scale * offset: integers in the same order.  At
-        slope 0 every tax is the same, so the value heights themselves are
-        in that order."""
-        if not slope:
-            return scaling.heights
-        step = scaling.scale * slope
-        return [height * denominator - k * step for k, height in enumerate(scaling.heights)]
-
-
-class TableUtility(_QuasiLinear, namedtuple("TableUtility", "scaling")):
+class TableUtility(namedtuple("TableUtility", "scaling")):
     """Quasi-linear utility from a value table: V(k, t) = V(k) - t.
 
     Built from one value per catalog index, 0 through catalog size; entry 0
     is the no-allocation value and must be zero.  The table is held only as
     its exact `scaling`, V(k) = heights[k] / scale, into which `read_table`
-    reads the values with no `Fraction` per entry.
+    reads the values with no `Fraction` per entry.  For taxes over D its
+    `value` is over the unit scale * D.
     """
 
     __slots__ = ()
+    quasi_linear = True
 
     def __new__(cls, scaling: Sequence | IntegerScaling):
         return super().__new__(cls, _table_scaling(scaling))
 
-    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
-        return self.scaling
+    def values(self, config: "ScenarioConfig") -> "TableUtility":
+        return self
+
+    def unit(self, denominator: int) -> int:
+        return self.scaling.scale * denominator
+
+    def value(self, allocation: int, tax: int, denominator: int) -> int:
+        """V(allocation, tax / denominator) over `unit`: the one statement
+        of this utility."""
+        return self.scaling.heights[allocation] * denominator - self.scaling.scale * tax
+
+    def line_heights(self, slope: int, offset: int, denominator: int) -> Sequence[int]:
+        """Per index k, `value` at tax (k * slope - offset) / denominator,
+        less the constant scale * offset: integers in the same order.  At
+        slope 0 every tax is the same, so the value heights themselves are
+        in that order."""
+        scale, heights = self.scaling
+        if not slope:
+            return heights
+        step = scale * slope
+        return [height * denominator - k * step for k, height in enumerate(heights)]
 
 
-class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
+class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t,
     each band's term rounded once to a float and the terms summed exactly.
 
@@ -335,6 +324,7 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
     """
 
     __slots__ = ()
+    quasi_linear = True
 
     def __new__(cls, user: int, weights: tuple[Fraction, ...]):
         weights = tuple(as_fraction(w) for w in weights)
@@ -344,8 +334,10 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
             raise ConfigError(f"SIR utility weights must be below 10**{MAX_DIGITS}")
         return super().__new__(cls, user, weights)
 
-    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
-        """Catalog walk in index order without decoding a profile.
+    def values(self, config: "ScenarioConfig") -> TableUtility:
+        """The `TableUtility` of this user's value heights, which is exactly
+        this utility, by a catalog walk in index order without decoding a
+        profile.
 
         Per band, one pass over the users in column-code order builds every
         column's total received power (noise included) and this user's own
@@ -354,7 +346,9 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
         each column of every band becomes an integer height over one common
         scale (`integer_scaling`, exact); a profile's height is the sum of
         its columns' heights, read off by its code in each band
-        (`ScenarioConfig.band_columns`), into one list of ints.
+        (`ScenarioConfig.band_columns`), into one list of ints.  The heights
+        start at 0 and no term is negative, so the table is built without
+        `_table_scaling`'s O(size) checks.
         """
         levels, channels = config.integer_channels
         terms = []
@@ -362,7 +356,7 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
             noise, *gains = channels[self.user][band]
             total, own, silent = [noise], [0], (0,) * len(used)
             for tx, gain in enumerate(gains):
-                powers = [gain * levels[level] for level in used]
+                powers = [gain * level for level in levels[: len(used)]]
                 total = [t + p for t in total for p in powers]
                 own = [s + p for s in own for p in (powers if tx == self.user else silent)]
             weight = float(self.weights[band])
@@ -377,7 +371,7 @@ class SirLogUtility(_QuasiLinear, namedtuple("SirLogUtility", "user weights")):
             values = band_heights if values is None else map(operator.add, values, band_heights)
         heights = [0]
         heights.extend(values)
-        return IntegerScaling(scaling.scale, heights)
+        return TableUtility._make((IntegerScaling(scaling.scale, heights),))
 
 
 class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
@@ -396,26 +390,24 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
             raise ConfigError("beta must be strictly positive")
         return super().__new__(cls, scaling, beta)
 
-    def integer_scaling(self, config: "ScenarioConfig") -> IntegerScaling:
-        return self.scaling
+    def values(self, config: "ScenarioConfig") -> "CubicTaxUtility":
+        return self
 
-    def unit(self, scaling: IntegerScaling, denominator: int) -> int:
-        return scaling.scale * denominator**3 * self.beta.denominator
+    def unit(self, denominator: int) -> int:
+        return self.scaling.scale * denominator**3 * self.beta.denominator
 
-    def value(self, scaling: IntegerScaling, allocation: int, tax: int, denominator: int) -> int:
+    def value(self, allocation: int, tax: int, denominator: int) -> int:
         """V(allocation, tax / denominator) over `unit`: the one statement
         of this utility."""
+        scale, heights = self.scaling
         cube = denominator**3 * self.beta.denominator
-        return scaling.heights[allocation] * cube - scaling.scale * self.beta.numerator * tax**3
+        return heights[allocation] * cube - scale * self.beta.numerator * tax**3
 
-    def line_heights(
-        self, scaling: IntegerScaling, slope: int, offset: int, denominator: int
-    ) -> list[int]:
+    def line_heights(self, slope: int, offset: int, denominator: int) -> list[int]:
         """Per index k, `value` at tax (k * slope - offset) / denominator."""
         value = self.value
         return [
-            value(scaling, k, k * slope - offset, denominator)
-            for k in range(len(scaling.heights))
+            value(k, k * slope - offset, denominator) for k in range(len(self.scaling.heights))
         ]
 
 
@@ -529,20 +521,20 @@ class ScenarioConfig(
         """Per band, the level indices some bundle uses there, and every
         profile's column code in catalog order.
 
-        A column code reads the users' positions in that tuple of level
-        indices as a mixed-radix number, user 0 most significant, so lists
-        built by nesting over the users in order, user 0 outermost, hold
-        one entry per column in code order.
+        Every band uses the same levels: the m within the budget, as any one
+        of them fits alone in any band and no larger one fits anywhere.  A
+        column code reads the users' level indices as a base-m number, user
+        0 most significant, so lists built by nesting over the users in
+        order, user 0 outermost, hold one entry per column in code order.
         """
+        radix = sum(level <= self.power_budget for level in self.quant_levels)
         columns = []
         for band in range(self.num_bands):
-            used = sorted({bundle[band] for bundle in self.bundles})
-            position = {level: i for i, level in enumerate(used)}
-            digits = [position[bundle[band]] for bundle in self.bundles]
-            codes, radix = [0], len(used)
+            digits = [bundle[band] for bundle in self.bundles]
+            codes = [0]
             for _ in range(self.num_users):
                 codes = [code * radix + digit for code in codes for digit in digits]
-            columns.append((tuple(used), codes))
+            columns.append((tuple(range(radix)), codes))
         return tuple(columns)
 
     @cached_property
@@ -563,19 +555,21 @@ class ScenarioConfig(
         return levels.heights, channels
 
 
-def utility_eval(spec: UtilitySpec, scaling: IntegerScaling, allocation: int, tax) -> Fraction:
+def utility_eval(values: TableUtility | CubicTaxUtility, allocation: int, tax) -> Fraction:
     """A user's utility at (allocation index, tax): V(k) - g(t), exactly,
-    as a `Fraction` view of its spec's integer `value` over its `unit`.
+    as a `Fraction` view of the integer `value` over its `unit` of the
+    `values` its spec builds (`spec.values(config)`).
 
-    V(k) is heights[k] / scale of the user's `scaling`, which its `spec`
-    builds with `integer_scaling(config)`, and g the tax cost of its spec: t
-    for the quasi-linear variants (`table`, `sir_log`; their `quasi_linear`
-    flag), beta * t**3 for `cubic_tax`.  Every g is non-decreasing and 0 at
-    t = 0, so every utility is non-increasing in tax, and allocation 0 ("no
-    allocation", worth 0 before taxes) at tax 0 is worth exactly 0.
+    V(k) is heights[k] / scale of their `scaling`, and g the tax cost of
+    the spec: t for the quasi-linear variants (`table`, `sir_log`; their
+    `quasi_linear` flag), beta * t**3 for `cubic_tax`.  Every g is
+    non-decreasing and 0 at t = 0, so every utility is non-increasing in
+    tax, and allocation 0 ("no allocation", worth 0 before taxes) at tax 0
+    is worth exactly 0.
     """
-    if not 0 <= allocation < len(scaling.heights):
-        raise ValueError(f"allocation index {allocation} outside 0..{len(scaling.heights) - 1}")
+    entries = len(values.scaling.heights)
+    if not 0 <= allocation < entries:
+        raise ValueError(f"allocation index {allocation} outside 0..{entries - 1}")
     tax = as_fraction(tax)
-    numerator = spec.value(scaling, allocation, tax.numerator, tax.denominator)
-    return Fraction(numerator, spec.unit(scaling, tax.denominator))
+    numerator = values.value(allocation, tax.numerator, tax.denominator)
+    return Fraction(numerator, values.unit(tax.denominator))

@@ -2,6 +2,7 @@
 one, and a loader for the runnable scripts."""
 
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,6 +130,24 @@ def small_scenario(config: ScenarioConfig | None = None, seed: int = 7) -> Scena
         seed=seed,
         digest="",
     )
+
+
+@pytest.fixture
+def tax_terms_calls(monkeypatch):
+    """The profiles `mechanism.tax_terms` runs on, counted wherever a
+    `spectrumshare` module binds it."""
+    from spectrumshare import mechanism
+
+    calls, original = [], mechanism.tax_terms
+
+    def counted(profile):
+        calls.append(profile)
+        return original(profile)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spectrumshare") and vars(module).get("tax_terms") is original:
+            monkeypatch.setattr(module, "tax_terms", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

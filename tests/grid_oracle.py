@@ -75,9 +75,8 @@ from spectrumshare.model import (
 def utility_of(config: ScenarioConfig, user: int):
     """User's exact utility (allocation, tax) -> `utility_eval`, on the
     values its spec builds once here."""
-    spec = config.utilities[user]
-    scaling = spec.integer_scaling(config)
-    return lambda allocation, tax: utility_eval(spec, scaling, allocation, tax)
+    values = config.utilities[user].values(config)
+    return lambda allocation, tax: utility_eval(values, allocation, tax)
 
 
 def tax_components(
@@ -345,7 +344,7 @@ def loop_census(config: ScenarioConfig) -> dict[int, tuple]:
     zero = ((0, 1), (0, 1))
     per_user = []
     for spec in config.utilities:
-        scaling = spec.integer_scaling(config)
+        scaling = spec.values(config).scaling
         if spec.quasi_linear:
             per_user.append(dict_price_intervals(scaling))
         else:
@@ -394,15 +393,23 @@ def fraction_report(candidate: MessageProfile, config: ScenarioConfig) -> Equili
     `fraction_line` on its `exact_values`.  The reply line of user i has
     its personal price and the credit c_i, the next user's mismatch
     penalty; it is scanned again at credit 0 only for a user on its price
-    line (tax = allocation * personal price) whose c_i is not 0."""
-    allocation, taxes = outcome(candidate, config.catalog)
-    n = len(candidate)
-    prices = tuple(lindahl_price(candidate, user) for user in range(n))
+    line (tax = allocation * personal price) whose c_i is not 0.  It shares
+    no `outcome` or `tax_terms` with the library: the taxes are summed from
+    `tax_components` and the personal prices are the paper's
+    (pi_{i+1} - pi_{i+2}) / N."""
+    n, size = len(candidate), config.catalog.size
+    total = sum(m.proposal for m in candidate)
+    average = nearest_integer(total, n)
+    allocation = average if 1 <= average <= size else 0
+    taxes = tuple(sum(tax_components(candidate, user, size)) for user in range(n))
+    prices = tuple(
+        (candidate[(user + 1) % n].price - candidate[(user + 2) % n].price) / n
+        for user in range(n)
+    )
     penalties = [
         (message.proposal - candidate[(i + 1) % n].proposal) ** 2 * message.price
         for i, message in enumerate(candidate)
     ]
-    total = sum(m.proposal for m in candidate)
     best: Optional[Deviation] = None
     rational, user_best = [], []
     for user, spec in enumerate(config.utilities):
@@ -446,8 +453,8 @@ def fraction_sir(index: int, user: int, band: int, config: ScenarioConfig) -> Fr
 
 
 def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fraction, ...]:
-    """`SirLogUtility.integer_scaling`'s values by a `Fraction` SIR on every
-    index and band, each band's float term summed as `Fraction(term)`."""
+    """The values `SirLogUtility.values` builds, by a `Fraction` SIR on
+    every index and band, each band's float term summed as `Fraction(term)`."""
     weights = [float(w) for w in spec.weights]
     values = [Fraction(0)]
     for index in range(1, config.catalog.size + 1):
@@ -483,7 +490,7 @@ def column_sir_ratio(
 
 
 def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fraction, ...]:
-    """`SirLogUtility.integer_scaling`'s values by one `column_sir_ratio`
+    """The values `SirLogUtility.values` builds, by one `column_sir_ratio`
     call per (band, column), each float term as `Fraction(term)`, read off
     by each profile's column code."""
     values = None

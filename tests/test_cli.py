@@ -466,6 +466,14 @@ class TestOutcome:
         assert "-5/3" in out and "-26/3" in out and "31/3" in out
         assert "\ntax_sum: 0\n" in out
 
+    @pytest.mark.parametrize(
+        "messages", ["[[1, 1], [2, 2], [3, 3]]", "[[-500, 1], [0, 2], [0, 0]]"]
+    )
+    def test_tax_terms_run_once(self, capsys, desk_path, tax_terms_calls, messages):
+        code, _, _ = run(capsys, "outcome", "--scenario", desk_path, "--messages", messages)
+        assert code == 0
+        assert len(tax_terms_calls) == 1
+
     def test_unanimity(self, capsys, desk_path):
         code, out, _ = run(
             capsys,
@@ -725,9 +733,9 @@ class TestVerify:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, *line):
-            scans.append((spec, *line))
-            return kernel(spec, scaling, *line)
+        def counted(values, *line):
+            scans.append((values, *line))
+            return kernel(values, *line)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         messages = json.dumps([[index, 1]] * 3)
@@ -1048,9 +1056,9 @@ def test_sir_log_terms_over_hundreds_of_binades(capsys, tmp_path):
     assert '"weights": [1000000' in path.read_text() and "1e-99" in path.read_text()
     config = load_scenario(path).config
     for spec in config.utilities:
-        scale, heights = spec.integer_scaling(config)
+        scale, heights = spec.values(config).scaling
         assert tuple(Fraction(height, scale) for height in heights) == sir_value_oracle(spec, config)
-    scale, heights = config.utilities[0].integer_scaling(config)
+    scale, heights = config.utilities[0].values(config).scaling
     assert scale == 2**390 and max(heights) > 2**600 * min(filter(None, heights))
     for argv in (["verify", "--messages", "[[1,0],[1,0],[1,0]]"], ["find-ne"]):
         for fmt in ("json", "table"):

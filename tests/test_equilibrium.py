@@ -34,7 +34,7 @@ from spectrumshare import (
     tax_terms,
 )
 from spectrumshare.equilibrium import _balanced_intervals, price_line_optimum
-from spectrumshare.mechanism import Outcome, nearest_integer
+from spectrumshare.mechanism import nearest_integer
 from spectrumshare.model import IntegerScaling, ProfileCatalog
 
 from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
@@ -63,7 +63,7 @@ proposals = st.integers(min_value=-20, max_value=60)
 
 def reply_of(user, profile, config):
     """`best_response` on the user's values, built for this one reply."""
-    return best_response(user, profile, config, config.utilities[user].integer_scaling(config))
+    return best_response(user, profile, config.utilities[user].values(config))
 
 
 def unanimity(index, price, num_users=3):
@@ -315,27 +315,29 @@ class TestLindahlCensus:
             utilities=(SirLogUtility(user=0, weights=(1,)), TableUtility((0,) + (1,) * 8), last)
         )
         sir_users = [0, 2] if isinstance(last, SirLogUtility) else [0]
-        tables, builds, scans = [], [], []
-        table_scaling, sir_build = model._table_scaling, SirLogUtility.integer_scaling
+        tables, builds, built, scans = [], [], [], []
+        table_scaling, sir_build = model._table_scaling, SirLogUtility.values
         kernel = equilibrium.price_line_optimum
         monkeypatch.setattr(
             model, "_table_scaling", lambda values: tables.append(values) or table_scaling(values)
         )
-        monkeypatch.setattr(
-            SirLogUtility,
-            "integer_scaling",
-            lambda spec, config: builds.append(spec.user) or sir_build(spec, config),
-        )
+
+        def build(spec, config):
+            builds.append(spec.user)
+            built.append(sir_build(spec, config))
+            return built[-1]
+
+        monkeypatch.setattr(SirLogUtility, "values", build)
         monkeypatch.setattr(
             equilibrium,
             "price_line_optimum",
-            lambda spec, *line: scans.append(spec) or kernel(spec, *line),
+            lambda values, *line: scans.append(values) or kernel(values, *line),
         )
         # User 0 pays exactly allocation * personal price, but its reply scan
         # runs with the credit 9 * 4 rebated, so its line is scanned again at
         # credit 0, on the same values.
         build_report((Message(4, 4), Message(1, 4), Message(4, 1)), config)
-        assert scans.count(config.utilities[0]) == 2
+        assert sum(values is built[0] for values in scans) == 2
         assert builds == sir_users
         census = lindahl_census(config)
         assert census.equilibria
@@ -441,7 +443,7 @@ class TestMismatchPenalties:
 
     def test_priced_disagreement_detected(self):
         profile = (Message(1, Fraction(1)), Message(2, Fraction(0)), Message(3, Fraction(0)))
-        assert tax_terms(profile)[1] == [3, 0, 0]
+        assert tax_terms(profile)[1] == (3, 0, 0)
 
 
 def aligned_profiles():
@@ -484,8 +486,8 @@ class TestEquilibriumTaxForm:
         from spectrumshare import equilibrium
 
         def swapped(profile, catalog):
-            allocation, taxes = outcome(profile, catalog)
-            return Outcome(allocation, taxes[::-1])
+            result = outcome(profile, catalog)
+            return result._replace(taxes=result.taxes[::-1])
 
         monkeypatch.setattr(equilibrium, "outcome", swapped)
         profile = tuple(Message(5, Fraction(p)) for p in (3, 1, 2))
@@ -644,9 +646,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, *line):
-            scans.append(small.utilities.index(spec))
-            return kernel(spec, scaling, *line)
+        def counted(values, *line):
+            scans.append(small.utilities.index(values))
+            return kernel(values, *line)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         # Infeasible average: a null allocation is never best on a price
@@ -654,6 +656,16 @@ class TestReports:
         report = build_report((Message(-50, 1), Message(0, 2), Message(0, 0)), small)
         assert report.user_best == (False, False, False)
         assert sorted(scans) == [0, 1, 2]
+
+    def test_tax_terms_run_once_per_report(self, small, tax_terms_calls):
+        candidates = [
+            unanimity(4, 1),
+            (Message(-50, 1), Message(0, 2), Message(0, 0)),
+            (Message(4, 4), Message(1, 4), Message(4, 1)),
+        ]
+        for candidate in candidates:
+            build_report(candidate, small)
+        assert tax_terms_calls == candidates
 
     def test_lent_scan_with_credit_is_not_reused(self, small, monkeypatch):
         # User 0 pays exactly allocation * personal price, but its reply scan
@@ -664,9 +676,9 @@ class TestReports:
         scans = []
         kernel = equilibrium.price_line_optimum
 
-        def counted(spec, scaling, slope, offset, denominator):
-            scans.append((small.utilities.index(spec), Fraction(offset, denominator)))
-            return kernel(spec, scaling, slope, offset, denominator)
+        def counted(values, slope, offset, denominator):
+            scans.append((small.utilities.index(values), Fraction(offset, denominator)))
+            return kernel(values, slope, offset, denominator)
 
         monkeypatch.setattr(equilibrium, "price_line_optimum", counted)
         candidate = (Message(4, 4), Message(1, 4), Message(4, 1))
@@ -915,7 +927,7 @@ class TestCensusAgainstOracles:
         assert found == census_oracle(config)
         for spec in config.utilities:
             if spec.quasi_linear:
-                intervals = fraction_intervals(price_intervals(spec.integer_scaling(config)))
+                intervals = fraction_intervals(price_intervals(spec.values(config).scaling))
                 assert intervals == nonempty_oracle_intervals(exact_values(spec, config))
 
     # the SIR shapes of at most 64 profiles at three users, where the
@@ -948,7 +960,7 @@ class TestCensusAgainstOracles:
         assert dict(_balanced_intervals(game)) == loop_census(game)
         for spec in game.utilities:
             if spec.quasi_linear:
-                scaling = spec.integer_scaling(game)
+                scaling = spec.values(game).scaling
                 assert hull_edges(price_intervals(scaling)) == dict_price_intervals(scaling)
 
     def test_bisection_edge_cases(self):
@@ -968,7 +980,7 @@ class TestCensusAgainstOracles:
     @given(config=census_configs)
     @settings(max_examples=100, deadline=None)
     def test_integer_balance_matches_balanced_prices(self, config):
-        per_user = [dict_price_intervals(spec.integer_scaling(config)) for spec in config.utilities]
+        per_user = [dict_price_intervals(spec.values(config).scaling) for spec in config.utilities]
         for allocation in set(per_user[0]).intersection(*per_user[1:]):
             edges = [user_edges[allocation] for user_edges in per_user]
             intervals = [fraction_interval(ends) for ends in edges]
@@ -1176,14 +1188,14 @@ lines = st.one_of(
 )
 
 
-def kernel_on_fractions(spec, scaling, price, credit):
+def kernel_on_fractions(values, price, credit):
     """`price_line_optimum` on the line of taxes k * price - credit, given
     as `Fraction`s, with its value as a `Fraction`."""
     denominator = math.lcm(price.denominator, credit.denominator)
     slope = price.numerator * (denominator // price.denominator)
     offset = credit.numerator * (denominator // credit.denominator)
-    index, value = price_line_optimum(spec, scaling, slope, offset, denominator)
-    return index, Fraction(value, spec.unit(scaling, denominator))
+    index, value = price_line_optimum(values, slope, offset, denominator)
+    return index, Fraction(value, values.unit(denominator))
 
 
 class TestKernelAgainstOracle:
@@ -1196,8 +1208,7 @@ class TestKernelAgainstOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_loop(self, config, user, line):
         price, credit = line
-        spec = config.utilities[user]
-        got = kernel_on_fractions(spec, spec.integer_scaling(config), price, credit)
+        got = kernel_on_fractions(config.utilities[user].values(config), price, credit)
         assert got == price_line_oracle(user, price, credit, config)
 
     @given(config=sir_configs(), line=lines, data=st.data())
@@ -1205,8 +1216,7 @@ class TestKernelAgainstOracle:
     def test_matches_fraction_loop_on_multiband_sir(self, config, line, data):
         price, credit = line
         user = data.draw(st.integers(min_value=0, max_value=config.num_users - 1))
-        spec = config.utilities[user]
-        got = kernel_on_fractions(spec, spec.integer_scaling(config), price, credit)
+        got = kernel_on_fractions(config.utilities[user].values(config), price, credit)
         assert got == price_line_oracle(user, price, credit, config)
 
 

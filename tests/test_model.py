@@ -308,7 +308,7 @@ class TestSir:
         # the integer column sums scale by one factor, so every term is the
         # same float and every value the same height
         spec = SirLogUtility(user=user, weights=(Fraction(3, 2),))
-        assert spec.integer_scaling(base) == spec.integer_scaling(scaled)
+        assert spec.values(base) == spec.values(scaled)
 
     @pytest.mark.parametrize("shape", SIR_SHAPES)
     @given(data=st.data())
@@ -377,9 +377,12 @@ def sir_config(gains, levels, budget, noise=Fraction(1)) -> ScenarioConfig:
 
 def assert_matches_oracle(config: ScenarioConfig) -> None:
     """Every `sir_log` value equals the `Fraction` SIR loop's and the
-    per-column ratio walk's exactly, and is held as an int height in a list."""
+    per-column ratio walk's exactly, and is held as an int height in a list
+    of a table that `TableUtility`'s own checks rebuild unchanged."""
     for spec in config.utilities:
-        scale, heights = spec.integer_scaling(config)
+        values = spec.values(config)
+        assert type(values) is TableUtility and TableUtility(values.scaling) == values
+        scale, heights = values.scaling
         assert type(heights) is list and all(type(height) is int for height in heights)
         expected = sir_value_oracle(spec, config)
         assert tuple(Fraction(height, scale) for height in heights) == expected
@@ -509,7 +512,7 @@ class TestUtilityEval:
         with pytest.raises(ConfigError, match="weights"):
             SirLogUtility(user=0, weights=(Fraction(10**MAX_DIGITS),))
         config = with_user_zero(SirLogUtility(user=0, weights=(10**MAX_DIGITS - 1,)))
-        scale, heights = config.utilities[0].integer_scaling(config)
+        scale, heights = config.utilities[0].values(config).scaling
         assert max(heights) > 10**(MAX_DIGITS - 1) * scale
         assert all(type(height) is int for height in heights)
 

@@ -47,7 +47,10 @@ def _report():
 # (factory, field names in order): each factory builds a fresh, equal record.
 RECORDS = {
     "Message": (lambda: Message(3, HALF), ("proposal", "price")),
-    "Outcome": (lambda: Outcome(2, (HALF, -HALF, Fraction(0))), ("allocation", "taxes")),
+    "Outcome": (
+        lambda: Outcome(2, (HALF, -HALF, Fraction(0)), ((-1, 2, -1), (0, 0, 0), 6)),
+        ("allocation", "taxes", "terms"),
+    ),
     "Honest": (Honest, ()),
     "PilotCheat": (lambda: PilotCheat((1, HALF)), ("scale",)),
     "ReportCheat": (lambda: ReportCheat("additive", (HALF,)), ("mode", "amount")),
