@@ -16,22 +16,21 @@ import argparse
 import collections
 import random
 import time
+from fractions import Fraction
 
-from spectrumshare import (
-    Message,
-    best_response,
-    build_report,
-    lindahl_price,
-    outcome,
-    utility_eval,
-)
+from spectrumshare import Message, best_response, build_report, outcome
 from spectrumshare.scenario import load_scenario
 
 
 def utility_at(user, profile, config, values):
-    """User's utility at the outcome of `profile`, on its `values`."""
+    """User's exact utility at the outcome of `profile`: the integer `value`
+    of its `values` over their `unit`."""
     result = outcome(profile, config.catalog)
-    return utility_eval(values, result.allocation, result.taxes[user])
+    tax = result.taxes[user]
+    return Fraction(
+        values.value(result.allocation, tax.numerator, tax.denominator),
+        values.unit(tax.denominator),
+    )
 
 
 def br_dynamics(start, config, max_rounds=50):
@@ -103,8 +102,10 @@ def main(argv=None) -> None:
             unanimity += 1
         key = tuple((m.proposal, str(m.price)) for m in profile)
         fixed_points[key] += 1
-        personal_prices[key] = [str(lindahl_price(profile, u)) for u in range(len(profile))]
-        allocations[outcome(profile, config.catalog).allocation] += 1
+        result = outcome(profile, config.catalog)
+        prices, _, denominator = result.terms
+        personal_prices[key] = [str(Fraction(p, denominator)) for p in prices]
+        allocations[result.allocation] += 1
     elapsed = time.perf_counter() - started
 
     print(f"scenario={args.scenario} seed={seed} starts={args.starts}")

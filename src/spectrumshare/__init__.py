@@ -38,7 +38,6 @@ from .mechanism import (
     Message,
     MessageProfile,
     Outcome,
-    lindahl_price,
     message_prices,
     nearest_integer,
     outcome,
@@ -54,7 +53,6 @@ from .model import (
     as_fraction,
     enumerate_bundles,
     integer_scaling,
-    utility_eval,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_to_jsonable, write_scenario
 

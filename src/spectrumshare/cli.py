@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 from .equilibrium import (
@@ -148,7 +147,8 @@ def _render(args, scenario, document: dict, records: list | None = None) -> None
         text = json_text(document)
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            with open(args.out, "w") as file:
+                file.write(text + "\n")
         except OSError as exc:
             raise ConfigError(f"--out: {exc}") from None
     if args.format == "json":

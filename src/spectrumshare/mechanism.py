@@ -1,5 +1,5 @@
 """The allocation game form: messages, outcome rule, the cyclic tax, and the
-cyclic personal price in both directions (`lindahl_price`, `message_prices`).
+cyclic personal price in both directions (`tax_terms`, `message_prices`).
 
 Each user submits a message (proposal, price): an integer catalog index it
 proposes, and a non-negative price per unit of profile index it is willing
@@ -71,18 +71,10 @@ def tax_terms(profile: MessageProfile) -> tuple[tuple[int, ...], tuple[int, ...]
     return prices, penalties, n * scale
 
 
-def lindahl_price(profile: MessageProfile, user: int) -> Fraction:
-    """Personalized price per unit of allocation index faced by `user`."""
-    n = len(profile)
-    if not 0 <= user < n:
-        raise ValueError(f"user {user} outside 0..{n - 1}")
-    prices, _, denominator = tax_terms(profile)
-    return Fraction(prices[user], denominator)
-
-
 def message_prices(personal_prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The inverse of `lindahl_price`: the least non-negative message prices
-    whose personal prices are `personal_prices`, the lowest of them 0.
+    """The inverse of `tax_terms`' personal prices: the least non-negative
+    message prices whose personal prices are `personal_prices`, the lowest
+    of them 0.
 
     The cyclic system p_i = (pi_{i+1} - pi_{i+2}) / N has a solution only
     when the p_i sum to zero (else `ValueError`), and then its solutions

@@ -9,12 +9,16 @@ is reserved for "no feasible allocation".
 
 All powers, gains, values and taxes are exact.  A utility spec's values,
 `spec.values(config)`, hold V(k) as integer heights over one scale
-(`IntegerScaling`) and state the utility V(k, t) once, as an integer
-numerator (`value`) over one per-user `unit`, for taxes t over a given
-denominator; so every comparison of utilities is exact and integer, and
-`utility_eval` is its `Fraction` view.  Floating point enters only in a
-logarithmic utility's per-band column terms w_b * log1p(SIR), each converted
-to an integer height exactly before any sum.
+(`IntegerScaling`) and state the utility V(k, t) = V(k) - g(t) once, as an
+integer numerator (`value`) over one per-user `unit`, for taxes t over a
+given denominator; so every comparison of utilities is exact and integer.
+The tax cost g is t for the quasi-linear variants (`table`, `sir_log`;
+their `quasi_linear` flag) and beta * t**3 for `cubic_tax`.  Every g is
+non-decreasing and 0 at t = 0, so every utility is non-increasing in tax,
+and allocation 0 ("no allocation", worth 0 before taxes) at tax 0 is worth
+exactly 0.  Floating point enters only in a logarithmic utility's per-band
+column terms w_b * log1p(SIR), each converted to an integer height exactly
+before any sum.
 """
 
 from __future__ import annotations
@@ -352,18 +356,18 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
         """
         levels, channels = config.integer_channels
         terms = []
-        for band, (used, _) in enumerate(config.band_columns):
+        for band in range(config.num_bands):
             noise, *gains = channels[self.user][band]
-            total, own, silent = [noise], [0], (0,) * len(used)
+            total, own, silent = [noise], [0], (0,) * len(levels)
             for tx, gain in enumerate(gains):
-                powers = [gain * level for level in levels[: len(used)]]
+                powers = [gain * level for level in levels]
                 total = [t + p for t in total for p in powers]
                 own = [s + p for s in own for p in (powers if tx == self.user else silent)]
             weight = float(self.weights[band])
             terms.append([weight * math.log1p(s / (t - s)) for s, t in zip(own, total)])
         scaling = integer_scaling([term for band_terms in terms for term in band_terms])
         columns, start, values = list(scaling.heights), 0, None
-        for band_terms, (_, codes) in zip(terms, config.band_columns):
+        for band_terms, codes in zip(terms, config.band_columns):
             # list slices: `list.__getitem__` maps much faster than a tuple's
             column = columns[start : start + len(band_terms)]
             start += len(band_terms)
@@ -517,33 +521,34 @@ class ScenarioConfig(
             )
 
     @cached_property
-    def band_columns(self) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
-        """Per band, the level indices some bundle uses there, and every
-        profile's column code in catalog order.
+    def band_columns(self) -> tuple[list[int], ...]:
+        """Per band, every profile's column code in catalog order.
 
-        Every band uses the same levels: the m within the budget, as any one
-        of them fits alone in any band and no larger one fits anywhere.  A
-        column code reads the users' level indices as a base-m number, user
-        0 most significant, so lists built by nesting over the users in
-        order, user 0 outermost, hold one entry per column in code order.
+        Every band uses the same levels: the m within the budget
+        (`integer_channels`), as any one of them fits alone in any band and
+        no larger one fits anywhere.  A column code reads the users' level
+        indices as a base-m number, user 0 most significant, so lists built
+        by nesting over the users in order, user 0 outermost, hold one entry
+        per column in code order.
         """
-        radix = sum(level <= self.power_budget for level in self.quant_levels)
+        radix = len(self.integer_channels[0])
         columns = []
         for band in range(self.num_bands):
             digits = [bundle[band] for bundle in self.bundles]
             codes = [0]
             for _ in range(self.num_users):
                 codes = [code * radix + digit for code in codes for digit in digits]
-            columns.append((tuple(range(radix)), codes))
+            columns.append(codes)
         return tuple(columns)
 
     @cached_property
     def integer_channels(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-        """The SIR inputs as integers: the quantization levels over their
-        common denominator, and per receiver and band (noise, gain from user
-        0, ..., gain from user N - 1) over another, the noise also times the
-        levels' denominator."""
-        levels = integer_scaling(self.quant_levels)
+        """The SIR inputs as integers: the quantization levels within the
+        budget over their common denominator, and per receiver and band
+        (noise, gain from user 0, ..., gain from user N - 1) over another,
+        the noise also times the levels' denominator.  An SIR is a ratio of
+        these integers, so neither scale changes it."""
+        levels = integer_scaling([q for q in self.quant_levels if q <= self.power_budget])
         noise = self.noise_half_density * levels.scale
         channels = tuple(
             tuple(
@@ -554,22 +559,3 @@ class ScenarioConfig(
         )
         return levels.heights, channels
 
-
-def utility_eval(values: TableUtility | CubicTaxUtility, allocation: int, tax) -> Fraction:
-    """A user's utility at (allocation index, tax): V(k) - g(t), exactly,
-    as a `Fraction` view of the integer `value` over its `unit` of the
-    `values` its spec builds (`spec.values(config)`).
-
-    V(k) is heights[k] / scale of their `scaling`, and g the tax cost of
-    the spec: t for the quasi-linear variants (`table`, `sir_log`; their
-    `quasi_linear` flag), beta * t**3 for `cubic_tax`.  Every g is
-    non-decreasing and 0 at t = 0, so every utility is non-increasing in
-    tax, and allocation 0 ("no allocation", worth 0 before taxes) at tax 0
-    is worth exactly 0.
-    """
-    entries = len(values.scaling.heights)
-    if not 0 <= allocation < entries:
-        raise ValueError(f"allocation index {allocation} outside 0..{entries - 1}")
-    tax = as_fraction(tax)
-    numerator = values.value(allocation, tax.numerator, tax.denominator)
-    return Fraction(numerator, values.unit(tax.denominator))

@@ -21,7 +21,6 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 # CPython's builtin SHA-256 (`_sha2` since 3.12, `_sha256` before) gives the
 # digest of `hashlib` without loading OpenSSL, which would add about 3.6 MiB
@@ -388,4 +387,5 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def write_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json_text(scenario_to_jsonable(scenario)) + "\n")
+    with open(path, "w") as file:
+        file.write(json_text(scenario_to_jsonable(scenario)) + "\n")

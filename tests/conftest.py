@@ -132,21 +132,32 @@ def small_scenario(config: ScenarioConfig | None = None, seed: int = 7) -> Scena
     )
 
 
+def replace_tax_terms(monkeypatch, wrap) -> None:
+    """Bind `wrap(tax_terms)` wherever a `spectrumshare` module binds
+    `mechanism.tax_terms`."""
+    from spectrumshare import mechanism
+
+    original = mechanism.tax_terms
+    replacement = wrap(original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spectrumshare") and vars(module).get("tax_terms") is original:
+            monkeypatch.setattr(module, "tax_terms", replacement)
+
+
 @pytest.fixture
 def tax_terms_calls(monkeypatch):
     """The profiles `mechanism.tax_terms` runs on, counted wherever a
     `spectrumshare` module binds it."""
-    from spectrumshare import mechanism
+    calls = []
 
-    calls, original = [], mechanism.tax_terms
+    def counting(original):
+        def counted(profile):
+            calls.append(profile)
+            return original(profile)
 
-    def counted(profile):
-        calls.append(profile)
-        return original(profile)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("spectrumshare") and vars(module).get("tax_terms") is original:
-            monkeypatch.setattr(module, "tax_terms", counted)
+    replace_tax_terms(monkeypatch, counting)
     return calls
 
 

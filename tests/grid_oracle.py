@@ -31,7 +31,12 @@
     + (n_i - n_{i+1})^2 * pi_i             own mismatch penalty
     - (n_{i+1} - n_{i+2})^2 * pi_{i+1}     credit: the next user's penalty
 
-  and nothing at all when k leaves the catalog.
+  and nothing at all when k leaves the catalog.  `fraction_outcome` sums
+  it, with the allocation, in place of `outcome`.
+- The paper's utility V(k) - g(t) on `exact_values` (`utility_of`) and its
+  personal price (pi_{i+1} - pi_{i+2}) / N (`personal_price`), which the
+  library states as integer numerators, in each user's `value` over its
+  `unit` and in `tax_terms`.  No oracle here calls either.
 - The catalog encoder `index_of`, the inverse of
   `ProfileCatalog.profile_of`: bundle positions read as a mixed-radix
   number, user 0 most significant, plus one.
@@ -52,14 +57,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from spectrumshare import (
-    Deviation,
-    EquilibriumReport,
-    Message,
-    build_report,
-    outcome,
-)
-from spectrumshare.mechanism import MessageProfile, lindahl_price, nearest_integer
+from spectrumshare import Deviation, EquilibriumReport, Message, build_report
+from spectrumshare.mechanism import MessageProfile, nearest_integer
 from spectrumshare.model import (
     IntegerScaling,
     ProfileCatalog,
@@ -68,15 +67,22 @@ from spectrumshare.model import (
     UtilitySpec,
     as_fraction,
     integer_scaling,
-    utility_eval,
 )
 
 
 def utility_of(config: ScenarioConfig, user: int):
-    """User's exact utility (allocation, tax) -> `utility_eval`, on the
-    values its spec builds once here."""
-    values = config.utilities[user].values(config)
-    return lambda allocation, tax: utility_eval(values, allocation, tax)
+    """User's exact utility (allocation, tax) -> `fraction_utility` on its
+    `exact_values`, with no call to the library's value build or `value`."""
+    spec = config.utilities[user]
+    values = exact_values(spec, config)
+    return lambda allocation, tax: fraction_utility(spec, values[allocation], tax)
+
+
+def personal_price(profile: MessageProfile, user: int) -> Fraction:
+    """The paper's personal price of `user`, (pi_{i+1} - pi_{i+2}) / N,
+    the cycle wrapping around."""
+    n = len(profile)
+    return (profile[(user + 1) % n].price - profile[(user + 2) % n].price) / n
 
 
 def tax_components(
@@ -93,6 +99,16 @@ def tax_components(
     penalty = (own.proposal - after.proposal) ** 2 * own.price
     credit = -((after.proposal - after2.proposal) ** 2) * after.price
     return charge, penalty, credit
+
+
+def fraction_outcome(profile: MessageProfile, catalog_size: int) -> tuple[int, tuple]:
+    """`outcome`'s (allocation, taxes) in `Fraction` arithmetic: the rounded
+    average when it names a profile, else 0, and each tax summed from
+    `tax_components`."""
+    n = len(profile)
+    average = nearest_integer(sum(m.proposal for m in profile), n)
+    taxes = tuple(sum(tax_components(profile, user, catalog_size)) for user in range(n))
+    return (average if 1 <= average <= catalog_size else 0), taxes
 
 
 def seeded_message_prices(personal_prices, seed) -> tuple[list[Fraction], Fraction]:
@@ -206,10 +222,10 @@ def grid_verify(
 ) -> tuple[bool, Optional[Deviation]]:
     """(is_ne, best_deviation): no user has a strictly improving unilateral
     grid deviation, and the most profitable one when some user has."""
-    base = outcome(candidate, config.catalog)
+    allocation, taxes = fraction_outcome(candidate, config.catalog.size)
     best: Optional[Deviation] = None
     for user in range(len(candidate)):
-        held = utility_of(config, user)(base.allocation, base.taxes[user])
+        held = utility_of(config, user)(allocation, taxes[user])
         for message, value in grid_deviations(user, candidate, grid, config):
             gain = value - held
             if gain > 0 and (best is None or gain > best.gain):
@@ -224,17 +240,18 @@ def user_best_nonneg_tax(
     price line among all taxes, and among non-negative taxes.
 
     The alternative-by-alternative loop that the Lindahl certificate used to
-    run, evaluating every catalog index at tax index * personal price.
+    run, evaluating every catalog index at tax index * personal price.  Like
+    `fraction_report`, it takes no tax or price from the library.
     """
-    result = outcome(candidate, config.catalog)
+    allocation, taxes = fraction_outcome(candidate, config.catalog.size)
     best, best_nonneg = [], []
     for user in range(len(candidate)):
-        price = lindahl_price(candidate, user)
-        charged = result.taxes[user]
-        ok = result.allocation != 0 and charged == result.allocation * price
+        price = personal_price(candidate, user)
+        charged = taxes[user]
+        ok = allocation != 0 and charged == allocation * price
         ok_nonneg = ok and charged >= 0
         utility = utility_of(config, user)
-        held = utility(result.allocation, charged)
+        held = utility(allocation, charged)
         for alternative in range(1, config.catalog.size + 1):
             value = utility(alternative, alternative * price)
             if value > held:
@@ -394,18 +411,12 @@ def fraction_report(candidate: MessageProfile, config: ScenarioConfig) -> Equili
     its personal price and the credit c_i, the next user's mismatch
     penalty; it is scanned again at credit 0 only for a user on its price
     line (tax = allocation * personal price) whose c_i is not 0.  It shares
-    no `outcome` or `tax_terms` with the library: the taxes are summed from
-    `tax_components` and the personal prices are the paper's
-    (pi_{i+1} - pi_{i+2}) / N."""
-    n, size = len(candidate), config.catalog.size
+    no `outcome` or `tax_terms` with the library: its allocation and taxes
+    are `fraction_outcome`'s and its prices `personal_price`'s."""
+    n = len(candidate)
     total = sum(m.proposal for m in candidate)
-    average = nearest_integer(total, n)
-    allocation = average if 1 <= average <= size else 0
-    taxes = tuple(sum(tax_components(candidate, user, size)) for user in range(n))
-    prices = tuple(
-        (candidate[(user + 1) % n].price - candidate[(user + 2) % n].price) / n
-        for user in range(n)
-    )
+    allocation, taxes = fraction_outcome(candidate, config.catalog.size)
+    prices = tuple(personal_price(candidate, user) for user in range(n))
     penalties = [
         (message.proposal - candidate[(i + 1) % n].proposal) ** 2 * message.price
         for i, message in enumerate(candidate)
@@ -466,6 +477,8 @@ def sir_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fract
     return tuple(values)
 
 
+# the grid oracles ask for the same user's values once per candidate
+@functools.lru_cache(maxsize=64)
 def exact_values(spec: UtilitySpec, config: ScenarioConfig) -> tuple[Fraction, ...]:
     """A user's values V(0..size): a table's from the exact scaling it holds
     since construction, a `sir_log` user's by `sir_value_oracle`, without
@@ -494,7 +507,8 @@ def column_value_oracle(spec: SirLogUtility, config: ScenarioConfig) -> tuple[Fr
     call per (band, column), each float term as `Fraction(term)`, read off
     by each profile's column code."""
     values = None
-    for band, (used, codes) in enumerate(config.band_columns):
+    used = range(len(config.integer_channels[0]))
+    for band, codes in enumerate(config.band_columns):
         weight = float(spec.weights[band])
         terms = [
             Fraction(weight * math.log1p(signal / interference))

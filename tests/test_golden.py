@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import os
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -44,24 +43,6 @@ def test_desk_commands_build_no_bundle(case, tmp_path, monkeypatch):
         raise AssertionError("no bundle may be built")
 
     monkeypatch.setattr(model, "enumerate_bundles", never)
-    assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
-
-
-@pytest.mark.parametrize(
-    "case", ["find-ne.txt", "verify-ne.json", "verify-deviation.txt", "lindahl-roundtrip.txt"]
-)
-def test_desk_certificate_computes_no_fraction_utility(case, tmp_path, monkeypatch):
-    """The certificate decides on integers: `find-ne`, `verify` and
-    `lindahl-roundtrip` on the desk print their golden output with the
-    `Fraction` utility refusing to run wherever the package binds it."""
-    original = model.utility_eval
-
-    def never(*args):
-        raise AssertionError("no Fraction utility may be computed")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("spectrumshare") and vars(module).get("utility_eval") is original:
-            monkeypatch.setattr(module, "utility_eval", never)
     assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrumshare import ContractError, Message, lindahl_price, outcome, tax_terms
+from spectrumshare import ContractError, Message, outcome, tax_terms
 from spectrumshare.mechanism import nearest_integer
 from spectrumshare.model import ProfileCatalog
 
-from grid_oracle import tax_components
+from grid_oracle import personal_price, tax_components
 
 # The desk catalog: 3 users over 6 bundles, 216 profiles.
 DESK = ProfileCatalog(6, 3)
@@ -71,6 +71,13 @@ def taxes(profile, catalog=DESK):
     return outcome(profile, catalog).taxes
 
 
+def tax_term_prices(profile):
+    """The library's personal prices: `tax_terms`' numerators over its
+    denominator."""
+    numerators, _, denominator = tax_terms(profile)
+    return [Fraction(numerator, denominator) for numerator in numerators]
+
+
 class TestTax:
     def test_unanimity_is_free(self):
         profile = tuple(Message(5, Fraction(2)) for _ in range(3))
@@ -121,8 +128,8 @@ class TestTax:
     def test_cyclic_relabeling_rotates_taxes_and_prices(self, profile):
         rotated = profile[1:] + profile[:1]
         assert taxes(rotated) == taxes(profile)[1:] + taxes(profile)[:1]
-        for user in range(3):
-            assert lindahl_price(rotated, user) == lindahl_price(profile, (user + 1) % 3)
+        before = tax_term_prices(profile)
+        assert tax_term_prices(rotated) == before[1:] + before[:1]
 
     @given(profiles())
     @settings(max_examples=150, deadline=None)
@@ -154,24 +161,22 @@ class TestTaxTerms:
             assert allocation * Fraction(price_numerators[i], denominator) == charge
             assert Fraction(penalties[i], denominator) == penalty
             assert -Fraction(penalties[(i + 1) % n], denominator) == credit
-            after, after2 = profile[(i + 1) % n].price, profile[(i + 2) % n].price
-            assert lindahl_price(profile, i) == (after - after2) / n
+            assert Fraction(price_numerators[i], denominator) == personal_price(profile, i)
 
 
 class TestLindahlPrice:
     def test_equal_prices_vanish(self):
         profile = tuple(Message(1, Fraction(3)) for _ in range(3))
-        assert [lindahl_price(profile, u) for u in range(3)] == [0, 0, 0]
+        assert tax_term_prices(profile) == [0, 0, 0]
 
     def test_hand_computed_prices(self):
         profile = tuple(Message(1, Fraction(p)) for p in (3, 1, 2))
-        got = [lindahl_price(profile, u) for u in range(3)]
-        assert got == [Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)]
+        assert tax_term_prices(profile) == [Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)]
 
     @given(profiles())
     @settings(max_examples=150, deadline=None)
     def test_prices_always_sum_to_zero(self, profile):
-        assert sum(lindahl_price(profile, u) for u in range(3)) == 0
+        assert sum(tax_term_prices(profile)) == 0
 
 
 class TestOutcome:

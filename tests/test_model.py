@@ -52,7 +52,6 @@ from grid_oracle import (
     integer_scaling_oracle,
     sir_value_oracle,
     table_scaling_oracle,
-    utility_of,
 )
 
 
@@ -348,8 +347,8 @@ class TestSir:
         # a time, so each band uses only some of the quantization levels.
         levels = (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 2))
         config = sir_config(uniform_gains(3, 2, cross=Fraction(2, 3)), levels, Fraction(3, 2))
-        used, codes = config.band_columns[0]
-        assert used == (0, 1, 2, 3)
+        codes = config.band_columns[0]
+        assert len(config.integer_channels[0]) == 4
         assert len(codes) == config.catalog.size and max(codes) == 4**3 - 1
         assert_matches_oracle(config)
 
@@ -486,25 +485,43 @@ VARIANTS = {
 }
 
 
+def user_zero_values(spec):
+    """`spec`'s values as user 0 of `small_config`, and that config."""
+    config = with_user_zero(spec)
+    return config.utilities[0].values(config), config
+
+
+def over_one_denominator(*taxes):
+    """Rational taxes as integer numerators over their least common
+    denominator, and that denominator."""
+    denominator = math.lcm(*(Fraction(tax).denominator for tax in taxes))
+    return [int(tax * denominator) for tax in taxes], denominator
+
+
 class TestUtilityEval:
+    """Each variant's integer `value` over its `unit`, the one statement of
+    its utility, read directly."""
+
     def test_table_subtracts_tax(self):
-        config = with_user_zero(TableUtility((Fraction(0),) + (Fraction(7),) * 8))
-        assert utility_of(config, 0)(3, 2) == 5
+        values, _ = user_zero_values(TableUtility((Fraction(0),) + (Fraction(7),) * 8))
+        assert values.value(3, 2, 1) == 5 * values.unit(1)
 
     def test_null_allocation_zero_at_zero_tax(self):
         config = small_config()
-        for user in range(3):
-            assert utility_of(config, user)(0, 0) == 0
+        for spec in config.utilities:
+            values = spec.values(config)
+            assert all(values.value(0, 0, denominator) == 0 for denominator in (1, 3))
 
     def test_cubic_tax_negative_tax_pays_out(self):
-        config = with_user_zero(CubicTaxUtility((Fraction(0),) + (Fraction(1),) * 8, beta=1))
-        assert utility_of(config, 0)(2, -1) == 2
+        values, _ = user_zero_values(CubicTaxUtility((Fraction(0),) + (Fraction(1),) * 8, beta=1))
+        # V = 1 and -beta * (-1)**3 = 1
+        assert values.value(2, -1, 1) == 2 * values.unit(1)
 
     def test_sir_log_weights(self):
-        config = with_user_zero(SirLogUtility(user=0, weights=(Fraction(2),)))
+        values, config = user_zero_values(SirLogUtility(user=0, weights=(Fraction(2),)))
         index = fraction_index(config, ((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         # SIR 1 and weight 2: one float term, held exactly
-        assert utility_of(config, 0)(index, Fraction(1, 2)) == Fraction(
+        assert Fraction(values.value(index, 1, 2), values.unit(2)) == Fraction(
             2.0 * math.log1p(1.0)
         ) - Fraction(1, 2)
 
@@ -538,12 +555,6 @@ class TestUtilityEval:
         with pytest.raises(ConfigError, match=str(MAX_VALUED_PROFILES)):
             br_dynamics(candidate, config)
 
-    def test_rejects_out_of_range_allocation(self):
-        config = small_config()
-        for allocation in (9, -1):
-            with pytest.raises(ValueError):
-                utility_of(config, 0)(allocation, 0)
-
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @given(
         allocation=st.integers(min_value=1, max_value=8),
@@ -552,10 +563,12 @@ class TestUtilityEval:
     )
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_in_tax(self, variant, allocation, tax, bump):
-        config = with_user_zero(VARIANTS[variant]())
-        utility = utility_of(config, 0)
-        lower = utility(allocation, tax + bump)
-        higher = utility(allocation, tax)
+        """The kernel's premise: over one denominator, and so one unit, a
+        higher tax never gives a higher value."""
+        values, _ = user_zero_values(VARIANTS[variant]())
+        (low, high), denominator = over_one_denominator(tax, tax + bump)
+        lower = values.value(allocation, high, denominator)
+        higher = values.value(allocation, low, denominator)
         assert lower <= higher
         if variant in ("table", "sir"):
             assert lower < higher
@@ -567,9 +580,11 @@ class TestUtilityEval:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_allocation_beats_null(self, variant, allocation, tax):
-        config = with_user_zero(VARIANTS[variant]())
-        utility = utility_of(config, 0)
-        assert utility(allocation, tax) >= utility(0, tax)
+        values, _ = user_zero_values(VARIANTS[variant]())
+        (numerator,), denominator = over_one_denominator(tax)
+        assert values.value(allocation, numerator, denominator) >= values.value(
+            0, numerator, denominator
+        )
 
 
 class TestScenarioConfig:

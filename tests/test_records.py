@@ -190,14 +190,11 @@ def test_utility_flags_are_class_attributes():
     assert "quasi_linear" not in TableUtility._fields
 
 
-def test_cold_import_loads_no_dataclasses_inspect_or_typing():
-    """Under `-S` (no site hooks) none of the package's stdlib dependencies
-    load these three, so the package must not either."""
+def cold_imports(*names: str) -> str:
+    """Which of `names` a fresh `python -S` (no site hooks) holds in
+    `sys.modules` after importing `spectrumshare.cli`, as a sorted list."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = (
-        "import sys, spectrumshare.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+    probe = f"import sys, spectrumshare.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=env,
@@ -206,7 +203,13 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    """Under `-S` none of the package's stdlib dependencies load these
+    three, so the package must not either."""
+    assert cold_imports("dataclasses", "inspect", "typing") == "[]"
 
 
 def test_cold_import_loads_no_openssl():
@@ -215,17 +218,10 @@ def test_cold_import_loads_no_openssl():
     package loads neither `hashlib` nor its OpenSSL backend `_hashlib`."""
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this interpreter has no builtin SHA-256 module")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = (
-        "import sys, spectrumshare.cli; "
-        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert cold_imports("hashlib", "_hashlib") == "[]"
+
+
+def test_cold_import_loads_no_pathlib():
+    """`--out` and `write_scenario` write with `open`, so under `-S`
+    importing the package loads no `pathlib`."""
+    assert cold_imports("pathlib") == "[]"
