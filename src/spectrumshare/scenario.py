@@ -13,6 +13,12 @@ list that holds it.  Numeric literals are parsed as exact rationals; "p/q"
 and decimal strings are accepted wherever a number is.  `rational_to_json`
 is the JSON spelling of every rational the program writes, and `json_text`
 the one writer of every JSON document.
+
+`load_scenario` reads the scenario file on every call, so a missing or
+rewritten file behaves as on the first call.  It keeps one validated
+`Scenario`, that of the last bytes it parsed, and gives it back while the
+file's bytes stay equal to them: a process that runs several commands on
+one scenario decodes, hashes and validates it once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 # CPython's builtin SHA-256 (`_sha2` since 3.12, `_sha256` before) gives the
@@ -244,18 +251,32 @@ def read_file(path, field: str) -> bytes:
         raise ConfigError(f"{field}: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object, refused when it names one key twice (where
+    `json.loads` would keep the last value)."""
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"duplicate key '{key}'")
+            seen.add(key)
+    return mapping
+
+
 def read_json(document, field: str):
     """Decode a JSON document, given as bytes or str: the one reader of
     every input document.  Its integers are held to MAX_DIGITS digits by one
     scan of the document (as UTF-8) for longer runs of digits, before it is
-    decoded; its decimals become `Fraction`s through `parse_decimal`.  Every
-    error exits as a `ConfigError` that names `field`."""
+    decoded; its decimals become `Fraction`s through `parse_decimal`, and an
+    object that repeats a key is refused.  Every error exits as a
+    `ConfigError` that names `field`."""
     try:
         raw = document.encode() if isinstance(document, str) else document
         encoding = json.detect_encoding(raw)
         utf8 = raw if encoding.startswith("utf-8") else raw.decode(encoding, "replace").encode()
         check_digit_runs(utf8)
-        return json.loads(document, parse_float=parse_decimal)
+        return json.loads(document, parse_float=parse_decimal, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{field}: not valid JSON ({exc})") from None
     except ConfigError as exc:
@@ -292,8 +313,17 @@ def read_psi(document, num_users: int, size: int) -> LindahlAllocation:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
-    raw = read_file(path, "scenario")
+    """Load and validate a scenario JSON file.  The file is read on every
+    call; bytes equal to those of the last document validated in this
+    process give back that document's `Scenario`, which is immutable, so its
+    catalog and other cached properties are built once per content."""
+    return _scenario_of(read_file(path, "scenario"))
+
+
+@lru_cache(maxsize=1)
+def _scenario_of(raw: bytes) -> Scenario:
+    """The validated scenario of a scenario file's bytes, kept for the last
+    bytes only; a refusal raises and is not kept."""
     return parse_scenario(read_json(raw, "scenario"), digest=sha256(raw).hexdigest())
 
 

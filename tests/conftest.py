@@ -16,7 +16,7 @@ from spectrumshare import (
     enumerate_bundles,
 )
 from spectrumshare.measurement import Honest
-from spectrumshare.scenario import Scenario
+from spectrumshare.scenario import Scenario, _scenario_of
 
 from grid_oracle import standard_grid
 
@@ -130,6 +130,15 @@ def small_scenario(config: ScenarioConfig | None = None, seed: int = 7) -> Scena
         seed=seed,
         digest="",
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_scenario_memo():
+    """Clear `load_scenario`'s memo before each test, so that no test reuses
+    a scenario, and the catalog cached on it, that an earlier test loaded:
+    a test that patches a limit such as `model.MAX_BUNDLES` must see the
+    document validated again."""
+    _scenario_of.cache_clear()
 
 
 def replace_tax_terms(monkeypatch, wrap) -> None:

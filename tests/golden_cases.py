@@ -1,13 +1,15 @@
 """The golden CLI cases, without pytest: each case's argv, its scenario,
 and its stdout with the timing fields blanked.
 
+Each case is replayed twice: once right after `load_scenario`'s memo is
+cleared, so that the scenario is parsed, and once more on the memo's copy.
 `tests/test_golden.py` checks them under pytest.  Run this file to replay
 every case on any interpreter, pytest or not:
 
     PYTHONPATH=src python tests/golden_cases.py
 
-It prints every case whose stdout differs from `tests/golden/<case>` and
-exits 1 if any does.
+It prints every case whose stdout, on either replay, differs from
+`tests/golden/<case>` and exits 1 if any does.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 from spectrumshare.cli import main
+from spectrumshare.scenario import _scenario_of
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -91,18 +94,30 @@ def stdout_of(case: str, workdir: Path, *extra: str) -> bytes:
     return blank_timing(buffer.getvalue())
 
 
+def replays(case: str, workdir: Path) -> list[bytes]:
+    """Stdout of one case on a memo miss, the memo cleared first, then on a
+    memo hit."""
+    _scenario_of.cache_clear()
+    miss = stdout_of(case, workdir)
+    hits = _scenario_of.cache_info().hits
+    hit = stdout_of(case, workdir)
+    assert _scenario_of.cache_info().hits == hits + 1, case
+    return [miss, hit]
+
+
 def blank_timing(text: str) -> bytes:
     return TIMING.sub(r"\1null", text).encode()
 
 
 def differing_cases() -> list[str]:
-    """Every case whose stdout is not its golden file byte for byte, or
-    whose command fails."""
+    """Every case whose stdout, on a memo miss or a memo hit, is not its
+    golden file byte for byte, or whose command fails."""
     differ = []
     with tempfile.TemporaryDirectory() as workdir:
         for case in sorted(CASES):
             try:
-                same = stdout_of(case, Path(workdir)) == (GOLDEN / case).read_bytes()
+                golden = (GOLDEN / case).read_bytes()
+                same = replays(case, Path(workdir)) == [golden, golden]
             except AssertionError:
                 same = False
             if not same:

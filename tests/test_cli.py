@@ -1,6 +1,7 @@
 """End-to-end command checks: output content, formats, exit codes."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -22,7 +23,9 @@ from spectrumshare.cli import build_parser, main
 from spectrumshare.measurement import Honest, ReportCheat
 from spectrumshare.equilibrium import build_report
 from spectrumshare.scenario import (
+    _scenario_of,
     load_scenario,
+    parse_scenario,
     read_messages,
     scenario_to_jsonable,
     write_scenario,
@@ -868,6 +871,111 @@ def test_undecodable_input_names_it(capsys, small_path, tmp_path, field, content
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: ")
+
+
+class TestLoadMemo:
+    """`load_scenario` reads the file on every call and validates only bytes
+    other than the last ones it validated."""
+
+    MESSAGES = "[[4, 0], [4, 0], [4, 0]]"
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The digest of every document `parse_scenario` validates."""
+        from spectrumshare import scenario
+
+        digests = []
+
+        def counted(data, digest):
+            digests.append(digest)
+            return parse_scenario(data, digest)
+
+        monkeypatch.setattr(scenario, "parse_scenario", counted)
+        return digests
+
+    @staticmethod
+    def write(path, peak: int, seed: int) -> str:
+        """Write a small scenario whose users peak at `peak`; its digest."""
+        write_scenario(small_scenario(small_config(peaks=(peak,) * 3), seed=seed), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def verify(self, capsys, path):
+        argv = ["verify", "--scenario", str(path), "--format", "json", "--messages", self.MESSAGES]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out
+
+    def test_three_commands_parse_once(self, capsys, tmp_path, parses):
+        path = tmp_path / "small.json"
+        digest = self.write(path, 4, 1)
+        for argv in (["enumerate"], ["find-ne"], ["verify", "--messages", self.MESSAGES]):
+            code, out, _ = run(capsys, argv[0], "--scenario", str(path), *argv[1:])
+            assert code == 0 and out
+        assert parses == [digest]
+
+    def test_rewritten_file_gives_its_new_scenario(self, capsys, tmp_path, parses):
+        path = tmp_path / "small.json"
+        self.write(path, 4, 1)
+        old = self.verify(capsys, path)
+        digest = self.write(path, 5, 2)
+        new = self.verify(capsys, path)
+        assert json.loads(new)["scenario_digest"] == digest != json.loads(old)["scenario_digest"]
+        assert new != old
+        _scenario_of.cache_clear()
+        assert self.verify(capsys, path) == new
+
+    def test_refusal_is_refused_on_every_call(self, capsys, tmp_path, parses):
+        document = scenario_to_jsonable(small_scenario())
+        document["extra"] = 1
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(document))
+        runs = [run(capsys, "enumerate", "--scenario", str(path)) for _ in range(3)]
+        assert runs == [(2, "", "error: scenario: unknown key 'extra'\n")] * 3
+        assert len(parses) == 3
+
+    def test_alternating_files_keep_their_own_scenario(self, capsys, tmp_path, parses):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        digests = {first: self.write(first, 4, 1), second: self.write(second, 5, 2)}
+        outputs = {}
+        for path in (first, second, first, second):
+            out = self.verify(capsys, path)
+            assert json.loads(out)["scenario_digest"] == digests[path]
+            assert outputs.setdefault(path, out) == out
+        assert outputs[first] != outputs[second]
+        assert parses == [digests[first], digests[second]] * 2
+
+
+@pytest.mark.parametrize(
+    "field, key, argv",
+    [
+        ("scenario", "seed", ["enumerate", "--scenario", "{top}"]),
+        ("scenario", "variant", ["enumerate", "--scenario", "{nested}"]),
+        (
+            "messages",
+            "proposal",
+            ["verify", "--messages", '[{"proposal": 1, "proposal": 4, "price": 0}, [4, 0], [4, 0]]'],
+        ),
+        ("psi", "allocation", ["lindahl-roundtrip", "--psi", "{psi}"]),
+    ],
+    ids=["scenario-top-level", "scenario-utilities-0", "messages", "psi"],
+)
+def test_duplicate_key_names_document_and_key(capsys, small_path, tmp_path, field, key, argv):
+    """An object that names a key twice is refused, where `json.loads`
+    would keep the last value."""
+    text = Path(small_path).read_text()
+    files = {
+        "{top}": text.replace('"seed": ', '"seed": 1, "seed": ', 1),
+        "{nested}": text.replace('"variant": "table"', '"variant": "sir_log", "variant": "table"', 1),
+        "{psi}": '{"allocation": 9, "allocation": 4, "taxes": [0, 0, 0], "prices": [0, 0, 0]}',
+    }
+    for name, content in files.items():
+        (tmp_path / name.strip("{}")).write_text(content)
+    argv = [str(tmp_path / arg.strip("{}")) if arg in files else arg for arg in argv]
+    if "--scenario" not in argv:
+        argv[1:1] = ["--scenario", small_path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field}: duplicate key '{key}'\n"
 
 
 BIG = "1" + "0" * 4000

@@ -3,7 +3,8 @@ scenarios under `tests/golden/` that reach the census branches and the
 `sir_log` values the desk does not.
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
-timing fields are blanked, and each table and CSV golden must be the
+timing fields are blanked, whether its scenario is parsed or reused from
+`load_scenario`'s memo, and each table and CSV golden must be the
 generic view of its JSON sibling.  The argument parser's help and usage errors at
 80 columns, for the top level and every command, must match
 `tests/golden/cli-help.txt`.  To regenerate after an intended output change:
@@ -23,12 +24,14 @@ import pytest
 from spectrumshare import cli, model
 from spectrumshare.cli import main
 
-from golden_cases import CASES, GOLDEN, blank_timing, stdout_of
+from golden_cases import CASES, GOLDEN, blank_timing, replays, stdout_of
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, tmp_path):
-    assert stdout_of(case, tmp_path) == (GOLDEN / case).read_bytes()
+    """On a memo miss and on a memo hit alike."""
+    golden = (GOLDEN / case).read_bytes()
+    assert replays(case, tmp_path) == [golden, golden]
 
 
 @pytest.mark.parametrize(
