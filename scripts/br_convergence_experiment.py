@@ -40,15 +40,15 @@ def br_dynamics(start, config, max_rounds=50):
     its best reply is strictly better than keeping its message (utilities
     are exact), so every NE is an immediate fixed point instead of drifting
     along utility ties.  Non-convergence after `max_rounds` is a result, not
-    an error.  Each user's values are built once per run; catalogs over
-    `MAX_VALUED_PROFILES` raise `ConfigError`.
+    an error.  Each user's values are read through `config.user_values`;
+    catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
     """
     profile = tuple(start)
     config.check_profile_cap("evaluating utilities")
-    per_user = [spec.values(config) for spec in config.utilities]
     for rounds in range(1, max_rounds + 1):
         changed = False
-        for user, values in enumerate(per_user):
+        for user in range(config.num_users):
+            values = config.user_values(user)
             reply = best_response(user, profile, values)
             moved = profile[:user] + (reply,) + profile[user + 1 :]
             held = utility_at(user, profile, config, values)

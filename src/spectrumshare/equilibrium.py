@@ -19,14 +19,16 @@ the same kernel is the Lindahl check "best on the personal price line".
 The kernel works on integers: the line is the integer numerators
 k * A - C of `tax_terms` over their one denominator D, and it returns the
 best index and its value, the integer numerator `value` over the `unit` of
-the user's values (`spec.values`).  `build_report` certifies a candidate in
-one pass on those integers: one outcome, which carries its `tax_terms`, and
-per user its values, one reply scan and one held utility, from which it
-reads the NE verdict and best deviation, individual rationality, the
-reduced tax form and the Lindahl verdicts.  Only a user whose tax is on its
-price line but whose scanned line carries a credit c_i != 0 is scanned
-again, at credit 0, on the same values, which are built where they are used
-and dropped before the next user's.
+the user's values (`config.user_values`).  `build_report` certifies a
+candidate in one pass on those integers: one outcome, which carries its
+`tax_terms`, and per user its values, one reply scan and one held utility,
+from which it reads the NE verdict and best deviation, individual
+rationality, the reduced tax form and the Lindahl verdicts.  Only a user
+whose tax is on its price line but whose scanned line carries a credit
+c_i != 0 is scanned again, at credit 0, on the same values.  A `sir_log`
+user's values are built on the first request and held on the config, so
+every certificate and the census on one config share them, within
+`MAX_VALUED_PROFILES` profiles' values held in all.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -64,8 +66,8 @@ def price_line_optimum(
     values: TableUtility | CubicTaxUtility, slope: int, offset: int, denominator: int
 ) -> tuple[int, int]:
     """A user's best catalog index k >= 1 when its tax is the integer
-    numerator k * slope - offset over `denominator`, given the `values` its
-    spec builds (`spec.values(config)`).
+    numerator k * slope - offset over `denominator`, given its `values`
+    (`config.user_values(user)`).
 
     Returns (k, V(k, tax)) with the value as the integer numerator of the
     values' `value` over their `unit`; ties resolve to the smallest k.
@@ -99,8 +101,7 @@ def best_response(
     user: int, profile: MessageProfile, values: TableUtility | CubicTaxUtility
 ) -> Message:
     """Message maximizing user's utility against the rest of `profile`, on
-    its `values` (`spec.values(config)`, which a caller that replies for the
-    same user many times builds once).
+    its `values` (`config.user_values(user)`, built once per config).
 
     `profile[user]` is ignored.  The reply has price 0 and a proposal that
     puts the rounded average exactly on the best catalog index (the smallest
@@ -214,8 +215,9 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     """Certify a candidate in one pass over the users, on integers.
 
     One outcome, whose `tax_terms` give the denominator D every tax and
-    price line shares; per user its values (`spec.values`), one reply scan
-    and one held utility, integer numerators over the values' `unit`.  The
+    price line shares; per user its values (`config.user_values`, built at
+    most once per config while they fit its bound), one reply scan and one
+    held utility, integer numerators over the values' `unit`.  The
     reply gives the deviation gain (exact over the whole message space;
     gains over different units are compared by cross-multiplying); the
     opt-out is worth 0, so individual rationality is a held utility of at
@@ -236,8 +238,8 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     vanish = not any(penalties)
     best = None  # (gain, unit, user, index, line value) of the best deviation
     rational, user_best = [], []
-    for user, spec in enumerate(config.utilities):
-        values = spec.values(config)
+    for user in range(n_users):
+        values = config.user_values(user)
         slope, credit = price_numerators[user], penalties[(user + 1) % n_users]
         tax = taxes[user].numerator * (denominator // taxes[user].denominator)
         if vanish and tax != allocation * slope:
@@ -359,21 +361,22 @@ class LindahlCensus(namedtuple("LindahlCensus", "complete equilibria")):
     __slots__ = ()
 
 
+def _hull(values: TableUtility | CubicTaxUtility) -> tuple[list[int], list[Slope | None]]:
+    """A user's allocations and interval ends: `price_intervals` of
+    quasi-linear values; otherwise its weak top choices, each with [0, 0]."""
+    if values.quasi_linear:
+        return price_intervals(values.scaling)
+    heights = values.scaling.heights
+    top = max(heights)
+    tops = [k for k in range(1, len(heights)) if heights[k] == top]
+    return tops, [(0, 1)] * (len(tops) + 1)
+
+
 def _balanced_intervals(config: ScenarioConfig):
     """(allocation, per-user `Fraction` intervals) for every allocation that
     every user admits and whose intervals admit prices summing to zero, in
     ascending order.  See `lindahl_census` for the two bisections."""
-    hulls = []
-    for spec in config.utilities:
-        # a temporary, so that one `sir_log` user's heights are dropped
-        # before the next user's are built
-        if spec.quasi_linear:
-            hulls.append(price_intervals(spec.values(config).scaling))
-        else:
-            heights = spec.values(config).scaling.heights
-            top = max(heights)
-            tops = [k for k in range(1, len(heights)) if heights[k] == top]
-            hulls.append((tops, [(0, 1)] * (len(tops) + 1)))
+    hulls = [_hull(config.user_values(user)) for user in range(config.num_users)]
     candidates = sorted(set(hulls[0][0]).intersection(*(vertices for vertices, _ in hulls[1:])))
 
     def edges(allocation: int) -> list[tuple[Slope | None, Slope]]:

@@ -18,7 +18,11 @@ non-decreasing and 0 at t = 0, so every utility is non-increasing in tax,
 and allocation 0 ("no allocation", worth 0 before taxes) at tax 0 is worth
 exactly 0.  Floating point enters only in a logarithmic utility's per-band
 column terms w_b * log1p(SIR), each converted to an integer height exactly
-before any sum.
+before any sum.  Callers read values through `ScenarioConfig.user_values`,
+which builds a `sir_log` user's once per config and holds them while the
+held values cover at most `MAX_VALUED_PROFILES` profiles.  A game in which
+every user's values are 0 on the whole catalog is refused: its null
+allocation would be an equilibrium.
 """
 
 from __future__ import annotations
@@ -318,6 +322,13 @@ class TableUtility(namedtuple("TableUtility", "scaling")):
         return [height * denominator - k * step for k, height in enumerate(heights)]
 
 
+def _sir_terms(weight: Fraction, own: Sequence[int], total: Sequence[int]) -> list[float]:
+    """A `sir_log` band's column terms float(weight) * log1p(SIR), the SIR
+    of each column own / (total - own), from its integer powers."""
+    weight = float(weight)
+    return [weight * math.log1p(s / (t - s)) for s, t in zip(own, total)]
+
+
 class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
     """Rate-style utility: V(k, t) = sum_b weights[b] * log(1 + SIR_b) - t,
     each band's term rounded once to a float and the terms summed exactly.
@@ -363,8 +374,7 @@ class SirLogUtility(namedtuple("SirLogUtility", "user weights")):
                 powers = [gain * level for level in levels]
                 total = [t + p for t in total for p in powers]
                 own = [s + p for s in own for p in (powers if tx == self.user else silent)]
-            weight = float(self.weights[band])
-            terms.append([weight * math.log1p(s / (t - s)) for s, t in zip(own, total)])
+            terms.append(_sir_terms(self.weights[band], own, total))
         scaling = integer_scaling([term for band_terms in terms for term in band_terms])
         columns, start, values = list(scaling.heights), 0, None
         for band_terms, codes in zip(terms, config.band_columns):
@@ -416,6 +426,24 @@ class CubicTaxUtility(namedtuple("CubicTaxUtility", "scaling beta")):
 
 
 UtilitySpec = TableUtility | SirLogUtility | CubicTaxUtility
+
+
+def _some_value_positive(spec: UtilitySpec, config: "ScenarioConfig") -> bool:
+    """Whether the user's V(k) is positive at some profile k, decided
+    without building a `sir_log` user's values.  A table's heights say it.
+    A `sir_log` band's terms are never negative, and its largest is the
+    term of the column where the user alone transmits, at the highest level
+    within the budget (which fits alone in any band): that SIR is the
+    largest, and the rounded division, log1p and product keep the order.
+    So some V(k) is positive exactly when one band's such term is."""
+    if not isinstance(spec, SirLogUtility):
+        return any(spec.scaling.heights)
+    levels, channels = config.integer_channels
+    for weight, (noise, *gains) in zip(spec.weights, channels[spec.user]):
+        signal = gains[spec.user] * levels[-1]
+        if _sir_terms(weight, [signal], [noise + signal])[0] > 0:
+            return True
+    return False
 
 
 def _need(items, length: int, field: str) -> None:
@@ -497,6 +525,12 @@ class ScenarioConfig(
                 _need(spec.weights, self.num_bands, f"{field}.weights")
             else:
                 raise ConfigError(f"unknown utility spec {spec!r}", field)
+        if not any(_some_value_positive(spec, self) for spec in self.utilities):
+            raise ConfigError(
+                "every user's values are 0 on the whole catalog, so no profile is worth "
+                "more than no allocation and the null allocation is an equilibrium",
+                "utilities",
+            )
         return self
 
     @cached_property
@@ -507,6 +541,35 @@ class ScenarioConfig(
     @cached_property
     def bundles(self) -> tuple[tuple[int, ...], ...]:
         return enumerate_bundles(self.quant_levels, self.num_bands, self.power_budget)
+
+    @cached_property
+    def held_values(self) -> dict[int, TableUtility]:
+        """The `sir_log` users' values that `user_values` holds, by user."""
+        return {}
+
+    def user_values(self, user: int) -> TableUtility | CubicTaxUtility:
+        """User's values, `spec.values(self)`, the one way to read them.
+
+        A `table` or `cubic_tax` spec is its own values.  A `sir_log`
+        user's are built on the first request and held in `held_values`
+        for the next, while the users held hold at most
+        `MAX_VALUED_PROFILES` profiles' values in all: a build that would
+        pass that drops every one held first.  So where every user's fit,
+        every command run on one config builds each user's values once, and
+        at the cap one user's are held at a time.  Building them over a
+        catalog of more than `MAX_VALUED_PROFILES` profiles raises
+        `ConfigError`."""
+        spec = self.utilities[user]
+        if not isinstance(spec, SirLogUtility):
+            return spec
+        held = self.held_values
+        values = held.get(user)
+        if values is None:
+            self.check_profile_cap("evaluating utilities")
+            if (len(held) + 1) * self.catalog.size > MAX_VALUED_PROFILES:
+                held.clear()
+            values = held[user] = spec.values(self)
+        return values
 
     def check_profile_cap(self, work: str) -> None:
         """Raise `ConfigError` naming `scenario.num_users` when the catalog

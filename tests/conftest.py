@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import reject
 from hypothesis import strategies as st
 
 from spectrumshare import (
@@ -15,6 +16,7 @@ from spectrumshare import (
     TableUtility,
     enumerate_bundles,
 )
+from spectrumshare.errors import ConfigError
 from spectrumshare.measurement import Honest
 from spectrumshare.scenario import Scenario, _scenario_of
 
@@ -61,6 +63,18 @@ def uniform_gains(num_users: int, num_bands: int, direct=Fraction(1), cross=Frac
     )
 
 
+def drawn_game(config_of, *args, **kwargs) -> ScenarioConfig:
+    """`config_of(*args, **kwargs)`, a config built from a hypothesis draw,
+    the draw rejected when every user's values are 0 on the whole catalog:
+    a game that `ScenarioConfig` refuses, naming `utilities`."""
+    try:
+        return config_of(*args, **kwargs)
+    except ConfigError as exc:
+        if exc.field != "utilities":
+            raise
+        reject()
+
+
 def small_config(peaks=(4, 4, 4), scales=(1, 2, 3), utilities=None) -> ScenarioConfig:
     """Three users, one band, levels {0,1}: a 2-bundle, 8-profile catalog."""
     if utilities is None:
@@ -94,7 +108,8 @@ SIR_SHAPES = (
 @st.composite
 def sir_configs(draw, user_counts=(3, 4), shapes=SIR_SHAPES):
     """`sir_log` configs of one of `shapes` with random gains, noise and
-    weights (zero included) and at most 600 profiles."""
+    weights (zero included) and at most 600 profiles, in which some user's
+    values are not all 0."""
     fitting = [
         (users, shape)
         for shape in shapes
@@ -108,7 +123,8 @@ def sir_configs(draw, user_counts=(3, 4), shapes=SIR_SHAPES):
     weights = st.lists(
         st.fractions(min_value=0, max_value=3, max_denominator=4), min_size=bands, max_size=bands
     )
-    return ScenarioConfig(
+    return drawn_game(
+        ScenarioConfig,
         num_users=users,
         num_bands=bands,
         quant_levels=levels,

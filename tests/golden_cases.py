@@ -2,7 +2,8 @@
 and its stdout with the timing fields blanked.
 
 Each case is replayed twice: once right after `load_scenario`'s memo is
-cleared, so that the scenario is parsed, and once more on the memo's copy.
+cleared, so that the scenario is parsed, and once more on the memo's copy,
+which must build no `sir_log` user's values: the memo's config holds them.
 `tests/test_golden.py` checks them under pytest.  Run this file to replay
 every case on any interpreter, pytest or not:
 
@@ -20,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 from spectrumshare.cli import main
+from spectrumshare.model import SirLogUtility
 from spectrumshare.scenario import _scenario_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,14 +96,32 @@ def stdout_of(case: str, workdir: Path, *extra: str) -> bytes:
     return blank_timing(buffer.getvalue())
 
 
+@contextlib.contextmanager
+def counted_builds():
+    """The users of the `SirLogUtility.values` builds run in the block."""
+    users, build = [], SirLogUtility.values
+
+    def counted(spec, config):
+        users.append(spec.user)
+        return build(spec, config)
+
+    SirLogUtility.values = counted
+    try:
+        yield users
+    finally:
+        SirLogUtility.values = build
+
+
 def replays(case: str, workdir: Path) -> list[bytes]:
     """Stdout of one case on a memo miss, the memo cleared first, then on a
-    memo hit."""
+    memo hit, which builds no values."""
     _scenario_of.cache_clear()
     miss = stdout_of(case, workdir)
     hits = _scenario_of.cache_info().hits
-    hit = stdout_of(case, workdir)
+    with counted_builds() as builds:
+        hit = stdout_of(case, workdir)
     assert _scenario_of.cache_info().hits == hits + 1, case
+    assert builds == [], case
     return [miss, hit]
 
 

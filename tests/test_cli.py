@@ -43,6 +43,7 @@ from spectrumshare import (
 from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES
 from conftest import (
     desk_scenario,
+    load_script,
     peak_table,
     peak_values,
     small_config,
@@ -1336,3 +1337,119 @@ class TestValueSpellings:
             document.pop("timing_seconds", None)
             documents.append(document)
         assert documents[0] == documents[1] == documents[2]
+
+
+class TestHeldValues:
+    """A `sir_log` user's values are built once per scenario: every command
+    a process runs on one file reads them from the memo's config."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The user of every `SirLogUtility.values` build."""
+        users, build = [], SirLogUtility.values
+
+        def counted(spec, config):
+            users.append(spec.user)
+            return build(spec, config)
+
+        monkeypatch.setattr(SirLogUtility, "values", counted)
+        return users
+
+    def test_two_verifies_build_each_user_once(self, capsys, tmp_path, builds):
+        # 4 users over 2 bands: the 1296-profile sir-verify shape; 8 builds
+        # when every certificate built its own
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(load_script("cap_memory").cap_document(3, users=4, bands=2)))
+        for messages in ("[[7, 0], [7, 1], [7, 2], [7, 3]]", "[[5, 1], [900, 0], [1, 2], [64, 0]]"):
+            code, out, err = run(capsys, "verify", "--scenario", str(path), "--messages", messages)
+            assert (code, err) == (0, "") and out
+        assert sorted(builds) == [0, 1, 2, 3]
+
+    def test_census_builds_each_user_once(self, capsys, builds):
+        # two equilibria: 9 builds when each entry's certificate built its own
+        sir_log = ROOT / "tests" / "golden" / "sir-log.scenario.json"
+        code, out, _ = run(capsys, "find-ne", "--scenario", str(sir_log), "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["census"]["equilibria"]) == 2
+        assert sorted(builds) == [0, 1, 2]
+
+
+def zero_game(utilities, gains=None, levels=(0, 1), budget=1, noise=1) -> dict:
+    """A 3-user, 1-band scenario document: 2 bundles when the budget fits
+    the levels, 8 profiles."""
+    return {
+        "num_users": 3,
+        "num_bands": 1,
+        "quant_levels": list(levels),
+        "power_budget": budget,
+        "noise_half_density": noise,
+        "gains": gains or [[[1 if tx == rx else "1/2"] for rx in range(3)] for tx in range(3)],
+        "utilities": utilities,
+        "grid": {"pi_step": "1/4", "pi_max": 3},
+        "measurement": {"pilot_power": 1, "behaviors": [{"variant": "honest"}] * 3},
+        "seed": 1,
+    }
+
+
+ZERO = [0] * 9
+
+
+def faint_game(utilities) -> dict:
+    """Direct gains and the one power level 1e-99, no cross gain, noise
+    1e99: every SIR is 1e-297, and a weight of 1e-99 makes its term
+    underflow to 0.0."""
+    gains = [[["1e-99" if tx == rx else 0] for rx in range(3)] for tx in range(3)]
+    return zero_game(utilities, gains, levels=(0, "1e-99"), budget="1e-99", noise="1e99")
+
+
+ALL_ZERO_GAMES = {
+    "table": zero_game([{"variant": "table", "values": ZERO}] * 3),
+    "cubic_tax": zero_game([{"variant": "cubic_tax", "values": ZERO, "beta": 1}] * 3),
+    "mixed": zero_game(
+        [
+            {"variant": "table", "values": ZERO},
+            {"variant": "sir_log", "weights": [0]},
+            {"variant": "cubic_tax", "values": ZERO, "beta": "1/2"},
+        ]
+    ),
+    "sir_log-no-direct-gain": zero_game(
+        [{"variant": "sir_log", "weights": [1]}] * 3,
+        gains=[[[0 if tx == rx else 1] for rx in range(3)] for tx in range(3)],
+    ),
+    "sir_log-no-power": zero_game([{"variant": "sir_log", "weights": [1]}] * 3, budget="1/2"),
+    "sir_log-underflow": faint_game([{"variant": "sir_log", "weights": ["1e-99"]}] * 3),
+}
+
+
+@pytest.mark.parametrize("game", sorted(ALL_ZERO_GAMES))
+@pytest.mark.parametrize(
+    "argv", [["verify", "--messages", "[[-1,0],[-1,0],[-1,0]]"], ["find-ne"], ["enumerate"]]
+)
+def test_all_zero_game_exits_2_naming_utilities(capsys, tmp_path, game, argv):
+    """A game in which every user's values are 0 on the whole catalog has
+    null-allocation equilibria, which `verify` reported with exit 3: it is
+    refused at load, with empty stdout."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ALL_ZERO_GAMES[game]))
+    code, out, err = run(capsys, argv[0], "--scenario", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scenario.utilities: every user's values are 0")
+
+
+@pytest.mark.parametrize("weight", ["1e-99", "1e-20"])
+def test_one_positive_value_is_a_game(capsys, tmp_path, weight):
+    """One user whose values are not all 0 makes a game, however small the
+    value: weight 1e-20 leaves a positive subnormal term where 1e-99
+    underflows.  The decision agrees with the values built."""
+    utilities = [{"variant": "table", "values": ZERO}] * 2
+    utilities.append({"variant": "sir_log", "weights": [weight]})
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps(faint_game(utilities)))
+    code, out, _ = run(capsys, "find-ne", "--scenario", str(path), "--format", "json")
+    if weight == "1e-99":
+        assert (code, out) == (2, "")
+        return
+    assert code == 0
+    config = load_scenario(path).config
+    scale, heights = config.utilities[2].values(config).scaling
+    assert max(heights) > 0 and scale >= 2**1074

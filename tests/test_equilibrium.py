@@ -38,6 +38,7 @@ from spectrumshare.model import IntegerScaling, ProfileCatalog
 
 from conftest import (
     SIR_SHAPES,
+    drawn_game,
     peak_table,
     peak_values,
     replace_tax_terms,
@@ -314,9 +315,9 @@ class TestLindahlCensus:
         ids=["sir_log", "cubic_tax"],
     )
     def test_values_built_once_per_user_per_certificate(self, monkeypatch, last):
-        # A sir_log user's values are built where they are used, once per
-        # user and certificate, and kept nowhere; a table's are built once,
-        # at construction.
+        # A sir_log user's values are built on the first request, once per
+        # user and config, and held on the config for every later
+        # certificate; a table's are built once, at construction.
         from spectrumshare import equilibrium, model
 
         config = small_config(
@@ -347,11 +348,18 @@ class TestLindahlCensus:
         build_report((Message(4, 4), Message(1, 4), Message(4, 1)), config)
         assert sum(values is built[0] for values in scans) == 2
         assert builds == sir_users
+        # the census's hulls and the certificate of each entry reuse them
         census = lindahl_census(config)
         assert census.equilibria
-        assert builds == sir_users * (2 + len(census.equilibria))
+        assert builds == sir_users
+        assert sorted(config.held_values) == sir_users
+        assert set(vars(config)) <= {
+            "bundles", "catalog", "band_columns", "integer_channels", "held_values"
+        }
+        # a census alone builds each user's once, not once per entry too
+        assert lindahl_census(ScenarioConfig(*config)) == census
+        assert builds == sir_users * 2
         assert tables == []
-        assert set(vars(config)) <= {"bundles", "catalog", "band_columns", "integer_channels"}
 
     def test_entry_rebuilt_at_smallest_seed_price(self):
         (entry,) = lindahl_census(small_config(peaks=(1, 8, 4))).equilibria
@@ -812,7 +820,7 @@ def user_utilities(user):
 
 
 census_configs = st.tuples(user_utilities(0), user_utilities(1), user_utilities(2)).map(
-    lambda utilities: small_config(utilities=utilities)
+    lambda utilities: drawn_game(small_config, utilities=utilities)
 )
 grid_prices = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -1057,7 +1065,8 @@ def table_games(draw):
 def table_census(tables) -> dict:
     """Allocation -> per-user price intervals of the census of a game whose
     users hold `tables`, over one band with levels {0, 1}."""
-    config = ScenarioConfig(
+    config = drawn_game(
+        ScenarioConfig,
         num_users=len(tables),
         num_bands=1,
         quant_levels=(Fraction(0), Fraction(1)),
@@ -1089,7 +1098,7 @@ class TestMetamorphic:
 
         def census(scale):
             utilities = tuple(TableUtility([scale * v for v in values]) for values in tables)
-            return lindahl_census(small_config(utilities=utilities)).equilibria
+            return lindahl_census(drawn_game(small_config, utilities=utilities)).equilibria
 
         base, scaled = census(1), census(c)
         assert [e.report.allocation for e in scaled] == [e.report.allocation for e in base]
@@ -1146,22 +1155,19 @@ class TestTheoremOverMessageGrids:
         """Every grid profile balances its budget; every grid NE is
         individually rational and its allocation is in the census; and
         every census entry gives a grid NE at every grid price vector whose
-        personal prices lie in its intervals.
-
-        The one exception is known and pinned: when every table is all zero,
-        no user gains by pulling the average into the catalog, so profiles
-        with the null allocation are NE too, which the census (indices
-        1..size) does not list and `soundness_violations` flags."""
-        config = small_config(utilities=tuple(TableUtility(values) for values in tables))
+        personal prices lie in its intervals.  Three all-zero tables, the
+        one game with a null-allocation NE, are refused (see below)."""
+        config = drawn_game(
+            small_config, utilities=tuple(TableUtility(values) for values in tables)
+        )
         census = {e.report.allocation: e.price_intervals for e in lindahl_census(config).equilibria}
-        all_zero = not any(map(any, tables))
         equilibria = set()
         for profile in product(THEOREM_MESSAGES, repeat=3):
             report = build_report(profile, config)
             assert report.taxes_balance, profile
             if report.is_ne:
                 assert all(report.individual_rationality), profile
-                assert report.allocation in census or (report.allocation == 0 and all_zero), profile
+                assert report.allocation in census, profile
                 equilibria.add(profile)
         for allocation, intervals in census.items():
             for prices in product(THEOREM_PRICES, repeat=3):
@@ -1174,13 +1180,19 @@ class TestTheoremOverMessageGrids:
                     assert candidate in equilibria, candidate
 
     def test_all_zero_tables_have_a_null_allocation_equilibrium(self):
-        """The known exception above: nobody can gain, so the null
-        allocation is an NE, and its report says it must never be one."""
-        config = small_config(utilities=(TableUtility((0,) * 9),) * 3)
-        report = build_report((Message(-1, 0),) * 3, config)
+        """Why such a game is refused: nobody can gain, so the null
+        allocation is an NE, which the census (indices 1..size) cannot list
+        and its report says must never be.  So `ScenarioConfig` refuses
+        it, naming `utilities`; checked here on a copy built past that
+        check."""
+        fields = small_config()._replace(utilities=(TableUtility((0,) * 9),) * 3)
+        with pytest.raises(ConfigError, match="every user's values are 0") as refused:
+            ScenarioConfig(*fields)
+        assert refused.value.field == "utilities"
+        report = build_report((Message(-1, 0),) * 3, fields)
         assert report.is_ne and report.allocation == 0
         assert "NE with a null allocation" in report.soundness_violations()
-        assert 0 not in census_allocations(config)
+        assert 0 not in census_allocations(fields)
 
 
 signed_prices = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -1340,3 +1352,67 @@ class TestExactOrderScales:
             factor = Fraction(2) ** exponent
             scaled = tuple(Message(m.proposal, m.price * factor) for m in candidate)
             assert verdicts(scaled, scaled_sir(config, factor)) == expected, exponent
+
+
+def uncached_values(config, user):
+    """The uncached build, `spec.values(config)`: the oracle of
+    `ScenarioConfig.user_values`."""
+    return config.utilities[user].values(config)
+
+
+class TestHeldValues:
+    """`config.user_values` holds each `sir_log` user's values on the config,
+    within `MAX_VALUED_PROFILES` profiles' values in all."""
+
+    @given(config=st.one_of(sir_configs(user_counts=(3,)), census_configs), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_cold_and_dropped_match_uncached(self, config, data):
+        """A certificate and a census read the same on a cold config, on
+        the same config warm, and on one that holds one user's values at a
+        time (so each build drops the last), as on the uncached build."""
+        from unittest import mock
+
+        from spectrumshare import model
+
+        candidate = data.draw(report_candidates(config.catalog.size))
+
+        def results(config):
+            return build_report(candidate, config), lindahl_census(config)
+
+        with mock.patch.object(ScenarioConfig, "user_values", uncached_values):
+            expected = results(config)
+        cached = ScenarioConfig(*config)
+        assert results(cached) == expected
+        assert results(cached) == expected
+        with mock.patch.object(model, "MAX_VALUED_PROFILES", config.catalog.size):
+            dropping = ScenarioConfig(*config)
+            assert results(dropping) == expected
+            assert results(dropping) == expected
+            assert len(dropping.held_values) <= 1
+
+    @pytest.mark.parametrize("users_held", [1, 2])
+    def test_held_values_never_pass_the_bound(self, monkeypatch, users_held):
+        """With `MAX_VALUED_PROFILES` lowered to the profiles of one user's
+        values (the cap's case) or two, no more are ever held, and builds
+        go back to one per request of a user not held."""
+        from spectrumshare import model
+
+        config = ScenarioConfig(*ORACLE_CONFIGS["sir_log"])
+        monkeypatch.setattr(model, "MAX_VALUED_PROFILES", users_held * config.catalog.size)
+        held_at_build, build = [], SirLogUtility.values
+
+        def counted(spec, config):
+            held_at_build.append(len(config.held_values))
+            return build(spec, config)
+
+        monkeypatch.setattr(SirLogUtility, "values", counted)
+        candidate = (Message(4, 1), Message(4, 0), Message(4, 2))
+        reports = [build_report(candidate, config) for _ in range(2)]
+        assert reports[0] == reports[1]
+        # three users in turn: every request misses, with room for one or two
+        assert len(held_at_build) == 6
+        assert max(held_at_build) < users_held
+        assert len(config.held_values) <= users_held
+        lindahl_census(config)
+        assert max(held_at_build) < users_held
+        assert len(config.held_values) <= users_held

@@ -4,7 +4,8 @@ scenarios under `tests/golden/` that reach the census branches and the
 
 Each case's stdout must match `tests/golden/<case>` byte for byte once the
 timing fields are blanked, whether its scenario is parsed or reused from
-`load_scenario`'s memo, and each table and CSV golden must be the
+`load_scenario`'s memo (whose config holds the `sir_log` values, so that
+the reuse builds none), and each table and CSV golden must be the
 generic view of its JSON sibling.  The argument parser's help and usage errors at
 80 columns, for the top level and every command, must match
 `tests/golden/cli-help.txt`.  To regenerate after an intended output change:
@@ -29,7 +30,7 @@ from golden_cases import CASES, GOLDEN, blank_timing, replays, stdout_of
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, tmp_path):
-    """On a memo miss and on a memo hit alike."""
+    """On a memo miss and on a memo hit alike; the hit builds no values."""
     golden = (GOLDEN / case).read_bytes()
     assert replays(case, tmp_path) == [golden, golden]
 

@@ -117,15 +117,20 @@ class TestEnumerateBundles:
         expected = fraction_bundles(levels, bands, budget)
         assert powers(levels, bundles) == list(expected) == oracle_bundles(levels, bands, budget)
         assert count_bundles(levels, bands, budget) == len(bundles)
-        config = ScenarioConfig(
-            num_users=3,
-            num_bands=bands,
-            quant_levels=levels,
-            power_budget=budget,
-            noise_half_density=1,
-            gains=uniform_gains(3, bands),
-            utilities=tuple(SirLogUtility(user, (1,) * bands) for user in range(3)),
-        )
+        try:
+            config = ScenarioConfig(
+                num_users=3,
+                num_bands=bands,
+                quant_levels=levels,
+                power_budget=budget,
+                noise_half_density=1,
+                gains=uniform_gains(3, bands),
+                utilities=tuple(SirLogUtility(user, (1,) * bands) for user in range(3)),
+            )
+        except ConfigError as exc:
+            # only the zero bundle fits: nobody transmits, so every value is 0
+            assert exc.field == "utilities" and bundles == ((0,) * bands,)
+            return
         assert config.bundles == bundles
         index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
         profile = [expected[position] for position in config.catalog.profile_of(index)]
@@ -327,6 +332,17 @@ class TestSir:
                 column = [bundle[band] for bundle in profile]
                 ratio = Fraction(*column_sir_ratio(config, user, band, column))
                 assert ratio == fraction_sir(index, user, band, config)
+
+    @given(config=sir_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_positive_value_decided_without_the_values(self, config):
+        """Whether some V(k) of a user is positive, decided on one column
+        term per band at load, is what its built values say."""
+        from spectrumshare.model import _some_value_positive
+
+        for spec in config.utilities:
+            expected = any(spec.values(config).scaling.heights)
+            assert _some_value_positive(spec, config) == expected
 
     def test_benchmark_shape(self):
         # 4 users, 2 bands, Q = {0, 1, 2}, budget 2: 6 bundles, 1296 profiles.
