@@ -20,6 +20,7 @@ from spectrumshare.errors import ConfigError
 from spectrumshare.measurement import Honest
 from spectrumshare.scenario import Scenario, _scenario_of
 
+from golden_cases import counted_builds
 from grid_oracle import standard_grid
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -184,6 +185,13 @@ def tax_terms_calls(monkeypatch):
 
     replace_tax_terms(monkeypatch, counting)
     return calls
+
+
+@pytest.fixture
+def sir_builds():
+    """Every `SirLogUtility.values` build the test runs (`counted_builds`)."""
+    with counted_builds() as builds:
+        yield builds
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ import io
 import re
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 from spectrumshare.cli import main
@@ -96,18 +97,24 @@ def stdout_of(case: str, workdir: Path, *extra: str) -> bytes:
     return blank_timing(buffer.getvalue())
 
 
+Build = namedtuple("Build", "user held values")
+
+
 @contextlib.contextmanager
 def counted_builds():
-    """The users of the `SirLogUtility.values` builds run in the block."""
-    users, build = [], SirLogUtility.values
+    """Every `SirLogUtility.values` build run in the block, in order: its
+    user, how many users' values its config held just before it, and the
+    values it built."""
+    builds, build = [], SirLogUtility.values
 
     def counted(spec, config):
-        users.append(spec.user)
-        return build(spec, config)
+        held = len(vars(config).get("held_values", ()))
+        builds.append(Build(spec.user, held, build(spec, config)))
+        return builds[-1].values
 
     SirLogUtility.values = counted
     try:
-        yield users
+        yield builds
     finally:
         SirLogUtility.values = build
 

@@ -1343,19 +1343,7 @@ class TestHeldValues:
     """A `sir_log` user's values are built once per scenario: every command
     a process runs on one file reads them from the memo's config."""
 
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        """The user of every `SirLogUtility.values` build."""
-        users, build = [], SirLogUtility.values
-
-        def counted(spec, config):
-            users.append(spec.user)
-            return build(spec, config)
-
-        monkeypatch.setattr(SirLogUtility, "values", counted)
-        return users
-
-    def test_two_verifies_build_each_user_once(self, capsys, tmp_path, builds):
+    def test_two_verifies_build_each_user_once(self, capsys, tmp_path, sir_builds):
         # 4 users over 2 bands: the 1296-profile sir-verify shape; 8 builds
         # when every certificate built its own
         path = tmp_path / "sir.json"
@@ -1363,15 +1351,15 @@ class TestHeldValues:
         for messages in ("[[7, 0], [7, 1], [7, 2], [7, 3]]", "[[5, 1], [900, 0], [1, 2], [64, 0]]"):
             code, out, err = run(capsys, "verify", "--scenario", str(path), "--messages", messages)
             assert (code, err) == (0, "") and out
-        assert sorted(builds) == [0, 1, 2, 3]
+        assert sorted(build.user for build in sir_builds) == [0, 1, 2, 3]
 
-    def test_census_builds_each_user_once(self, capsys, builds):
+    def test_census_builds_each_user_once(self, capsys, sir_builds):
         # two equilibria: 9 builds when each entry's certificate built its own
         sir_log = ROOT / "tests" / "golden" / "sir-log.scenario.json"
         code, out, _ = run(capsys, "find-ne", "--scenario", str(sir_log), "--format", "json")
         assert code == 0
         assert len(json.loads(out)["census"]["equilibria"]) == 2
-        assert sorted(builds) == [0, 1, 2]
+        assert sorted(build.user for build in sir_builds) == [0, 1, 2]
 
 
 def zero_game(utilities, gains=None, levels=(0, 1), budget=1, noise=1) -> dict:

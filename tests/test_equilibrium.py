@@ -314,7 +314,7 @@ class TestLindahlCensus:
         [SirLogUtility(user=2, weights=(0,)), CubicTaxUtility((0,) + (1,) * 8, beta=1)],
         ids=["sir_log", "cubic_tax"],
     )
-    def test_values_built_once_per_user_per_certificate(self, monkeypatch, last):
+    def test_values_built_once_per_user_per_certificate(self, monkeypatch, last, sir_builds):
         # A sir_log user's values are built on the first request, once per
         # user and config, and held on the config for every later
         # certificate; a table's are built once, at construction.
@@ -324,19 +324,12 @@ class TestLindahlCensus:
             utilities=(SirLogUtility(user=0, weights=(1,)), TableUtility((0,) + (1,) * 8), last)
         )
         sir_users = [0, 2] if isinstance(last, SirLogUtility) else [0]
-        tables, builds, built, scans = [], [], [], []
-        table_scaling, sir_build = model._table_scaling, SirLogUtility.values
+        tables, scans = [], []
+        table_scaling = model._table_scaling
         kernel = equilibrium.price_line_optimum
         monkeypatch.setattr(
             model, "_table_scaling", lambda values: tables.append(values) or table_scaling(values)
         )
-
-        def build(spec, config):
-            builds.append(spec.user)
-            built.append(sir_build(spec, config))
-            return built[-1]
-
-        monkeypatch.setattr(SirLogUtility, "values", build)
         monkeypatch.setattr(
             equilibrium,
             "price_line_optimum",
@@ -346,19 +339,19 @@ class TestLindahlCensus:
         # runs with the credit 9 * 4 rebated, so its line is scanned again at
         # credit 0, on the same values.
         build_report((Message(4, 4), Message(1, 4), Message(4, 1)), config)
-        assert sum(values is built[0] for values in scans) == 2
-        assert builds == sir_users
+        assert sum(values is sir_builds[0].values for values in scans) == 2
+        assert [build.user for build in sir_builds] == sir_users
         # the census's hulls and the certificate of each entry reuse them
         census = lindahl_census(config)
         assert census.equilibria
-        assert builds == sir_users
+        assert [build.user for build in sir_builds] == sir_users
         assert sorted(config.held_values) == sir_users
         assert set(vars(config)) <= {
             "bundles", "catalog", "band_columns", "integer_channels", "held_values"
         }
         # a census alone builds each user's once, not once per entry too
         assert lindahl_census(ScenarioConfig(*config)) == census
-        assert builds == sir_users * 2
+        assert [build.user for build in sir_builds] == sir_users * 2
         assert tables == []
 
     def test_entry_rebuilt_at_smallest_seed_price(self):
@@ -1391,7 +1384,7 @@ class TestHeldValues:
             assert len(dropping.held_values) <= 1
 
     @pytest.mark.parametrize("users_held", [1, 2])
-    def test_held_values_never_pass_the_bound(self, monkeypatch, users_held):
+    def test_held_values_never_pass_the_bound(self, monkeypatch, users_held, sir_builds):
         """With `MAX_VALUED_PROFILES` lowered to the profiles of one user's
         values (the cap's case) or two, no more are ever held, and builds
         go back to one per request of a user not held."""
@@ -1399,20 +1392,13 @@ class TestHeldValues:
 
         config = ScenarioConfig(*ORACLE_CONFIGS["sir_log"])
         monkeypatch.setattr(model, "MAX_VALUED_PROFILES", users_held * config.catalog.size)
-        held_at_build, build = [], SirLogUtility.values
-
-        def counted(spec, config):
-            held_at_build.append(len(config.held_values))
-            return build(spec, config)
-
-        monkeypatch.setattr(SirLogUtility, "values", counted)
         candidate = (Message(4, 1), Message(4, 0), Message(4, 2))
         reports = [build_report(candidate, config) for _ in range(2)]
         assert reports[0] == reports[1]
         # three users in turn: every request misses, with room for one or two
-        assert len(held_at_build) == 6
-        assert max(held_at_build) < users_held
+        assert len(sir_builds) == 6
+        assert max(build.held for build in sir_builds) < users_held
         assert len(config.held_values) <= users_held
         lindahl_census(config)
-        assert max(held_at_build) < users_held
+        assert max(build.held for build in sir_builds) < users_held
         assert len(config.held_values) <= users_held

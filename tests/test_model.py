@@ -117,20 +117,16 @@ class TestEnumerateBundles:
         expected = fraction_bundles(levels, bands, budget)
         assert powers(levels, bundles) == list(expected) == oracle_bundles(levels, bands, budget)
         assert count_bundles(levels, bands, budget) == len(bundles)
-        try:
-            config = ScenarioConfig(
-                num_users=3,
-                num_bands=bands,
-                quant_levels=levels,
-                power_budget=budget,
-                noise_half_density=1,
-                gains=uniform_gains(3, bands),
-                utilities=tuple(SirLogUtility(user, (1,) * bands) for user in range(3)),
-            )
-        except ConfigError as exc:
-            # only the zero bundle fits: nobody transmits, so every value is 0
-            assert exc.field == "utilities" and bundles == ((0,) * bands,)
-            return
+        size = len(bundles) ** 3
+        config = ScenarioConfig(
+            num_users=3,
+            num_bands=bands,
+            quant_levels=levels,
+            power_budget=budget,
+            noise_half_density=1,
+            gains=uniform_gains(3, bands),
+            utilities=tuple(TableUtility((0,) * size + (1,)) for _ in range(3)),
+        )
         assert config.bundles == bundles
         index = data.draw(st.integers(min_value=1, max_value=config.catalog.size))
         profile = [expected[position] for position in config.catalog.profile_of(index)]
