@@ -40,11 +40,13 @@ def br_dynamics(start, config, max_rounds=50):
     its best reply is strictly better than keeping its message (utilities
     are exact), so every NE is an immediate fixed point instead of drifting
     along utility ties.  Non-convergence after `max_rounds` is a result, not
-    an error.  Each user's values are read through `config.user_values`;
-    catalogs over `MAX_VALUED_PROFILES` raise `ConfigError`.
+    an error.  Each reply reads its user's values through
+    `config.user_values`, which raises `ConfigError` on catalogs over
+    `MAX_VALUED_PROFILES` and holds every `sir_log` user's or none: when
+    they do not all fit that bound, as at the 10**6-profile cap, each reply
+    builds its user's values again (about 0.2 s each there).
     """
     profile = tuple(start)
-    config.check_profile_cap("evaluating utilities")
     for rounds in range(1, max_rounds + 1):
         changed = False
         for user in range(config.num_users):

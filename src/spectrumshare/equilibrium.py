@@ -25,10 +25,9 @@ candidate in one pass on those integers: one outcome, which carries its
 from which it reads the NE verdict and best deviation, individual
 rationality, the reduced tax form and the Lindahl verdicts.  Only a user
 whose tax is on its price line but whose scanned line carries a credit
-c_i != 0 is scanned again, at credit 0, on the same values.  A `sir_log`
-user's values are built on the first request and held on the config, so
-every certificate and the census on one config share them, within
-`MAX_VALUED_PROFILES` profiles' values held in all.
+c_i != 0 is scanned again, at credit 0, on the same values.  Which values
+the config holds, and the bound on evaluating them, are
+`ScenarioConfig.user_values`' to decide.
 
 Finding equilibria needs no search.  Every NE gives a Lindahl allocation and
 every Lindahl allocation rebuilds into an NE, so `lindahl_census` reads the
@@ -101,7 +100,7 @@ def best_response(
     user: int, profile: MessageProfile, values: TableUtility | CubicTaxUtility
 ) -> Message:
     """Message maximizing user's utility against the rest of `profile`, on
-    its `values` (`config.user_values(user)`, built once per config).
+    its `values` (`config.user_values(user)`).
 
     `profile[user]` is ignored.  The reply has price 0 and a proposal that
     puts the rounded average exactly on the best catalog index (the smallest
@@ -215,10 +214,9 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     """Certify a candidate in one pass over the users, on integers.
 
     One outcome, whose `tax_terms` give the denominator D every tax and
-    price line shares; per user its values (`config.user_values`, built at
-    most once per config while they fit its bound), one reply scan and one
-    held utility, integer numerators over the values' `unit`.  The
-    reply gives the deviation gain (exact over the whole message space;
+    price line shares; per user its values (`config.user_values`), one reply
+    scan and one held utility, integer numerators over the values' `unit`.
+    The reply gives the deviation gain (exact over the whole message space;
     gains over different units are compared by cross-multiplying); the
     opt-out is worth 0, so individual rationality is a held utility of at
     least 0.  A user is on its price line when the allocation is 0 or
@@ -229,9 +227,8 @@ def build_report(candidate: MessageProfile, config: ScenarioConfig) -> Equilibri
     every tax must be allocation * personal price (the reduced tax form);
     one that is not raises `ContractError`.  `Fraction`s are built only for
     the report's prices, taxes and best deviation's gain.  Catalogs over
-    `MAX_VALUED_PROFILES` raise `ConfigError`.
+    `MAX_VALUED_PROFILES` raise `ConfigError` (`config.user_values`).
     """
-    config.check_profile_cap("evaluating utilities")
     allocation, taxes, terms = outcome(candidate, config.catalog)
     price_numerators, penalties, denominator = terms
     n_users = len(candidate)
@@ -434,7 +431,6 @@ def lindahl_census(config: ScenarioConfig) -> LindahlCensus:
     are certified by `build_report`.  An entry that fails certification
     raises `ContractError`.
     """
-    config.check_profile_cap("evaluating utilities")
     entries = []
     for allocation, intervals in _balanced_intervals(config):
         prices = message_prices(balanced_prices(intervals))

@@ -19,10 +19,10 @@ and allocation 0 ("no allocation", worth 0 before taxes) at tax 0 is worth
 exactly 0.  Floating point enters only in a logarithmic utility's per-band
 column terms w_b * log1p(SIR), each converted to an integer height exactly
 before any sum.  Callers read values through `ScenarioConfig.user_values`,
-which builds a `sir_log` user's once per config and holds them while the
-held values cover at most `MAX_VALUED_PROFILES` profiles.  A game in which
-every user's values are 0 on the whole catalog is refused: its null
-allocation would be an equilibrium.
+which owns the evaluation bound and holds every `sir_log` user's or none
+(its docstring states the rule).  A game in which every user's values are
+0 on the whole catalog is refused: its null allocation would be an
+equilibrium.
 """
 
 from __future__ import annotations
@@ -550,25 +550,23 @@ class ScenarioConfig(
     def user_values(self, user: int) -> TableUtility | CubicTaxUtility:
         """User's values, `spec.values(self)`, the one way to read them.
 
-        A `table` or `cubic_tax` spec is its own values.  A `sir_log`
-        user's are built on the first request and held in `held_values`
-        for the next, while the users held hold at most
-        `MAX_VALUED_PROFILES` profiles' values in all: a build that would
-        pass that drops every one held first.  So where every user's fit,
-        every command run on one config builds each user's values once, and
-        at the cap one user's are held at a time.  Building them over a
-        catalog of more than `MAX_VALUED_PROFILES` profiles raises
-        `ConfigError`."""
+        Catalogs over `MAX_VALUED_PROFILES` profiles raise `ConfigError`,
+        for every variant.  A `table` or `cubic_tax` spec is its own values.
+        `sir_log` values are held all or none, decided by the config alone:
+        when the `sir_log` users times the catalog size is at most
+        `MAX_VALUED_PROFILES`, each user's are built on its first request
+        and held in `held_values` for every later request on this config;
+        otherwise none is held and every request builds, as at the cap."""
+        self.check_profile_cap("evaluating utilities")
         spec = self.utilities[user]
         if not isinstance(spec, SirLogUtility):
             return spec
-        held = self.held_values
-        values = held.get(user)
+        values = self.held_values.get(user)
         if values is None:
-            self.check_profile_cap("evaluating utilities")
-            if (len(held) + 1) * self.catalog.size > MAX_VALUED_PROFILES:
-                held.clear()
-            values = held[user] = spec.values(self)
+            values = spec.values(self)
+            sir_users = sum(isinstance(s, SirLogUtility) for s in self.utilities)
+            if sir_users * self.catalog.size <= MAX_VALUED_PROFILES:
+                self.held_values[user] = values
         return values
 
     def check_profile_cap(self, work: str) -> None:

@@ -316,8 +316,9 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file.  The file is read on every
     call; bytes equal to those of the last document validated in this
     process give back that document's `Scenario`, which is immutable, so its
-    catalog, its other cached properties and the `sir_log` values its config
-    holds (`ScenarioConfig.user_values`) are built once per content."""
+    catalog, its other cached properties and any `sir_log` values its config
+    holds (`ScenarioConfig.user_values` decides which) are built once per
+    content."""
     return _scenario_of(read_file(path, "scenario"))
 
 

@@ -107,15 +107,15 @@ SIR_SHAPES = (
 
 
 @st.composite
-def sir_configs(draw, user_counts=(3, 4), shapes=SIR_SHAPES):
+def sir_configs(draw, user_counts=(3, 4), shapes=SIR_SHAPES, max_profiles=600):
     """`sir_log` configs of one of `shapes` with random gains, noise and
-    weights (zero included) and at most 600 profiles, in which some user's
-    values are not all 0."""
+    weights (zero included) and at most `max_profiles` profiles, in which
+    some user's values are not all 0."""
     fitting = [
         (users, shape)
         for shape in shapes
         for users in user_counts
-        if len(enumerate_bundles(shape[1], shape[0], shape[2])) ** users <= 600
+        if len(enumerate_bundles(shape[1], shape[0], shape[2])) ** users <= max_profiles
     ]
     users, (bands, levels, budget) = draw(st.sampled_from(fitting))
     rationals = st.fractions(min_value=0, max_value=3, max_denominator=5)

@@ -40,7 +40,7 @@ from spectrumshare import (
     SirLogUtility,
     TableUtility,
 )
-from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES
+from spectrumshare.model import MAX_DIGITS, MAX_VALUED_PROFILES, count_bundles
 from conftest import (
     desk_scenario,
     load_script,
@@ -1441,3 +1441,122 @@ def test_one_positive_value_is_a_game(capsys, tmp_path, weight):
     config = load_scenario(path).config
     scale, heights = config.utilities[2].values(config).scaling
     assert max(heights) > 0 and scale >= 2**1074
+
+
+# (users, bands, levels, budget) of the drawn whole scenarios: 2 to 6
+# bundles, at most 256 profiles
+DRAWN_SHAPES = [
+    (users, bands, levels, budget)
+    for users in (3, 4)
+    for bands in (1, 2)
+    for levels, budget in (((0, 1), 1), ((0, 1), 2), ((0, "1/2", 1), 1))
+    if count_bundles([Fraction(q) for q in levels], bands, budget) ** users <= 256
+]
+# non-negative numbers as a scenario spells them: ints and "p/q" strings
+drawn_numbers = st.sampled_from([1, 2, 5, "1/2", "3/4", "7/3"])
+
+
+def drawn_heights(draw, size: int) -> list:
+    """A value list of `size` + 1 entries, entry 0 the null allocation's 0:
+    all zero, flat, sparse or random."""
+    kind = draw(st.sampled_from(["zero", "flat", "sparse", "random"]))
+    if kind == "zero":
+        return [0] * (size + 1)
+    if kind == "flat":
+        return [0] + [draw(drawn_numbers)] * size
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, "1/2"]) if kind == "sparse" else drawn_numbers
+    return [0, *draw(st.lists(entry, min_size=size, max_size=size))]
+
+
+@st.composite
+def drawn_scenarios(draw):
+    """A whole scenario document of `table`, `sir_log` and `cubic_tax` users,
+    degenerate draws included (all-zero, flat and sparse values, zero
+    weights, zero cross gains), and two `--messages` for it: proposals whose
+    average may leave the catalog, and prices that may be negative, which
+    are refused."""
+    users, bands, levels, budget = draw(st.sampled_from(DRAWN_SHAPES))
+    size = count_bundles([Fraction(q) for q in levels], bands, budget) ** users
+    utilities = []
+    for _ in range(users):
+        variant = draw(st.sampled_from(["table", "sir_log", "cubic_tax"]))
+        if variant == "sir_log":
+            weight = st.sampled_from([0, 1, "1/2", 2])
+            weights = draw(st.lists(weight, min_size=bands, max_size=bands))
+            utilities.append({"variant": variant, "weights": weights})
+        else:
+            utilities.append({"variant": variant, "values": drawn_heights(draw, size)})
+            if variant == "cubic_tax":
+                utilities[-1]["beta"] = draw(st.sampled_from([1, "1/2", 3]))
+    cross = st.just(0) if draw(st.booleans()) else st.sampled_from([0, "1/2", "1/3", 1])
+    direct = st.sampled_from([0, 1, "3/2", 2])
+    gains = [
+        [[draw(direct if tx == rx else cross) for _ in range(bands)] for rx in range(users)]
+        for tx in range(users)
+    ]
+    document = {
+        "num_users": users,
+        "num_bands": bands,
+        "quant_levels": list(levels),
+        "power_budget": budget,
+        "noise_half_density": draw(st.sampled_from([1, "1/2", 3])),
+        "gains": gains,
+        "utilities": utilities,
+        "grid": {"pi_step": "1/4", "pi_max": 3},
+        "measurement": {"pilot_power": 1, "behaviors": [{"variant": "honest"}] * users},
+        "seed": 1,
+    }
+    message = st.tuples(
+        st.integers(min_value=-size, max_value=2 * size), st.sampled_from([0, 1, "1/2", 3, -1])
+    )
+    profiles = st.lists(message, min_size=users, max_size=users).map(json.dumps)
+    return document, draw(st.lists(profiles, min_size=2, max_size=2))
+
+
+@pytest.fixture(scope="module")
+def drawn_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "scenario.json"
+
+
+def run_command(*argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one `cli.main` run, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(drawn=drawn_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_every_command_on_drawn_scenarios(drawn_path, drawn):
+    """Every command on a drawn whole scenario exits 0 or 2, never 1 or 3.
+    Exit 2 prints nothing on stdout and names the refused field on stderr;
+    exit 0 prints a JSON document; every equilibrium `find-ne` lists is
+    certified again by `verify`."""
+    document, messages = drawn
+    drawn_path.write_text(json.dumps(document))
+    null = json.dumps([[-1, 0]] * document["num_users"])
+    commands = [["enumerate"], ["measure"], ["find-ne"], ["verify", "--messages", null]]
+    for profile in messages:
+        commands += [["outcome", "--messages", profile], ["verify", "--messages", profile]]
+    listed = []
+    for command, *rest in commands:
+        code, out, err = run_command(
+            command, "--scenario", str(drawn_path), *rest, "--format", "json"
+        )
+        assert code in (0, 2), (command, rest, code, err)
+        if code == 2:
+            assert out == ""
+            assert re.match(r"error: (scenario|messages)[\w.\[\]]*: ", err), err
+            continue
+        output = json.loads(out)
+        if command == "find-ne":
+            listed = output["census"]["equilibria"]
+    for entry in listed:
+        candidate = [[m["proposal"], m["price"]] for m in entry["candidate"]]
+        code, out, err = run_command(
+            "verify", "--scenario", str(drawn_path), "--messages", json.dumps(candidate),
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["is_ne"] is True

@@ -1120,6 +1120,30 @@ class TestMetamorphic:
         moved = {k: tuple(intervals[j] for j in perm) for k, intervals in base.items()}
         assert table_census([tables[j] for j in perm]) == moved
 
+    @given(config=sir_configs(max_profiles=1296), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_physics_rescaling_keeps_reports_and_census(self, config, data):
+        """Every gain and the noise times c > 0 leaves every SIR, and so
+        every `sir_log` height, as it was: `build_report` on drawn
+        candidates and `lindahl_census` read the same on both configs, for
+        powers of two and other c."""
+        size, users = config.catalog.size, config.num_users
+        candidates = data.draw(st.lists(report_candidates(size, users), min_size=1, max_size=3))
+
+        def results(config):
+            return [build_report(c, config) for c in candidates], lindahl_census(config)
+
+        expected = results(config)
+        for c in (Fraction(2), Fraction(1, 8), Fraction(3, 2), Fraction(1, 5), Fraction(10, 3)):
+            gains = tuple(
+                tuple(tuple(c * g for g in row) for row in plane) for plane in config.gains
+            )
+            noise = c * config.noise_half_density
+            scaled = ScenarioConfig(
+                **{**config._asdict(), "gains": gains, "noise_half_density": noise}
+            )
+            assert results(scaled) == expected, c
+
 
 # Every message of a small grid over an 8-profile catalog: proposals -1,
 # every index and one index past the catalog, prices 0, 1/2 and 1.
@@ -1239,17 +1263,19 @@ report_prices = st.one_of(
 )
 
 
-def report_candidates(size):
-    """Candidates for a catalog of `size` profiles: proposals whose average
-    may leave the catalog, and unanimous proposals at unequal prices, whose
-    mismatch penalties vanish while the personal prices do not."""
+def report_candidates(size, users=3):
+    """Candidates of `users` messages for a catalog of `size` profiles:
+    proposals whose average may leave the catalog, and unanimous proposals
+    at unequal prices, whose mismatch penalties vanish while the personal
+    prices do not."""
     proposals = st.integers(min_value=-2 * size, max_value=3 * size)
     message = st.builds(Message, proposals, report_prices)
     agreeing = st.tuples(
-        st.integers(min_value=1, max_value=size), st.lists(report_prices, min_size=3, max_size=3)
+        st.integers(min_value=1, max_value=size),
+        st.lists(report_prices, min_size=users, max_size=users),
     )
     return st.one_of(
-        st.tuples(message, message, message),
+        st.tuples(*[message] * users),
         agreeing.map(lambda t: tuple(Message(t[0], price) for price in t[1])),
     )
 
@@ -1361,8 +1387,9 @@ class TestHeldValues:
     @settings(max_examples=40, deadline=None)
     def test_warm_cold_and_dropped_match_uncached(self, config, data):
         """A certificate and a census read the same on a cold config, on
-        the same config warm, and on one that holds one user's values at a
-        time (so each build drops the last), as on the uncached build."""
+        the same config warm, and on one whose bound has room for one
+        user's values (so it holds a lone `sir_log` user's and otherwise
+        none), as on the uncached build."""
         from unittest import mock
 
         from spectrumshare import model
@@ -1402,3 +1429,27 @@ class TestHeldValues:
         lindahl_census(config)
         assert max(build.held for build in sir_builds) < users_held
         assert len(config.held_values) <= users_held
+
+    @pytest.mark.parametrize(
+        "sir_users, room, builds, held",
+        [((1,), 1, [1], [1]), ((1,), 2, [1], [1]), ((0, 2), 1, [0, 2, 0, 2], [])],
+        ids=["lone-sir_log-room-1", "lone-sir_log-room-2", "two-sir_log-room-1"],
+    )
+    def test_held_all_or_none(self, monkeypatch, sir_users, room, builds, held, sir_builds):
+        """With room for `room` users' values, the `sir_log` users' are
+        held only when all of them fit, whatever the `table` users: a lone
+        `sir_log` user among three is built once for two certificates, and
+        of two with room for one, none is held and every request builds."""
+        from spectrumshare import model
+
+        config = small_config(
+            utilities=tuple(
+                SirLogUtility(user=u, weights=(u + 1,)) if u in sir_users else peak_table(8, 4)
+                for u in range(3)
+            )
+        )
+        monkeypatch.setattr(model, "MAX_VALUED_PROFILES", room * config.catalog.size)
+        candidate = (Message(4, 1), Message(4, 0), Message(4, 2))
+        assert build_report(candidate, config) == build_report(candidate, config)
+        assert [build.user for build in sir_builds] == builds
+        assert sorted(config.held_values) == held
